@@ -10,7 +10,15 @@ scans, and a convergence-study harness.
 """
 
 from .harness import ConvergenceRow, StudyConfig, render_table, run_convergence, weighted_norm
-from .integrator import StepRecord, amf_step, integrate, irk_reference_step, residual
+from .integrator import (
+    NonFiniteStateError,
+    Stepper,
+    StepRecord,
+    amf_step,
+    integrate,
+    irk_reference_step,
+    residual,
+)
 from .problems import (
     SemidiscreteProblem,
     boundary_vector,
@@ -63,11 +71,13 @@ __all__ = [
     "DirectionStencil",
     "FactorSolveError",
     "GridSpec",
+    "NonFiniteStateError",
     "ScanResult",
     "SemidiscreteProblem",
     "SizeGuardError",
     "SplitOperator",
     "StepRecord",
+    "Stepper",
     "StudyConfig",
     "amf_scheme",
     "amf_step",

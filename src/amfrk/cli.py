@@ -18,7 +18,7 @@ import sys
 import numpy as np
 
 from .harness import StudyConfig, render_table, run_convergence, weighted_norm
-from .integrator import integrate
+from .integrator import NonFiniteStateError, integrate
 from .problems import build_problem
 from .splitops import FactorSolveError, SizeGuardError
 from .stability import wedge_stability_scan
@@ -245,7 +245,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (FactorSolveError, SizeGuardError, np.linalg.LinAlgError) as exc:
+    except (
+        FactorSolveError, SizeGuardError, NonFiniteStateError, np.linalg.LinAlgError
+    ) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:

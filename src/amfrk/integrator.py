@@ -10,9 +10,14 @@ One step of the q-sweep integrator on the semilinear system y' = J y + g(t):
                 Y  += mix E                        (2x2 acting stage-wise)
     corrector   y_{n+1} = varpi*y_n + s_hat . Y^q   (= last stage here)
 
-Each sweep costs two forcing evaluations (hoisted out of the sweep loop),
-two applications of J per residual and 2d tridiagonal solves, all with the
-single shift gamma*tau, so the factors are built once per step size.
+A ``Stepper`` is built once per (problem, scheme, tableau, tau).  It owns
+the d direction factors of the single shift gamma*tau and every state-sized
+work buffer, so a step allocates no state-sized array beyond what the
+problem's forcing returns.  Each step costs two forcing evaluations (hoisted
+out of the sweep loop), s*q - 1 applications of J (both stages equal y_n in
+the first sweep, so J is applied once there) and 2q product solves of d line
+sweeps each; a product solve makes d layout copies (see ``solve_pi``).
+``amf_step`` and ``integrate`` both run through it.
 
 A dense exactly-solved implicit step is included as a reference oracle for
 tests; it inherits the N <= 16 guard of the dense assembly.
@@ -21,11 +26,28 @@ tests; it inherits the N <= 16 guard of the dense assembly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+import math
 
 import numpy as np
 
-from .splitops import apply_full, dense_operator_matrix, solve_pi
+from .splitops import apply_full, dense_operator_matrix, factor_pi, solve_pi
 from .tableau import AmfScheme, ButcherTableau, extended_scheme
+
+
+class NonFiniteStateError(FloatingPointError):
+    """The integrated state stopped being finite.
+
+    step : number of steps taken when the state was found non-finite (0 for
+        an initial state that is not finite)
+    """
+
+    def __init__(self, step: int, t: float):
+        super().__init__(step, t)
+        self.step = step
+        self.t = t
+
+    def __str__(self) -> str:
+        return f"state is not finite after step {self.step} (t = {self.t:g})"
 
 
 @dataclass(frozen=True)
@@ -37,20 +59,13 @@ class StepRecord:
     iterations_applied: int
 
 
+def _check_step_size(tau: float) -> None:
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"step size must be positive and finite, got {tau}")
+
+
 def _stage_forcings(problem, tab: ButcherTableau, t_n: float, tau: float):
     return [problem.forcing(t_n + ci * tau) for ci in tab.c]
-
-
-def _residual_from(problem, tab, tau, y_n, stages, forcings):
-    a = tab.a
-    f = [apply_full(problem.op, stages[i]) + forcings[i] for i in range(len(forcings))]
-    out = np.empty_like(stages, dtype=np.result_type(stages, f[0]))
-    for i in range(out.shape[0]):
-        acc = y_n - stages[i]
-        for k in range(out.shape[0]):
-            acc = acc + (tau * a[i, k]) * f[k]
-        out[i] = acc
-    return out
 
 
 def residual(
@@ -66,17 +81,133 @@ def residual(
     stages : (s, m) array of stage vectors; D = 0 exactly at the implicit
     solution.
     """
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    _check_step_size(tau)
     stages = np.asarray(stages)
     if stages.shape != (tab.stages, np.asarray(y_n).shape[0]):
         raise ValueError(
             f"stage block shape {stages.shape} does not match "
             f"({tab.stages}, {np.asarray(y_n).shape[0]})"
         )
-    return _residual_from(
-        problem, tab, tau, y_n, stages, _stage_forcings(problem, tab, t_n, tau)
-    )
+    forcings = _stage_forcings(problem, tab, t_n, tau)
+    f = [apply_full(problem.op, y_k) + g_k for y_k, g_k in zip(stages, forcings)]
+    out = np.empty_like(stages, dtype=np.result_type(stages, f[0]))
+    for i in range(out.shape[0]):
+        acc = y_n - stages[i]
+        for k in range(out.shape[0]):
+            acc = acc + (tau * tab.a[i, k]) * f[k]
+        out[i] = acc
+    return out
+
+
+class Stepper:
+    """The q-sweep step of one (problem, scheme, tableau, tau).
+
+    Owns the d factors of  I - gamma*tau*J_j  (built once, here) and the
+    state-sized work buffers, which are allocated on the first step in the
+    dtype of that step's stages,  result_type(y_n, forcing, factors),  and
+    reallocated only if a later step needs another dtype.
+    """
+
+    def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
+        _check_step_size(tau)
+        self.problem = problem
+        self.scheme = scheme
+        self.tab = tab
+        self.tau = tau
+        self.sigma = scheme.gamma * tau
+        self.factors = factor_pi(problem.op, self.sigma)
+        self._factor_dtype = np.result_type(*(f.inv_diag for f in self.factors))
+        self._tau_a = (tau * tab.a).tolist()
+        # corrector weights of (y_n, Y_1, .., Y_s); the zero ones are skipped
+        self._output = [tab.varpi, *tab.s_hat.tolist()]
+        self._buf = None  # stages Y, residuals D, W, and (S, J scratch)
+
+    def step(
+        self, t_n: float, y_n: np.ndarray, out: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Advance one step of length tau from (t_n, y_n).
+
+        out : flat array for y_{n+1} (allocated when None); must not be y_n.
+        """
+        op, tab = self.problem.op, self.tab
+        y_n = np.asarray(y_n)
+        forcings = _stage_forcings(self.problem, tab, t_n, self.tau)
+        dtype = np.result_type(y_n, forcings[0], self._factor_dtype)
+        if self._buf is None or self._buf[0].dtype != dtype:
+            # one array per role: a single (7, m) block is big enough for
+            # the C allocator to map it from, and return it to, the system
+            # on its own, which leaves the caller's next allocations cold
+            self._buf = [np.empty((k, op.grid.m), dtype=dtype) for k in (2, 2, 1, 2)]
+        stages, d, (w,), work = self._buf
+        s = work[0]
+        for nu, it in enumerate(self.scheme.iterations):
+            first = nu == 0
+            # residual D; in the first sweep both stages equal y_n, so
+            # y_n - Y_i vanishes and one J apply serves both stages
+            if first:
+                jy = apply_full(op, y_n, out=stages[0], work=work)
+            else:
+                np.subtract(y_n, stages, out=d)
+            for k, g_k in enumerate(forcings):
+                if first:
+                    np.add(jy, g_k, out=w)
+                else:
+                    apply_full(op, stages[k], out=w, work=work)
+                    w += g_k
+                for i in range(2):
+                    if first and k == 0:
+                        np.multiply(w, self._tau_a[i][k], out=d[i])
+                    else:
+                        np.multiply(w, self._tau_a[i][k], out=s)
+                        d[i] += s
+            # r = (I - low) inv(mix) D: r_1 into w, r_2 into d[1]
+            mix, low = it.mix_coeff, it.low_coeff
+            np.multiply(d[1], mix, out=s)
+            np.subtract(d[0], s, out=w)
+            np.multiply(d[0], low, out=s)
+            d[1] *= 1.0 + low * mix
+            d[1] -= s
+            e1 = solve_pi(op, self.sigma, w, self.factors, out=d[0], work=s)
+            np.multiply(e1, low, out=s)
+            d[1] += s
+            e2 = solve_pi(op, self.sigma, d[1], self.factors, out=d[1], work=w)
+            # Y += mix E
+            prev = (y_n, y_n) if first else stages
+            np.multiply(e2, mix, out=s)
+            s += e1
+            np.add(prev[0], s, out=stages[0])
+            np.add(prev[1], e2, out=stages[1])
+        if out is None:
+            out = np.empty_like(y_n, dtype=dtype)
+        (w0, v0), *rest = [(c, v) for c, v in zip(self._output, (y_n, *stages)) if c]
+        np.multiply(v0, w0, out=out)
+        for weight, v in rest:
+            np.multiply(v, weight, out=s)
+            out += s
+        return out
+
+    def run(self, y0: np.ndarray, n_steps: int) -> np.ndarray:
+        """Take n_steps steps from (0, y0); y0 is not modified.
+
+        Raises NonFiniteStateError, carrying the step count, as soon as the
+        state is not finite.  The check is one reduction per step: a finite
+        sum proves every entry finite, and only a non-finite sum is
+        confirmed entry by entry.
+        """
+        y = np.asarray(y0)
+        _check_finite(y, 0, 0.0)
+        spare = None
+        for n in range(n_steps):
+            out = self.step(n * self.tau, y, out=spare)
+            _check_finite(out, n + 1, (n + 1) * self.tau)
+            # never write into the caller's y0
+            spare, y = (y if n else None), out
+        return y if n_steps else y.copy()
+
+
+def _check_finite(y: np.ndarray, step: int, t: float) -> None:
+    if not np.isfinite(y.sum()) and not np.isfinite(y).all():
+        raise NonFiniteStateError(step, t)
 
 
 def amf_step(
@@ -91,30 +222,18 @@ def amf_step(
 ):
     """Advance one step of length tau from (t_n, y_n).
 
+    A one-off ``Stepper``: use ``integrate`` (or a ``Stepper``) for many
+    steps of one size, which builds the factors and buffers once.
+
     n_sweeps : test facility; extends the scheme by repeating its last sweep
         (production use always runs the scheme's own q sweeps).
     """
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
     if n_sweeps is not None and n_sweeps != scheme.q:
         scheme = extended_scheme(scheme, n_sweeps)
-    op = problem.op
-    sigma = scheme.gamma * tau
-    y_n = np.asarray(y_n)
-    forcings = _stage_forcings(problem, tab, t_n, tau)
-    stages = np.array([y_n, y_n], dtype=np.result_type(y_n, forcings[0]))
-    for it in scheme.iterations:
-        d = _residual_from(problem, tab, tau, y_n, stages, forcings)
-        s, l = it.mix_coeff, it.low_coeff
-        r1 = d[0] - s * d[1]
-        r2 = (1.0 + l * s) * d[1] - l * d[0]
-        e1 = solve_pi(op, sigma, r1)
-        e2 = solve_pi(op, sigma, r2 + l * e1)
-        stages[0] += e1 + s * e2
-        stages[1] += e2
-    y_next = tab.varpi * y_n + tab.s_hat @ stages
+    stepper = Stepper(problem, scheme, tab, tau)
+    y_next = stepper.step(t_n, y_n)
     if return_stages:
-        return y_next, stages
+        return y_next, stepper._buf[0].copy()  # the stage rows
     return y_next
 
 
@@ -131,8 +250,7 @@ def irk_reference_step(
     Test oracle for the sweep iteration; refuses grids past the dense limit
     (through dense_operator_matrix).
     """
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    _check_step_size(tau)
     jac = dense_operator_matrix(problem.op)
     m = jac.shape[0]
     s = tab.stages
@@ -161,9 +279,12 @@ def integrate(
     """Run fixed steps from t = 0 to t_end; tau must divide t_end exactly.
 
     The initial state defaults to the problem's exact solution at t = 0.
+    Raises ValueError for a non-positive or non-finite tau or a negative or
+    non-finite t_end, and NonFiniteStateError once the state is not finite.
     """
-    if tau <= 0.0:
-        raise ValueError(f"step size must be positive, got {tau}")
+    _check_step_size(tau)
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"end time must be non-negative and finite, got {t_end}")
     ratio = t_end / tau
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 1e-12 * max(1.0, abs(ratio)):
@@ -173,9 +294,6 @@ def integrate(
     if y0 is None:
         if problem.exact is None:
             raise ValueError("problem has no exact solution; pass y0 explicitly")
-        y = np.asarray(problem.exact(0.0)).copy()
-    else:
-        y = np.asarray(y0).copy()
-    for n in range(n_steps):
-        y = amf_step(problem, scheme, tab, n * tau, tau, y)
+        y0 = problem.exact(0.0)
+    y = Stepper(problem, scheme, tab, tau).run(y0, n_steps)
     return StepRecord(t=n_steps * tau, y=y, iterations_applied=scheme.q * n_steps)

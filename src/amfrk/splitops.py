@@ -13,7 +13,7 @@ finer than 16 cells per axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 import math
 
 import numpy as np
@@ -100,7 +100,6 @@ class SplitOperator:
 
     grid: GridSpec
     stencils: tuple[DirectionStencil, ...]
-    _factors: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.stencils) != self.grid.dim:
@@ -161,45 +160,61 @@ def build_split_operator(
     return SplitOperator(grid=grid, stencils=tuple(stencils))
 
 
-def _to_lines(op: SplitOperator, j: int, v: np.ndarray, dtype) -> np.ndarray:
-    """Copy a flat state to a fresh (n, lines) array, direction j's axis first."""
-    grid = op.grid
-    arr = v.reshape(grid.shape)
-    moved = np.moveaxis(arr, grid.axis_of_direction(j), 0)
-    return np.array(moved, dtype=dtype, order="C").reshape(grid.n_interior, -1)
+def apply_direction(
+    op: SplitOperator,
+    j: int,
+    v: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply the direction-j operator J_j to a flat state vector.
 
+    Each neighbour term is one shift of the whole flat vector by direction
+    j's stride, with the entries that wrapped across a grid line zeroed, so
+    every ufunc runs over contiguous memory whatever the direction.
 
-def _from_lines(op: SplitOperator, j: int, lines: np.ndarray) -> np.ndarray:
-    grid = op.grid
-    moved_shape = (grid.n_interior,) + tuple(
-        n for ax, n in enumerate(grid.shape) if ax != grid.axis_of_direction(j)
-    )
-    arr = np.moveaxis(lines.reshape(moved_shape), 0, grid.axis_of_direction(j))
-    return np.ascontiguousarray(arr).reshape(-1)
-
-
-def apply_direction(op: SplitOperator, j: int, v: np.ndarray) -> np.ndarray:
-    """Apply the direction-j operator J_j to a flat state vector."""
+    out : flat result array (allocated when None)
+    work : flat scratch array of the result's size and dtype (allocated
+        when None)
+    """
     st = op.stencils[j]
     grid = op.grid
-    arr = np.asarray(v).reshape(grid.shape)
-    ax = grid.axis_of_direction(j)
-    out = np.empty(
-        grid.shape, dtype=np.result_type(arr.dtype, type(st.diag))
-    )
-    src = np.moveaxis(arr, ax, 0)
-    dst = np.moveaxis(out, ax, 0)
-    np.multiply(src, st.diag, out=dst)
-    dst[1:] += st.sub * src[:-1]
-    dst[:-1] += st.sup * src[1:]
-    return out.reshape(-1)
+    v = np.asarray(v).reshape(-1)
+    if out is None:
+        out = np.empty(grid.m, dtype=np.result_type(v.dtype, type(st.diag)))
+    if work is None:
+        work = np.empty_like(out)
+    shift = grid.n_interior**j
+    lines = np.moveaxis(work.reshape(grid.shape), grid.axis_of_direction(j), 0)
+    np.multiply(v, st.diag, out=out)
+    np.multiply(v[:-shift], st.sub, out=work[shift:])
+    lines[0] = 0.0  # first point of each line: no left neighbour
+    out += work
+    np.multiply(v[shift:], st.sup, out=work[:-shift])
+    lines[-1] = 0.0  # last point of each line: no right neighbour
+    out += work
+    return out
 
 
-def apply_full(op: SplitOperator, v: np.ndarray) -> np.ndarray:
-    """Apply J = J_1 + ... + J_d."""
-    out = apply_direction(op, 0, v)
+def apply_full(
+    op: SplitOperator,
+    v: np.ndarray,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
+    """Apply J = J_1 + ... + J_d to a flat state vector.
+
+    out : flat result array (allocated when None)
+    work : (2, m) scratch array of the result's dtype (allocated when None)
+    """
+    if out is None:
+        diags = (type(st.diag) for st in op.stencils)
+        out = np.empty(op.grid.m, dtype=np.result_type(np.asarray(v).dtype, *diags))
+    if work is None:
+        work = np.empty((2, op.grid.m), dtype=out.dtype)
+    apply_direction(op, 0, v, out, work[1])
     for j in range(1, op.grid.dim):
-        out += apply_direction(op, j, v)
+        out += apply_direction(op, j, v, work[0], work[1])
     return out
 
 
@@ -215,15 +230,19 @@ def apply_pi(op: SplitOperator, sigma: float, v: np.ndarray) -> np.ndarray:
 class TridiagFactor:
     """Pivot-free LU data of  I - sigma*J_j  along one direction.
 
-    The matrix is tridiagonal with constant bands (lo, d0, up); the factor
-    stores the recurrence pivots so repeated solves cost two sweeps of
-    vectorized row updates across all grid lines at once.
+    With constant bands (lo, d0, up) and pivots p_i, the matrix is L U with
+    L unit lower bidiagonal (multipliers lower[i-1] = lo / p_{i-1}) and U
+    upper bidiagonal with diagonal p_i and super-diagonal up.  A solve runs
+    the forward sweep  w_i = r_i - lower[i-1] w_{i-1},  the scaled back sweep
+    u_i = w_i - upper[i] u_{i+1}  with  upper[i] = up / p_{i+1}  (u = p x),
+    and one broadcast  x = u * inv_diag.  The multipliers are Python scalars
+    because each enters one call per grid row.
     """
 
-    sigma: float
-    lo: complex
-    inv_diag: np.ndarray
-    back: np.ndarray  # up / pivot_i, i = 0 .. n-2
+    sigma: float | complex
+    lower: tuple  # lo / p_{i-1}, i = 1 .. n-1
+    upper: tuple  # up / p_{i+1}, i = 0 .. n-2
+    inv_diag: np.ndarray  # 1 / p_i
 
     @property
     def n(self) -> int:
@@ -231,83 +250,125 @@ class TridiagFactor:
 
 
 def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
-    """Factor I - sigma*J_j, cached on the operator per (direction, sigma)."""
-    key = (j, float(sigma))
-    cached = op._factors.get(key)
-    if cached is not None:
-        return cached
+    """Factor I - sigma*J_j (a pure function: every call builds afresh)."""
     st = op.stencils[j]
     n = op.grid.n_interior
     lo = -sigma * st.sub
     d0 = 1.0 - sigma * st.diag
     up = -sigma * st.sup
-    dtype = np.result_type(type(d0), float)
-    piv = np.empty(n, dtype=dtype)
-    back = np.empty(max(n - 1, 0), dtype=dtype)
     scale = max(abs(lo), abs(d0), abs(up), 1.0)
-    piv[0] = d0
-    for i in range(1, n):
-        if abs(piv[i - 1]) <= 1e-14 * scale:
+    piv = [d0]
+    for i in range(n):
+        if abs(piv[i]) <= 1e-14 * scale:
             raise FactorSolveError(
-                f"vanishing pivot at row {i - 1} factoring direction {j} "
+                f"vanishing pivot at row {i} factoring direction {j} "
                 f"with shift sigma={sigma!r}"
             )
-        back[i - 1] = up / piv[i - 1]
-        piv[i] = d0 - lo * back[i - 1]
-    if abs(piv[n - 1]) <= 1e-14 * scale:
-        raise FactorSolveError(
-            f"vanishing pivot at row {n - 1} factoring direction {j} "
-            f"with shift sigma={sigma!r}"
-        )
-    fac = TridiagFactor(sigma=float(sigma), lo=lo, inv_diag=1.0 / piv, back=back)
-    op._factors[key] = fac
-    return fac
+        if i < n - 1:
+            piv.append(d0 - lo * (up / piv[i]))
+    dtype = np.result_type(type(d0), float)
+    return TridiagFactor(
+        sigma=sigma,
+        lower=tuple(lo / p for p in piv[:-1]),
+        upper=tuple(up / p for p in piv[1:]),
+        inv_diag=1.0 / np.array(piv, dtype=dtype),
+    )
 
 
-def _thomas_solve(fac: TridiagFactor, lines: np.ndarray) -> np.ndarray:
-    """Solve for every column of ``lines`` (shape (n, k)) in place."""
-    x = lines
-    lo = fac.lo
-    inv_d = fac.inv_diag
-    back = fac.back
-    n = x.shape[0]
-    x[0] *= inv_d[0]
-    if n == 1:
-        return x
-    tmp = np.empty_like(x[0])
-    for i in range(1, n):
-        np.multiply(x[i - 1], lo, out=tmp)
-        np.subtract(x[i], tmp, out=x[i])
-        np.multiply(x[i], inv_d[i], out=x[i])
-    for i in range(n - 2, -1, -1):
-        np.multiply(x[i + 1], back[i], out=tmp)
-        np.subtract(x[i], tmp, out=x[i])
-    return x
+def factor_pi(op: SplitOperator, sigma: float) -> tuple[TridiagFactor, ...]:
+    """The d direction factors of  prod_j (I - sigma*J_j),  indexed by j."""
+    return tuple(factor_direction(op, j, sigma) for j in range(op.grid.dim))
+
+
+def _sweep(fac: TridiagFactor, rhs: np.ndarray, x: np.ndarray) -> None:
+    """Forward and scaled back sweep along axis 0 of (n, ...) arrays.
+
+    Leaves u = p * solution in x (the caller applies inv_diag); rhs may
+    share memory with x.  Row views are built once, so each row costs two
+    ufunc calls per sweep.
+    """
+    if x.ndim == 1:  # rows of a 1-D array would be scalars, not views
+        rhs, x = rhs[:, None], x[:, None]
+    mul, sub = np.multiply, np.subtract
+    rows = list(x)
+    tmp = np.empty_like(rows[0])
+    prev = rows[0]
+    np.copyto(prev, rhs[0])
+    for r, w, lo in zip(list(rhs)[1:], rows[1:], fac.lower):
+        mul(prev, lo, tmp)
+        sub(r, tmp, w)
+        prev = w
+    for w, up in zip(rows[-2::-1], fac.upper[::-1]):
+        mul(prev, up, tmp)
+        sub(w, tmp, w)
+        prev = w
+
+
+def _line_scale(fac: TridiagFactor, ndim: int) -> np.ndarray:
+    """inv_diag shaped to broadcast along axis 0 of an ndim-array."""
+    return fac.inv_diag.reshape((fac.n,) + (1,) * (ndim - 1))
 
 
 def solve_direction_factor(
     op: SplitOperator, j: int, sigma: float, rhs: np.ndarray
 ) -> np.ndarray:
     """Solve (I - sigma*J_j) x = rhs for a flat state vector rhs."""
-    if sigma == 0.0:
-        return np.asarray(rhs).reshape(-1).copy()
     fac = factor_direction(op, j, sigma)
-    dtype = np.result_type(np.asarray(rhs).dtype, fac.inv_diag.dtype)
-    lines = _to_lines(op, j, np.asarray(rhs), dtype)
-    _thomas_solve(fac, lines)
-    return _from_lines(op, j, lines)
+    grid = op.grid
+    rhs = np.asarray(rhs).reshape(grid.shape)
+    out = np.empty(grid.shape, dtype=np.result_type(rhs, fac.inv_diag))
+    ax = grid.axis_of_direction(j)
+    lines = np.moveaxis(out, ax, 0)
+    _sweep(fac, np.moveaxis(rhs, ax, 0), lines)
+    lines *= _line_scale(fac, grid.dim)
+    return out.reshape(-1)
 
 
-def solve_pi(op: SplitOperator, sigma: float, rhs: np.ndarray) -> np.ndarray:
+def solve_pi(
+    op: SplitOperator,
+    sigma: float,
+    rhs: np.ndarray,
+    factors: tuple[TridiagFactor, ...] | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Solve  prod_j (I - sigma*J_j) x = rhs  by sweeping the directions.
 
-    The one-direction factors commute, so the sweep order is immaterial; the
-    solves run j = 0 .. d-1.  On a 1-D grid this is exactly one tridiagonal
-    solve.
+    Each sweep runs along the leading (contiguous) axis and is scaled by
+    inv_diag in place; one copy then rolls the axes cyclically (the last axis
+    moves to the front), so the next direction's lines lead.  Starting from
+    the natural layout, whose leading axis is direction d-1, the directions
+    are solved in the order d-1, 0, 1, .., d-2 and the d-th roll restores the
+    natural layout: d copies per product solve.  The factors commute, so the
+    order is immaterial up to rounding.
+
+    factors : the d factors from ``factor_pi(op, sigma)`` (built when None)
+    out : flat result array (allocated when None); may be rhs itself
+    work : flat scratch array of the result's size and dtype
     """
-    out = np.asarray(rhs)
-    for j in range(op.grid.dim):
-        out = solve_direction_factor(op, j, sigma, out)
+    grid = op.grid
+    if factors is None:
+        factors = factor_pi(op, sigma)
+    rhs = np.asarray(rhs).reshape(grid.shape)
+    dtype = np.result_type(rhs, *(fac.inv_diag for fac in factors))
+    if out is None:
+        out = np.empty(grid.m, dtype=dtype)
+    d = grid.dim
+    if work is None:
+        work = np.empty(grid.m, dtype=dtype)
+    # an even number of rolls ends in the buffer the first sweep wrote
+    bufs = [b.reshape(grid.shape) for b in ((out, work) if d % 2 == 0 else (work, out))]
+    n = grid.n_interior
+    src = rhs
+    for k in range(d):
+        fac = factors[(d - 1 + k) % d]
+        cur, nxt = bufs[k % 2], bufs[(k + 1) % 2]
+        _sweep(fac, src.reshape(n, -1), cur.reshape(n, -1))
+        cur *= _line_scale(fac, d)
+        # a plain strided copy is about twice as fast as a scaling ufunc
+        # writing through the rolled view
+        np.copyto(np.moveaxis(nxt, 0, -1), cur)
+        src = nxt
     return out
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import amfrk.cli as cli
-from amfrk import FactorSolveError
+from amfrk import FactorSolveError, NonFiniteStateError
 from amfrk.cli import main
 
 
@@ -152,6 +152,23 @@ def test_integrate_prints_error_summary(capsys):
     out = capsys.readouterr().out
     assert out.startswith("t=1 n=8 scheme=amf1 eps2=")
     assert "delta2=" in out
+
+
+def test_integrate_negative_end_time_exits_two(capsys):
+    rc = main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1",
+               "--n", "8", "--t-end", "-1"])
+    assert rc == 2
+    assert "end time" in capsys.readouterr().err
+
+
+def test_integrate_non_finite_state_exits_one(monkeypatch, capsys):
+    def blow_up(*args, **kwargs):
+        raise NonFiniteStateError(3, 0.375)
+
+    monkeypatch.setattr(cli, "integrate", blow_up)
+    rc = main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1", "--n", "8"])
+    assert rc == 1
+    assert "not finite after step 3" in capsys.readouterr().err
 
 
 def test_integrate_honors_step_ratio_and_config(tmp_path, capsys):

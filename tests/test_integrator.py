@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+import amfrk.integrator as integrator
+import amfrk.splitops as splitops
 from amfrk import (
+    NonFiniteStateError,
+    SemidiscreteProblem,
+    Stepper,
     amf_scheme,
     amf_step,
     build_problem,
@@ -18,7 +23,7 @@ from amfrk import (
     stability_function,
     weighted_norm,
 )
-from helpers import frozen_forcing_problem, scalar_problem
+from helpers import frozen_forcing_problem, reference_integrate, scalar_problem
 
 TAB = radau2a_tableau()
 SCHEMES = [amf_scheme(q) for q in (1, 2, 3)]
@@ -77,6 +82,17 @@ def test_scalar_step_equals_stability_function(scheme):
     got = amf_step(prob, scheme, TAB, 0.0, tau, np.array([1.0]))[0]
     want = stability_function(scheme, TAB, tau * lam, tau * lam)
     assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.name)
+def test_complex_scalar_run_promotes_a_real_initial_state(scheme):
+    # complex factors with a real y0: the stepper's buffers take the stage
+    # dtype, and five steps give the fifth power of the multiplier
+    lam, tau = -1.0 + 3.0j, 0.1
+    rec = integrate(scalar_problem(lam), scheme, TAB, tau, 5 * tau, y0=np.array([1.0]))
+    want = stability_function(scheme, TAB, tau * lam, tau * lam) ** 5
+    assert rec.y.dtype == np.complex128
+    assert abs(rec.y[0] - want) <= 1e-14
 
 
 def test_reference_step_is_the_radau_growth_function():
@@ -212,6 +228,101 @@ def test_integrate_accumulates_single_steps():
     y = amf_step(prob, SCHEMES[2], TAB, 0.0, tau, y)
     y = amf_step(prob, SCHEMES[2], TAB, tau, tau, y)
     assert np.array_equal(rec.y, y)
+
+
+# -------------------------------------------------------- input validation
+
+
+@pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.25])
+def test_bad_step_size_rejected_at_entry(tau):
+    prob = build_problem(2, 8, 0.0)
+    with pytest.raises(ValueError, match="step size"):
+        integrate(prob, SCHEMES[0], TAB, tau, 1.0)
+    with pytest.raises(ValueError, match="step size"):
+        Stepper(prob, SCHEMES[0], TAB, tau)
+    with pytest.raises(ValueError, match="step size"):
+        amf_step(prob, SCHEMES[0], TAB, 0.0, tau, prob.exact(0.0))
+
+
+@pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
+def test_bad_end_time_rejected_at_entry(t_end):
+    prob = build_problem(2, 8, 0.0)
+    with pytest.raises(ValueError, match="end time"):
+        integrate(prob, SCHEMES[0], TAB, 0.25, t_end)
+
+
+def test_nan_initial_state_raises_before_any_step():
+    prob = build_problem(2, 8, 1.0)
+    y0 = prob.exact(0.0)
+    y0[17] = math.nan
+    with pytest.raises(NonFiniteStateError) as info:
+        integrate(prob, SCHEMES[1], TAB, 0.25, 1.0, y0=y0)
+    assert info.value.step == 0
+
+
+def test_state_turning_non_finite_reports_its_step():
+    base = build_problem(2, 8, 1.0)
+
+    def forcing(t):
+        return base.forcing(t) * (math.inf if t > 0.5 else 1.0)
+
+    prob = SemidiscreteProblem(
+        op=base.op, epsilon=base.epsilon, beta=base.beta, dim=2,
+        forcing=forcing, exact=base.exact,
+    )
+    # step 3 (from t = 0.5) is the first to see an infinite forcing
+    with pytest.raises(NonFiniteStateError) as info, np.errstate(invalid="ignore"):
+        integrate(prob, SCHEMES[1], TAB, 0.25, 1.0)
+    assert info.value.step == 3
+    assert info.value.t == 0.75
+
+
+# ------------------------------------------------------- reference and counts
+
+
+@given(
+    dim=st.sampled_from([2, 3]),
+    n=st.integers(min_value=3, max_value=24),
+    beta=st.sampled_from([0.0, 1.0]),
+    q=st.sampled_from([1, 2, 3]),
+    n_steps=st.integers(min_value=1, max_value=4),
+    ratio=st.sampled_from([0.5, 1.0, 3.0]),
+)
+@settings(max_examples=25, deadline=None)
+def test_integrate_matches_allocating_reference(dim, n, beta, q, n_steps, ratio):
+    prob = build_problem(dim, n, beta)
+    tau = ratio / n
+    y0 = prob.exact(0.0)
+    got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y
+    want = reference_integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps, y0)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+def _counting(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("dim,q", [(2, 1), (2, 2), (3, 3)])
+def test_operation_counts_match_closed_forms(monkeypatch, dim, q):
+    counts = {}
+    _counting(monkeypatch, integrator, "apply_full", counts)
+    _counting(monkeypatch, integrator, "solve_pi", counts)
+    _counting(monkeypatch, splitops, "apply_direction", counts)
+    _counting(monkeypatch, splitops, "factor_direction", counts)
+    n_steps, s = 5, TAB.stages
+    prob = build_problem(dim, 6, 1.0)
+    integrate(prob, SCHEMES[q - 1], TAB, 0.1, n_steps * 0.1)
+    # J is applied once for both stages in the first sweep
+    assert counts["apply_full"] == (s * q - 1) * n_steps
+    assert counts["apply_direction"] == dim * (s * q - 1) * n_steps
+    assert counts["solve_pi"] == 2 * q * n_steps
+    assert counts["factor_direction"] == dim  # one Stepper per integration
 
 
 # ---------------------------------------------------------------- linearity

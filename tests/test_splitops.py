@@ -10,18 +10,23 @@ from amfrk import (
     GridSpec,
     SizeGuardError,
     SplitOperator,
+    Stepper,
+    amf_scheme,
     apply_direction,
     apply_full,
     apply_pi,
+    build_problem,
     build_split_operator,
     dense_direction_matrix,
     dense_operator_matrix,
     direction_eigenvalues,
     factor_direction,
+    radau2a_tableau,
     solve_direction_factor,
     solve_pi,
 )
-from amfrk.splitops import DirectionStencil, _from_lines, _to_lines
+from amfrk.splitops import DirectionStencil
+from helpers import reference_solve_direction, reference_solve_pi
 
 
 def _band(n, sub, diag, sup):
@@ -237,13 +242,37 @@ def test_factored_solve_matches_dense_product_solve():
     )
 
 
-def test_factor_is_cached_per_direction_and_shift():
-    op = build_split_operator(GridSpec(dim=2, n_cells=6), [1.0, 1.0])
-    f1 = factor_direction(op, 0, 0.1)
-    f2 = factor_direction(op, 0, 0.1)
-    assert f1 is f2
-    assert factor_direction(op, 1, 0.1) is not f1
-    assert factor_direction(op, 0, 0.2) is not f1
+@pytest.mark.parametrize("dim,n", [(1, 7), (2, 6), (3, 4)])
+def test_product_solve_pairs_each_factor_with_its_axis(dim, n):
+    """Distinct stencils per direction: a factor swept along the wrong axis
+    after a layout roll would show here."""
+    g = GridSpec(dim=dim, n_cells=n)
+    diffusion = [0.05 * (j + 1) for j in range(dim)]
+    op = build_split_operator(g, diffusion, advection=[0.3 * j - 0.4 for j in range(dim)])
+    sigma = 0.07
+    eye = np.eye(g.m)
+    pi_dense = eye
+    for j in range(dim):
+        pi_dense = pi_dense @ (eye - sigma * dense_direction_matrix(op, j))
+    rhs = np.random.default_rng(dim).standard_normal(g.m)
+    want = np.linalg.solve(pi_dense, rhs)
+    err = np.max(np.abs(solve_pi(op, sigma, rhs) - want))
+    assert err <= 1e-12 * np.max(np.abs(want))
+
+
+def test_stepper_owns_its_factors():
+    problem = build_problem(2, 6, 0.0)
+    op = problem.op
+    fields = dict(vars(op))
+    scheme, tab = amf_scheme(2), radau2a_tableau()
+    stepper = Stepper(problem, scheme, tab, 0.1)
+    assert len(stepper.factors) == op.grid.dim
+    assert all(f.sigma == scheme.gamma * 0.1 for f in stepper.factors)
+    for k in range(200):
+        Stepper(problem, scheme, tab, 0.001 * (k + 1))
+    # factors live on the steppers, so the frozen operator gains nothing
+    assert vars(op) == fields
+    assert op == build_problem(2, 6, 0.0).op
 
 
 def test_vanishing_pivot_raises():
@@ -326,18 +355,21 @@ def test_directions_commute_exactly(dim, n):
             assert np.all(comm == 0.0)
 
 
-# ------------------------------------------------------- reshaping round trip
+# ---------------------------------------------------------- layout round trip
 
 
 @pytest.mark.parametrize("dim,n", [(1, 5), (2, 5), (3, 4)])
-def test_line_gather_round_trip(dim, n):
+def test_roll_layout_round_trip(dim, n):
+    """At sigma = 0 every factor is the identity, so a product solve is just
+    its d cyclic axis rolls, which must restore the natural layout, also
+    when the result overwrites the right-hand side."""
     g = GridSpec(dim=dim, n_cells=n)
     op = build_split_operator(g, [1.0] * dim)
     v = np.arange(g.m, dtype=float)
-    for j in range(dim):
-        lines = _to_lines(op, j, v, float)
-        assert lines.shape == (g.n_interior, g.m // g.n_interior)
-        assert np.array_equal(_from_lines(op, j, lines), v)
+    assert np.array_equal(solve_pi(op, 0.0, v), v)
+    w = v.copy()
+    assert solve_pi(op, 0.0, w, out=w, work=np.empty_like(w)) is w
+    assert np.array_equal(w, v)
 
 
 # ------------------------------------------------------------- properties
@@ -385,3 +417,34 @@ def test_apply_full_linearity(data):
     rhs = 1.5 * apply_full(op, u) - 2.0 * apply_full(op, v)
     scale = 1.0 + np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
+
+
+@st.composite
+def _stencil_problem(draw):
+    """Random well-posed shifted systems: any dimension, possibly
+    non-symmetric (advection up to cell Peclet 1.9), possibly a complex shift."""
+    dim = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.integers(min_value=2, max_value=8 if dim == 3 else 20))
+    g = GridSpec(dim=dim, n_cells=n)
+    diff = [draw(st.floats(0.05, 2.0)) for _ in range(dim)]
+    adv = [draw(st.floats(-1.9, 1.9)) * dj * n for dj in diff]
+    kappa = draw(st.floats(-2.0, 0.0))
+    op = build_split_operator(g, diff, advection=adv, reaction=kappa)
+    sigma = draw(st.floats(1e-4, 0.05))
+    if draw(st.booleans()):
+        sigma = sigma * complex(1.0, draw(st.floats(-1.0, 1.0)))
+    seed = draw(st.integers(0, 2**16))
+    return op, sigma, np.random.default_rng(seed).standard_normal(g.m)
+
+
+@given(case=_stencil_problem())
+@settings(max_examples=80, deadline=None)
+def test_solves_match_row_loop_reference(case):
+    op, sigma, rhs = case
+    want = reference_solve_pi(op, sigma, rhs)
+    tol = 1e-13 * np.max(np.abs(want))
+    assert np.max(np.abs(solve_pi(op, sigma, rhs) - want)) <= tol
+    for j in range(op.grid.dim):
+        want = reference_solve_direction(op, j, sigma, rhs)
+        got = solve_direction_factor(op, j, sigma, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
