@@ -19,21 +19,19 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from amfrk import StudyConfig, run_convergence
-
-SCHEMES = ("amf1", "amf2", "amf3")
+from amfrk import SCHEME_IDS, StudyConfig, run_convergence
 
 
 def combined_table(dim, beta, grids, fmt, epsilon=0.1):
     """One table over all schemes: rows are grid levels, columns schemes."""
     per_scheme = {}
-    for sid in SCHEMES:
+    for sid in SCHEME_IDS:
         cfg = StudyConfig(dim=dim, beta=beta, scheme_id=sid, grid_ns=grids)
         per_scheme[sid] = run_convergence(cfg)
 
     if fmt == "csv":
         lines = ["scheme,n,h,tau,eps2,delta2,p"]
-        for sid in SCHEMES:
+        for sid in SCHEME_IDS:
             for r in per_scheme[sid]:
                 p = f"{r.p:.6g}" if r.p is not None else ""
                 lines.append(
@@ -42,12 +40,12 @@ def combined_table(dim, beta, grids, fmt, epsilon=0.1):
                 )
         return "\n".join(lines) + "\n"
 
-    header = "| h | " + " | ".join(SCHEMES) + " |"
-    rule = "| --- |" + " --- |" * len(SCHEMES)
+    header = "| h | " + " | ".join(SCHEME_IDS) + " |"
+    rule = "| --- |" + " --- |" * len(SCHEME_IDS)
     lines = [header, rule]
     for i, n in enumerate(grids):
         cells = []
-        for sid in SCHEMES:
+        for sid in SCHEME_IDS:
             r = per_scheme[sid][i]
             p = f" ({r.p:.2f})" if r.p is not None else ""
             cells.append(f"{r.delta2:.2f}{p}")

@@ -19,13 +19,7 @@ from .integrator import (
     irk_reference_step,
     residual,
 )
-from .problems import (
-    SemidiscreteProblem,
-    boundary_vector,
-    build_problem,
-    exact_solution_on_grid,
-    forcing_vector,
-)
+from .problems import SemidiscreteProblem, build_problem
 from .splitops import (
     DirectionStencil,
     FactorSolveError,
@@ -53,12 +47,14 @@ from .stability import (
     wedge_stability_scan,
 )
 from .tableau import (
+    SCHEME_IDS,
     AmfIteration,
     AmfScheme,
     ButcherTableau,
     amf_scheme,
     extended_scheme,
     radau2a_tableau,
+    scheme_sweeps,
     verify_scheme_conditions,
 )
 
@@ -72,6 +68,7 @@ __all__ = [
     "FactorSolveError",
     "GridSpec",
     "NonFiniteStateError",
+    "SCHEME_IDS",
     "ScanResult",
     "SemidiscreteProblem",
     "SizeGuardError",
@@ -84,17 +81,14 @@ __all__ = [
     "apply_direction",
     "apply_full",
     "apply_pi",
-    "boundary_vector",
     "build_problem",
     "build_split_operator",
     "combine_zw",
     "dense_direction_matrix",
     "dense_operator_matrix",
     "direction_eigenvalues",
-    "exact_solution_on_grid",
     "extended_scheme",
     "factor_direction",
-    "forcing_vector",
     "integrate",
     "irk_reference_step",
     "radau2a_tableau",
@@ -102,6 +96,7 @@ __all__ = [
     "residual",
     "run_convergence",
     "sampled_sup_ratio",
+    "scheme_sweeps",
     "solve_direction_factor",
     "solve_pi",
     "splitting_sup_bound",

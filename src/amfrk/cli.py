@@ -22,7 +22,13 @@ from .integrator import NonFiniteStateError, integrate
 from .problems import build_problem
 from .splitops import FactorSolveError, SizeGuardError
 from .stability import wedge_stability_scan
-from .tableau import amf_scheme, radau2a_tableau, verify_scheme_conditions
+from .tableau import (
+    SCHEME_IDS,
+    amf_scheme,
+    radau2a_tableau,
+    scheme_sweeps,
+    verify_scheme_conditions,
+)
 
 _VERIFY_TOL = 1e-12
 
@@ -65,13 +71,6 @@ def _parse_grids(text: str) -> tuple[int, ...]:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError as exc:
         raise ValueError(f"bad --grids value {text!r}: {exc}") from None
-
-
-def _scheme_q(scheme_id: str) -> int:
-    sid = scheme_id.strip().lower()
-    if sid not in ("amf1", "amf2", "amf3"):
-        raise ValueError(f"unknown scheme {scheme_id!r}")
-    return int(sid[-1])
 
 
 def _cmd_converge(args, parser) -> int:
@@ -122,7 +121,7 @@ def _cmd_integrate(args, parser) -> int:
         },
     )
     _require(args, ["dim", "beta", "scheme", "n"], parser)
-    q = _scheme_q(args.scheme)
+    q = scheme_sweeps(args.scheme)
     ratio = args.tau_ratio if args.tau_ratio is not None else float(q)
     eps = args.eps if args.eps is not None else 0.1
     t_end = args.t_end if args.t_end is not None else 1.0
@@ -145,7 +144,7 @@ def _cmd_stability(args, parser) -> int:
         {"scheme": str, "d": int, "theta": float, "radii": int, "csv": str},
     )
     _require(args, ["scheme", "d", "theta"], parser)
-    scheme = amf_scheme(_scheme_q(args.scheme))
+    scheme = amf_scheme(scheme_sweeps(args.scheme))
     tab = radau2a_tableau()
     radii = None
     if args.radii is not None:
@@ -177,7 +176,7 @@ def _cmd_stability(args, parser) -> int:
 def _cmd_verify(args, parser) -> int:
     _merge_config(args, {"scheme": str})
     _require(args, ["scheme"], parser)
-    scheme = amf_scheme(_scheme_q(args.scheme))
+    scheme = amf_scheme(scheme_sweeps(args.scheme))
     tab = radau2a_tableau()
     residuals = verify_scheme_conditions(scheme, tab)
     worst = 0.0
@@ -204,7 +203,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dim", type=int, choices=(2, 3))
     pc.add_argument("--beta", type=float)
     pc.add_argument("--eps", type=float)
-    pc.add_argument("--scheme", choices=("amf1", "amf2", "amf3"))
+    pc.add_argument("--scheme", choices=SCHEME_IDS)
     pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...")
     pc.add_argument("--format", choices=("csv", "md", "markdown"))
     pc.add_argument("--out", metavar="PATH")
@@ -216,7 +215,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--dim", type=int, choices=(2, 3))
     pi.add_argument("--beta", type=float)
     pi.add_argument("--eps", type=float)
-    pi.add_argument("--scheme", choices=("amf1", "amf2", "amf3"))
+    pi.add_argument("--scheme", choices=SCHEME_IDS)
     pi.add_argument("--n", type=int)
     pi.add_argument("--tau-ratio", dest="tau_ratio", type=float)
     pi.add_argument("--t-end", dest="t_end", type=float)
@@ -224,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.set_defaults(func=_cmd_integrate)
 
     ps = sub.add_parser("stability", help="wedge scan of |R_q|")
-    ps.add_argument("--scheme", choices=("amf1", "amf2", "amf3"))
+    ps.add_argument("--scheme", choices=SCHEME_IDS)
     ps.add_argument("--d", type=int)
     ps.add_argument("--theta", type=float)
     ps.add_argument("--radii", type=int, help="number of log-spaced radii")
@@ -233,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_stability)
 
     pv = sub.add_parser("verify", help="check scheme-defining residuals")
-    pv.add_argument("--scheme", choices=("amf1", "amf2", "amf3"))
+    pv.add_argument("--scheme", choices=SCHEME_IDS)
     pv.add_argument("--config", metavar="PATH")
     pv.set_defaults(func=_cmd_verify)
 

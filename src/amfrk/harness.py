@@ -23,9 +23,7 @@ import numpy as np
 from .integrator import integrate
 from .problems import build_problem
 from .splitops import GridSpec
-from .tableau import amf_scheme, radau2a_tableau
-
-_SCHEME_IDS = ("amf1", "amf2", "amf3")
+from .tableau import amf_scheme, radau2a_tableau, scheme_sweeps
 
 
 @dataclass(frozen=True)
@@ -68,19 +66,9 @@ def weighted_norm(v: np.ndarray, grid: GridSpec) -> float:
     return float(np.linalg.norm(v) / math.sqrt(grid.m))
 
 
-def _normalize_scheme_id(scheme_id: str) -> str:
-    sid = scheme_id.strip().lower()
-    if sid not in _SCHEME_IDS:
-        raise ValueError(
-            f"unknown scheme {scheme_id!r}; expected one of {_SCHEME_IDS}"
-        )
-    return sid
-
-
 def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     """Run the study and return one row per grid level, orders attached."""
-    sid = _normalize_scheme_id(cfg.scheme_id)
-    scheme = amf_scheme(int(sid[-1]))
+    scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
     tab = radau2a_tableau()
     if cfg.dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")

@@ -218,8 +218,7 @@ def amf_step(
     tau: float,
     y_n: np.ndarray,
     n_sweeps: int | None = None,
-    return_stages: bool = False,
-):
+) -> np.ndarray:
     """Advance one step of length tau from (t_n, y_n).
 
     A one-off ``Stepper``: use ``integrate`` (or a ``Stepper``) for many
@@ -230,11 +229,7 @@ def amf_step(
     """
     if n_sweeps is not None and n_sweeps != scheme.q:
         scheme = extended_scheme(scheme, n_sweeps)
-    stepper = Stepper(problem, scheme, tab, tau)
-    y_next = stepper.step(t_n, y_n)
-    if return_stages:
-        return y_next, stepper._buf[0].copy()  # the stage rows
-    return y_next
+    return Stepper(problem, scheme, tab, tau).step(t_n, y_n)
 
 
 def irk_reference_step(

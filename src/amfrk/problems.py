@@ -24,7 +24,8 @@ time-dependent vectors cost two axpys per evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,15 +41,18 @@ class SemidiscreteProblem:
         boundary injection)
     exact : grid restriction of the exact PDE solution, or None when no
         closed form is attached
+    boundary : unweighted boundary-value vector at time t, or None when no
+        boundary data is attached: each interior point adjacent to a face
+        picks up the exact solution at its off-grid neighbor, summed over
+        faces (so points next to edges/corners accumulate several terms)
     """
 
     op: SplitOperator
     epsilon: float
     beta: float
-    dim: int
     forcing: Callable[[float], np.ndarray]
     exact: Optional[Callable[[float], np.ndarray]] = None
-    _profiles: dict = field(default_factory=dict, repr=False, compare=False)
+    boundary: Optional[Callable[[float], np.ndarray]] = None
 
 
 def _interior(n_cells: int) -> np.ndarray:
@@ -56,7 +60,7 @@ def _interior(n_cells: int) -> np.ndarray:
     return h * np.arange(1, n_cells)
 
 
-def _spatial_profiles(dim: int, n_cells: int, beta: float, epsilon: float) -> dict:
+def _spatial_vectors(dim: int, n_cells: int, beta: float, epsilon: float) -> dict:
     """Fixed spatial vectors; keys grow/decay by their time factor e^t / e^-t."""
     t = _interior(n_cells)
     bump = t * (1.0 - t)
@@ -115,14 +119,17 @@ def build_problem(
     """Assemble the 2D (dim=2) or 3D (dim=3) manufactured diffusion problem."""
     if dim not in (2, 3):
         raise ValueError(f"manufactured problems exist for dim 2 and 3, got {dim}")
-    if epsilon <= 0.0:
-        raise ValueError(f"diffusion parameter must be positive, got {epsilon}")
+    if not math.isfinite(beta):
+        raise ValueError(f"ridge amplitude beta must be finite, got {beta}")
     grid = GridSpec(dim=dim, n_cells=n_cells)
+    # rejects an epsilon that is not positive and finite
     op = build_split_operator(grid, [epsilon] * dim)
-    prof = _spatial_profiles(dim, n_cells, float(beta), float(epsilon))
+    prof = _spatial_vectors(dim, n_cells, float(beta), float(epsilon))
     weight = epsilon / grid.h**2
+    # the polynomial part vanishes on every face, only the ridge contributes
+    bnd_decay = prof["boundary_decay"]
     src_grow = prof["source_grow"]
-    src_decay = prof["source_decay"] + weight * prof["boundary_decay"]
+    src_decay = prof["source_decay"] + weight * bnd_decay
     ex_grow = prof["exact_grow"]
     ex_decay = prof["exact_decay"]
 
@@ -132,35 +139,15 @@ def build_problem(
     def exact(t: float) -> np.ndarray:
         return np.exp(t) * ex_grow + np.exp(-t) * ex_decay
 
+    def boundary(t: float) -> np.ndarray:
+        return np.exp(-t) * bnd_decay
+
     return SemidiscreteProblem(
         op=op,
         epsilon=float(epsilon),
         beta=float(beta),
-        dim=dim,
         forcing=forcing,
         exact=exact,
-        _profiles=prof,
+        boundary=boundary,
     )
 
-
-def exact_solution_on_grid(problem: SemidiscreteProblem, t: float) -> np.ndarray:
-    """Exact PDE solution restricted to the interior grid, flat ordering."""
-    if problem.exact is None:
-        raise ValueError("problem carries no exact solution")
-    return problem.exact(t)
-
-
-def boundary_vector(problem: SemidiscreteProblem, t: float) -> np.ndarray:
-    """Unweighted boundary-value vector: each interior point adjacent to a
-    face picks up the exact solution at its off-grid neighbor, summed over
-    faces (so points next to edges/corners accumulate several terms)."""
-    prof = problem._profiles
-    if "boundary_decay" not in prof:
-        raise ValueError("problem carries no boundary data")
-    # the polynomial part vanishes on every face, only the ridge contributes
-    return np.exp(-t) * prof["boundary_decay"]
-
-
-def forcing_vector(problem: SemidiscreteProblem, t: float) -> np.ndarray:
-    """Source plus eps*h^-2 boundary injection; equals problem.forcing(t)."""
-    return problem.forcing(t)

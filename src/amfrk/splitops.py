@@ -80,18 +80,11 @@ class DirectionStencil:
     sub, diag, sup : weights of the left neighbor, the point itself and the
         right neighbor; rows of the one-direction matrix are
         (sub, diag, sup) / 1 throughout (already divided by h^2).
-    cell_peclet : h*|advection|/diffusion; first-order advection terms wreck
-        the sign pattern once this reaches 2, so construction flags it.
     """
 
     sub: float
     diag: float
     sup: float
-    cell_peclet: float = 0.0
-
-    @property
-    def peclet_warning(self) -> bool:
-        return self.cell_peclet >= 2.0
 
 
 @dataclass(frozen=True)
@@ -107,10 +100,6 @@ class SplitOperator:
                 f"got {len(self.stencils)} stencils for a {self.grid.dim}-D grid"
             )
 
-    @property
-    def peclet_warning(self) -> bool:
-        return any(st.peclet_warning for st in self.stencils)
-
 
 def build_split_operator(
     grid: GridSpec,
@@ -120,11 +109,11 @@ def build_split_operator(
 ) -> SplitOperator:
     """Assemble the split operator for  div(D grad u) + a . grad u + kappa*u.
 
-    diffusion : per-direction coefficients, all > 0
-    advection : per-direction coefficients (default all zero), discretized
-        with central differences
-    reaction : scalar kappa, shared equally across the d directions so that
-        the one-direction pieces still sum to the full operator
+    diffusion : per-direction coefficients, all finite and > 0
+    advection : per-direction finite coefficients (default all zero),
+        discretized with central differences
+    reaction : finite scalar kappa, shared equally across the d directions so
+        that the one-direction pieces still sum to the full operator
 
     Direction j stencil: sub = (D_j - h*a_j/2)/h^2, sup = (D_j + h*a_j/2)/h^2,
     diag = (-2*D_j + h^2*kappa/d)/h^2.
@@ -135,8 +124,10 @@ def build_split_operator(
         diffusion = diffusion * d
     if len(diffusion) != d:
         raise ValueError(f"need {d} diffusion coefficients, got {len(diffusion)}")
-    if any(v <= 0.0 for v in diffusion):
-        raise ValueError(f"diffusion coefficients must be positive, got {diffusion}")
+    if not all(math.isfinite(v) and v > 0.0 for v in diffusion):
+        raise ValueError(
+            f"diffusion coefficients must be positive and finite, got {diffusion}"
+        )
     if advection is None:
         advection = [0.0] * d
     else:
@@ -145,6 +136,10 @@ def build_split_operator(
             advection = advection * d
     if len(advection) != d:
         raise ValueError(f"need {d} advection coefficients, got {len(advection)}")
+    if not all(map(math.isfinite, advection)):
+        raise ValueError(f"advection coefficients must be finite, got {advection}")
+    if not math.isfinite(reaction):
+        raise ValueError(f"reaction coefficient must be finite, got {reaction}")
     h = grid.h
     share = float(reaction) / d
     stencils = []
@@ -154,7 +149,6 @@ def build_split_operator(
                 sub=(dj - 0.5 * h * aj) / h**2,
                 diag=(-2.0 * dj) / h**2 + share,
                 sup=(dj + 0.5 * h * aj) / h**2,
-                cell_peclet=h * abs(aj) / dj,
             )
         )
     return SplitOperator(grid=grid, stencils=tuple(stencils))

@@ -89,23 +89,31 @@ class AmfIteration:
     triangular with entry ``low_coeff``.  By construction approx_a has the
     double eigenvalue gamma, so the stage solve factors into d tridiagonal
     solves with the single shift gamma*tau per direction.
+
+    condition : the design condition the coefficient pair satisfies,
+        "stage_consistency" or "output_row" (see ``verify_scheme_conditions``)
     """
 
     mix_coeff: float
     low_coeff: float
-    mix: np.ndarray
-    low: np.ndarray
+    condition: str
     approx_a: np.ndarray
 
+    def __post_init__(self):
+        if self.condition not in ("stage_consistency", "output_row"):
+            raise ValueError(f"unknown design condition {self.condition!r}")
 
-def _make_iteration(mix_coeff: float, low_coeff: float, gamma: float) -> AmfIteration:
+
+def _make_iteration(
+    mix_coeff: float, low_coeff: float, condition: str, gamma: float
+) -> AmfIteration:
     s, l = mix_coeff, low_coeff
-    mix = np.array([[1.0, s], [0.0, 1.0]])
-    low = np.array([[0.0, 0.0], [l, 0.0]])
     # closed form of gamma * mix @ inv(I - low) @ inv(mix); trace 2*gamma,
     # determinant gamma**2, hence the double eigenvalue gamma
     approx_a = gamma * np.array([[1.0 + s * l, -l * s * s], [l, 1.0 - s * l]])
-    return AmfIteration(mix_coeff=s, low_coeff=l, mix=mix, low=low, approx_a=approx_a)
+    return AmfIteration(
+        mix_coeff=s, low_coeff=l, condition=condition, approx_a=approx_a
+    )
 
 
 @dataclass(frozen=True)
@@ -118,9 +126,24 @@ class AmfScheme:
     iterations: tuple[AmfIteration, ...]
 
 
-# published coefficient pairs (mix_coeff, low_coeff), closed forms in sqrt(6)
-_PAIR_A = (-(3.0 + 2.0 * SQRT6) / 9.0, 0.75 * (5.0 * SQRT6 - 12.0))
-_PAIR_B = ((5.0 - 2.0 * SQRT6) / 9.0, 0.75 * SQRT6)
+# published sweeps (mix_coeff, low_coeff, design condition), closed forms
+# in sqrt(6)
+_PAIR_A = (
+    -(3.0 + 2.0 * SQRT6) / 9.0, 0.75 * (5.0 * SQRT6 - 12.0), "stage_consistency"
+)
+_PAIR_B = ((5.0 - 2.0 * SQRT6) / 9.0, 0.75 * SQRT6, "output_row")
+
+# the shipped schemes; scheme id SCHEME_IDS[q - 1] runs q sweeps
+SCHEME_IDS = ("amf1", "amf2", "amf3")
+_SWEEPS = {1: (_PAIR_A,), 2: (_PAIR_A, _PAIR_B), 3: (_PAIR_B,) * 3}
+
+
+def scheme_sweeps(scheme_id: str) -> int:
+    """Sweep count q of a scheme id; case and surrounding blanks are ignored."""
+    sid = scheme_id.strip().lower()
+    if sid not in SCHEME_IDS:
+        raise ValueError(f"unknown scheme {scheme_id!r}; expected one of {SCHEME_IDS}")
+    return SCHEME_IDS.index(sid) + 1
 
 
 def amf_scheme(q: int) -> AmfScheme:
@@ -135,16 +158,10 @@ def amf_scheme(q: int) -> AmfScheme:
     """
     if not isinstance(q, int) or isinstance(q, bool):
         raise ValueError(f"sweep count must be an int, got {q!r}")
-    if q == 1:
-        pairs = [_PAIR_A]
-    elif q == 2:
-        pairs = [_PAIR_A, _PAIR_B]
-    elif q == 3:
-        pairs = [_PAIR_B, _PAIR_B, _PAIR_B]
-    else:
+    if q not in _SWEEPS:
         raise ValueError(f"sweep count must be 1, 2 or 3, got {q}")
-    iters = tuple(_make_iteration(s, l, GAMMA) for s, l in pairs)
-    return AmfScheme(name=f"amf{q}", q=q, gamma=GAMMA, iterations=iters)
+    iters = tuple(_make_iteration(s, l, cond, GAMMA) for s, l, cond in _SWEEPS[q])
+    return AmfScheme(name=SCHEME_IDS[q - 1], q=q, gamma=GAMMA, iterations=iters)
 
 
 def extended_scheme(scheme: AmfScheme, q: int) -> AmfScheme:
@@ -167,29 +184,25 @@ def verify_scheme_conditions(scheme: AmfScheme, tab: ButcherTableau) -> dict[str
 
     reconstruction[i]      approx_a_i versus gamma * mix (I-low)^-1 mix^-1
     eigenvalue_pair[i]     (trace - 2*gamma, det - gamma^2) of approx_a_i
-    stage_consistency[i]   (a - approx_a_i) @ c, for sweeps designed with it
+    stage_consistency[i]   (a - approx_a_i) @ c, if sweep i carries it
     output_row[i]          e2^T inv(approx_a_i) (a - approx_a_i), likewise
     """
     a, c = tab.a, tab.c
     g = scheme.gamma
     out: dict[str, float] = {}
-    # which sweeps carry which design condition
-    if scheme.q == 1:
-        stage_idx, row_idx = {0}, set()
-    elif scheme.q == 2:
-        stage_idx, row_idx = {0}, {1}
-    else:
-        stage_idx, row_idx = set(), set(range(scheme.q))
     eye = np.eye(2)
     for i, it in enumerate(scheme.iterations):
-        rebuilt = g * it.mix @ np.linalg.inv(eye - it.low) @ np.linalg.inv(it.mix)
+        mix = np.array([[1.0, it.mix_coeff], [0.0, 1.0]])
+        low = np.array([[0.0, 0.0], [it.low_coeff, 0.0]])
+        rebuilt = g * mix @ np.linalg.inv(eye - low) @ np.linalg.inv(mix)
         out[f"reconstruction[{i}]"] = float(np.max(np.abs(it.approx_a - rebuilt)))
         tr = it.approx_a[0, 0] + it.approx_a[1, 1]
         det = np.linalg.det(it.approx_a)
         out[f"eigenvalue_pair[{i}]"] = max(abs(tr - 2.0 * g), abs(det - g * g))
-        if i in stage_idx:
-            out[f"stage_consistency[{i}]"] = float(np.max(np.abs((a - it.approx_a) @ c)))
-        if i in row_idx:
-            row = np.linalg.solve(it.approx_a.T, np.array([0.0, 1.0]))
-            out[f"output_row[{i}]"] = float(np.max(np.abs(row @ (a - it.approx_a))))
+        if it.condition == "stage_consistency":
+            residual = (a - it.approx_a) @ c
+        else:
+            row = np.linalg.solve(it.approx_a.T, eye[1])
+            residual = row @ (a - it.approx_a)
+        out[f"{it.condition}[{i}]"] = float(np.max(np.abs(residual)))
     return out

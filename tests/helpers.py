@@ -1,5 +1,7 @@
 """Shared test fixtures: degenerate problems the library does not ship."""
 
+import dataclasses
+
 import numpy as np
 
 from amfrk import GridSpec, SemidiscreteProblem, SplitOperator
@@ -22,9 +24,7 @@ def scalar_problem(lam) -> SemidiscreteProblem:
         op=op,
         epsilon=0.0,
         beta=0.0,
-        dim=1,
         forcing=lambda t: zero,
-        exact=None,
     )
 
 
@@ -32,13 +32,8 @@ def frozen_forcing_problem(problem: SemidiscreteProblem) -> SemidiscreteProblem:
     """Same operator as ``problem`` but with the forcing pinned to zero,
     so one step is a pure linear map of the state."""
     zero = np.zeros(problem.op.grid.m)
-    return SemidiscreteProblem(
-        op=problem.op,
-        epsilon=problem.epsilon,
-        beta=problem.beta,
-        dim=problem.dim,
-        forcing=lambda t: zero,
-        exact=None,
+    return dataclasses.replace(
+        problem, forcing=lambda t: zero, exact=None, boundary=None
     )
 
 

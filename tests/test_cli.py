@@ -161,6 +161,15 @@ def test_integrate_negative_end_time_exits_two(capsys):
     assert "end time" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag,value", [("--eps", "nan"), ("--eps", "inf"),
+                                        ("--beta", "nan")])
+def test_integrate_non_finite_parameter_exits_two(flag, value, capsys):
+    rc = main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1",
+               "--n", "8", flag, value])
+    assert rc == 2
+    assert "finite" in capsys.readouterr().err
+
+
 def test_integrate_non_finite_state_exits_one(monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise NonFiniteStateError(3, 0.375)

@@ -1,5 +1,6 @@
 """One-step map, dense reference oracle, and the fixed-step driver."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,6 @@ import amfrk.integrator as integrator
 import amfrk.splitops as splitops
 from amfrk import (
     NonFiniteStateError,
-    SemidiscreteProblem,
     Stepper,
     amf_scheme,
     amf_step,
@@ -266,10 +266,7 @@ def test_state_turning_non_finite_reports_its_step():
     def forcing(t):
         return base.forcing(t) * (math.inf if t > 0.5 else 1.0)
 
-    prob = SemidiscreteProblem(
-        op=base.op, epsilon=base.epsilon, beta=base.beta, dim=2,
-        forcing=forcing, exact=base.exact,
-    )
+    prob = dataclasses.replace(base, forcing=forcing)
     # step 3 (from t = 0.5) is the first to see an infinite forcing
     with pytest.raises(NonFiniteStateError) as info, np.errstate(invalid="ignore"):
         integrate(prob, SCHEMES[1], TAB, 0.25, 1.0)

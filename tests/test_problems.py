@@ -7,11 +7,11 @@ import pytest
 
 from amfrk import (
     SemidiscreteProblem,
+    amf_scheme,
     apply_full,
-    boundary_vector,
     build_problem,
-    exact_solution_on_grid,
-    forcing_vector,
+    integrate,
+    radau2a_tableau,
     weighted_norm,
 )
 
@@ -30,7 +30,7 @@ def _time_derivative(problem, t):
     """u'(t) from the grow/decay structure: u = G e^t + D e^-t implies
     u' = u - 2 D e^-t, and D e^-t is the beta part of the solution."""
     beta_part = problem.exact(t) - build_problem(
-        problem.dim, problem.op.grid.n_cells, 0.0, problem.epsilon
+        problem.op.grid.dim, problem.op.grid.n_cells, 0.0, problem.epsilon
     ).exact(t)
     return problem.exact(t) - 2.0 * beta_part
 
@@ -45,10 +45,15 @@ def test_dimension_rejected(dim):
 
 
 def test_nonpositive_diffusion_rejected():
+    for eps in (0.0, -0.1, math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            build_problem(2, 8, 0.0, epsilon=eps)
+
+
+@pytest.mark.parametrize("beta", [math.nan, math.inf, -math.inf])
+def test_non_finite_beta_rejected(beta):
     with pytest.raises(ValueError):
-        build_problem(2, 8, 0.0, epsilon=0.0)
-    with pytest.raises(ValueError):
-        build_problem(2, 8, 0.0, epsilon=-0.1)
+        build_problem(2, 8, beta)
 
 
 def test_operator_carries_epsilon_diffusion():
@@ -67,7 +72,7 @@ def test_center_value_2d():
     p = build_problem(2, 8, 1.0, EPS)
     idx = _flat_index_2d(8, 4, 4)  # the node (1/2, 1/2)
     expected = 10 * 0.25 * 0.25 + math.exp(2 * 0.5 - 0.5)
-    assert abs(exact_solution_on_grid(p, 0.0)[idx] - expected) <= 1e-14 * expected
+    assert abs(p.exact(0.0)[idx] - expected) <= 1e-14 * expected
     # polynomial part alone
     p0 = build_problem(2, 8, 0.0, EPS)
     assert p0.exact(0.0)[idx] == 0.625
@@ -76,7 +81,7 @@ def test_center_value_2d():
 def test_center_value_3d_is_one():
     p = build_problem(3, 8, 0.0, EPS)
     idx = _flat_index_3d(8, 4, 4, 4)
-    assert exact_solution_on_grid(p, 0.0)[idx] == 1.0
+    assert p.exact(0.0)[idx] == 1.0
 
 
 def test_exact_time_scaling():
@@ -94,12 +99,12 @@ def test_exact_envelope_3d():
 def test_exact_accessor_requires_closed_form():
     p = build_problem(2, 6, 0.0, EPS)
     bare = SemidiscreteProblem(
-        op=p.op, epsilon=p.epsilon, beta=0.0, dim=2, forcing=p.forcing, exact=None
+        op=p.op, epsilon=p.epsilon, beta=0.0, forcing=p.forcing
     )
+    assert bare.exact is None and bare.boundary is None
+    # without a closed form the integrator needs an explicit initial state
     with pytest.raises(ValueError):
-        exact_solution_on_grid(bare, 0.0)
-    with pytest.raises(ValueError):
-        boundary_vector(bare, 0.0)
+        integrate(bare, amf_scheme(1), radau2a_tableau(), 0.5, 1.0)
 
 
 # --------------------------------------------------------------- boundaries
@@ -109,7 +114,7 @@ def test_boundary_vanishes_for_homogeneous_case():
     for dim in (2, 3):
         p = build_problem(dim, 6, 0.0, EPS)
         for t in np.linspace(0.0, 1.0, 11):
-            assert np.array_equal(boundary_vector(p, t), np.zeros(p.op.grid.m))
+            assert np.array_equal(p.boundary(t), np.zeros(p.op.grid.m))
 
 
 def test_boundary_corner_node_accumulates_two_faces():
@@ -117,7 +122,7 @@ def test_boundary_corner_node_accumulates_two_faces():
     h = 1.0 / n
     p = build_problem(2, n, 1.0, EPS)
     t = 0.3
-    vec = boundary_vector(p, t)
+    vec = p.boundary(t)
     # node (1,1) touches the x=0 and y=0 faces
     expected = math.exp(-h - t) + math.exp(2 * h - t)
     assert abs(vec[_flat_index_2d(n, 1, 1)] - expected) <= 1e-14 * expected
@@ -131,7 +136,7 @@ def test_boundary_3d_corner_touches_three_faces():
     n = 6
     h = 1.0 / n
     p = build_problem(3, n, 1.0, EPS)
-    vec = boundary_vector(p, 0.0)
+    vec = p.boundary(0.0)
     expected = (
         math.exp(-h - h)  # x=0 face at (y1, z1)
         + math.exp(2 * h - h)  # y=0 face at (x1, z1)
@@ -144,16 +149,24 @@ def test_boundary_3d_corner_touches_three_faces():
 # ------------------------------------------------------------------ forcing
 
 
-def test_forcing_vector_is_the_problem_forcing():
-    p = build_problem(2, 6, 1.0, EPS)
-    assert np.array_equal(forcing_vector(p, 0.7), p.forcing(0.7))
+def test_forcing_injects_the_weighted_boundary():
+    # the beta part of the forcing is the ridge source plus eps*h^-2 times
+    # the boundary vector
+    n, t = 6, 0.7
+    p = build_problem(2, n, 1.0, EPS)
+    ridge_part = p.forcing(t) - build_problem(2, n, 0.0, EPS).forcing(t)
+    xs = np.arange(1, n) / n
+    X, Y = np.meshgrid(xs, xs)
+    source = -(1 + 5 * EPS) * np.exp(2 * X - Y - t).ravel()
+    expected = source + EPS * n**2 * p.boundary(t)
+    assert np.max(np.abs(ridge_part - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_homogeneous_source_closed_form():
     n = 8
     p = build_problem(2, n, 0.0, EPS)
     t = 0.4
-    got = forcing_vector(p, t)
+    got = p.forcing(t)
     xs = np.arange(1, n) / n
     for i, j in [(1, 1), (3, 5), (7, 2)]:
         x, y = xs[i - 1], xs[j - 1]
@@ -167,9 +180,9 @@ def test_ridge_source_term_at_interior_node():
     # -(1 + 5 eps) e^{2x-y-t} in 2-D
     n = 8
     t = 0.25
-    diff = forcing_vector(build_problem(2, n, 1.0, EPS), t) - forcing_vector(
-        build_problem(2, n, 0.0, EPS), t
-    )
+    diff = build_problem(2, n, 1.0, EPS).forcing(t) - build_problem(
+        2, n, 0.0, EPS
+    ).forcing(t)
     x, y = 4 / n, 4 / n
     expected = -(1 + 5 * EPS) * math.exp(2 * x - y - t)
     idx = _flat_index_2d(n, 4, 4)
@@ -198,15 +211,15 @@ def test_forcing_full_assembly_oracle_2d():
         bound[0, col] += beta * math.exp(2 * x - 0.0 - t)
         bound[-1, col] += beta * math.exp(2 * x - 1.0 - t)
     expected = (source + EPS / h**2 * bound).ravel()
-    got = forcing_vector(p, t)
+    got = p.forcing(t)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
 def test_forcing_affine_in_beta():
     n, t = 6, 0.8
-    f0 = forcing_vector(build_problem(2, n, 0.0, EPS), t)
-    f1 = forcing_vector(build_problem(2, n, 1.0, EPS), t)
-    f25 = forcing_vector(build_problem(2, n, 2.5, EPS), t)
+    f0 = build_problem(2, n, 0.0, EPS).forcing(t)
+    f1 = build_problem(2, n, 1.0, EPS).forcing(t)
+    f25 = build_problem(2, n, 2.5, EPS).forcing(t)
     assert np.allclose(f25, f0 + 2.5 * (f1 - f0), rtol=0, atol=1e-11)
 
 

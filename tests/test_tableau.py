@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from amfrk import amf_scheme, extended_scheme, radau2a_tableau, verify_scheme_conditions
+from amfrk import (
+    SCHEME_IDS,
+    amf_scheme,
+    extended_scheme,
+    radau2a_tableau,
+    scheme_sweeps,
+    verify_scheme_conditions,
+)
 from amfrk.tableau import GAMMA, SQRT6, AmfScheme, _make_iteration
 
 TAB = radau2a_tableau()
@@ -61,8 +68,28 @@ def test_scheme_shape(q):
     assert len(scheme.iterations) == q
     for it in scheme.iterations:
         assert it.approx_a.shape == (2, 2)
-        assert it.low[0, 1] == 0.0 and it.low[0, 0] == 0.0 and it.low[1, 1] == 0.0
-        assert it.mix[0, 0] == 1.0 and it.mix[1, 1] == 1.0 and it.mix[1, 0] == 0.0
+    designed = {
+        1: ["stage_consistency"],
+        2: ["stage_consistency", "output_row"],
+        3: ["output_row"] * 3,
+    }
+    assert [it.condition for it in scheme.iterations] == designed[q]
+
+
+def test_scheme_registry():
+    assert SCHEME_IDS == ("amf1", "amf2", "amf3")
+    for q, sid in enumerate(SCHEME_IDS, 1):
+        assert scheme_sweeps(sid) == q
+        assert amf_scheme(q).name == sid
+    assert scheme_sweeps(" AMF2 ") == 2
+    for bad in ("amf4", "amf", "", "amf 1"):
+        with pytest.raises(ValueError, match="amf1"):
+            scheme_sweeps(bad)
+
+
+def test_unknown_design_condition_rejected():
+    with pytest.raises(ValueError):
+        _make_iteration(0.5, 0.5, "order_four", GAMMA)
 
 
 def test_first_sweep_coefficients_closed_form():
@@ -132,7 +159,10 @@ def test_condition_report_detects_perturbation():
     """A 0.1 shift in the second sweep's lower coefficient must surface."""
     base = amf_scheme(2)
     bad_it = _make_iteration(
-        base.iterations[1].mix_coeff, base.iterations[1].low_coeff + 0.1, GAMMA
+        base.iterations[1].mix_coeff,
+        base.iterations[1].low_coeff + 0.1,
+        "output_row",
+        GAMMA,
     )
     bad = AmfScheme(
         name="amf2-perturbed",
@@ -159,6 +189,21 @@ def test_extended_scheme_repeats_last_sweep():
     assert same.iterations == base.iterations
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_extended_scheme_keeps_each_sweeps_condition(q):
+    """Repeated sweeps are checked against their own design condition, not
+    one guessed from the sweep count."""
+    base = amf_scheme(q)
+    ext = extended_scheme(base, 5)
+    report = verify_scheme_conditions(ext, TAB)
+    assert max(report.values()) <= 1e-14, report
+    for i, it in enumerate(ext.iterations):
+        assert it.condition == base.iterations[min(i, q - 1)].condition
+        keys = {k for k in report if k.endswith(f"[{i}]")}
+        names = ("reconstruction", "eigenvalue_pair", it.condition)
+        assert keys == {f"{name}[{i}]" for name in names}
+
+
 def test_extended_scheme_refuses_to_shrink():
     with pytest.raises(ValueError):
         extended_scheme(amf_scheme(3), 2)
@@ -172,9 +217,10 @@ def test_extended_scheme_refuses_to_shrink():
 def test_any_coefficient_pair_gives_double_eigenvalue(s, l):
     """The similarity construction pins both eigenvalues to gamma for every
     (mix, low) pair, not just the published ones."""
-    it = _make_iteration(s, l, GAMMA)
-    eye = np.eye(2)
-    rebuilt = GAMMA * it.mix @ np.linalg.inv(eye - it.low) @ np.linalg.inv(it.mix)
+    it = _make_iteration(s, l, "output_row", GAMMA)
+    mix = np.array([[1.0, s], [0.0, 1.0]])
+    low = np.array([[0.0, 0.0], [l, 0.0]])
+    rebuilt = GAMMA * mix @ np.linalg.inv(np.eye(2) - low) @ np.linalg.inv(mix)
     assert np.max(np.abs(it.approx_a - rebuilt)) <= 1e-12
     assert abs(np.trace(it.approx_a) - 2 * GAMMA) <= 1e-12
     assert abs(np.linalg.det(it.approx_a) - GAMMA**2) <= 1e-12
