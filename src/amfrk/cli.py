@@ -66,6 +66,12 @@ def _require(args: argparse.Namespace, names: list[str], parser) -> None:
         )
 
 
+def _scheme_id(text: str) -> str:
+    """A --scheme value read as ``scheme_sweeps`` reads it: case and
+    surrounding blanks are ignored."""
+    return text.strip().lower()
+
+
 def _parse_grids(text: str) -> tuple[int, ...]:
     try:
         return tuple(int(tok) for tok in text.split(",") if tok.strip())
@@ -203,7 +209,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--dim", type=int, choices=(2, 3))
     pc.add_argument("--beta", type=float)
     pc.add_argument("--eps", type=float)
-    pc.add_argument("--scheme", choices=SCHEME_IDS)
+    pc.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
     pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...")
     pc.add_argument("--format", choices=("csv", "md", "markdown"))
     pc.add_argument("--out", metavar="PATH")
@@ -215,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--dim", type=int, choices=(2, 3))
     pi.add_argument("--beta", type=float)
     pi.add_argument("--eps", type=float)
-    pi.add_argument("--scheme", choices=SCHEME_IDS)
+    pi.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
     pi.add_argument("--n", type=int)
     pi.add_argument("--tau-ratio", dest="tau_ratio", type=float)
     pi.add_argument("--t-end", dest="t_end", type=float)
@@ -223,7 +229,7 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.set_defaults(func=_cmd_integrate)
 
     ps = sub.add_parser("stability", help="wedge scan of |R_q|")
-    ps.add_argument("--scheme", choices=SCHEME_IDS)
+    ps.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
     ps.add_argument("--d", type=int)
     ps.add_argument("--theta", type=float)
     ps.add_argument("--radii", type=int, help="number of log-spaced radii")
@@ -232,7 +238,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_stability)
 
     pv = sub.add_parser("verify", help="check scheme-defining residuals")
-    pv.add_argument("--scheme", choices=SCHEME_IDS)
+    pv.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
     pv.add_argument("--config", metavar="PATH")
     pv.set_defaults(func=_cmd_verify)
 

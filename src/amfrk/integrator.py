@@ -15,8 +15,12 @@ the d direction factors of the single shift gamma*tau and every state-sized
 work buffer, so a step allocates no state-sized array beyond what the
 problem's forcing returns.  Each step costs two forcing evaluations (hoisted
 out of the sweep loop), s*q - 1 applications of J (both stages equal y_n in
-the first sweep, so J is applied once there) and 2q product solves of d line
-sweeps each; a product solve makes d layout copies (see ``solve_pi``).
+the first sweep, so J is applied once there) and 2q product solves, one
+direction at a time (see ``solve_pi``): on short grid lines each direction
+is one matrix product with a dense line inverse and no layout copy is made
+(directions d-1, d-2, .., 0); on long ones it is a Thomas line sweep
+followed by one layout copy, d copies per product solve (directions
+d-1, 0, .., d-2).
 ``amf_step`` and ``integrate`` both run through it.
 
 A dense exactly-solved implicit step is included as a reference oracle for
@@ -170,7 +174,9 @@ class Stepper:
             e1 = solve_pi(op, self.sigma, w, self.factors, out=d[0], work=s)
             np.multiply(e1, low, out=s)
             d[1] += s
-            e2 = solve_pi(op, self.sigma, d[1], self.factors, out=d[1], work=w)
+            # not in place: with odd d, NumPy would copy the input of a dense
+            # product solve that overwrites it
+            e2 = solve_pi(op, self.sigma, d[1], self.factors, out=w, work=s)
             # Y += mix E
             prev = (y_n, y_n) if first else stages
             np.multiply(e2, mix, out=s)

@@ -4,8 +4,14 @@ The semidiscrete Jacobian J = J_1 + ... + J_d is a sum of one-direction
 operators, each acting tridiagonally along its own grid axis (Kronecker
 structure, x fastest).  Everything the integrator needs is here: applying a
 direction or the full sum, factoring and solving the shifted one-direction
-systems (I - sigma*J_j) with a batched Thomas sweep, and the closed-form
-direction eigenvalues used by the stability analysis.
+systems (I - sigma*J_j), and the closed-form direction eigenvalues used by
+the stability analysis.
+
+A product solve runs one of two kernels, chosen from the grid's sizes alone
+(``_dense_solve_fits``): on short grid lines each direction is one matrix
+product with the dense inverse of its factor, which the factorization
+builds; on long lines it is a batched Thomas sweep, whose cost there is
+arithmetic rather than Python call overhead.
 
 Dense matrix assembly is provided as a test oracle only and refuses grids
 finer than 16 cells per axis.
@@ -13,7 +19,7 @@ finer than 16 cells per axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 import math
 
 import numpy as np
@@ -28,6 +34,14 @@ class SizeGuardError(RuntimeError):
 
 
 _DENSE_LIMIT = 16  # max cells per axis for the dense oracles
+
+# Product solves use dense line inverses while n * max(m, n^2) stays within
+# this bound: n*m is the multiply-adds of one product per direction, and n^3
+# caps the inverse at 256 x 256 whatever the dimension.  Product solve time
+# over Thomas time, one BLAS thread: 2-D 0.5-0.6 at N=192, 0.7-0.9 at
+# N=256 and 0.9-1.4 at N=320; 3-D 0.7 at N=48, 1.0-1.1 at N=64 and 1.7 at
+# N=96.
+_DENSE_SOLVE_LIMIT = 2**24
 
 
 @dataclass(frozen=True)
@@ -178,14 +192,15 @@ def apply_direction(
         out = np.empty(grid.m, dtype=np.result_type(v.dtype, type(st.diag)))
     if work is None:
         work = np.empty_like(out)
-    shift = grid.n_interior**j
-    lines = np.moveaxis(work.reshape(grid.shape), grid.axis_of_direction(j), 0)
+    n = grid.n_interior
+    shift = n**j
+    lines = work.reshape(-1, n, shift)  # (slower axes, direction j, faster axes)
     np.multiply(v, st.diag, out=out)
     np.multiply(v[:-shift], st.sub, out=work[shift:])
-    lines[0] = 0.0  # first point of each line: no left neighbour
+    lines[:, 0] = 0.0  # first point of each line: no left neighbour
     out += work
     np.multiply(v[shift:], st.sup, out=work[:-shift])
-    lines[-1] = 0.0  # last point of each line: no right neighbour
+    lines[:, -1] = 0.0  # last point of each line: no right neighbour
     out += work
     return out
 
@@ -231,20 +246,36 @@ class TridiagFactor:
     u_i = w_i - upper[i] u_{i+1}  with  upper[i] = up / p_{i+1}  (u = p x),
     and one broadcast  x = u * inv_diag.  The multipliers are Python scalars
     because each enters one call per grid row.
+
+    On grids small enough for the dense product solve (``_dense_solve_fits``)
+    the factor also carries inv_t, the transpose of the n x n inverse
+    (I - sigma*J_j)^-1, built from this factorization; elsewhere inv_t is
+    None and solves run the sweeps.
     """
 
     sigma: float | complex
     lower: tuple  # lo / p_{i-1}, i = 1 .. n-1
     upper: tuple  # up / p_{i+1}, i = 0 .. n-2
     inv_diag: np.ndarray  # 1 / p_i
+    inv_t: np.ndarray | None = None  # transposed dense inverse, or None
 
     @property
     def n(self) -> int:
         return self.inv_diag.shape[0]
 
 
+def _dense_solve_fits(grid: GridSpec) -> bool:
+    """Whether product solves on this grid use dense line inverses."""
+    n = grid.n_interior
+    return n * max(grid.m, n * n) <= _DENSE_SOLVE_LIMIT
+
+
 def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
-    """Factor I - sigma*J_j (a pure function: every call builds afresh)."""
+    """Factor I - sigma*J_j (a pure function: every call builds afresh).
+
+    On small grids the dense inverse comes from sweeping the identity with
+    this factor, after every pivot has passed the vanishing-pivot check.
+    """
     st = op.stencils[j]
     n = op.grid.n_interior
     lo = -sigma * st.sub
@@ -261,12 +292,18 @@ def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
         if i < n - 1:
             piv.append(d0 - lo * (up / piv[i]))
     dtype = np.result_type(type(d0), float)
-    return TridiagFactor(
+    fac = TridiagFactor(
         sigma=sigma,
         lower=tuple(lo / p for p in piv[:-1]),
         upper=tuple(up / p for p in piv[1:]),
         inv_diag=1.0 / np.array(piv, dtype=dtype),
     )
+    if not _dense_solve_fits(op.grid):
+        return fac
+    inv = np.eye(n, dtype=dtype)
+    _sweep(fac, inv, inv)
+    inv *= _line_scale(fac, 2)
+    return replace(fac, inv_t=inv.T)
 
 
 def factor_pi(op: SplitOperator, sigma: float) -> tuple[TridiagFactor, ...]:
@@ -306,7 +343,10 @@ def _line_scale(fac: TridiagFactor, ndim: int) -> np.ndarray:
 def solve_direction_factor(
     op: SplitOperator, j: int, sigma: float, rhs: np.ndarray
 ) -> np.ndarray:
-    """Solve (I - sigma*J_j) x = rhs for a flat state vector rhs."""
+    """Solve (I - sigma*J_j) x = rhs for a flat state vector rhs.
+
+    A one-off solve by the Thomas sweep, on every grid size.
+    """
     fac = factor_direction(op, j, sigma)
     grid = op.grid
     rhs = np.asarray(rhs).reshape(grid.shape)
@@ -326,15 +366,23 @@ def solve_pi(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Solve  prod_j (I - sigma*J_j) x = rhs  by sweeping the directions.
+    """Solve  prod_j (I - sigma*J_j) x = rhs  one direction at a time.
 
-    Each sweep runs along the leading (contiguous) axis and is scaled by
-    inv_diag in place; one copy then rolls the axes cyclically (the last axis
-    moves to the front), so the next direction's lines lead.  Starting from
-    the natural layout, whose leading axis is direction d-1, the directions
-    are solved in the order d-1, 0, 1, .., d-2 and the d-th roll restores the
-    natural layout: d copies per product solve.  The factors commute, so the
-    order is immaterial up to rounding.
+    The factors choose the kernel.  The natural layout's leading axis is
+    direction d-1, and each direction solves along the leading axis:
+
+    - dense (factors with inv_t): one matrix product per direction,
+      rhs_lines^T @ inv^T, written straight into the other buffer.  The
+      transposed product is itself the cyclic axis roll that moves the
+      leading axis to the end, so the directions are solved in the order
+      d-1, d-2, .., 0, and no scaling pass or layout copy is made.
+    - Thomas (factors without inv_t): a line sweep scaled by inv_diag in
+      place, then one copy that rolls the axes cyclically (the last axis
+      moves to the front); the directions are solved in the order
+      d-1, 0, 1, .., d-2: d copies per product solve.
+
+    Either way the d-th roll restores the natural layout.  The factors
+    commute, so the order is immaterial up to rounding.
 
     factors : the d factors from ``factor_pi(op, sigma)`` (built when None)
     out : flat result array (allocated when None); may be rhs itself
@@ -350,10 +398,21 @@ def solve_pi(
     d = grid.dim
     if work is None:
         work = np.empty(grid.m, dtype=dtype)
-    # an even number of rolls ends in the buffer the first sweep wrote
-    bufs = [b.reshape(grid.shape) for b in ((out, work) if d % 2 == 0 else (work, out))]
     n = grid.n_interior
     src = rhs
+    if all(fac.inv_t is not None for fac in factors):
+        # the last of the d products must land in out; when out is rhs,
+        # NumPy copies the overlapping input of the first product itself
+        bufs = (out, work) if d % 2 else (work, out)
+        for k in range(d):
+            dst = bufs[k % 2]
+            np.matmul(
+                src.reshape(n, -1).T, factors[d - 1 - k].inv_t, out=dst.reshape(-1, n)
+            )
+            src = dst
+        return out
+    # an even number of rolls ends in the buffer the first sweep wrote
+    bufs = [b.reshape(grid.shape) for b in ((out, work) if d % 2 == 0 else (work, out))]
     for k in range(d):
         fac = factors[(d - 1 + k) % d]
         cur, nxt = bufs[k % 2], bufs[(k + 1) % 2]

@@ -198,7 +198,7 @@ def verify_scheme_conditions(scheme: AmfScheme, tab: ButcherTableau) -> dict[str
         out[f"reconstruction[{i}]"] = float(np.max(np.abs(it.approx_a - rebuilt)))
         tr = it.approx_a[0, 0] + it.approx_a[1, 1]
         det = np.linalg.det(it.approx_a)
-        out[f"eigenvalue_pair[{i}]"] = max(abs(tr - 2.0 * g), abs(det - g * g))
+        out[f"eigenvalue_pair[{i}]"] = float(max(abs(tr - 2.0 * g), abs(det - g * g)))
         if it.condition == "stage_consistency":
             residual = (a - it.approx_a) @ c
         else:

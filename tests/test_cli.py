@@ -22,6 +22,13 @@ def test_verify_reports_ok(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("scheme", ["AMF2", " Amf2 "])
+def test_scheme_option_ignores_case_and_blanks(capsys, scheme):
+    """--scheme accepts what a config file's scheme= and scheme_sweeps do."""
+    assert main(["verify", "--scheme", scheme]) == 0
+    assert "ok: worst residual" in capsys.readouterr().out
+
+
 def test_verify_flags_bad_residuals(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_scheme_conditions",
                         lambda scheme, tab: {"fake_condition": 1.0})

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -290,8 +291,12 @@ def test_integrate_matches_allocating_reference(dim, n, beta, q, n_steps, ratio)
     prob = build_problem(dim, n, beta)
     tau = ratio / n
     y0 = prob.exact(0.0)
-    got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y
     want = reference_integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps, y0)
+    got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y  # dense
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # a size limit of zero sends every product solve down the Thomas sweep
+    with mock.patch.object(splitops, "_DENSE_SOLVE_LIMIT", 0):
+        got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 

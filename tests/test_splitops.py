@@ -1,5 +1,7 @@
 """Split operators: stencils, applies, factored solves, dense oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,8 +27,19 @@ from amfrk import (
     solve_direction_factor,
     solve_pi,
 )
-from amfrk.splitops import DirectionStencil
+import amfrk.splitops as splitops
+from amfrk.splitops import DirectionStencil, factor_pi
 from helpers import reference_solve_direction, reference_solve_pi
+
+
+def _kernel_factors(op, sigma):
+    """The factors of one product solve on each kernel: as built (with the
+    dense inverses, which every grid here is small enough for) and with the
+    inverses dropped, which sends the solve down the Thomas sweep."""
+    dense = factor_pi(op, sigma)
+    assert all(f.inv_t is not None for f in dense)
+    thomas = tuple(dataclasses.replace(f, inv_t=None) for f in dense)
+    return {"dense": dense, "thomas": thomas}
 
 
 def _band(n, sub, diag, sup):
@@ -255,8 +268,12 @@ def test_product_solve_pairs_each_factor_with_its_axis(dim, n):
         pi_dense = pi_dense @ (eye - sigma * dense_direction_matrix(op, j))
     rhs = np.random.default_rng(dim).standard_normal(g.m)
     want = np.linalg.solve(pi_dense, rhs)
-    err = np.max(np.abs(solve_pi(op, sigma, rhs) - want))
-    assert err <= 1e-12 * np.max(np.abs(want))
+    for kernel, factors in _kernel_factors(op, sigma).items():
+        err = np.max(np.abs(solve_pi(op, sigma, rhs, factors) - want))
+        assert err <= 1e-12 * np.max(np.abs(want)), kernel
+        x = rhs.copy()  # in place: the result overwrites the right-hand side
+        solve_pi(op, sigma, x, factors, out=x, work=np.empty_like(x))
+        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), kernel
 
 
 def test_stepper_owns_its_factors():
@@ -280,6 +297,63 @@ def test_vanishing_pivot_raises():
     op = SplitOperator(grid=grid, stencils=(DirectionStencil(0.0, 2.0, 0.0),))
     with pytest.raises(FactorSolveError):
         factor_direction(op, 0, 0.5)
+
+
+def test_vanishing_pivot_raises_before_the_inverse_is_built(monkeypatch):
+    grid = GridSpec(dim=1, n_cells=4)
+    op = SplitOperator(grid=grid, stencils=(DirectionStencil(0.0, 2.0, 0.0),))
+
+    class Built(Exception):
+        pass
+
+    def sweep(*args):
+        raise Built
+
+    monkeypatch.setattr(splitops, "_sweep", sweep)
+    with pytest.raises(Built):  # a regular shift on this grid builds one
+        factor_direction(op, 0, 0.25)
+    with pytest.raises(FactorSolveError):
+        factor_direction(op, 0, 0.5)
+
+
+@pytest.mark.parametrize(
+    "dim,n,dense",
+    [
+        (1, 257, True),  # n = 256: the largest inverse
+        (1, 258, False),
+        (2, 24, True),
+        (2, 48, True),
+        (2, 96, True),
+        (2, 192, True),
+        (2, 257, True),
+        (2, 258, False),
+        (2, 384, False),  # the long lines of the 2-D beta=1 run
+        (3, 24, True),
+        (3, 48, True),
+        (3, 96, False),
+    ],
+)
+def test_dense_inverse_selection(dim, n, dense):
+    """Short grid lines get dense inverses (never above 256 x 256), long
+    lines keep the Thomas sweep; the sizes alone decide."""
+    op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
+    for fac in factor_pi(op, 0.01):
+        assert (fac.inv_t is not None) == dense
+        if dense:
+            assert fac.inv_t.shape == (n - 1, n - 1)
+            assert fac.n <= 256
+
+
+def test_dense_solve_promotes_real_rhs_to_complex():
+    g = GridSpec(dim=2, n_cells=9)
+    op = build_split_operator(g, [1.0, 0.5], advection=[1.0, -2.0])
+    sigma = 0.01 * complex(1.0, 0.5)
+    rhs = np.random.default_rng(4).standard_normal(g.m)
+    got = solve_pi(op, sigma, rhs, _kernel_factors(op, sigma)["dense"])
+    assert got.dtype == np.complex128
+    assert np.abs(got.imag).max() > 0.0
+    want = reference_solve_pi(op, sigma, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 def test_solve_accepts_complex_right_side():
@@ -365,10 +439,11 @@ def test_roll_layout_round_trip(dim, n):
     g = GridSpec(dim=dim, n_cells=n)
     op = build_split_operator(g, [1.0] * dim)
     v = np.arange(g.m, dtype=float)
-    assert np.array_equal(solve_pi(op, 0.0, v), v)
-    w = v.copy()
-    assert solve_pi(op, 0.0, w, out=w, work=np.empty_like(w)) is w
-    assert np.array_equal(w, v)
+    for factors in _kernel_factors(op, 0.0).values():
+        assert np.array_equal(solve_pi(op, 0.0, v, factors), v)
+        w = v.copy()
+        assert solve_pi(op, 0.0, w, factors, out=w, work=np.empty_like(w)) is w
+        assert np.array_equal(w, v)
 
 
 # ------------------------------------------------------------- properties
@@ -442,7 +517,8 @@ def test_solves_match_row_loop_reference(case):
     op, sigma, rhs = case
     want = reference_solve_pi(op, sigma, rhs)
     tol = 1e-13 * np.max(np.abs(want))
-    assert np.max(np.abs(solve_pi(op, sigma, rhs) - want)) <= tol
+    for kernel, factors in _kernel_factors(op, sigma).items():
+        assert np.max(np.abs(solve_pi(op, sigma, rhs, factors) - want)) <= tol, kernel
     for j in range(op.grid.dim):
         want = reference_solve_direction(op, j, sigma, rhs)
         got = solve_direction_factor(op, j, sigma, rhs)

@@ -142,6 +142,17 @@ def test_defining_conditions_at_rounding_level(q):
     assert worst <= 1e-14, f"q={q}: worst residual {worst}"
 
 
+@pytest.mark.parametrize(
+    "scheme",
+    [amf_scheme(1), amf_scheme(2), amf_scheme(3), extended_scheme(amf_scheme(1), 4)],
+    ids=lambda scheme: scheme.name,
+)
+def test_condition_report_values_are_python_floats(scheme):
+    report = verify_scheme_conditions(scheme, TAB)
+    # np.float64 subclasses float, so isinstance would not tell them apart
+    assert all(type(v) is float for v in report.values()), report
+
+
 def test_condition_report_keys_follow_design():
     r1 = verify_scheme_conditions(amf_scheme(1), TAB)
     assert "stage_consistency[0]" in r1 and "output_row[0]" not in r1
