@@ -235,7 +235,7 @@ def apply_pi(op: SplitOperator, sigma: float, v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TridiagFactor:
     """Pivot-free LU data of  I - sigma*J_j  along one direction.
 
@@ -250,7 +250,7 @@ class TridiagFactor:
     On grids small enough for the dense product solve (``_dense_solve_fits``)
     the factor also carries inv_t, the transpose of the n x n inverse
     (I - sigma*J_j)^-1, built from this factorization; elsewhere inv_t is
-    None and solves run the sweeps.
+    None and solves run the sweeps.  Factors compare by identity.
     """
 
     sigma: float | complex
@@ -270,12 +270,8 @@ def _dense_solve_fits(grid: GridSpec) -> bool:
     return n * max(grid.m, n * n) <= _DENSE_SOLVE_LIMIT
 
 
-def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
-    """Factor I - sigma*J_j (a pure function: every call builds afresh).
-
-    On small grids the dense inverse comes from sweeping the identity with
-    this factor, after every pivot has passed the vanishing-pivot check.
-    """
+def _factor_lu(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
+    """The LU data of I - sigma*J_j, without a dense inverse."""
     st = op.stencils[j]
     n = op.grid.n_interior
     lo = -sigma * st.sub
@@ -292,15 +288,24 @@ def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
         if i < n - 1:
             piv.append(d0 - lo * (up / piv[i]))
     dtype = np.result_type(type(d0), float)
-    fac = TridiagFactor(
+    return TridiagFactor(
         sigma=sigma,
         lower=tuple(lo / p for p in piv[:-1]),
         upper=tuple(up / p for p in piv[1:]),
         inv_diag=1.0 / np.array(piv, dtype=dtype),
     )
+
+
+def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
+    """Factor I - sigma*J_j (a pure function: every call builds afresh).
+
+    On small grids the dense inverse comes from sweeping the identity with
+    this factor, after every pivot has passed the vanishing-pivot check.
+    """
+    fac = _factor_lu(op, j, sigma)
     if not _dense_solve_fits(op.grid):
         return fac
-    inv = np.eye(n, dtype=dtype)
+    inv = np.eye(fac.n, dtype=fac.inv_diag.dtype)
     _sweep(fac, inv, inv)
     inv *= _line_scale(fac, 2)
     return replace(fac, inv_t=inv.T)
@@ -345,9 +350,9 @@ def solve_direction_factor(
 ) -> np.ndarray:
     """Solve (I - sigma*J_j) x = rhs for a flat state vector rhs.
 
-    A one-off solve by the Thomas sweep, on every grid size.
+    A one-off Thomas sweep on every grid size; it builds no dense inverse.
     """
-    fac = factor_direction(op, j, sigma)
+    fac = _factor_lu(op, j, sigma)
     grid = op.grid
     rhs = np.asarray(rhs).reshape(grid.shape)
     out = np.empty(grid.shape, dtype=np.result_type(rhs, fac.inv_diag))

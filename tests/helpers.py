@@ -6,6 +6,12 @@ import numpy as np
 
 from amfrk import GridSpec, SemidiscreteProblem, SplitOperator
 from amfrk.splitops import DirectionStencil
+from amfrk.stability import (
+    ComplexPoint,
+    ScanResult,
+    combine_zw,
+    stability_function,
+)
 
 
 def scalar_problem(lam) -> SemidiscreteProblem:
@@ -146,3 +152,119 @@ def reference_integrate(problem, scheme, tab, tau, n_steps, y0):
     for n in range(n_steps):
         y = reference_amf_step(problem, scheme, tab, n * tau, tau, y)
     return y
+
+
+# ---------------------------------------------------------------------------
+# Reference wedge scan: the index-gather, argsort-grouped scan the package
+# used before the block-structured one.  Every sample's per-direction values
+# are gathered from flat index digits and every chunk is grouped by ray
+# combination with a stable argsort, so the block scan's broadcasting and
+# reshape reductions are checked against an independent bookkeeping.
+
+
+def reference_wedge_scan(
+    scheme,
+    tab,
+    d,
+    theta,
+    radii=None,
+    angles=None,
+    cap=4_000_000,
+    n_random=1_000_000,
+    seed=0,
+    keep_samples=False,
+):
+    """Wedge scan of |R_q| by index gathers in chunks of 2^18 samples."""
+    radii = (np.logspace(-3.0, 6.0, 40) if radii is None
+             else np.asarray(radii, dtype=float))
+    rays = [0.0] if theta == 0.0 else [theta, -theta, 0.0]
+    for ang in angles or ():
+        ang = float(ang)
+        if ang != 0.0 and ang != theta:
+            rays.extend([ang, -ang])
+    rays_arr = np.asarray(rays)
+    n_rays, n_radii = rays_arr.size, radii.size
+    per_var = n_rays * n_radii
+    values = (-np.exp(1j * rays_arr)[:, None] * radii[None, :]).reshape(-1)
+    total = per_var**d
+    gamma = scheme.gamma
+
+    best = {"mod": -np.inf, "parts": None}
+    per_ray: dict = {}
+    counts = {"n": 0, "excluded": 0}
+    kept = [] if keep_samples else None
+
+    def eval_chunk(idx_parts):
+        parts = [values[ix] for ix in idx_parts]
+        z = parts[0].copy()
+        for p in parts[1:]:
+            z += p
+        if d > 1:
+            # each factor multiplies from the left: NumPy evaluated the old
+            # ``prod * (1 - gamma*p)`` in place in the temporary factor (its
+            # chunks were above the elision threshold), and vector complex
+            # products are not bitwise commutative
+            prod = np.ones_like(parts[0])
+            for p in parts:
+                prod = (1.0 - gamma * p) * prod
+            w = (1.0 - prod) / gamma
+        else:
+            w = z
+        mod = np.abs(stability_function(scheme, tab, z, w))
+        finite = np.isfinite(mod)
+        counts["n"] += mod.size
+        counts["excluded"] += int(mod.size - finite.sum())
+        mod_f = np.where(finite, mod, -np.inf)
+        combo = idx_parts[0] // n_radii
+        for ix in idx_parts[1:]:
+            combo = combo * n_rays + ix // n_radii
+        order = np.argsort(combo, kind="stable")
+        sc, sm = combo[order], mod_f[order]
+        bounds = np.flatnonzero(np.diff(sc)) + 1
+        for cid, seg in zip(
+            sc[np.concatenate(([0], bounds))] if sc.size else [],
+            np.split(sm, bounds),
+        ):
+            key = tuple(
+                float(rays_arr[(int(cid) // n_rays**k) % n_rays])
+                for k in reversed(range(d))
+            )
+            m = float(seg.max())
+            if m > per_ray.get(key, -np.inf):
+                per_ray[key] = m
+        k = int(np.argmax(mod_f))
+        if mod_f[k] > best["mod"]:
+            best["mod"] = float(mod_f[k])
+            best["parts"] = tuple(complex(p[k]) for p in parts)
+        if kept is not None:
+            for i in range(mod.size):
+                pt = tuple(complex(p[i]) for p in parts)
+                zz, ww = combine_zw(pt, gamma)
+                kept.append((ComplexPoint(parts=pt, z=zz, w=ww), float(mod[i])))
+
+    chunk = 1 << 18
+    if total <= cap:
+        for start in range(0, total, chunk):
+            flat = np.arange(start, min(start + chunk, total))
+            eval_chunk([(flat // per_var**k) % per_var for k in range(d)])
+    else:
+        ray_grid = np.arange(n_rays**d)
+        ray_digits = [(ray_grid // n_rays**k) % n_rays for k in range(d)]
+        for ri in range(n_radii):
+            eval_chunk([dig * n_radii + ri for dig in ray_digits])
+        rng = np.random.default_rng(seed)
+        remaining = n_random
+        while remaining > 0:
+            take = min(chunk, remaining)
+            eval_chunk(list(rng.integers(0, per_var, size=(d, take))))
+            remaining -= take
+
+    zz, ww = combine_zw(best["parts"], gamma)
+    return ScanResult(
+        max_modulus=best["mod"],
+        argmax=ComplexPoint(parts=best["parts"], z=zz, w=ww),
+        per_ray=per_ray,
+        n_samples=counts["n"],
+        n_excluded=counts["excluded"],
+        samples=kept,
+    )

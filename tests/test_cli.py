@@ -238,3 +238,9 @@ def test_stability_invalid_angle_exits_two(capsys):
                "--radii", "4"])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_stability_non_finite_angle_exits_two(capsys):
+    rc = main(["stability", "--scheme", "amf2", "--d", "3", "--theta", "nan"])
+    assert rc == 2
+    assert "wedge half-angle" in capsys.readouterr().err

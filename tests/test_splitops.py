@@ -316,6 +316,34 @@ def test_vanishing_pivot_raises_before_the_inverse_is_built(monkeypatch):
         factor_direction(op, 0, 0.5)
 
 
+def test_factors_compare_by_identity():
+    op = build_split_operator(GridSpec(dim=2, n_cells=6), [1.0, 1.0])
+    a, b = factor_direction(op, 0, 0.1), factor_direction(op, 0, 0.1)
+    assert a == a and a != b  # ndarray fields would make == ambiguous
+    assert len({a, b, a}) == 2
+
+
+def test_one_off_direction_solve_sweeps_once(monkeypatch):
+    # a grid within the dense limit: the one-off solve must not build (and
+    # then ignore) the dense inverse, whose build is a sweep of its own
+    op = build_split_operator(
+        GridSpec(dim=2, n_cells=24), [1.0, 0.5], advection=[1.0, -2.0]
+    )
+    assert splitops._dense_solve_fits(op.grid)
+    sigma = 0.01
+    rhs = np.random.default_rng(5).standard_normal(op.grid.m)
+    sweeps = []
+    sweep = splitops._sweep
+    monkeypatch.setattr(
+        splitops, "_sweep", lambda *args: sweeps.append(1) or sweep(*args)
+    )
+    for j in range(2):
+        got = solve_direction_factor(op, j, sigma, rhs)
+        assert len(sweeps) == j + 1
+        want = reference_solve_direction(op, j, sigma, rhs)
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
 @pytest.mark.parametrize(
     "dim,n,dense",
     [

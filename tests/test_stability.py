@@ -21,7 +21,9 @@ from amfrk import (
     stability_function,
     wedge_stability_scan,
 )
+import amfrk.stability as stability
 from amfrk.tableau import GAMMA
+from helpers import reference_wedge_scan
 
 TAB = radau2a_tableau()
 SCHEMES = {q: amf_scheme(q) for q in (1, 2, 3)}
@@ -227,6 +229,22 @@ def test_scan_rejects_bad_geometry():
                              radii=np.array([]))
 
 
+@pytest.mark.parametrize("kwargs", [
+    dict(theta=np.nan),
+    dict(radii=np.array([1.0, np.nan])),
+    dict(radii=np.array([1.0, np.inf])),
+    dict(angles=[np.nan]),
+    dict(n_random=-1),
+    dict(cap=0),
+], ids=["theta-nan", "radius-nan", "radius-inf", "angle-nan",
+        "negative-n-random", "cap-zero"])
+def test_scan_rejects_non_finite_and_negative_inputs(kwargs):
+    args = dict(d=2, theta=np.pi / 4, radii=np.array([1.0, 2.0]))
+    args.update(kwargs)
+    with pytest.raises(ValueError):
+        wedge_stability_scan(SCHEMES[1], TAB, **args)
+
+
 def test_scan_argmax_is_reproducible():
     radii = np.logspace(-2, 2, 6)
     res = wedge_stability_scan(SCHEMES[3], TAB, d=2, theta=np.pi / 2,
@@ -268,6 +286,101 @@ def test_scan_without_kept_samples_cannot_export():
     assert res.samples is None
     with pytest.raises(ValueError):
         list(res.csv_rows())
+
+
+# ---------------------------------------------------------------------------
+# block scan against the reference gather scan
+
+
+def _close(got, want):
+    """Equal (NaN and infinities included) or within 1e-15 relative."""
+    return got == want or np.isnan(got) and np.isnan(want) or (
+        abs(got - want) <= 1e-15 * abs(want))
+
+
+def _assert_matches_reference(scheme, res, ref):
+    assert res.n_samples == ref.n_samples
+    assert res.n_excluded == ref.n_excluded
+    assert set(res.per_ray) == set(ref.per_ray)
+    assert _close(res.max_modulus, ref.max_modulus)
+    for key, want in ref.per_ray.items():
+        assert _close(res.per_ray[key], want), key
+    again = abs(stability_function(scheme, TAB, res.argmax.z, res.argmax.w))
+    assert abs(again - res.max_modulus) <= 1e-13 * max(1.0, res.max_modulus)
+    assert combine_zw(res.argmax.parts, GAMMA) == (res.argmax.z, res.argmax.w)
+    if res.max_modulus == ref.max_modulus:  # the first sample attaining it
+        assert res.argmax.parts == ref.argmax.parts
+
+
+# radii per direction: with 9 radii the d=4 wedges of theta > 0 have 27^3
+# samples per value of the slowest direction, more than a 2^14 block, so they
+# are evaluated in runs of fast-direction groups; the others in whole rows
+_REFERENCE_RADII = {1: 40, 2: 40, 3: 16, 4: 9}
+
+
+@pytest.mark.parametrize("theta", [0.0, np.pi / 6, np.pi / 2])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_scan_matches_reference_gather_scan(d, theta):
+    kw = dict(radii=np.logspace(-3.0, 6.0, _REFERENCE_RADII[d]))
+    res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, **kw)
+    ref = reference_wedge_scan(SCHEMES[2], TAB, d, theta, **kw)
+    _assert_matches_reference(SCHEMES[2], res, ref)
+
+
+@pytest.mark.parametrize("q,d,theta,kw", [
+    (1, 2, np.pi / 3, dict(radii=[0.3, 2.0, 50.0], angles=[0.2, 0.5, np.pi / 3, 0.0])),
+    (3, 3, np.pi / 4, dict(radii=[0.5, 7.0], angles=[0.1])),
+    # subsample: equal-radius tuples, then draws spanning several blocks
+    (2, 3, np.pi / 6, dict(radii=np.logspace(-2, 2, 10), cap=10,
+                           n_random=40_000, seed=4)),
+    (2, 4, np.pi / 6, dict(radii=np.logspace(-2, 4, 7), cap=1000,
+                           n_random=300_000, seed=9)),
+    # radii at 1e200 overflow w or R: non-finite samples are excluded
+    (2, 2, np.pi / 4, dict(radii=[1e200, 1.0, 3e150])),
+    (2, 3, np.pi / 2, dict(radii=[1e-3, 1e200, 1.0, 1e104])),
+    (1, 3, np.pi / 6, dict(radii=[1e200, 0.5], cap=5, n_random=5000)),
+], ids=["interior-rays", "interior-ray-d3", "subsample-d3", "subsample-d4",
+        "huge-radii-d2", "huge-radii-d3", "huge-radii-subsample"])
+def test_scan_matches_reference_on_custom_sets(q, d, theta, kw):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = wedge_stability_scan(SCHEMES[q], TAB, d, theta, **kw)
+        ref = reference_wedge_scan(SCHEMES[q], TAB, d, theta, **kw)
+    if max(kw["radii"]) >= 1e200:
+        assert res.n_excluded > 0
+    _assert_matches_reference(SCHEMES[q], res, ref)
+
+
+@pytest.mark.parametrize("block", [1000, 100, 5])
+@pytest.mark.parametrize("kw", [
+    dict(),
+    dict(cap=10, n_random=700),
+], ids=["full-product", "subsample"])
+def test_scan_matches_reference_at_any_block_size(monkeypatch, block, kw):
+    # 12 values per direction: blocks of whole rows (1000), runs of groups
+    # within a row (100) and single groups larger than a block (5)
+    monkeypatch.setattr(stability, "_BLOCK", block)
+    args = dict(radii=[0.01, 0.7, 30.0, 2e4], keep_samples=True, **kw)
+    res = wedge_stability_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args)
+    ref = reference_wedge_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args)
+    _assert_matches_reference(SCHEMES[3], res, ref)
+    assert [pt.parts for pt, _ in res.samples] == [pt.parts for pt, _ in ref.samples]
+    assert all(_close(m, want) for (_, m), (_, want) in zip(res.samples, ref.samples))
+
+
+@pytest.mark.parametrize("d,kw", [
+    (2, dict(radii=[1.0, 3.0, 1e200])),
+    (3, dict(radii=[0.5, 4.0], cap=10, n_random=100)),
+], ids=["full-product", "subsample"])
+def test_scan_kept_samples_keep_the_reference_order(d, kw):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 3,
+                                   keep_samples=True, **kw)
+        ref = reference_wedge_scan(SCHEMES[2], TAB, d, np.pi / 3,
+                                   keep_samples=True, **kw)
+    assert len(res.samples) == len(ref.samples) == res.n_samples
+    for (pt, mod), (want_pt, want_mod) in zip(res.samples, ref.samples):
+        assert pt.parts == want_pt.parts  # z and w follow by combine_zw
+        assert _close(mod, want_mod)
 
 
 @pytest.mark.parametrize("q,d,theta", [
