@@ -16,10 +16,13 @@ work buffer, so a step allocates no state-sized array beyond what the
 problem's forcing returns.  Each step costs two forcing evaluations (hoisted
 out of the sweep loop), s*q - 1 applications of J (both stages equal y_n in
 the first sweep, so J is applied once there) and 2q product solves, one
-direction at a time (see ``solve_pi``): on short grid lines each direction
-is one matrix product with a dense line inverse and no layout copy is made
-(directions d-1, d-2, .., 0); on long ones it is a Thomas line sweep
-followed by one layout copy, d copies per product solve (directions
+direction at a time (see ``solve_pi``).  Where the grid's sizes allow it
+each direction is matrix products with dense inverses, and no layout copy
+is made (directions d-1, d-2, .., 0): one product with the whole-line
+inverse on short lines, and on 2-D lines of up to 512 points one product
+that gives the values beside the block boundaries and one batched product
+with the inverse of a block of 32 points.  Elsewhere it is a Thomas line
+sweep followed by one layout copy, d copies per product solve (directions
 d-1, 0, .., d-2).
 ``amf_step`` and ``integrate`` both run through it.
 

@@ -8,10 +8,14 @@ systems (I - sigma*J_j), and the closed-form direction eigenvalues used by
 the stability analysis.
 
 A product solve runs one of two kernels, chosen from the grid's sizes alone
-(``_dense_solve_fits``): on short grid lines each direction is one matrix
-product with the dense inverse of its factor, which the factorization
-builds; on long lines it is a batched Thomas sweep, whose cost there is
-arithmetic rather than Python call overhead.
+(``_solve_block``).  Where a Thomas sweep would be mostly Python call
+overhead, each direction is matrix products with dense inverses that the
+factorization builds: one with the whole-line inverse on short lines; on
+2-D lines of up to 512 points, one with rows of the line inverse, which
+gives the values beside every block boundary and so decouples blocks of
+``_BLOCK_LENGTH`` points (the SPIKE idea of Polizzi and Sameh), and one
+batched product with the block inverse.  Elsewhere it is a batched Thomas
+sweep, whose cost there is arithmetic rather than call overhead.
 
 Dense matrix assembly is provided as a test oracle only and refuses grids
 finer than 16 cells per axis.
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,6 +47,17 @@ _DENSE_LIMIT = 16  # max cells per axis for the dense oracles
 # N=256 and 0.9-1.4 at N=320; 3-D 0.7 at N=48, 1.0-1.1 at N=64 and 1.7 at
 # N=96.
 _DENSE_SOLVE_LIMIT = 2**24
+
+# Past that, lines are cut into blocks of _BLOCK_LENGTH points while
+# max(m, n^2) stays within _BLOCK_SOLVE_LIMIT: 2-D lines of up to 512
+# points (every 3-D grid this small is dense already).  Each unknown then
+# costs about L + 2n/L multiply-adds.  Product solve time over Thomas time,
+# one BLAS thread, L = 32: 0.25-0.32 at 2-D N=258-320 and 0.4-0.5 at
+# N=384-512; L = 24-40 were within noise of each other at N=384-512, 16
+# and 48-64 slower.  In 3-D the blocks lose: even at N=66, 1.05-1.1x per
+# step at N=96.
+_BLOCK_LENGTH = 32
+_BLOCK_SOLVE_LIMIT = 2**18
 
 
 @dataclass(frozen=True)
@@ -247,10 +263,11 @@ class TridiagFactor:
     and one broadcast  x = u * inv_diag.  The multipliers are Python scalars
     because each enters one call per grid row.
 
-    On grids small enough for the dense product solve (``_dense_solve_fits``)
-    the factor also carries inv_t, the transpose of the n x n inverse
-    (I - sigma*J_j)^-1, built from this factorization; elsewhere inv_t is
-    None and solves run the sweeps.  Factors compare by identity.
+    Where the product solve runs matrix products (``_solve_block``), the
+    factor also carries the dense inverses it needs, built from this
+    factorization: on short lines inv_t, the transpose of the n x n inverse
+    (I - sigma*J_j)^-1; on lines cut into blocks, ``blocks``.  Elsewhere both
+    are None and solves run the sweeps.  Factors compare by identity.
     """
 
     sigma: float | complex
@@ -258,16 +275,47 @@ class TridiagFactor:
     upper: tuple  # up / p_{i+1}, i = 0 .. n-2
     inv_diag: np.ndarray  # 1 / p_i
     inv_t: np.ndarray | None = None  # transposed dense inverse, or None
+    blocks: LineBlocks | None = None  # block inverses and spikes, or None
 
     @property
     def n(self) -> int:
         return self.inv_diag.shape[0]
 
 
-def _dense_solve_fits(grid: GridSpec) -> bool:
-    """Whether product solves on this grid use dense line inverses."""
+class LineBlocks(NamedTuple):
+    """A line of n points cut into P >= 2 blocks of L points, the last of r.
+
+    The bands are constant, so every block's matrix is a leading principal
+    block of I - sigma*J_j, whose LU data are the factor's first pivots and
+    multipliers.  Block k (points kL .. kL+L-1) couples to the rest of the
+    line only through the solution values x_{kL-1} and x_{kL+L}; with them
+    moved to the right-hand side, each block is solved on its own.
+
+    inv_t : transposed inverse of a full block, L x L
+    last_t : transposed inverse of the last block, r x r
+    spikes : (2(P-1), n); for each block boundary k = 1 .. P-1, row kL-1 of
+        the line inverse times -lo, then row kL times -up.  Their product
+        with a right-hand side b gives -lo*x_{kL-1} and -up*x_{kL}, the
+        terms that move to the right-hand side of block k's first row and
+        of block k-1's last row.
+    """
+
+    inv_t: np.ndarray
+    last_t: np.ndarray
+    spikes: np.ndarray
+
+
+def _solve_block(grid: GridSpec) -> int | None:
+    """The product solve's kernel on this grid, from its sizes alone: the
+    points per block of the line inverses (n: the whole line is one block),
+    or None for the Thomas sweep."""
     n = grid.n_interior
-    return n * max(grid.m, n * n) <= _DENSE_SOLVE_LIMIT
+    size = max(grid.m, n * n)
+    if n * size <= _DENSE_SOLVE_LIMIT:
+        return n
+    if size <= _BLOCK_SOLVE_LIMIT:
+        return _BLOCK_LENGTH
+    return None
 
 
 def _factor_lu(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
@@ -299,16 +347,47 @@ def _factor_lu(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
 def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
     """Factor I - sigma*J_j (a pure function: every call builds afresh).
 
-    On small grids the dense inverse comes from sweeping the identity with
-    this factor, after every pivot has passed the vanishing-pivot check.
+    Where the product solve runs matrix products (``_solve_block``), the
+    dense inverses come from sweeping identities with this factor, after
+    every pivot has passed the vanishing-pivot check.
     """
+    return _factor(op, j, sigma, _solve_block(op.grid))
+
+
+def _factor(
+    op: SplitOperator, j: int, sigma: float, length: int | None
+) -> TridiagFactor:
+    """The factor of I - sigma*J_j with the inverses of blocks of ``length``
+    points (the whole line when length >= n; none when length is None)."""
     fac = _factor_lu(op, j, sigma)
-    if not _dense_solve_fits(op.grid):
+    if length is None:
         return fac
-    inv = np.eye(fac.n, dtype=fac.inv_diag.dtype)
-    _sweep(fac, inv, inv)
-    inv *= _line_scale(fac, 2)
-    return replace(fac, inv_t=inv.T)
+    n = fac.n
+    inv = _leading_inverse(fac, n)
+    if length >= n:
+        return replace(fac, inv_t=inv.T)
+    st = op.stencils[j]
+    k = np.arange(length, n, length)  # first points of blocks 1 .. P-1
+    spikes = np.stack([(sigma * st.sub) * inv[k - 1], (sigma * st.sup) * inv[k]], 1)
+    # batched products run 10-20% faster with C-ordered transposes
+    blocks = LineBlocks(
+        inv_t=_leading_inverse(fac, length).T.copy(),
+        last_t=_leading_inverse(fac, n - k[-1]).T.copy(),
+        spikes=spikes.reshape(-1, n),
+    )
+    return replace(fac, blocks=blocks)
+
+
+def _leading_inverse(fac: TridiagFactor, size: int) -> np.ndarray:
+    """Inverse of the leading size x size block of the factored matrix, by
+    sweeping the identity with the factor's first pivots and multipliers."""
+    lead = TridiagFactor(
+        fac.sigma, fac.lower[: size - 1], fac.upper[: size - 1], fac.inv_diag[:size]
+    )
+    inv = np.eye(size, dtype=fac.inv_diag.dtype)
+    _sweep(lead, inv, inv)
+    inv *= _line_scale(lead, 2)
+    return inv
 
 
 def factor_pi(op: SplitOperator, sigma: float) -> tuple[TridiagFactor, ...]:
@@ -376,12 +455,16 @@ def solve_pi(
     The factors choose the kernel.  The natural layout's leading axis is
     direction d-1, and each direction solves along the leading axis:
 
-    - dense (factors with inv_t): one matrix product per direction,
-      rhs_lines^T @ inv^T, written straight into the other buffer.  The
-      transposed product is itself the cyclic axis roll that moves the
+    - matmul (factors with inv_t or blocks): matrix products with the dense
+      inverses, rhs_lines^T @ inv^T, written straight into the other buffer.
+      The transposed product is itself the cyclic axis roll that moves the
       leading axis to the end, so the directions are solved in the order
-      d-1, d-2, .., 0, and no scaling pass or layout copy is made.
-    - Thomas (factors without inv_t): a line sweep scaled by inv_diag in
+      d-1, d-2, .., 0, and no scaling pass or layout copy is made.  On lines
+      cut into blocks (``_block_solve``), the spikes correct the boundary
+      rows of the right-hand side before the product: in place in the
+      buffer a product wrote, and in a copy for the caller's rhs (one copy
+      per product solve).
+    - Thomas (factors without inverses): a line sweep scaled by inv_diag in
       place, then one copy that rolls the axes cyclically (the last axis
       moves to the front); the directions are solved in the order
       d-1, 0, 1, .., d-2: d copies per product solve.
@@ -405,15 +488,21 @@ def solve_pi(
         work = np.empty(grid.m, dtype=dtype)
     n = grid.n_interior
     src = rhs
-    if all(fac.inv_t is not None for fac in factors):
+    if all(fac.inv_t is not None or fac.blocks is not None for fac in factors):
         # the last of the d products must land in out; when out is rhs,
-        # NumPy copies the overlapping input of the first product itself
+        # NumPy copies the overlapping input of a first whole-line product
         bufs = (out, work) if d % 2 else (work, out)
         for k in range(d):
             dst = bufs[k % 2]
-            np.matmul(
-                src.reshape(n, -1).T, factors[d - 1 - k].inv_t, out=dst.reshape(-1, n)
-            )
+            fac = factors[d - 1 - k]
+            if fac.blocks is None:  # one block: the whole line
+                np.matmul(src.reshape(n, -1).T, fac.inv_t, out=dst.reshape(-1, n))
+            else:
+                # the first product corrects the caller's rhs in a copy, in
+                # the buffer the second product writes (out itself when out
+                # is rhs and d is even)
+                stage = bufs[1] if k == 0 else None
+                _block_solve(fac.blocks, src.reshape(n, -1), dst.reshape(-1, n), stage)
             src = dst
         return out
     # an even number of rolls ends in the buffer the first sweep wrote
@@ -428,6 +517,33 @@ def solve_pi(
         np.copyto(np.moveaxis(nxt, 0, -1), cur)
         src = nxt
     return out
+
+
+def _block_solve(
+    blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray, stage: np.ndarray | None
+) -> None:
+    """Solve the (n, M) lines ``rows`` into the (M, n) transposed ``cols``.
+
+    The spikes' product with rows gives the neighbour terms, added to the
+    blocks' first and last rows, in a copy of rows in the buffer stage, or
+    in rows itself when stage is None; then one batched product solves the
+    P-1 full blocks and one the last.
+    """
+    n, lines = rows.shape
+    length = blocks.inv_t.shape[0]
+    head = (n - 1) // length * length  # points in the P-1 full blocks
+    terms = np.matmul(blocks.spikes, rows).reshape(-1, 2, lines)
+    if stage is not None:
+        np.copyto(stage.reshape(n, lines), rows)
+        rows = stage.reshape(n, lines)
+    rows[length::length] += terms[:, 0]  # first rows of blocks 1 .. P-1
+    rows[length - 1 : head : length] += terms[:, 1]  # last rows of 0 .. P-2
+    np.matmul(
+        rows[:head].reshape(-1, length, lines).transpose(0, 2, 1),
+        blocks.inv_t,
+        out=cols[:, :head].reshape(lines, -1, length).transpose(1, 0, 2),
+    )
+    np.matmul(rows[head:].T, blocks.last_t, out=cols[:, head:])
 
 
 def direction_eigenvalues(op: SplitOperator, j: int) -> np.ndarray:

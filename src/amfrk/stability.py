@@ -75,7 +75,7 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
     a = tab.a
     g0 = np.ones(shape, dtype=complex)
     g1 = np.ones(shape, dtype=complex)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for it in scheme.iterations:
             t = it.approx_a
             # 2x2 coefficient arrays of z*A - w*T
@@ -153,7 +153,8 @@ def wedge_stability_scan(
     Each direction samples the wedge boundary: the rays arg(-z_k) = +-theta
     plus the negative real axis (just the real axis when theta = 0), with
     optional extra interior rays via ``angles`` (offsets in [0, theta], added
-    with both signs).  Radii default to 40 points log-spaced on [1e-3, 1e6].
+    with both signs, each ray once however often it is given).  Radii
+    default to 40 points log-spaced on [1e-3, 1e6].
 
     The full (ray, radius) cross product across the d directions is scanned
     when its size fits ``cap``; otherwise a deterministic subsample is used
@@ -162,6 +163,8 @@ def wedge_stability_scan(
     0 fastest; z adds the directions in order and w's product takes each new
     factor from the left (vector complex products are not bitwise
     commutative).  The argmax is the first sample of largest finite |R|.
+    Samples whose |R| is not finite, singular or past floating range, are
+    counted in n_excluded, silently.
     """
     if d < 1:
         raise ValueError(f"need at least one direction, got {d}")
@@ -177,7 +180,7 @@ def wedge_stability_scan(
         ang = float(ang)
         if not 0.0 <= ang <= theta:
             raise ValueError(f"interior ray angle {ang} outside [0, {theta}]")
-        if ang != 0.0 and ang != theta:
+        if ang not in rays:
             rays.extend([ang, -ang])
     rays_arr = np.asarray(rays)
     n_rays, n_radii = rays_arr.size, radii.size
@@ -213,43 +216,45 @@ def wedge_stability_scan(
                 kept.append((ComplexPoint(pt, *combine_zw(pt, gamma)), float(m)))
         return mod_f
 
-    if per_var**d <= cap:
-        # a block is whole rows of direction d-1 or a run of groups in one row;
-        # a group spans all radii of the k >= 1 fastest directions a block holds
-        inner = per_var ** (d - 1)
-        k = next((j for j in range(d - 1, 1, -1) if per_var**j <= _BLOCK), min(d - 1, 1))
-        cols = per_var**k
-        rows, width = max(1, _BLOCK // inner), min(inner, max(1, _BLOCK // cols) * cols)
-        zp, pp = values, fac
-        for _ in range(d - 2):
-            zp = (zp[None, :] + values[:, None]).reshape(-1)
-            pp = (fac[:, None] * pp[None, :]).reshape(-1)
-        by_group = acc.reshape((-1,) + (n_rays,) * k)
-        for i0, c0 in itertools.product(range(0, per_var, rows), range(0, inner, width)):
-            cs = slice(c0, min(c0 + width, inner))
-            n = cs.stop - c0
-            mod_f = tally(zp[None, cs], pp[None, cs], np.s_[i0 : i0 + rows, None],
-                          lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
-            groups = mod_f.reshape((-1,) + (n_rays, n_radii) * k)
-            slow = digits((i0 * inner + c0) // cols + np.arange(groups.shape[0]))
-            slow_id = sum((s // n_radii) * n_rays**j for j, s in enumerate(slow[: d - k]))
-            np.maximum.at(by_group, slow_id, groups.max(axis=tuple(range(2, 2 * k + 1, 2))))
-    else:
-        # equal-radius-index tuples across every ray combination, then random
-        ray_digits = [r.reshape(-1) * n_radii for r in np.indices((n_rays,) * d)[::-1]]
-        rng = np.random.default_rng(seed)
-        diagonal = ([dig + ri for dig in ray_digits] for ri in range(n_radii))
-        draws = (rng.integers(0, per_var, size=(d, min(_DRAW, n_random - start)))
-                 for start in range(0, n_random, _DRAW))
-        for batch in itertools.chain(diagonal, draws):
-            for b0 in range(0, batch[0].size, _BLOCK):
-                idx = [ix[b0 : b0 + _BLOCK] for ix in batch]
-                zp, pp = values[idx[0]], fac[idx[0]]
-                for ix in idx[1:-1]:
-                    zp, pp = zp + values[ix], fac[ix] * pp
-                mod_f = tally(zp, pp, idx[-1], lambda pos: [ix[pos] for ix in idx])
-                combo = sum((ix // n_radii) * n_rays**j for j, ix in enumerate(idx))
-                np.maximum.at(acc, combo, mod_f)
+    # samples past floating range come back non-finite and are excluded
+    with np.errstate(over="ignore", invalid="ignore"):
+        if per_var**d <= cap:
+            # a block is whole rows of direction d-1 or a run of groups in one row;
+            # a group spans all radii of the k >= 1 fastest directions a block holds
+            inner = per_var ** (d - 1)
+            k = next((j for j in range(d - 1, 1, -1) if per_var**j <= _BLOCK), min(d - 1, 1))
+            cols = per_var**k
+            rows, width = max(1, _BLOCK // inner), min(inner, max(1, _BLOCK // cols) * cols)
+            zp, pp = values, fac
+            for _ in range(d - 2):
+                zp = (zp[None, :] + values[:, None]).reshape(-1)
+                pp = (fac[:, None] * pp[None, :]).reshape(-1)
+            by_group = acc.reshape((-1,) + (n_rays,) * k)
+            for i0, c0 in itertools.product(range(0, per_var, rows), range(0, inner, width)):
+                cs = slice(c0, min(c0 + width, inner))
+                n = cs.stop - c0
+                mod_f = tally(zp[None, cs], pp[None, cs], np.s_[i0 : i0 + rows, None],
+                              lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
+                groups = mod_f.reshape((-1,) + (n_rays, n_radii) * k)
+                slow = digits((i0 * inner + c0) // cols + np.arange(groups.shape[0]))
+                slow_id = sum((s // n_radii) * n_rays**j for j, s in enumerate(slow[: d - k]))
+                np.maximum.at(by_group, slow_id, groups.max(axis=tuple(range(2, 2 * k + 1, 2))))
+        else:
+            # equal-radius-index tuples across every ray combination, then random
+            ray_digits = [r.reshape(-1) * n_radii for r in np.indices((n_rays,) * d)[::-1]]
+            rng = np.random.default_rng(seed)
+            diagonal = ([dig + ri for dig in ray_digits] for ri in range(n_radii))
+            draws = (rng.integers(0, per_var, size=(d, min(_DRAW, n_random - start)))
+                     for start in range(0, n_random, _DRAW))
+            for batch in itertools.chain(diagonal, draws):
+                for b0 in range(0, batch[0].size, _BLOCK):
+                    idx = [ix[b0 : b0 + _BLOCK] for ix in batch]
+                    zp, pp = values[idx[0]], fac[idx[0]]
+                    for ix in idx[1:-1]:
+                        zp, pp = zp + values[ix], fac[ix] * pp
+                    mod_f = tally(zp, pp, idx[-1], lambda pos: [ix[pos] for ix in idx])
+                    combo = sum((ix // n_radii) * n_rays**j for j, ix in enumerate(idx))
+                    np.maximum.at(acc, combo, mod_f)
 
     if best[1] is None:
         raise RuntimeError("every scan sample was excluded as singular")

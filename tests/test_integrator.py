@@ -294,10 +294,12 @@ def test_integrate_matches_allocating_reference(dim, n, beta, q, n_steps, ratio)
     want = reference_integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps, y0)
     got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y  # dense
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-    # a size limit of zero sends every product solve down the Thomas sweep
-    with mock.patch.object(splitops, "_DENSE_SOLVE_LIMIT", 0):
-        got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y
-    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    # the kernel rule sends every product solve down the Thomas sweep (None)
+    # or cuts lines of more than three points into blocks of three
+    for length in (None, 3):
+        with mock.patch.object(splitops, "_solve_block", lambda grid: length):
+            got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), length
 
 
 def _counting(monkeypatch, module, name, counts):

@@ -34,12 +34,30 @@ from helpers import reference_solve_direction, reference_solve_pi
 
 def _kernel_factors(op, sigma):
     """The factors of one product solve on each kernel: as built (with the
-    dense inverses, which every grid here is small enough for) and with the
-    inverses dropped, which sends the solve down the Thomas sweep."""
+    dense inverses, which every grid here is small enough for), with the
+    inverses dropped, which sends the solve down the Thomas sweep, and with
+    each line cut into blocks (``_block_factors``)."""
     dense = factor_pi(op, sigma)
     assert all(f.inv_t is not None for f in dense)
     thomas = tuple(dataclasses.replace(f, inv_t=None) for f in dense)
-    return {"dense": dense, "thomas": thomas}
+    return {"dense": dense, "thomas": thomas, **_block_factors(op, sigma)}
+
+
+def _block_factors(op, sigma):
+    """Factors whose lines are cut into P >= 2 blocks of L points, the last
+    of r, keyed by L: blocks of one point (r = L = 1), of two (r = L on
+    even lines, r = 1 on odd ones), about half lines and lines minus one
+    point (P = 2, r = 1)."""
+    n = op.grid.n_interior
+    lengths = sorted({1, 2, (n + 1) // 2, n - 1} & set(range(1, n)))
+    out = {}
+    for length in lengths:
+        factors = tuple(
+            splitops._factor(op, j, sigma, length) for j in range(op.grid.dim)
+        )
+        assert all(f.inv_t is None and f.blocks is not None for f in factors)
+        out[f"block{length}"] = factors
+    return out
 
 
 def _band(n, sub, diag, sup):
@@ -316,6 +334,25 @@ def test_vanishing_pivot_raises_before_the_inverse_is_built(monkeypatch):
         factor_direction(op, 0, 0.5)
 
 
+def test_vanishing_pivot_raises_before_the_block_inverses_are_built(monkeypatch):
+    # pivots 1, 2/3, 1/2, 1/3, 0: every leading 3 x 3 block is regular, the
+    # line of 7 points is singular at its fifth pivot
+    grid = GridSpec(dim=1, n_cells=8)
+    op = SplitOperator(grid=grid, stencils=(DirectionStencil(1.0 / 3.0, 0.0, 1.0),))
+
+    class Built(Exception):
+        pass
+
+    def sweep(*args):
+        raise Built
+
+    monkeypatch.setattr(splitops, "_sweep", sweep)
+    with pytest.raises(Built):  # a regular shift builds the inverses
+        splitops._factor(op, 0, 0.5, 3)
+    with pytest.raises(FactorSolveError, match="row 4"):
+        splitops._factor(op, 0, 1.0, 3)
+
+
 def test_factors_compare_by_identity():
     op = build_split_operator(GridSpec(dim=2, n_cells=6), [1.0, 1.0])
     a, b = factor_direction(op, 0, 0.1), factor_direction(op, 0, 0.1)
@@ -329,7 +366,7 @@ def test_one_off_direction_solve_sweeps_once(monkeypatch):
     op = build_split_operator(
         GridSpec(dim=2, n_cells=24), [1.0, 0.5], advection=[1.0, -2.0]
     )
-    assert splitops._dense_solve_fits(op.grid)
+    assert splitops._solve_block(op.grid) == op.grid.n_interior
     sigma = 0.01
     rhs = np.random.default_rng(5).standard_normal(op.grid.m)
     sweeps = []
@@ -372,16 +409,53 @@ def test_dense_inverse_selection(dim, n, dense):
             assert fac.n <= 256
 
 
+@pytest.mark.parametrize(
+    "dim,n,kernel",
+    [
+        (1, 257, "dense"),
+        (1, 258, "block"),  # 257 points: 8 blocks of 32 and one of 1
+        (2, 96, "dense"),
+        (2, 192, "dense"),
+        (2, 256, "dense"),
+        (2, 384, "block"),  # the 2-D beta=1 run: 11 blocks of 32, one of 31
+        (2, 768, "thomas"),
+        (3, 48, "dense"),
+        (3, 66, "thomas"),  # the smallest 3-D grid past the dense size
+        (3, 96, "thomas"),
+    ],
+)
+def test_product_solve_kernel_selection(dim, n, kernel):
+    """One matrix product per direction where the whole line inverse is
+    small, blocks on longer 2-D lines, and the Thomas sweep on long 2-D
+    lines and large 3-D grids; the sizes alone decide."""
+    op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
+    length = splitops._BLOCK_LENGTH
+    for fac in factor_pi(op, 0.01):
+        got = "dense" if fac.inv_t is not None else "thomas"
+        if fac.blocks is not None:
+            assert got == "thomas"  # never both
+            got = "block"
+            last = n - 1 - (n - 2) // length * length
+            assert fac.blocks.inv_t.shape == (length, length)
+            assert fac.blocks.last_t.shape == (last, last)
+            assert fac.blocks.spikes.shape == (2 * ((n - 2) // length), n - 1)
+        assert got == kernel
+
+
 def test_dense_solve_promotes_real_rhs_to_complex():
     g = GridSpec(dim=2, n_cells=9)
     op = build_split_operator(g, [1.0, 0.5], advection=[1.0, -2.0])
     sigma = 0.01 * complex(1.0, 0.5)
     rhs = np.random.default_rng(4).standard_normal(g.m)
-    got = solve_pi(op, sigma, rhs, _kernel_factors(op, sigma)["dense"])
-    assert got.dtype == np.complex128
-    assert np.abs(got.imag).max() > 0.0
+    kernels = _kernel_factors(op, sigma)
+    del kernels["thomas"]
+    assert len(kernels) == 5  # dense and blocks of 1, 2, 4 and 7 points
     want = reference_solve_pi(op, sigma, rhs)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for kernel, factors in kernels.items():
+        got = solve_pi(op, sigma, rhs, factors)
+        assert got.dtype == np.complex128, kernel
+        assert np.abs(got.imag).max() > 0.0, kernel
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kernel
 
 
 def test_solve_accepts_complex_right_side():

@@ -6,6 +6,8 @@ DFT recovers the series coefficients, which must match exp(z) up to the
 sweep count's approximation order and break afterwards.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -206,6 +208,38 @@ def test_scan_interior_rays_extend_the_ray_set():
     # rays: +theta, -theta, axis, +pi/8, -pi/8
     assert res.n_samples == 5 * 2
     assert len(res.per_ray) == 5
+
+
+def test_scan_repeated_interior_angle_adds_its_rays_once():
+    args = dict(d=2, theta=np.pi / 4, radii=np.array([1.0, 2.0]))
+    once = wedge_stability_scan(SCHEMES[2], TAB, angles=[0.3], **args)
+    # rays: +-theta, axis, +-0.3; so 5 * 2 values per direction
+    assert once.n_samples == 10**2
+    for angles in ([0.3, 0.3], [0.3, 0.0, 0.3, np.pi / 4, 0.3]):
+        again = wedge_stability_scan(SCHEMES[2], TAB, angles=angles, **args)
+        assert again.n_samples == once.n_samples
+        assert again.n_excluded == once.n_excluded
+        assert again.per_ray == once.per_ray
+        assert again.max_modulus == once.max_modulus
+        assert again.argmax == once.argmax
+
+
+@pytest.mark.parametrize("d,kw", [
+    (2, dict(radii=[1e200, 1.0])),
+    (3, dict(radii=[1e-3, 1e200, 1.0, 1e104])),
+    (3, dict(radii=[1e200, 0.5], cap=5, n_random=5000)),
+], ids=["full-product-d2", "full-product-d3", "subsample-d3"])
+def test_scan_excludes_overflowing_samples_silently(d, kw):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        quiet = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 4, **kw)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        res = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 4, **kw)
+    assert 0 < res.n_excluded < res.n_samples
+    assert (res.n_samples, res.n_excluded) == (quiet.n_samples, quiet.n_excluded)
+    if d == 2:
+        assert (res.n_samples, res.n_excluded) == (36, 27)
 
 
 def test_scan_rejects_interior_ray_outside_wedge():
