@@ -16,23 +16,16 @@ from .integrator import (
     StepRecord,
     amf_step,
     integrate,
-    irk_reference_step,
-    residual,
 )
 from .problems import SemidiscreteProblem, build_problem
 from .splitops import (
     DirectionStencil,
     FactorSolveError,
     GridSpec,
-    SizeGuardError,
     SplitOperator,
     apply_direction,
     apply_full,
-    apply_pi,
     build_split_operator,
-    dense_direction_matrix,
-    dense_operator_matrix,
-    direction_eigenvalues,
     factor_direction,
     solve_direction_factor,
     solve_pi,
@@ -71,7 +64,6 @@ __all__ = [
     "SCHEME_IDS",
     "ScanResult",
     "SemidiscreteProblem",
-    "SizeGuardError",
     "SplitOperator",
     "StepRecord",
     "Stepper",
@@ -80,20 +72,14 @@ __all__ = [
     "amf_step",
     "apply_direction",
     "apply_full",
-    "apply_pi",
     "build_problem",
     "build_split_operator",
     "combine_zw",
-    "dense_direction_matrix",
-    "dense_operator_matrix",
-    "direction_eigenvalues",
     "extended_scheme",
     "factor_direction",
     "integrate",
-    "irk_reference_step",
     "radau2a_tableau",
     "render_table",
-    "residual",
     "run_convergence",
     "sampled_sup_ratio",
     "scheme_sweeps",

@@ -1,9 +1,10 @@
 """Command-line front end: convergence studies, single runs, stability scans,
 and scheme verification.
 
-Exit status: 0 on success, 1 on numerical failure (vanishing pivot, dense
-size guard, singular solve, verification residual past tolerance), 2 on
-usage errors (argparse rejections, invalid parameter combinations).
+Exit status: 0 on success, 1 on numerical failure (vanishing pivot, a state
+that stops being finite, singular solve, verification residual past
+tolerance), 2 on usage errors (argparse rejections, invalid parameter
+combinations).
 
 A flat key=value config file (one pair per line, '#' comments) can seed any
 subcommand's options via --config; explicit flags win over the file.
@@ -20,7 +21,7 @@ import numpy as np
 from .harness import StudyConfig, render_table, run_convergence, weighted_norm
 from .integrator import NonFiniteStateError, integrate
 from .problems import build_problem
-from .splitops import FactorSolveError, SizeGuardError
+from .splitops import FactorSolveError
 from .stability import wedge_stability_scan
 from .tableau import (
     SCHEME_IDS,
@@ -250,9 +251,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except (
-        FactorSolveError, SizeGuardError, NonFiniteStateError, np.linalg.LinAlgError
-    ) as exc:
+    except (FactorSolveError, NonFiniteStateError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
     except (ValueError, OSError) as exc:

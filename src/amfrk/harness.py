@@ -1,7 +1,7 @@
 """Convergence studies: grid/step sequences at fixed tau/h, error digits, orders.
 
 A study runs one scheme over a sequence of mesh resolutions with the step
-size tied to the mesh (tau = q*h by default, so every scheme spends the same
+size tied to the mesh (tau = q*h, so every scheme spends the same
 number of right-hand-side evaluations per unit time), measures the end-point
 global error in the weighted Euclidean norm, and reports
 
@@ -30,8 +30,8 @@ from .tableau import amf_scheme, radau2a_tableau, scheme_sweeps
 class StudyConfig:
     """One convergence study: a scheme against a sequence of grids.
 
-    taus : explicit step sizes per grid level; None (default) ties the step
-        to the mesh as tau = q*h, which requires each N divisible by q.
+    The step is tied to the mesh as tau = q*h, which requires each N
+    divisible by q.
     """
 
     dim: int
@@ -40,7 +40,6 @@ class StudyConfig:
     grid_ns: tuple[int, ...]
     epsilon: float = 0.1
     t_end: float = 1.0
-    taus: Optional[tuple[float, ...]] = None
 
 
 @dataclass(frozen=True)
@@ -74,24 +73,16 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
         raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
     if not cfg.grid_ns:
         return []
-    if cfg.taus is not None and len(cfg.taus) != len(cfg.grid_ns):
-        raise ValueError(
-            f"{len(cfg.taus)} explicit step sizes for {len(cfg.grid_ns)} grids"
-        )
-    taus = []
-    for i, n in enumerate(cfg.grid_ns):
-        if cfg.taus is None:
-            if n % scheme.q != 0:
-                raise ValueError(
-                    f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "
-                    "integer step counts"
-                )
-            taus.append(scheme.q / n)
-        else:
-            taus.append(float(cfg.taus[i]))
+    for n in cfg.grid_ns:
+        if n % scheme.q != 0:
+            raise ValueError(
+                f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "
+                "integer step counts"
+            )
 
     bare: list[tuple[int, float, float, float]] = []
-    for n, tau in zip(cfg.grid_ns, taus):
+    for n in cfg.grid_ns:
+        tau = scheme.q / n
         problem = build_problem(cfg.dim, n, cfg.beta, cfg.epsilon)
         record = integrate(problem, scheme, tab, tau, cfg.t_end)
         err = problem.exact(cfg.t_end) - record.y
@@ -102,9 +93,8 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     for i, (n, tau, eps2, delta2) in enumerate(bare):
         p = None
         if i + 1 < len(bare):
-            n2, tau2, _, d2next = bare[i + 1]
-            halved = n2 == 2 * n and abs(tau2 - 0.5 * tau) <= 1e-12 * tau
-            if halved:
+            n2, _, _, d2next = bare[i + 1]
+            if n2 == 2 * n:
                 p = (d2next - delta2) / math.log10(2.0)
         rows.append(
             ConvergenceRow(

@@ -25,9 +25,6 @@ with the inverse of a block of 32 points.  Elsewhere it is a Thomas line
 sweep followed by one layout copy, d copies per product solve (directions
 d-1, 0, .., d-2).
 ``amf_step`` and ``integrate`` both run through it.
-
-A dense exactly-solved implicit step is included as a reference oracle for
-tests; it inherits the N <= 16 guard of the dense assembly.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ import math
 
 import numpy as np
 
-from .splitops import apply_full, dense_operator_matrix, factor_pi, solve_pi
-from .tableau import AmfScheme, ButcherTableau, extended_scheme
+from .splitops import apply_full, factor_pi, solve_pi
+from .tableau import AmfScheme, ButcherTableau
 
 
 class NonFiniteStateError(FloatingPointError):
@@ -63,47 +60,11 @@ class StepRecord:
 
     t: float
     y: np.ndarray
-    iterations_applied: int
 
 
 def _check_step_size(tau: float) -> None:
     if not (math.isfinite(tau) and tau > 0.0):
         raise ValueError(f"step size must be positive and finite, got {tau}")
-
-
-def _stage_forcings(problem, tab: ButcherTableau, t_n: float, tau: float):
-    return [problem.forcing(t_n + ci * tau) for ci in tab.c]
-
-
-def residual(
-    problem,
-    tab: ButcherTableau,
-    t_n: float,
-    tau: float,
-    y_n: np.ndarray,
-    stages: np.ndarray,
-) -> np.ndarray:
-    """Stage residual D of the implicit stage system at the given iterate.
-
-    stages : (s, m) array of stage vectors; D = 0 exactly at the implicit
-    solution.
-    """
-    _check_step_size(tau)
-    stages = np.asarray(stages)
-    if stages.shape != (tab.stages, np.asarray(y_n).shape[0]):
-        raise ValueError(
-            f"stage block shape {stages.shape} does not match "
-            f"({tab.stages}, {np.asarray(y_n).shape[0]})"
-        )
-    forcings = _stage_forcings(problem, tab, t_n, tau)
-    f = [apply_full(problem.op, y_k) + g_k for y_k, g_k in zip(stages, forcings)]
-    out = np.empty_like(stages, dtype=np.result_type(stages, f[0]))
-    for i in range(out.shape[0]):
-        acc = y_n - stages[i]
-        for k in range(out.shape[0]):
-            acc = acc + (tau * tab.a[i, k]) * f[k]
-        out[i] = acc
-    return out
 
 
 class Stepper:
@@ -138,7 +99,7 @@ class Stepper:
         """
         op, tab = self.problem.op, self.tab
         y_n = np.asarray(y_n)
-        forcings = _stage_forcings(self.problem, tab, t_n, self.tau)
+        forcings = [self.problem.forcing(t_n + ci * self.tau) for ci in tab.c]
         dtype = np.result_type(y_n, forcings[0], self._factor_dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
             # one array per role: a single (7, m) block is big enough for
@@ -226,50 +187,13 @@ def amf_step(
     t_n: float,
     tau: float,
     y_n: np.ndarray,
-    n_sweeps: int | None = None,
 ) -> np.ndarray:
     """Advance one step of length tau from (t_n, y_n).
 
     A one-off ``Stepper``: use ``integrate`` (or a ``Stepper``) for many
     steps of one size, which builds the factors and buffers once.
-
-    n_sweeps : test facility; extends the scheme by repeating its last sweep
-        (production use always runs the scheme's own q sweeps).
     """
-    if n_sweeps is not None and n_sweeps != scheme.q:
-        scheme = extended_scheme(scheme, n_sweeps)
     return Stepper(problem, scheme, tab, tau).step(t_n, y_n)
-
-
-def irk_reference_step(
-    problem,
-    tab: ButcherTableau,
-    t_n: float,
-    tau: float,
-    y_n: np.ndarray,
-    return_stages: bool = False,
-):
-    """Exactly solved implicit step via one dense (s*m) x (s*m) solve.
-
-    Test oracle for the sweep iteration; refuses grids past the dense limit
-    (through dense_operator_matrix).
-    """
-    _check_step_size(tau)
-    jac = dense_operator_matrix(problem.op)
-    m = jac.shape[0]
-    s = tab.stages
-    y_n = np.asarray(y_n)
-    forcings = _stage_forcings(problem, tab, t_n, tau)
-    rhs = np.concatenate(
-        [y_n + tau * sum(tab.a[i, k] * forcings[k] for k in range(s)) for i in range(s)]
-    )
-    big = np.eye(s * m, dtype=np.result_type(jac, rhs)) - tau * np.kron(tab.a, jac)
-    flat = np.linalg.solve(big, rhs)
-    stages = flat.reshape(s, m)
-    y_next = tab.varpi * y_n + tab.s_hat @ stages
-    if return_stages:
-        return y_next, stages
-    return y_next
 
 
 def integrate(
@@ -300,4 +224,4 @@ def integrate(
             raise ValueError("problem has no exact solution; pass y0 explicitly")
         y0 = problem.exact(0.0)
     y = Stepper(problem, scheme, tab, tau).run(y0, n_steps)
-    return StepRecord(t=n_steps * tau, y=y, iterations_applied=scheme.q * n_steps)
+    return StepRecord(t=n_steps * tau, y=y)

@@ -3,9 +3,8 @@
 The semidiscrete Jacobian J = J_1 + ... + J_d is a sum of one-direction
 operators, each acting tridiagonally along its own grid axis (Kronecker
 structure, x fastest).  Everything the integrator needs is here: applying a
-direction or the full sum, factoring and solving the shifted one-direction
-systems (I - sigma*J_j), and the closed-form direction eigenvalues used by
-the stability analysis.
+direction or the full sum, and factoring and solving the shifted
+one-direction systems (I - sigma*J_j).
 
 A product solve runs one of two kernels, chosen from the grid's sizes alone
 (``_solve_block``).  Where a Thomas sweep would be mostly Python call
@@ -16,9 +15,6 @@ gives the values beside every block boundary and so decouples blocks of
 ``_BLOCK_LENGTH`` points (the SPIKE idea of Polizzi and Sameh), and one
 batched product with the block inverse.  Elsewhere it is a batched Thomas
 sweep, whose cost there is arithmetic rather than call overhead.
-
-Dense matrix assembly is provided as a test oracle only and refuses grids
-finer than 16 cells per axis.
 """
 
 from __future__ import annotations
@@ -33,12 +29,6 @@ import numpy as np
 class FactorSolveError(RuntimeError):
     """Tridiagonal factorization hit a vanishing pivot."""
 
-
-class SizeGuardError(RuntimeError):
-    """Dense oracle requested on a grid too large for dense assembly."""
-
-
-_DENSE_LIMIT = 16  # max cells per axis for the dense oracles
 
 # Product solves use dense line inverses while n * max(m, n^2) stays within
 # this bound: n*m is the multiply-adds of one product per direction, and n^3
@@ -240,14 +230,6 @@ def apply_full(
     apply_direction(op, 0, v, out, work[1])
     for j in range(1, op.grid.dim):
         out += apply_direction(op, j, v, work[0], work[1])
-    return out
-
-
-def apply_pi(op: SplitOperator, sigma: float, v: np.ndarray) -> np.ndarray:
-    """Apply the factored shift  prod_j (I - sigma*J_j)  to a flat state."""
-    out = np.asarray(v)
-    for j in range(op.grid.dim):
-        out = out - sigma * apply_direction(op, j, out)
     return out
 
 
@@ -545,54 +527,3 @@ def _block_solve(
     )
     np.matmul(rows[head:].T, blocks.last_t, out=cols[:, head:])
 
-
-def direction_eigenvalues(op: SplitOperator, j: int) -> np.ndarray:
-    """Eigenvalues of J_j's tridiagonal band:  diag + 2*sqrt(sub*sup)*cos(k*pi/N).
-
-    Requires sub*sup >= 0 (the similarity transform to a symmetric matrix
-    breaks down otherwise, which happens past the cell-Peclet limit).
-    """
-    st = op.stencils[j]
-    prod = st.sub * st.sup
-    if prod < 0.0:
-        raise ValueError(
-            f"direction {j} has sub*sup = {prod} < 0; eigenvalues are complex "
-            "past the cell-Peclet limit and this closed form does not apply"
-        )
-    n_cells = op.grid.n_cells
-    k = np.arange(1, n_cells)
-    return st.diag + 2.0 * math.sqrt(prod) * np.cos(k * np.pi / n_cells)
-
-
-def _dense_band(op: SplitOperator, j: int) -> np.ndarray:
-    st = op.stencils[j]
-    n = op.grid.n_interior
-    band = np.zeros((n, n), dtype=np.result_type(type(st.diag), float))
-    idx = np.arange(n)
-    band[idx, idx] = st.diag
-    band[idx[1:], idx[:-1]] = st.sub
-    band[idx[:-1], idx[1:]] = st.sup
-    return band
-
-
-def dense_direction_matrix(op: SplitOperator, j: int) -> np.ndarray:
-    """Dense J_j via Kronecker assembly.  Test oracle; guarded to N <= 16."""
-    if op.grid.n_cells > _DENSE_LIMIT:
-        raise SizeGuardError(
-            f"dense assembly refused for N = {op.grid.n_cells} > {_DENSE_LIMIT}"
-        )
-    n = op.grid.n_interior
-    eye = np.eye(n)
-    out = None
-    for ax in range(op.grid.dim):  # slowest axis first
-        block = _dense_band(op, j) if ax == op.grid.axis_of_direction(j) else eye
-        out = block if out is None else np.kron(out, block)
-    return out
-
-
-def dense_operator_matrix(op: SplitOperator) -> np.ndarray:
-    """Dense J = sum_j J_j.  Test oracle; guarded to N <= 16."""
-    out = dense_direction_matrix(op, 0)
-    for j in range(1, op.grid.dim):
-        out = out + dense_direction_matrix(op, j)
-    return out

@@ -1,10 +1,13 @@
-"""Shared test fixtures: degenerate problems the library does not ship."""
+"""Shared test fixtures and oracles the library does not ship: degenerate
+problems, dense assembly, the exactly solved implicit step and independent
+reference implementations of the package's kernels."""
 
 import dataclasses
+import math
 
 import numpy as np
 
-from amfrk import GridSpec, SemidiscreteProblem, SplitOperator
+from amfrk import GridSpec, SemidiscreteProblem, SplitOperator, apply_direction
 from amfrk.splitops import DirectionStencil
 from amfrk.stability import (
     ComplexPoint,
@@ -126,16 +129,9 @@ def reference_amf_step(problem, scheme, tab, t_n, tau, y_n):
     """One q-sweep step, allocating every intermediate, as first shipped."""
     sigma = scheme.gamma * tau
     y_n = np.asarray(y_n)
-    forcings = [problem.forcing(t_n + ci * tau) for ci in tab.c]
-    stages = np.array([y_n, y_n], dtype=np.result_type(y_n, forcings[0]))
+    stages = np.array([y_n, y_n], dtype=np.result_type(y_n, problem.forcing(t_n)))
     for it in scheme.iterations:
-        f = [reference_apply_full(problem.op, stages[i]) + forcings[i] for i in range(2)]
-        d = np.empty_like(stages)
-        for i in range(2):
-            acc = y_n - stages[i]
-            for k in range(2):
-                acc = acc + (tau * tab.a[i, k]) * f[k]
-            d[i] = acc
+        d = residual(problem, tab, t_n, tau, y_n, stages)
         s, l = it.mix_coeff, it.low_coeff
         r1 = d[0] - s * d[1]
         r2 = (1.0 + l * s) * d[1] - l * d[0]
@@ -152,6 +148,128 @@ def reference_integrate(problem, scheme, tab, tau, n_steps, y0):
     for n in range(n_steps):
         y = reference_amf_step(problem, scheme, tab, n * tau, tau, y)
     return y
+
+
+# ---------------------------------------------------------------------------
+# Dense and closed-form oracles: Kronecker assembly of J_j and J, the stage
+# residual, the exactly solved implicit step, the factored shift and the
+# closed-form line spectrum.  Dense assembly refuses grids finer than
+# DENSE_LIMIT cells per axis, and so does every oracle built on it.
+
+DENSE_LIMIT = 16
+
+
+class SizeGuardError(RuntimeError):
+    """Dense oracle requested on a grid too large for dense assembly."""
+
+
+def _check_step_size(tau):
+    if not (math.isfinite(tau) and tau > 0.0):
+        raise ValueError(f"step size must be positive and finite, got {tau}")
+
+
+def dense_band(op, j):
+    """Dense n x n band of direction j along one grid line."""
+    st = op.stencils[j]
+    n = op.grid.n_interior
+    band = np.zeros((n, n), dtype=np.result_type(type(st.diag), float))
+    idx = np.arange(n)
+    band[idx, idx] = st.diag
+    band[idx[1:], idx[:-1]] = st.sub
+    band[idx[:-1], idx[1:]] = st.sup
+    return band
+
+
+def dense_direction_matrix(op, j):
+    """Dense J_j via Kronecker assembly, guarded to N <= DENSE_LIMIT."""
+    if op.grid.n_cells > DENSE_LIMIT:
+        raise SizeGuardError(
+            f"dense assembly refused for N = {op.grid.n_cells} > {DENSE_LIMIT}"
+        )
+    n = op.grid.n_interior
+    eye = np.eye(n)
+    out = None
+    for ax in range(op.grid.dim):  # slowest axis first
+        block = dense_band(op, j) if ax == op.grid.axis_of_direction(j) else eye
+        out = block if out is None else np.kron(out, block)
+    return out
+
+
+def dense_operator_matrix(op):
+    """Dense J = sum_j J_j, guarded to N <= DENSE_LIMIT."""
+    out = dense_direction_matrix(op, 0)
+    for j in range(1, op.grid.dim):
+        out = out + dense_direction_matrix(op, j)
+    return out
+
+
+def residual(problem, tab, t_n, tau, y_n, stages):
+    """Stage residual D of the implicit stage system at the given iterate.
+
+    stages : (s, m) array of stage vectors; D = 0 exactly at the implicit
+    solution.  J is applied by ``reference_apply_full``.
+    """
+    _check_step_size(tau)
+    stages = np.asarray(stages)
+    if stages.shape != (tab.stages, np.asarray(y_n).shape[0]):
+        raise ValueError(
+            f"stage block shape {stages.shape} does not match "
+            f"({tab.stages}, {np.asarray(y_n).shape[0]})"
+        )
+    forcings = [problem.forcing(t_n + ci * tau) for ci in tab.c]
+    f = [reference_apply_full(problem.op, y) + g for y, g in zip(stages, forcings)]
+    out = np.empty_like(stages, dtype=np.result_type(stages, f[0]))
+    for i in range(out.shape[0]):
+        acc = y_n - stages[i]
+        for k in range(out.shape[0]):
+            acc = acc + (tau * tab.a[i, k]) * f[k]
+        out[i] = acc
+    return out
+
+
+def irk_reference_step(problem, tab, t_n, tau, y_n, return_stages=False):
+    """Exactly solved implicit step via one dense (s*m) x (s*m) solve."""
+    _check_step_size(tau)
+    jac = dense_operator_matrix(problem.op)
+    m = jac.shape[0]
+    s = tab.stages
+    y_n = np.asarray(y_n)
+    forcings = [problem.forcing(t_n + ci * tau) for ci in tab.c]
+    rhs = np.concatenate(
+        [y_n + tau * sum(tab.a[i, k] * forcings[k] for k in range(s)) for i in range(s)]
+    )
+    big = np.eye(s * m, dtype=np.result_type(jac, rhs)) - tau * np.kron(tab.a, jac)
+    stages = np.linalg.solve(big, rhs).reshape(s, m)
+    y_next = tab.varpi * y_n + tab.s_hat @ stages
+    if return_stages:
+        return y_next, stages
+    return y_next
+
+
+def apply_pi(op, sigma, v):
+    """Apply the factored shift  prod_j (I - sigma*J_j)  to a flat state."""
+    out = np.asarray(v)
+    for j in range(op.grid.dim):
+        out = out - sigma * apply_direction(op, j, out)
+    return out
+
+
+def direction_eigenvalues(op, j):
+    """Eigenvalues of J_j's tridiagonal band:  diag + 2*sqrt(sub*sup)*cos(k*pi/N).
+
+    Requires sub*sup >= 0 (the similarity transform to a symmetric matrix
+    breaks down otherwise, which happens past the cell-Peclet limit).
+    """
+    st = op.stencils[j]
+    prod = st.sub * st.sup
+    if prod < 0.0:
+        raise ValueError(
+            f"direction {j} has sub*sup = {prod} < 0; eigenvalues are complex "
+            "past the cell-Peclet limit and this closed form does not apply"
+        )
+    n_cells = op.grid.n_cells
+    k = np.arange(1, n_cells)
+    return st.diag + 2.0 * math.sqrt(prod) * np.cos(k * np.pi / n_cells)
 
 
 # ---------------------------------------------------------------------------

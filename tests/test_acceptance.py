@@ -22,10 +22,7 @@ from amfrk import (
     amf_scheme,
     amf_step,
     build_problem,
-    dense_direction_matrix,
-    direction_eigenvalues,
     extended_scheme,
-    irk_reference_step,
     radau2a_tableau,
     run_convergence,
     sampled_sup_ratio,
@@ -37,14 +34,19 @@ from amfrk import (
 from amfrk.splitops import (
     GridSpec,
     apply_direction,
-    apply_pi,
     build_split_operator,
     solve_direction_factor,
     solve_pi,
 )
 from amfrk.tableau import GAMMA
 
-from helpers import scalar_problem
+from helpers import (
+    apply_pi,
+    dense_direction_matrix,
+    direction_eigenvalues,
+    irk_reference_step,
+    scalar_problem,
+)
 
 TAB = radau2a_tableau()
 SCHEMES = {q: amf_scheme(q) for q in (1, 2, 3)}

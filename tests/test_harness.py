@@ -96,14 +96,6 @@ def test_tied_step_needs_divisible_grid():
         run_convergence(cfg)
 
 
-def test_explicit_step_count_mismatch_rejected():
-    cfg = StudyConfig(
-        dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 16), taus=(0.125,)
-    )
-    with pytest.raises(ValueError):
-        run_convergence(cfg)
-
-
 # ---------------------------------------------------------------------------
 # run_convergence rows
 
@@ -130,29 +122,6 @@ def test_no_order_without_exact_halving():
     cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 12))
     rows = run_convergence(cfg)
     assert rows[0].p is None and rows[1].p is None
-
-
-def test_explicit_steps_control_the_order_column():
-    halved = StudyConfig(
-        dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 16),
-        taus=(0.125, 0.0625),
-    )
-    rows = run_convergence(halved)
-    assert rows[0].p is not None
-    off = StudyConfig(
-        dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 16), taus=(0.125, 0.1)
-    )
-    rows = run_convergence(off)
-    assert rows[0].p is None  # grids halved but steps not
-
-
-def test_halved_steps_on_unhalved_grids_give_no_order():
-    cfg = StudyConfig(
-        dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 12),
-        taus=(0.125, 0.0625),
-    )
-    rows = run_convergence(cfg)
-    assert rows[0].p is None
 
 
 def test_study_is_deterministic():

@@ -10,18 +10,13 @@ from hypothesis.extra import numpy as hnp
 from amfrk import (
     FactorSolveError,
     GridSpec,
-    SizeGuardError,
     SplitOperator,
     Stepper,
     amf_scheme,
     apply_direction,
     apply_full,
-    apply_pi,
     build_problem,
     build_split_operator,
-    dense_direction_matrix,
-    dense_operator_matrix,
-    direction_eigenvalues,
     factor_direction,
     radau2a_tableau,
     solve_direction_factor,
@@ -29,7 +24,16 @@ from amfrk import (
 )
 import amfrk.splitops as splitops
 from amfrk.splitops import DirectionStencil, factor_pi
-from helpers import reference_solve_direction, reference_solve_pi
+from helpers import (
+    SizeGuardError,
+    apply_pi,
+    dense_band,
+    dense_direction_matrix,
+    dense_operator_matrix,
+    direction_eigenvalues,
+    reference_solve_direction,
+    reference_solve_pi,
+)
 
 
 def _kernel_factors(op, sigma):
@@ -57,15 +61,6 @@ def _block_factors(op, sigma):
         )
         assert all(f.inv_t is None and f.blocks is not None for f in factors)
         out[f"block{length}"] = factors
-    return out
-
-
-def _band(n, sub, diag, sup):
-    out = np.zeros((n, n))
-    i = np.arange(n)
-    out[i, i] = diag
-    out[i[1:], i[:-1]] = sub
-    out[i[:-1], i[1:]] = sup
     return out
 
 
@@ -179,10 +174,8 @@ def test_x_direction_acts_on_fastest_index():
     g = GridSpec(dim=2, n_cells=5)
     op = build_split_operator(g, [1.0, 2.0], advection=[3.0, 0.5])
     n = g.n_interior
-    bx = _band(n, *[(op.stencils[0].sub), op.stencils[0].diag, op.stencils[0].sup])
-    by = _band(n, *[(op.stencils[1].sub), op.stencils[1].diag, op.stencils[1].sup])
-    jx = np.kron(np.eye(n), bx)  # x fastest -> x block innermost
-    jy = np.kron(by, np.eye(n))
+    jx = np.kron(np.eye(n), dense_band(op, 0))  # x fastest -> x block innermost
+    jy = np.kron(dense_band(op, 1), np.eye(n))
     rng = np.random.default_rng(7)
     v = rng.standard_normal(g.m)
     assert np.allclose(apply_direction(op, 0, v), jx @ v, rtol=0, atol=1e-12)

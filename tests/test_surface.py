@@ -1,0 +1,44 @@
+"""The package surface: every exported name resolves, and the test oracles
+and test-only options live outside the package."""
+
+import dataclasses
+import inspect
+
+import pytest
+
+import amfrk
+from amfrk import harness, integrator, splitops
+
+# dense and closed-form oracles, kept in tests/helpers.py
+TEST_ONLY = (
+    "SizeGuardError",
+    "_DENSE_LIMIT",
+    "_dense_band",
+    "apply_pi",
+    "dense_direction_matrix",
+    "dense_operator_matrix",
+    "direction_eigenvalues",
+    "irk_reference_step",
+    "residual",
+)
+
+
+def test_every_exported_name_resolves_once():
+    assert len(amfrk.__all__) == len(set(amfrk.__all__))
+    missing = [name for name in amfrk.__all__ if not hasattr(amfrk, name)]
+    assert missing == []
+
+
+@pytest.mark.parametrize(
+    "module", [amfrk, splitops, integrator, harness], ids=lambda m: m.__name__
+)
+def test_test_oracles_are_not_in_the_package(module):
+    assert [name for name in TEST_ONLY if hasattr(module, name)] == []
+
+
+def test_no_test_only_options():
+    assert "n_sweeps" not in inspect.signature(amfrk.amf_step).parameters
+    assert "taus" not in {f.name for f in dataclasses.fields(amfrk.StudyConfig)}
+    assert "iterations_applied" not in {
+        f.name for f in dataclasses.fields(amfrk.StepRecord)
+    }
