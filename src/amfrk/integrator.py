@@ -1,30 +1,22 @@
 """Time stepping: inexact-Newton sweeps with directionally factored solves.
 
-One step of the q-sweep integrator on the semilinear system y' = J y + g(t):
+One step of the q-sweep integrator on the semilinear system y' = J y + g(t),
+in increment form: Z_i = Y_i - y_n for the two stages, and the stage slopes
+T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
 
-    predictor   Y^0 = (y_n, y_n)
-    sweep nu    D_i = y_n - Y_i + tau * sum_k a[i,k] (J Y_k + g(t_n + c_k tau))
-                r   = (I - low) inv(mix) D        (2x2 acting stage-wise)
+    predictor   Z = 0,  T_k = J y_n + g(t_n + c_k tau)
+    sweep nu    r = M (-Z + tau A T),  M = (I - low) inv(mix)  (2x2 acting
+                    stage-wise): one (2, 4) matrix times the rows [Z; T]
                 solve prod_j (I - gamma*tau*J_j) E_1 = r_1
                 solve prod_j (I - gamma*tau*J_j) E_2 = r_2 + low_coeff * E_1
-                Y  += mix E                        (2x2 acting stage-wise)
-    corrector   y_{n+1} = varpi*y_n + s_hat . Y^q   (= last stage here)
+                dZ = mix E,  Z += dZ,  T_k += J dZ_k  (but after the last sweep)
+    corrector   y_{n+1} = varpi*y_n + s_hat . Y = y_n + s_hat . Z  (= y_n + Z_2)
 
-A ``Stepper`` is built once per (problem, scheme, tableau, tau).  It owns
-the d direction factors of the single shift gamma*tau and every state-sized
-work buffer, so a step allocates no state-sized array beyond what the
-problem's forcing returns.  Each step costs two forcing evaluations (hoisted
-out of the sweep loop), s*q - 1 applications of J (both stages equal y_n in
-the first sweep, so J is applied once there) and 2q product solves, one
-direction at a time (see ``solve_pi``).  Where the grid's sizes allow it
-each direction is matrix products with dense inverses, and no layout copy
-is made (directions d-1, d-2, .., 0): one product with the whole-line
-inverse on short lines, and on 2-D lines of up to 512 points one product
-that gives the values beside the block boundaries and one batched product
-with the inverse of a block of 32 points.  Elsewhere it is a Thomas line
-sweep followed by one layout copy, d copies per product solve (directions
-d-1, 0, .., d-2).
-``amf_step`` and ``integrate`` both run through it.
+A ``Stepper``, built once per (problem, scheme, tableau, tau), owns seven
+state-sized work rows: a step allocates no other state-sized array beyond
+what the forcing returns.  A step costs two forcing evaluations, s*q - 1
+applications of J (one to y_n serves both stages) and 2q product solves
+(``solve_pi``).  ``amf_step`` and ``integrate`` both run through it.
 """
 
 from __future__ import annotations
@@ -34,7 +26,7 @@ import math
 
 import numpy as np
 
-from .splitops import apply_full, factor_pi, solve_pi
+from .splitops import _add_full, apply_full, factor_pi, solve_pi
 from .tableau import AmfScheme, ButcherTableau
 
 
@@ -70,10 +62,10 @@ def _check_step_size(tau: float) -> None:
 class Stepper:
     """The q-sweep step of one (problem, scheme, tableau, tau).
 
-    Owns the d factors of  I - gamma*tau*J_j  (built once, here) and the
-    state-sized work buffers, which are allocated on the first step in the
-    dtype of that step's stages,  result_type(y_n, forcing, factors),  and
-    reallocated only if a later step needs another dtype.
+    Builds the d factors of  I - gamma*tau*J_j  and the sweeps' (2, 4)
+    matrices once, here.  The work rows [Z; T], r and a scratch row are
+    allocated on the first step in the dtype of its stages,
+    result_type(y_n, forcing, factors),  and again only for another dtype.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -85,93 +77,90 @@ class Stepper:
         self.sigma = scheme.gamma * tau
         self.factors = factor_pi(problem.op, self.sigma)
         self._factor_dtype = np.result_type(*(f.inv_diag for f in self.factors))
-        self._tau_a = (tau * tab.a).tolist()
-        # corrector weights of (y_n, Y_1, .., Y_s); the zero ones are skipped
-        self._output = [tab.varpi, *tab.s_hat.tolist()]
-        self._buf = None  # stages Y, residuals D, W, and (S, J scratch)
+        # r = [-M, M tau A] @ [Z; T]; Z = 0 in the first sweep, which keeps
+        # only the block acting on T
+        self._rhs = []
+        for it in scheme.iterations:
+            mix, low = it.mix_coeff, it.low_coeff
+            m = np.array([[1.0, -mix], [-low, 1.0 + low * mix]])
+            self._rhs.append(np.hstack([-m, m @ (tau * tab.a)]))
+        self._rhs[0] = self._rhs[0][:, 2:].copy()
+        self._s_hat = tab.s_hat.tolist()
+        self._buf = None  # [Z; T], r, scratch
+
+    def _solve(self, rhs: np.ndarray, spare: np.ndarray):
+        """Product solve in the buffers rhs and spare, no matrix product writing
+        the one it reads (with odd d into spare); returns (x, the other)."""
+        out, work = (spare, rhs) if self.problem.op.grid.dim % 2 else (rhs, spare)
+        return solve_pi(self.problem.op, self.sigma, rhs, self.factors, out, work), work
 
     def step(
         self, t_n: float, y_n: np.ndarray, out: np.ndarray | None = None
     ) -> np.ndarray:
         """Advance one step of length tau from (t_n, y_n).
 
-        out : flat array for y_{n+1} (allocated when None); must not be y_n.
+        out : flat array for y_{n+1} (allocated when None); may be y_n.
         """
-        op, tab = self.problem.op, self.tab
+        op = self.problem.op
         y_n = np.asarray(y_n)
-        forcings = [self.problem.forcing(t_n + ci * self.tau) for ci in tab.c]
-        dtype = np.result_type(y_n, forcings[0], self._factor_dtype)
+        g = [self.problem.forcing(t_n + ci * self.tau) for ci in self.tab.c]
+        dtype = np.result_type(y_n, g[0], self._factor_dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
             # one array per role: a single (7, m) block is big enough for
             # the C allocator to map it from, and return it to, the system
             # on its own, which leaves the caller's next allocations cold
-            self._buf = [np.empty((k, op.grid.m), dtype=dtype) for k in (2, 2, 1, 2)]
-        stages, d, (w,), work = self._buf
-        s = work[0]
-        for nu, it in enumerate(self.scheme.iterations):
-            first = nu == 0
-            # residual D; in the first sweep both stages equal y_n, so
-            # y_n - Y_i vanishes and one J apply serves both stages
-            if first:
-                jy = apply_full(op, y_n, out=stages[0], work=work)
+            self._buf = [np.empty((k, op.grid.m), dtype=dtype) for k in (4, 2, 1)]
+        zt, r, (f,) = self._buf
+        z, t = zt[:2], zt[2:]
+        apply_full(op, y_n, out=t[1], work=f)
+        np.add(t[1], g[0], out=t[0])
+        t[1] += g[1]
+        last = len(self._rhs) - 1
+        for nu, (coef, it) in enumerate(zip(self._rhs, self.scheme.iterations)):
+            np.matmul(coef, zt if nu else t, out=r)
+            e1, free = self._solve(r[0], f)
+            np.multiply(e1, it.low_coeff, out=free)
+            r[1] += free
+            e2, free = self._solve(r[1], free)
+            # dZ = (e1 + mix e2, e2), into Z = 0 in the first sweep; dZ_1 is
+            # skipped after the last sweep if the corrector gives Z_1 no weight
+            if nu < last or self._s_hat[0]:
+                dz = np.multiply(e2, it.mix_coeff, out=free if nu else z[0])
+                dz += e1
+                if nu:
+                    z[0] += dz
+            if nu:
+                z[1] += e2
             else:
-                np.subtract(y_n, stages, out=d)
-            for k, g_k in enumerate(forcings):
-                if first:
-                    np.add(jy, g_k, out=w)
-                else:
-                    apply_full(op, stages[k], out=w, work=work)
-                    w += g_k
-                for i in range(2):
-                    if first and k == 0:
-                        np.multiply(w, self._tau_a[i][k], out=d[i])
-                    else:
-                        np.multiply(w, self._tau_a[i][k], out=s)
-                        d[i] += s
-            # r = (I - low) inv(mix) D: r_1 into w, r_2 into d[1]
-            mix, low = it.mix_coeff, it.low_coeff
-            np.multiply(d[1], mix, out=s)
-            np.subtract(d[0], s, out=w)
-            np.multiply(d[0], low, out=s)
-            d[1] *= 1.0 + low * mix
-            d[1] -= s
-            e1 = solve_pi(op, self.sigma, w, self.factors, out=d[0], work=s)
-            np.multiply(e1, low, out=s)
-            d[1] += s
-            # not in place: with odd d, NumPy would copy the input of a dense
-            # product solve that overwrites it
-            e2 = solve_pi(op, self.sigma, d[1], self.factors, out=w, work=s)
-            # Y += mix E
-            prev = (y_n, y_n) if first else stages
-            np.multiply(e2, mix, out=s)
-            s += e1
-            np.add(prev[0], s, out=stages[0])
-            np.add(prev[1], e2, out=stages[1])
-        if out is None:
-            out = np.empty_like(y_n, dtype=dtype)
-        (w0, v0), *rest = [(c, v) for c, v in zip(self._output, (y_n, *stages)) if c]
-        np.multiply(v0, w0, out=out)
-        for weight, v in rest:
-            np.multiply(v, weight, out=s)
-            out += s
+                np.copyto(z[1], e2)
+            if nu < last:
+                _add_full(op, dz, t[0], e1)
+                _add_full(op, e2, t[1], e1)
+        acc = y_n  # y_{n+1} = y_n + s_hat . Z, the zero weights skipped
+        for c, z_i in zip(self._s_hat, z):
+            if c:
+                term = z_i if c == 1.0 else np.multiply(z_i, c, out=f)
+                acc = out = np.add(acc, term, out=out)
         return out
 
     def run(self, y0: np.ndarray, n_steps: int) -> np.ndarray:
         """Take n_steps steps from (0, y0); y0 is not modified.
 
-        Raises NonFiniteStateError, carrying the step count, as soon as the
+        Raises ValueError unless y0 is a flat state of the problem's grid,
+        and NonFiniteStateError, carrying the step count, as soon as the
         state is not finite.  The check is one reduction per step: a finite
         sum proves every entry finite, and only a non-finite sum is
         confirmed entry by entry.
         """
         y = np.asarray(y0)
+        m = self.problem.op.grid.m
+        if y.shape != (m,):
+            raise ValueError(f"initial state must have shape ({m},), got {y.shape}")
         _check_finite(y, 0, 0.0)
-        spare = None
         for n in range(n_steps):
-            out = self.step(n * self.tau, y, out=spare)
-            _check_finite(out, n + 1, (n + 1) * self.tau)
-            # never write into the caller's y0
-            spare, y = (y if n else None), out
+            # the first step allocates, so the caller's y0 is never written
+            y = self.step(n * self.tau, y, out=y if n else None)
+            _check_finite(y, n + 1, (n + 1) * self.tau)
         return y if n_steps else y.copy()
 
 
@@ -207,8 +196,9 @@ def integrate(
     """Run fixed steps from t = 0 to t_end; tau must divide t_end exactly.
 
     The initial state defaults to the problem's exact solution at t = 0.
-    Raises ValueError for a non-positive or non-finite tau or a negative or
-    non-finite t_end, and NonFiniteStateError once the state is not finite.
+    Raises ValueError for a non-positive or non-finite tau, a negative or
+    non-finite t_end or an initial state of another shape than (m,), and
+    NonFiniteStateError once the state is not finite.
     """
     _check_step_size(tau)
     if not (math.isfinite(t_end) and t_end >= 0.0):

@@ -183,32 +183,11 @@ def apply_direction(
 ) -> np.ndarray:
     """Apply the direction-j operator J_j to a flat state vector.
 
-    Each neighbour term is one shift of the whole flat vector by direction
-    j's stride, with the entries that wrapped across a grid line zeroed, so
-    every ufunc runs over contiguous memory whatever the direction.
-
     out : flat result array (allocated when None)
     work : flat scratch array of the result's size and dtype (allocated
         when None)
     """
-    st = op.stencils[j]
-    grid = op.grid
-    v = np.asarray(v).reshape(-1)
-    if out is None:
-        out = np.empty(grid.m, dtype=np.result_type(v.dtype, type(st.diag)))
-    if work is None:
-        work = np.empty_like(out)
-    n = grid.n_interior
-    shift = n**j
-    lines = work.reshape(-1, n, shift)  # (slower axes, direction j, faster axes)
-    np.multiply(v, st.diag, out=out)
-    np.multiply(v[:-shift], st.sub, out=work[shift:])
-    lines[:, 0] = 0.0  # first point of each line: no left neighbour
-    out += work
-    np.multiply(v[shift:], st.sup, out=work[:-shift])
-    lines[:, -1] = 0.0  # last point of each line: no right neighbour
-    out += work
-    return out
+    return _apply(op, (j,), v, out, work)
 
 
 def apply_full(
@@ -217,19 +196,50 @@ def apply_full(
     out: np.ndarray | None = None,
     work: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Apply J = J_1 + ... + J_d to a flat state vector.
+    """Apply J = J_1 + ... + J_d to a flat state vector (out and work as in
+    ``apply_direction``)."""
+    return _apply(op, range(op.grid.dim), v, out, work)
 
-    out : flat result array (allocated when None)
-    work : (2, m) scratch array of the result's dtype (allocated when None)
+
+def _add_full(op: SplitOperator, v: np.ndarray, out: np.ndarray, work: np.ndarray):
+    """out += J v, the d diagonal terms one multiply by their sum: that
+    rounds to about eps*|J|*|v|, so v should be an increment, not a state."""
+    np.multiply(v, sum(st.diag for st in op.stencils), out=work)
+    out += work
+    return _apply(op, range(op.grid.dim), v, out, work, diag=False)
+
+
+def _apply(op, directions, v, out, work, diag=True) -> np.ndarray:
+    """Sum J_j v over the directions into out, or with diag False add only
+    their neighbour terms to out.
+
+    A neighbour term is one ufunc over the whole flat vector shifted by
+    direction j's stride, the entries that wrapped across a line zeroed.
+    Each diagonal term sits next to its own neighbour terms: with a
+    symmetric stencil (diag = -2*sub) the additions that cancel a smooth
+    state's large terms are exact, and only the products round.
     """
+    v = np.asarray(v).reshape(-1)
     if out is None:
-        diags = (type(st.diag) for st in op.stencils)
-        out = np.empty(op.grid.m, dtype=np.result_type(np.asarray(v).dtype, *diags))
+        diags = (type(op.stencils[j].diag) for j in directions)
+        out = np.empty(op.grid.m, dtype=np.result_type(v.dtype, *diags))
     if work is None:
-        work = np.empty((2, op.grid.m), dtype=out.dtype)
-    apply_direction(op, 0, v, out, work[1])
-    for j in range(1, op.grid.dim):
-        out += apply_direction(op, j, v, work[0], work[1])
+        work = np.empty_like(out)
+    n = op.grid.n_interior
+    for k, j in enumerate(directions):
+        st = op.stencils[j]
+        if diag:  # written by the first direction, added by the others
+            np.multiply(v, st.diag, out=work if k else out)
+            if k:
+                out += work
+        shift = n**j
+        lines = work.reshape(-1, n, shift)  # (slower axes, direction j, faster axes)
+        np.multiply(v[:-shift], st.sub, out=work[shift:])
+        lines[:, 0] = 0.0  # first point of each line: no left neighbour
+        out += work
+        np.multiply(v[shift:], st.sup, out=work[:-shift])
+        lines[:, -1] = 0.0  # last point of each line: no right neighbour
+        out += work
     return out
 
 

@@ -2,6 +2,8 @@
 
 import dataclasses
 import math
+import re
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -277,6 +279,71 @@ def test_state_turning_non_finite_reports_its_step():
     assert info.value.t == 0.75
 
 
+@pytest.mark.parametrize("shape", ["short", "grid", "scalar"])
+def test_initial_state_of_the_wrong_shape_rejected(shape):
+    prob = build_problem(2, 8, 0.0)
+    m = prob.op.grid.m
+    y0 = prob.exact(0.0)
+    bad = {
+        "short": y0[:-1],
+        "grid": y0.reshape(prob.op.grid.shape),
+        "scalar": np.float64(1.0),
+    }[shape]
+    msg = rf"\({m},\).*{re.escape(str(np.shape(bad)))}"
+    with pytest.raises(ValueError, match=msg):
+        integrate(prob, SCHEMES[1], TAB, 0.25, 1.0, y0=bad)
+    with pytest.raises(ValueError, match=msg):
+        Stepper(prob, SCHEMES[1], TAB, 0.25).run(bad, 0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
+    base = build_problem(dim, 8, 1.0)
+    g = base.forcing(0.3)
+    g.setflags(write=False)  # one shared array, returned at every time
+    prob = dataclasses.replace(base, forcing=lambda t: g)
+    y0 = base.exact(0.0)
+    y0.setflags(write=False)
+    tau = 0.125
+    for scheme in SCHEMES:
+        want = reference_integrate(prob, scheme, TAB, tau, 3, y0)
+        got = integrate(prob, scheme, TAB, tau, 3 * tau, y0=y0).y
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert np.array_equal(g, base.forcing(0.3))
+    assert np.array_equal(y0, base.exact(0.0))
+
+
+@pytest.mark.parametrize(
+    "dim,n,kernel",
+    [(2, 160, "inv_t"), (2, 258, "blocks"), (3, 32, "inv_t"), (3, 40, None)],
+    ids=["2d-whole-line", "2d-block", "3d-dense", "3d-thomas"],
+)
+def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel):
+    if kernel is None:
+        monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
+    base = build_problem(dim, n, 1.0)
+    g = [base.forcing(t) for t in (0.0, 1.0)]
+    prob = dataclasses.replace(base, forcing=lambda t: g[int(t > 0.0)])
+    stepper = Stepper(prob, SCHEMES[2], TAB, 0.5)
+    fac = stepper.factors[0]
+    kernels = (fac.inv_t is not None, fac.blocks is not None)
+    assert kernels == (kernel == "inv_t", kernel == "blocks")
+    y = base.exact(0.0)
+    buf = np.empty_like(y)
+    stepper.step(0.0, y, out=buf)  # allocates the work rows
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        stepper.step(0.0, y, out=buf)
+        stepper.step(0.5, buf, out=buf)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    # only temporaries smaller than a state: a Thomas row, a block solve's
+    # neighbour terms, NumPy's iteration buffer of 8192 elements
+    assert peak < y.nbytes / 2
+
+
 # ------------------------------------------------------- reference and counts
 
 
@@ -318,17 +385,26 @@ def _counting(monkeypatch, module, name, counts):
 def test_operation_counts_match_closed_forms(monkeypatch, dim, q):
     counts = {}
     _counting(monkeypatch, integrator, "apply_full", counts)
+    _counting(monkeypatch, integrator, "_add_full", counts)
     _counting(monkeypatch, integrator, "solve_pi", counts)
-    _counting(monkeypatch, splitops, "apply_direction", counts)
     _counting(monkeypatch, splitops, "factor_direction", counts)
     n_steps, s = 5, TAB.stages
-    prob = build_problem(dim, 6, 1.0)
+    base = build_problem(dim, 6, 1.0)
+
+    def forcing(t):
+        counts["forcing"] = counts.get("forcing", 0) + 1
+        return base.forcing(t)
+
+    prob = dataclasses.replace(base, forcing=forcing)
     integrate(prob, SCHEMES[q - 1], TAB, 0.1, n_steps * 0.1)
-    # J is applied once for both stages in the first sweep
-    assert counts["apply_full"] == (s * q - 1) * n_steps
-    assert counts["apply_direction"] == dim * (s * q - 1) * n_steps
+    # s*q - 1 J applies: one to y_n serves both stages, then one adds J of
+    # each stage's increment after every sweep but the last
+    assert counts["apply_full"] == n_steps
+    assert counts.get("_add_full", 0) == (s * q - 2) * n_steps
     assert counts["solve_pi"] == 2 * q * n_steps
     assert counts["factor_direction"] == dim  # one Stepper per integration
+    # one forcing per stage, hoisted out of the sweeps
+    assert counts["forcing"] == s * n_steps
 
 
 # ---------------------------------------------------------------- linearity
