@@ -13,12 +13,17 @@ subcommand's options via --config; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 import numpy as np
 
-from .harness import StudyConfig, render_table, run_convergence, weighted_norm
+from .harness import (
+    StudyConfig,
+    correct_digits,
+    render_table,
+    run_convergence,
+    weighted_norm,
+)
 from .integrator import NonFiniteStateError, integrate
 from .problems import build_problem
 from .splitops import FactorSolveError
@@ -140,7 +145,7 @@ def _cmd_integrate(args, parser) -> int:
     eps2 = weighted_norm(err, problem.op.grid)
     sys.stdout.write(
         f"t={record.t:g} n={args.n} scheme={scheme.name} "
-        f"eps2={eps2:.6g} delta2={-math.log10(eps2):.6g}\n"
+        f"eps2={eps2:.6g} delta2={correct_digits(eps2):.6g}\n"
     )
     return 0
 

@@ -9,7 +9,8 @@ global error in the weighted Euclidean norm, and reports
     delta2 = -log10(eps2)                   (significant correct digits)
     p      = (delta2(h/2) - delta2(h)) / log10(2)
 
-with p attached to the coarser of each exactly-halved pair of levels.
+with p attached to the coarser of each exactly-halved pair of levels.  An
+exact result (eps2 = 0, as at t* = 0) has delta2 = inf and no order.
 """
 
 from __future__ import annotations
@@ -65,6 +66,11 @@ def weighted_norm(v: np.ndarray, grid: GridSpec) -> float:
     return float(np.linalg.norm(v) / math.sqrt(grid.m))
 
 
+def correct_digits(eps2: float) -> float:
+    """delta2 = -log10(eps2), inf for an exact result."""
+    return -math.log10(eps2) if eps2 else math.inf
+
+
 def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     """Run the study and return one row per grid level, orders attached."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
@@ -87,14 +93,14 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
         record = integrate(problem, scheme, tab, tau, cfg.t_end)
         err = problem.exact(cfg.t_end) - record.y
         eps2 = weighted_norm(err, problem.op.grid)
-        bare.append((n, tau, eps2, -math.log10(eps2)))
+        bare.append((n, tau, eps2, correct_digits(eps2)))
 
     rows: list[ConvergenceRow] = []
     for i, (n, tau, eps2, delta2) in enumerate(bare):
         p = None
         if i + 1 < len(bare):
             n2, _, _, d2next = bare[i + 1]
-            if n2 == 2 * n:
+            if n2 == 2 * n and math.isfinite(delta2 + d2next):
                 p = (d2next - delta2) / math.log10(2.0)
         rows.append(
             ConvergenceRow(

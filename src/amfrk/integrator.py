@@ -87,6 +87,7 @@ class Stepper:
         self._rhs[0] = self._rhs[0][:, 2:].copy()
         self._s_hat = tab.s_hat.tolist()
         self._buf = None  # [Z; T], r, scratch
+        self._cols = None  # column blocks of ([Z; T], T, r)
 
     def _solve(self, rhs: np.ndarray, spare: np.ndarray):
         """Product solve in the buffers rhs and spare, no matrix product writing
@@ -110,6 +111,12 @@ class Stepper:
             # the C allocator to map it from, and return it to, the system
             # on its own, which leaves the caller's next allocations cold
             self._buf = [np.empty((k, op.grid.m), dtype=dtype) for k in (4, 2, 1)]
+            zt, r = self._buf[:2]
+            blocks = op.grid.state_blocks
+            # the right-hand-side product by column blocks, each in cache
+            self._cols = [(zt, zt[2:], r)] if blocks is None else [
+                (zt[:, b.flat], zt[2:, b.flat], r[:, b.flat]) for b in blocks
+            ]
         zt, r, (f,) = self._buf
         z, t = zt[:2], zt[2:]
         apply_full(op, y_n, out=t[1], work=f)
@@ -117,7 +124,8 @@ class Stepper:
         t[1] += g[1]
         last = len(self._rhs) - 1
         for nu, (coef, it) in enumerate(zip(self._rhs, self.scheme.iterations)):
-            np.matmul(coef, zt if nu else t, out=r)
+            for zt_cols, t_cols, r_cols in self._cols:
+                np.matmul(coef, zt_cols if nu else t_cols, out=r_cols)
             e1, free = self._solve(r[0], f)
             np.multiply(e1, it.low_coeff, out=free)
             r[1] += free

@@ -15,11 +15,22 @@ gives the values beside every block boundary and so decouples blocks of
 ``_BLOCK_LENGTH`` points (the SPIKE idea of Polizzi and Sameh), and one
 batched product with the block inverse.  Elsewhere it is a batched Thomas
 sweep, whose cost there is arithmetic rather than call overhead.
+
+Work that passes over the state several times (the ufuncs of a J apply,
+the Thomas scale-and-roll and, in the integrator, the stage right-hand-side
+product) runs over ``GridSpec.state_blocks``: blocks of whole slowest-axis
+planes of about ``_STATE_BLOCK`` unknowns, so that the passes after the
+first read a block from L2 rather than memory.  Each entry sees the same
+operations in the same order, so blocked results are bitwise the
+whole-state ones.  At 3-D N=96 (m = 857,375) apply_full fell from about 10
+to 6 ms and _add_full from 8 to 5 ms.  A grid of at most ``_STATE_BLOCK``
+unknowns is one block and makes the whole-state calls.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 import math
 from typing import NamedTuple
 
@@ -48,6 +59,31 @@ _DENSE_SOLVE_LIMIT = 2**24
 # step at N=96.
 _BLOCK_LENGTH = 32
 _BLOCK_SOLVE_LIMIT = 2**18
+
+# State blocks: this many unknowns rounded down to whole slowest-axis
+# planes, at least one plane; a grid of at most this many unknowns is one
+# block.  Min-of-15 times at 3-D N=96, one BLAS thread, unblocked -> 2^16
+# (other sizes): apply_full 9.6-10.4 -> 6.0-6.2 ms (2^15 5.5-6.9, 2^17
+# 7.2-7.9, 2^18 10.0); the (2, 4) @ (4, m) product 2.5-2.7 -> 1.8 ms (3
+# planes 1.9, 14 planes 2.5); one direction's scale-and-roll 1.5 -> 1.1 ms
+# (2-4 planes 1.0-1.1, 14 planes 1.1).  A 2-D N=384 apply_full: 1.04-1.13
+# -> 0.55-0.69 ms.
+_STATE_BLOCK = 2**16
+
+
+class StateBlock(NamedTuple):
+    """Block of whole slowest-axis planes of a state (``GridSpec.state_blocks``).
+
+    planes : its rows of the leading axis of the grid-shaped state
+    flat : the same unknowns in the flat state
+    shifts : (source, destination) flat slices of direction d-1's lower and
+        upper neighbour terms; they read across the block's edges and stop
+        only at the ends of the state
+    """
+
+    planes: slice
+    flat: slice
+    shifts: tuple[tuple[slice, slice], tuple[slice, slice]]
 
 
 @dataclass(frozen=True)
@@ -91,6 +127,29 @@ class GridSpec:
     def axis_of_direction(self, j: int) -> int:
         """Array axis of direction j (0 = x) in the ``shape`` ordering."""
         return self.dim - 1 - j
+
+    @cached_property
+    def state_blocks(self) -> tuple[StateBlock, ...] | None:
+        """The state cut into blocks of ``_STATE_BLOCK`` unknowns rounded
+        down to whole planes (at least one), or None when one block holds it.
+
+        Derived from the sizes alone and computed once per grid.
+        """
+        n = self.n_interior
+        plane = n ** (self.dim - 1)
+        step = max(1, _STATE_BLOCK // plane)
+        if step >= n:
+            return None
+        blocks = []
+        for p in range(0, n, step):
+            a, b = p * plane, min(p + step, n) * plane
+            lo, hi = max(a, plane), min(b, self.m - plane)
+            shifts = (
+                (slice(lo - plane, b - plane), slice(lo, b)),
+                (slice(a + plane, hi + plane), slice(a, hi)),
+            )
+            blocks.append(StateBlock(slice(p, p + step), slice(a, b), shifts))
+        return tuple(blocks)
 
 
 @dataclass(frozen=True)
@@ -204,20 +263,24 @@ def apply_full(
 def _add_full(op: SplitOperator, v: np.ndarray, out: np.ndarray, work: np.ndarray):
     """out += J v, the d diagonal terms one multiply by their sum: that
     rounds to about eps*|J|*|v|, so v should be an increment, not a state."""
-    np.multiply(v, sum(st.diag for st in op.stencils), out=work)
-    out += work
-    return _apply(op, range(op.grid.dim), v, out, work, diag=False)
+    fold = sum(st.diag for st in op.stencils)
+    return _apply(op, range(op.grid.dim), v, out, work, fold)
 
 
-def _apply(op, directions, v, out, work, diag=True) -> np.ndarray:
-    """Sum J_j v over the directions into out, or with diag False add only
-    their neighbour terms to out.
+def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
+    """Sum J_j v over the directions into out, or with fold given add
+    fold*v and only the directions' neighbour terms to out.
 
     A neighbour term is one ufunc over the whole flat vector shifted by
     direction j's stride, the entries that wrapped across a line zeroed.
     Each diagonal term sits next to its own neighbour terms: with a
     symmetric stencil (diag = -2*sub) the additions that cancel a smooth
     state's large terms are exact, and only the products round.
+
+    On a grid of several ``state_blocks`` every term of a block is added
+    before the next block, in the same order per entry.  A block holds whole
+    lines of every direction but d-1, whose neighbours are a plane away: its
+    terms read v across the block's edges.
     """
     v = np.asarray(v).reshape(-1)
     if out is None:
@@ -226,20 +289,35 @@ def _apply(op, directions, v, out, work, diag=True) -> np.ndarray:
     if work is None:
         work = np.empty_like(out)
     n = op.grid.n_interior
-    for k, j in enumerate(directions):
-        st = op.stencils[j]
-        if diag:  # written by the first direction, added by the others
-            np.multiply(v, st.diag, out=work if k else out)
-            if k:
-                out += work
-        shift = n**j
-        lines = work.reshape(-1, n, shift)  # (slower axes, direction j, faster axes)
-        np.multiply(v[:-shift], st.sub, out=work[shift:])
-        lines[:, 0] = 0.0  # first point of each line: no left neighbour
-        out += work
-        np.multiply(v[shift:], st.sup, out=work[:-shift])
-        lines[:, -1] = 0.0  # last point of each line: no right neighbour
-        out += work
+    last = op.grid.dim - 1
+    for block in op.grid.state_blocks or (None,):  # None: the whole state
+        if block is None:
+            vb, ob, wb = v, out, work
+        else:
+            vb, ob, wb = v[block.flat], out[block.flat], work[block.flat]
+        if fold is not None:
+            np.multiply(vb, fold, out=wb)
+            ob += wb
+        for k, j in enumerate(directions):
+            st = op.stencils[j]
+            if fold is None:  # written by the first direction, added by the others
+                np.multiply(vb, st.diag, out=wb if k else ob)
+                if k:
+                    ob += wb
+            if block is not None and j == last:
+                for (src, dst), coeff in zip(block.shifts, (st.sub, st.sup)):
+                    np.multiply(v[src], coeff, out=work[dst])
+                    part = out[dst]
+                    part += work[dst]
+                continue
+            shift = n**j
+            lines = wb.reshape(-1, n, shift)  # (slower axes, direction j, faster axes)
+            np.multiply(vb[:-shift], st.sub, out=wb[shift:])
+            lines[:, 0] = 0.0  # first point of each line: no left neighbour
+            ob += wb
+            np.multiply(vb[shift:], st.sup, out=wb[:-shift])
+            lines[:, -1] = 0.0  # last point of each line: no right neighbour
+            ob += wb
     return out
 
 
@@ -498,15 +576,23 @@ def solve_pi(
             src = dst
         return out
     # an even number of rolls ends in the buffer the first sweep wrote
+    blocks = grid.state_blocks
     bufs = [b.reshape(grid.shape) for b in ((out, work) if d % 2 == 0 else (work, out))]
     for k in range(d):
         fac = factors[(d - 1 + k) % d]
         cur, nxt = bufs[k % 2], bufs[(k + 1) % 2]
         _sweep(fac, src.reshape(n, -1), cur.reshape(n, -1))
-        cur *= _line_scale(fac, d)
+        scale, rolled = _line_scale(fac, d), np.moveaxis(nxt, 0, -1)
         # a plain strided copy is about twice as fast as a scaling ufunc
-        # writing through the rolled view
-        np.copyto(np.moveaxis(nxt, 0, -1), cur)
+        # writing through the rolled view; a block is rolled while in cache
+        if blocks is None:
+            cur *= scale
+            np.copyto(rolled, cur)
+        else:
+            for block in blocks:
+                part = cur[block.planes]
+                part *= scale[block.planes]
+                np.copyto(rolled[block.planes], part)
         src = nxt
     return out
 

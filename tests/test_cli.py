@@ -161,6 +161,21 @@ def test_integrate_prints_error_summary(capsys):
     assert "delta2=" in out
 
 
+def test_integrate_exact_at_zero_end_time(capsys):
+    rc = main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1",
+               "--n", "8", "--t-end", "0"])
+    assert rc == 0
+    assert capsys.readouterr().out == "t=0 n=8 scheme=amf1 eps2=0 delta2=inf\n"
+
+
+def test_converge_exact_at_zero_end_time(capsys):
+    rc = main(["converge", "--dim", "2", "--beta", "1", "--scheme", "amf2",
+               "--grids", "8,16", "--t-end", "0"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["0.125,0.25,0,inf,", "0.0625,0.125,0,inf,"]
+
+
 def test_integrate_negative_end_time_exits_two(capsys):
     rc = main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1",
                "--n", "8", "--t-end", "-1"])

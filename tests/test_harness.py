@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amfrk.harness as harness
 from amfrk import (
     ConvergenceRow,
     GridSpec,
@@ -121,6 +122,25 @@ def test_order_attaches_to_the_coarser_level():
 def test_no_order_without_exact_halving():
     cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 12))
     rows = run_convergence(cfg)
+    assert rows[0].p is None and rows[1].p is None
+
+
+def test_exact_result_has_infinite_digits_and_no_order():
+    # t_end = 0 returns the exact initial state: eps2 = 0 on every level
+    cfg = StudyConfig(dim=2, beta=1.0, scheme_id="amf2", grid_ns=(8, 16), t_end=0.0)
+    rows = run_convergence(cfg)
+    assert [(r.eps2, r.delta2, r.p) for r in rows] == [(0.0, math.inf, None)] * 2
+
+
+@pytest.mark.parametrize("errors", [(0.0, 1e-3), (1e-3, 0.0)])
+def test_no_order_next_to_an_exact_level(monkeypatch, errors):
+    norms = iter(errors)
+    monkeypatch.setattr(harness, "weighted_norm", lambda v, grid: next(norms))
+    cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf1", grid_ns=(8, 16))
+    rows = run_convergence(cfg)
+    assert [r.delta2 for r in rows] == [
+        math.inf if e == 0.0 else -math.log10(e) for e in errors
+    ]
     assert rows[0].p is None and rows[1].p is None
 
 

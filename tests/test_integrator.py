@@ -314,14 +314,26 @@ def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
 
 
 @pytest.mark.parametrize(
-    "dim,n,kernel",
-    [(2, 160, "inv_t"), (2, 258, "blocks"), (3, 32, "inv_t"), (3, 40, None)],
-    ids=["2d-whole-line", "2d-block", "3d-dense", "3d-thomas"],
+    "dim,n,kernel,planes",
+    [
+        (2, 160, "inv_t", None),
+        (2, 258, "blocks", None),
+        (3, 32, "inv_t", None),
+        (3, 40, None, None),
+        (3, 32, "inv_t", 10),
+        (3, 40, None, 10),
+    ],
+    ids=["2d-whole-line", "2d-block", "3d-dense", "3d-thomas", "3d-dense-10planes",
+         "3d-thomas-10planes"],
 )
-def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel):
+def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes):
     if kernel is None:
         monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
+    if planes is not None:  # blocks larger than NumPy's iteration buffer
+        monkeypatch.setattr(splitops, "_STATE_BLOCK", planes * (n - 1) ** (dim - 1))
     base = build_problem(dim, n, 1.0)
+    blocks = base.op.grid.state_blocks
+    assert (blocks is not None and len(blocks) > 2) == (planes is not None)
     g = [base.forcing(t) for t in (0.0, 1.0)]
     prob = dataclasses.replace(base, forcing=lambda t: g[int(t > 0.0)])
     stepper = Stepper(prob, SCHEMES[2], TAB, 0.5)
@@ -340,8 +352,33 @@ def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel):
     finally:
         tracemalloc.stop()
     # only temporaries smaller than a state: a Thomas row, a block solve's
-    # neighbour terms, NumPy's iteration buffer of 8192 elements
+    # neighbour terms, NumPy's iteration buffer of 8192 elements; with
+    # several cache blocks, none as large as a block (every block slice
+    # and its reshapes are views)
     assert peak < y.nbytes / 2
+    if planes is not None:
+        assert peak < planes * (n - 1) ** (dim - 1) * y.itemsize
+
+
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
+@pytest.mark.parametrize("kernel", ["dense", "thomas"])
+def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
+    """Cache blocks change no arithmetic: the final state of every scheme is
+    bitwise the one-block state, with blocks of one plane, and of two planes
+    with a shorter last block."""
+    if kernel == "thomas":
+        monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
+    plane, m = (n - 1) ** (dim - 1), (n - 1) ** dim
+    for scheme in SCHEMES:
+        tau = scheme.q / n
+        finals = []
+        for block in (m, 1, int(2.5 * plane)):
+            monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
+            prob = build_problem(dim, n, 1.0)  # a fresh grid derives its blocks
+            assert (prob.op.grid.state_blocks is None) == (block == m)
+            finals.append(integrate(prob, scheme, TAB, tau, 4 * tau).y)
+        for y in finals[1:]:
+            assert np.array_equal(y, finals[0]), scheme.name
 
 
 # ------------------------------------------------------- reference and counts

@@ -1,6 +1,8 @@
 """Manufactured problems: exact values, forcing assembly, semidiscrete defect."""
 
+import inspect
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -213,6 +215,26 @@ def test_forcing_full_assembly_oracle_2d():
     expected = (source + EPS / h**2 * bound).ravel()
     got = p.forcing(t)
     assert np.max(np.abs(got - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_time_dependent_vectors_build_their_sum_in_place(dim):
+    """forcing and exact equal the two-product sum bit for bit, and hold
+    one state-sized temporary besides the result."""
+    p = build_problem(dim, 12, 1.0, EPS)
+    for fn, grow, decay in ((p.forcing, "src_grow", "src_decay"),
+                            (p.exact, "ex_grow", "ex_decay")):
+        parts = inspect.getclosurevars(fn).nonlocals
+        for t in (0.0, 0.3, 1.7):
+            want = np.exp(t) * parts[grow] + np.exp(-t) * parts[decay]
+            tracemalloc.start()
+            try:
+                got = fn(t)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(got, want)
+            assert peak < 2.5 * got.nbytes
 
 
 def test_forcing_affine_in_beta():

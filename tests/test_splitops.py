@@ -541,6 +541,63 @@ def test_roll_layout_round_trip(dim, n):
         assert np.array_equal(w, v)
 
 
+# ------------------------------------------------------------ cache blocks
+
+
+def _pass_results(monkeypatch, dim, n, block, vectors):
+    """Every blocked kernel's results on a fresh grid (blocks are derived
+    once per grid) with the block constant patched to ``block`` unknowns:
+    J applies of an advective, reactive operator, out += J v, and Thomas
+    product solves (into a fresh array and in place) at a real shift and,
+    past 1-D, a complex one.  A 1-D block can be a single unknown, and
+    NumPy's in-place complex multiply of one element rounds apart from its
+    vector loop, so a complex inv_diag would scale it differently."""
+    monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
+    monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
+    g = GridSpec(dim=dim, n_cells=n)
+    diff = [0.4 + 0.3 * j for j in range(dim)]
+    adv = [(-1) ** j * 1.5 * dj * n for j, dj in enumerate(diff)]
+    op = build_split_operator(g, diff, advection=adv, reaction=-0.6)
+    results = []
+    for v in vectors:
+        results.append(apply_full(op, v))
+        results.extend(apply_direction(op, j, v) for j in range(dim))
+        acc = np.cos(np.arange(g.m)).astype(v.dtype)
+        splitops._add_full(op, v, acc, np.empty_like(acc))
+        results.append(acc)
+        for sigma in (0.02, 0.02 * (1.0 + 0.7j))[: 1 if dim == 1 else 2]:
+            factors = factor_pi(op, sigma)
+            assert all(f.inv_t is None and f.blocks is None for f in factors)
+            results.append(solve_pi(op, sigma, v, factors))
+            w = v.astype(np.result_type(v, sigma))
+            solve_pi(op, sigma, w, factors, out=w, work=np.empty_like(w))
+            results.append(w)
+    return g.state_blocks, results
+
+
+@pytest.mark.parametrize("dim,n", [(1, 12), (2, 10), (3, 8)])
+@pytest.mark.parametrize("size", ["unit", "plane", "2.5planes", "m-1"])
+def test_blocked_passes_equal_the_one_block_passes(monkeypatch, dim, n, size):
+    """Blocks change no arithmetic: each kernel's result is bitwise its
+    one-block result, whether a block is one plane (the constant 1 rounds
+    up to it), two planes and a shorter last block, or all but one plane."""
+    k = n - 1  # planes of the slowest axis
+    plane, m = k ** (dim - 1), k**dim
+    block = {"unit": 1, "plane": plane, "2.5planes": int(2.5 * plane), "m-1": m - 1}[size]
+    rng = np.random.default_rng(dim * n)
+    vectors = [rng.standard_normal(m), rng.standard_normal(m) * (1 - 0.5j)]
+    blocks, want = _pass_results(monkeypatch, dim, n, m, vectors)
+    assert blocks is None
+    blocks, got = _pass_results(monkeypatch, dim, n, block, vectors)
+    per_block = max(1, block // plane)
+    assert len(blocks) == -(-k // per_block) >= 2
+    assert [b.flat.stop - b.flat.start for b in blocks][:-1] == [per_block * plane] * (
+        len(blocks) - 1
+    )
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and np.array_equal(a, b), i
+
+
 # ------------------------------------------------------------- properties
 
 
