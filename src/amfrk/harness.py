@@ -80,6 +80,8 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     if not cfg.grid_ns:
         return []
     for n in cfg.grid_ns:
+        if n < 2:
+            raise ValueError(f"N = {n}: need at least 2 cells per axis")
         if n % scheme.q != 0:
             raise ValueError(
                 f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "

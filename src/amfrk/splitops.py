@@ -9,12 +9,13 @@ one-direction systems (I - sigma*J_j).
 A product solve runs one of two kernels, chosen from the grid's sizes alone
 (``_solve_block``).  Where a Thomas sweep would be mostly Python call
 overhead, each direction is matrix products with dense inverses that the
-factorization builds: one with the whole-line inverse on short lines; on
-2-D lines of up to 512 points, one with rows of the line inverse, which
-gives the values beside every block boundary and so decouples blocks of
-``_BLOCK_LENGTH`` points (the SPIKE idea of Polizzi and Sameh), and one
-batched product with the block inverse.  Elsewhere it is a batched Thomas
-sweep, whose cost there is arithmetic rather than call overhead.
+factorization builds: one with the whole-line inverse on short lines;
+on longer lines, cut into blocks of 8 to 24 points, a small reduced system
+in the values beside the block boundaries, which decouples the blocks (the
+SPIKE algorithm of Polizzi and Sameh), and one batched product with the
+block inverse.  Elsewhere (3-D grids past N=65, 2-D lines of more than
+1024 points) it is a batched Thomas sweep, whose cost there is arithmetic
+rather than call overhead.
 
 Work that passes over the state several times (the ufuncs of a J apply,
 the Thomas scale-and-roll and, in the integrator, the stage right-hand-side
@@ -41,24 +42,26 @@ class FactorSolveError(RuntimeError):
     """Tridiagonal factorization hit a vanishing pivot."""
 
 
-# Product solves use dense line inverses while n * max(m, n^2) stays within
-# this bound: n*m is the multiply-adds of one product per direction, and n^3
-# caps the inverse at 256 x 256 whatever the dimension.  Product solve time
-# over Thomas time, one BLAS thread: 2-D 0.5-0.6 at N=192, 0.7-0.9 at
-# N=256 and 0.9-1.4 at N=320; 3-D 0.7 at N=48, 1.0-1.1 at N=64 and 1.7 at
-# N=96.
-_DENSE_SOLVE_LIMIT = 2**24
+# Product solves use the whole-line inverse while one product, n*m
+# multiply-adds per direction, stays within _DENSE_SOLVE_LIMIT and the
+# inverse within 256 x 256: 2-D lines of up to 80 points, 3-D of up to 26.
+# Min of 41 product solves, one BLAS thread, whole line / blocks of 24 ms:
+# 2-D N=64 0.025 / 0.040, N=80 0.070 / 0.074, N=96 0.109 / 0.078; 3-D N=24
+# 0.063 / 0.094 (blocks of 16), N=32 0.18 / 0.17.
+_DENSE_SOLVE_LIMIT = 2**19
 
-# Past that, lines are cut into blocks of _BLOCK_LENGTH points while
-# max(m, n^2) stays within _BLOCK_SOLVE_LIMIT: 2-D lines of up to 512
-# points (every 3-D grid this small is dense already).  Each unknown then
-# costs about L + 2n/L multiply-adds.  Product solve time over Thomas time,
-# one BLAS thread, L = 32: 0.25-0.32 at 2-D N=258-320 and 0.4-0.5 at
-# N=384-512; L = 24-40 were within noise of each other at N=384-512, 16
-# and 48-64 slower.  In 3-D the blocks lose: even at N=66, 1.05-1.1x per
-# step at N=96.
-_BLOCK_LENGTH = 32
-_BLOCK_SOLVE_LIMIT = 2**18
+# Past that, lines are cut into blocks while max(m, n^2) stays within
+# _BLOCK_SOLVE_LIMIT (lines of up to 1024 points) and a block of 8 points
+# holds at most _BLOCK_ENTRIES right-hand-side entries (3-D N <= 65).  A
+# block is 8, 16 or 24 points, whichever brings its L x (m/n) right-hand
+# side nearest _BLOCK_ENTRIES: 24 on every 2-D grid, 16 at 3-D N=48 and 8
+# at N=64.  Each unknown costs about L + 2 + 4(P-1)^2/n multiply-adds.
+# Product solve time over Thomas time: 2-D 0.10 at N=96, 0.26 at N=384,
+# 0.38 at N=768 and 0.40 at N=1024; 3-D 0.43 at N=48 and 0.59 at N=64
+# (ROADMAP item 4 has the other lengths).  Blocks of 8 also measured
+# 0.68-0.88 of Thomas at 3-D N=72-88, and tied with it at N=96 (cube3d).
+_BLOCK_SOLVE_LIMIT = 2**20
+_BLOCK_ENTRIES = 2**15
 
 # State blocks: this many unknowns rounded down to whole slowest-axis
 # planes, at least one plane; a grid of at most this many unknowns is one
@@ -131,14 +134,17 @@ class GridSpec:
     @cached_property
     def state_blocks(self) -> tuple[StateBlock, ...] | None:
         """The state cut into blocks of ``_STATE_BLOCK`` unknowns rounded
-        down to whole planes (at least one), or None when one block holds it.
+        down to whole planes (at least one), or None when one block holds it
+        or the grid is 1-D.
 
+        A 1-D plane is one unknown, and NumPy scales a block of one complex
+        unknown in its scalar loop, which rounds apart from its vector loop.
         Derived from the sizes alone and computed once per grid.
         """
         n = self.n_interior
         plane = n ** (self.dim - 1)
         step = max(1, _STATE_BLOCK // plane)
-        if step >= n:
+        if self.dim == 1 or step >= n:
             return None
         blocks = []
         for p in range(0, n, step):
@@ -345,7 +351,7 @@ class TridiagFactor:
     upper: tuple  # up / p_{i+1}, i = 0 .. n-2
     inv_diag: np.ndarray  # 1 / p_i
     inv_t: np.ndarray | None = None  # transposed dense inverse, or None
-    blocks: LineBlocks | None = None  # block inverses and spikes, or None
+    blocks: LineBlocks | None = None  # block inverses, reduced system, or None
 
     @property
     def n(self) -> int:
@@ -363,16 +369,25 @@ class LineBlocks(NamedTuple):
 
     inv_t : transposed inverse of a full block, L x L
     last_t : transposed inverse of the last block, r x r
-    spikes : (2(P-1), n); for each block boundary k = 1 .. P-1, row kL-1 of
-        the line inverse times -lo, then row kL times -up.  Their product
-        with a right-hand side b gives -lo*x_{kL-1} and -up*x_{kL}, the
-        terms that move to the right-hand side of block k's first row and
-        of block k-1's last row.
+    ends : (2, L); the first and last rows of a full block's inverse
+    reduced : (2(P-1), 2(P-1)); the inverse of the reduced system in the
+        boundary values, its rows scaled by -lo and -up in turn.
+
+    With y_k the solution of block k on its own right-hand side, and v_k,
+    w_k the first and last columns of the block's inverse,
+    x_k = y_k - lo*x_{kL-1}*v_k - up*x_{kL+L}*w_k.  The last entry of block
+    k-1 and the first of block k at each boundary k = 1 .. P-1 then solve a
+    system R u = t in those 2(P-1) values, u = (x_{L-1}, x_L, x_{2L-1},
+    ..), whose right side t is the last entry of y_{k-1} and the first of
+    y_k.  reduced @ t gives -lo*x_{kL-1} and -up*x_{kL}, the terms that move
+    to the right-hand side of block k's first row and of block k-1's last
+    row.  R is regular whenever the factor's pivots are.
     """
 
     inv_t: np.ndarray
     last_t: np.ndarray
-    spikes: np.ndarray
+    ends: np.ndarray
+    reduced: np.ndarray
 
 
 def _solve_block(grid: GridSpec) -> int | None:
@@ -380,11 +395,12 @@ def _solve_block(grid: GridSpec) -> int | None:
     points per block of the line inverses (n: the whole line is one block),
     or None for the Thomas sweep."""
     n = grid.n_interior
-    size = max(grid.m, n * n)
-    if n * size <= _DENSE_SOLVE_LIMIT:
+    lines = grid.m // n  # lines per direction
+    if n * grid.m <= _DENSE_SOLVE_LIMIT and n <= 256:
         return n
-    if size <= _BLOCK_SOLVE_LIMIT:
-        return _BLOCK_LENGTH
+    if max(grid.m, n * n) <= _BLOCK_SOLVE_LIMIT and 8 * lines <= _BLOCK_ENTRIES:
+        # 8, 16 or 24 points: a block's right-hand side nearest _BLOCK_ENTRIES
+        return min((8, 16, 24), key=lambda k: abs(k * lines - _BLOCK_ENTRIES))
     return None
 
 
@@ -418,8 +434,9 @@ def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
     """Factor I - sigma*J_j (a pure function: every call builds afresh).
 
     Where the product solve runs matrix products (``_solve_block``), the
-    dense inverses come from sweeping identities with this factor, after
-    every pivot has passed the vanishing-pivot check.
+    dense inverses come from sweeping identities with this factor, and a
+    block line's reduced system from their end entries, after every pivot
+    has passed the vanishing-pivot check.
     """
     return _factor(op, j, sigma, _solve_block(op.grid))
 
@@ -433,17 +450,28 @@ def _factor(
     if length is None:
         return fac
     n = fac.n
-    inv = _leading_inverse(fac, n)
     if length >= n:
-        return replace(fac, inv_t=inv.T)
+        return replace(fac, inv_t=_leading_inverse(fac, n).T)
     st = op.stencils[j]
-    k = np.arange(length, n, length)  # first points of blocks 1 .. P-1
-    spikes = np.stack([(sigma * st.sub) * inv[k - 1], (sigma * st.sup) * inv[k]], 1)
+    lo, up = -sigma * st.sub, -sigma * st.sup
+    head = (n - 1) // length * length  # points in the P-1 full blocks
+    inv = _leading_inverse(fac, length)
+    last = _leading_inverse(fac, n - head)
+    # unknowns x_{kL-1} (rows a) and x_{kL} (rows c) of boundaries k = 1 .. P-1
+    a = np.arange(0, 2 * head // length, 2)
+    c = a + 1
+    red = np.eye(2 * len(a), dtype=inv.dtype)
+    red[a[1:], a[:-1]] = lo * inv[-1, 0]
+    red[a, c] = up * inv[-1, -1]
+    red[c, a] = lo * inv[0, 0]
+    red[c[-1], a[-1]] = lo * last[0, 0]
+    red[c[:-1], c[1:]] = up * inv[0, -1]
+    red = np.linalg.inv(red)
+    red[a] *= -lo
+    red[c] *= -up
     # batched products run 10-20% faster with C-ordered transposes
     blocks = LineBlocks(
-        inv_t=_leading_inverse(fac, length).T.copy(),
-        last_t=_leading_inverse(fac, n - k[-1]).T.copy(),
-        spikes=spikes.reshape(-1, n),
+        inv_t=inv.T.copy(), last_t=last.T.copy(), ends=inv[[0, -1]], reduced=red
     )
     return replace(fac, blocks=blocks)
 
@@ -530,10 +558,10 @@ def solve_pi(
       The transposed product is itself the cyclic axis roll that moves the
       leading axis to the end, so the directions are solved in the order
       d-1, d-2, .., 0, and no scaling pass or layout copy is made.  On lines
-      cut into blocks (``_block_solve``), the spikes correct the boundary
-      rows of the right-hand side before the product: in place in the
-      buffer a product wrote, and in a copy for the caller's rhs (one copy
-      per product solve).
+      cut into blocks (``_block_solve``), the neighbour terms from the
+      reduced system correct the boundary rows of the right-hand side
+      before the product: in place in the buffer a product wrote, and in a
+      copy for the caller's rhs (one copy per product solve).
     - Thomas (factors without inverses): a line sweep scaled by inv_diag in
       place, then one copy that rolls the axes cyclically (the last axis
       moves to the front); the directions are solved in the order
@@ -597,20 +625,37 @@ def solve_pi(
     return out
 
 
+def _boundary_terms(blocks: LineBlocks, rows: np.ndarray) -> np.ndarray:
+    """The (P-1, 2, M) neighbour terms -lo*x_{kL-1} and -up*x_{kL} of the
+    (n, M) lines ``rows``: the reduced system on the ends of each block's
+    own solution."""
+    n, lines = rows.shape
+    length = blocks.inv_t.shape[0]
+    head = (n - 1) // length * length  # points in the P-1 full blocks
+    # first and last entries of y_0 .. y_{P-2}, then the first of y_{P-1}
+    ends = np.empty((2 * head // length + 1, lines), np.result_type(blocks.ends, rows))
+    np.matmul(
+        blocks.ends,
+        rows[:head].reshape(-1, length, lines),
+        out=ends[:-1].reshape(-1, 2, lines),
+    )
+    np.matmul(blocks.last_t[:, 0], rows[head:], out=ends[-1])
+    return np.matmul(blocks.reduced, ends[1:]).reshape(-1, 2, lines)
+
+
 def _block_solve(
     blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray, stage: np.ndarray | None
 ) -> None:
     """Solve the (n, M) lines ``rows`` into the (M, n) transposed ``cols``.
 
-    The spikes' product with rows gives the neighbour terms, added to the
-    blocks' first and last rows, in a copy of rows in the buffer stage, or
-    in rows itself when stage is None; then one batched product solves the
-    P-1 full blocks and one the last.
+    The neighbour terms are added to the blocks' first and last rows, in a
+    copy of rows in the buffer stage, or in rows itself when stage is None;
+    then one batched product solves the P-1 full blocks and one the last.
     """
     n, lines = rows.shape
     length = blocks.inv_t.shape[0]
-    head = (n - 1) // length * length  # points in the P-1 full blocks
-    terms = np.matmul(blocks.spikes, rows).reshape(-1, 2, lines)
+    head = (n - 1) // length * length
+    terms = _boundary_terms(blocks, rows)
     if stage is not None:
         np.copyto(stage.reshape(n, lines), rows)
         rows = stage.reshape(n, lines)
@@ -622,4 +667,3 @@ def _block_solve(
         out=cols[:, :head].reshape(lines, -1, length).transpose(1, 0, 2),
     )
     np.matmul(rows[head:].T, blocks.last_t, out=cols[:, head:])
-

@@ -125,6 +125,14 @@ def test_converge_indivisible_grid_exits_two(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grids", ["0", "8,1"])
+def test_converge_grid_of_fewer_than_two_cells_exits_two(grids, capsys):
+    rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1",
+               "--grids", grids])
+    assert rc == 2
+    assert "at least 2 cells" in capsys.readouterr().err
+
+
 def test_converge_numerical_failure_exits_one(monkeypatch, capsys):
     def boom(cfg):
         raise FactorSolveError("vanishing pivot in direction 0")

@@ -97,6 +97,14 @@ def test_tied_step_needs_divisible_grid():
         run_convergence(cfg)
 
 
+@pytest.mark.parametrize("n", [0, 1, -2])
+def test_rejects_grids_of_fewer_than_two_cells(n):
+    # 0 and -2 pass the divisibility check; the step tau = q/N must not be formed
+    cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(8, n))
+    with pytest.raises(ValueError, match="at least 2 cells"):
+        run_convergence(cfg)
+
+
 # ---------------------------------------------------------------------------
 # run_convergence rows
 

@@ -322,13 +322,18 @@ def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
         (3, 40, None, None),
         (3, 32, "inv_t", 10),
         (3, 40, None, 10),
+        (3, 40, "blocks", None),
+        (3, 40, "blocks", 10),
     ],
     ids=["2d-whole-line", "2d-block", "3d-dense", "3d-thomas", "3d-dense-10planes",
-         "3d-thomas-10planes"],
+         "3d-thomas-10planes", "3d-block", "3d-block-10planes"],
 )
 def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes):
-    if kernel is None:
-        monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
+    # the whole-line and Thomas kernels are forced on grids whose states
+    # are larger than NumPy's iteration buffer; blocks are the rule's own
+    if kernel != "blocks":
+        length = n - 1 if kernel == "inv_t" else None
+        monkeypatch.setattr(splitops, "_solve_block", lambda grid: length)
     if planes is not None:  # blocks larger than NumPy's iteration buffer
         monkeypatch.setattr(splitops, "_STATE_BLOCK", planes * (n - 1) ** (dim - 1))
     base = build_problem(dim, n, 1.0)

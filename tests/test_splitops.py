@@ -336,14 +336,17 @@ def test_vanishing_pivot_raises_before_the_block_inverses_are_built(monkeypatch)
     class Built(Exception):
         pass
 
-    def sweep(*args):
+    def build(*args):
         raise Built
 
-    monkeypatch.setattr(splitops, "_sweep", sweep)
-    with pytest.raises(Built):  # a regular shift builds the inverses
-        splitops._factor(op, 0, 0.5, 3)
-    with pytest.raises(FactorSolveError, match="row 4"):
-        splitops._factor(op, 0, 1.0, 3)
+    # the block inverses, then the reduced system's inverse
+    for module, name in ((splitops, "_sweep"), (np.linalg, "inv")):
+        with monkeypatch.context() as patch:
+            patch.setattr(module, name, build)
+            with pytest.raises(Built):  # a regular shift builds the inverses
+                splitops._factor(op, 0, 0.5, 3)
+            with pytest.raises(FactorSolveError, match="row 4"):
+                splitops._factor(op, 0, 1.0, 3)
 
 
 def test_factors_compare_by_identity():
@@ -381,19 +384,23 @@ def test_one_off_direction_solve_sweeps_once(monkeypatch):
         (1, 258, False),
         (2, 24, True),
         (2, 48, True),
-        (2, 96, True),
-        (2, 192, True),
-        (2, 257, True),
+        (2, 81, True),  # n = 80: the longest 2-D whole line
+        (2, 82, False),
+        (2, 96, False),
+        (2, 192, False),
+        (2, 257, False),
         (2, 258, False),
         (2, 384, False),  # the long lines of the 2-D beta=1 run
         (3, 24, True),
-        (3, 48, True),
+        (3, 27, True),  # n = 26: the longest 3-D whole line
+        (3, 28, False),
+        (3, 48, False),
         (3, 96, False),
     ],
 )
 def test_dense_inverse_selection(dim, n, dense):
-    """Short grid lines get dense inverses (never above 256 x 256), long
-    lines keep the Thomas sweep; the sizes alone decide."""
+    """Short grid lines get the whole-line inverse (n*m multiply-adds per
+    product within 2^19, never above 256 x 256); the sizes alone decide."""
     op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
     for fac in factor_pi(op, 0.01):
         assert (fac.inv_t is not None) == dense
@@ -406,33 +413,86 @@ def test_dense_inverse_selection(dim, n, dense):
     "dim,n,kernel",
     [
         (1, 257, "dense"),
-        (1, 258, "block"),  # 257 points: 8 blocks of 32 and one of 1
-        (2, 96, "dense"),
-        (2, 192, "dense"),
-        (2, 256, "dense"),
-        (2, 384, "block"),  # the 2-D beta=1 run: 11 blocks of 32, one of 31
-        (2, 768, "thomas"),
-        (3, 48, "dense"),
-        (3, 66, "thomas"),  # the smallest 3-D grid past the dense size
+        (1, 258, "block"),  # 257 points: 10 blocks of 24 and one of 17
+        (2, 81, "dense"),
+        (2, 82, "block"),
+        (2, 96, "block"),
+        (2, 192, "block"),
+        (2, 256, "block"),
+        (2, 384, "block"),  # the 2-D beta=1 run: 15 blocks of 24, one of 23
+        (2, 768, "block"),
+        (2, 1024, "block"),
+        (2, 1025, "block"),  # n = 1024: the longest block line
+        (2, 1026, "thomas"),
+        (3, 27, "dense"),
+        (3, 32, "block"),
+        (3, 48, "block"),
+        (3, 64, "block"),
+        (3, 65, "block"),  # 64^2 lines per direction: the most for blocks
+        (3, 66, "thomas"),
         (3, 96, "thomas"),
     ],
 )
 def test_product_solve_kernel_selection(dim, n, kernel):
     """One matrix product per direction where the whole line inverse is
-    small, blocks on longer 2-D lines, and the Thomas sweep on long 2-D
-    lines and large 3-D grids; the sizes alone decide."""
+    small, blocks on longer lines while a direction has at most 4096 of
+    them, and the Thomas sweep on large 3-D grids and 2-D lines of more
+    than 1024 points; the sizes alone decide."""
     op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
-    length = splitops._BLOCK_LENGTH
+    length = splitops._solve_block(op.grid)
     for fac in factor_pi(op, 0.01):
         got = "dense" if fac.inv_t is not None else "thomas"
         if fac.blocks is not None:
             assert got == "thomas"  # never both
             got = "block"
-            last = n - 1 - (n - 2) // length * length
+            interfaces = (n - 2) // length  # P - 1
+            last = n - 1 - interfaces * length
+            assert 1 <= last <= length < n - 1
             assert fac.blocks.inv_t.shape == (length, length)
             assert fac.blocks.last_t.shape == (last, last)
-            assert fac.blocks.spikes.shape == (2 * ((n - 2) // length), n - 1)
+            assert fac.blocks.ends.shape == (2, length)
+            assert fac.blocks.reduced.shape == (2 * interfaces, 2 * interfaces)
         assert got == kernel
+
+
+@pytest.mark.parametrize(
+    "dim,n,length",
+    [(1, 258, 24), (2, 96, 24), (2, 384, 24), (2, 1024, 24), (3, 32, 24),
+     (3, 48, 16), (3, 64, 8)],
+)
+def test_block_length_selection(dim, n, length):
+    """Blocks of 8, 16 or 24 points, whichever puts a block's right-hand
+    side (length x lines per direction) nearest 2^15 entries."""
+    assert splitops._solve_block(GridSpec(dim=dim, n_cells=n)) == length
+
+
+@pytest.mark.parametrize("n", [12, 21])
+def test_reduced_interface_terms_equal_the_spike_row_products(n):
+    """The neighbour terms from the reduced system are the products of the
+    right-hand side with rows kL-1 and kL of the dense line inverse, times
+    -lo and -up, for every block length from one point to the line minus
+    one, advective stencils and complex shifts."""
+    op = build_split_operator(
+        GridSpec(dim=2, n_cells=n), [0.7, 0.3], advection=[1.6 * n, -0.5 * n]
+    )
+    size = n - 1
+    rows = np.random.default_rng(n).standard_normal((size, 3))
+    for j in range(2):
+        st = op.stencils[j]
+        for sigma in (0.03, 0.03 * (1.0 - 0.8j)):
+            inv = np.linalg.inv(np.eye(size) - sigma * dense_band(op, j))
+            for length in sorted({1, 2, -(-size // 2), size - 1}):
+                k = np.arange(length, size, length)  # first points of blocks 1 ..
+                # rows kL-1 and kL of the line inverse, times -lo and -up
+                spikes = np.stack(
+                    [sigma * st.sub * inv[k - 1], sigma * st.sup * inv[k]], 1
+                )
+                want = spikes @ rows
+                fac = splitops._factor(op, j, sigma, length)
+                got = splitops._boundary_terms(fac.blocks, rows)
+                assert got.shape == want.shape
+                err = np.max(np.abs(got - want))
+                assert err <= 1e-13 * np.max(np.abs(want)), (j, sigma, length)
 
 
 def test_dense_solve_promotes_real_rhs_to_complex():
@@ -548,10 +608,8 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
     """Every blocked kernel's results on a fresh grid (blocks are derived
     once per grid) with the block constant patched to ``block`` unknowns:
     J applies of an advective, reactive operator, out += J v, and Thomas
-    product solves (into a fresh array and in place) at a real shift and,
-    past 1-D, a complex one.  A 1-D block can be a single unknown, and
-    NumPy's in-place complex multiply of one element rounds apart from its
-    vector loop, so a complex inv_diag would scale it differently."""
+    product solves (into a fresh array and in place) at a real and a complex
+    shift."""
     monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
     monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     g = GridSpec(dim=dim, n_cells=n)
@@ -565,7 +623,7 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
         acc = np.cos(np.arange(g.m)).astype(v.dtype)
         splitops._add_full(op, v, acc, np.empty_like(acc))
         results.append(acc)
-        for sigma in (0.02, 0.02 * (1.0 + 0.7j))[: 1 if dim == 1 else 2]:
+        for sigma in (0.02, 0.02 * (1.0 + 0.7j)):
             factors = factor_pi(op, sigma)
             assert all(f.inv_t is None and f.blocks is None for f in factors)
             results.append(solve_pi(op, sigma, v, factors))
@@ -580,7 +638,8 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
 def test_blocked_passes_equal_the_one_block_passes(monkeypatch, dim, n, size):
     """Blocks change no arithmetic: each kernel's result is bitwise its
     one-block result, whether a block is one plane (the constant 1 rounds
-    up to it), two planes and a shorter last block, or all but one plane."""
+    up to it), two planes and a shorter last block, or all but one plane.
+    A 1-D state, whose planes are single unknowns, is never cut."""
     k = n - 1  # planes of the slowest axis
     plane, m = k ** (dim - 1), k**dim
     block = {"unit": 1, "plane": plane, "2.5planes": int(2.5 * plane), "m-1": m - 1}[size]
@@ -589,11 +648,13 @@ def test_blocked_passes_equal_the_one_block_passes(monkeypatch, dim, n, size):
     blocks, want = _pass_results(monkeypatch, dim, n, m, vectors)
     assert blocks is None
     blocks, got = _pass_results(monkeypatch, dim, n, block, vectors)
-    per_block = max(1, block // plane)
-    assert len(blocks) == -(-k // per_block) >= 2
-    assert [b.flat.stop - b.flat.start for b in blocks][:-1] == [per_block * plane] * (
-        len(blocks) - 1
-    )
+    if dim == 1:
+        assert blocks is None
+    else:
+        per_block = max(1, block // plane)
+        assert len(blocks) == -(-k // per_block) >= 2
+        sizes = [b.flat.stop - b.flat.start for b in blocks]
+        assert sizes[:-1] == [per_block * plane] * (len(blocks) - 1)
     for i, (a, b) in enumerate(zip(got, want)):
         assert a.dtype == b.dtype and np.array_equal(a, b), i
 
