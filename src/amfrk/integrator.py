@@ -13,9 +13,9 @@ T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
     corrector   y_{n+1} = varpi*y_n + s_hat . Y = y_n + s_hat . Z  (= y_n + Z_2)
 
 A ``Stepper``, built once per (problem, scheme, tableau, tau), owns seven
-state-sized work rows: a step allocates no other state-sized array beyond
-what the forcing returns.  A step costs two forcing evaluations, s*q - 1
-applications of J (one to y_n serves both stages) and 2q product solves
+state-sized work rows and allocates no state-sized array in a step: the
+forcing writes g into the T rows.  A step costs two forcing evaluations,
+s*q - 1 applications of J (one to y_n serves both stages) and 2q product solves
 (``solve_pi``).  ``amf_step`` and ``integrate`` both run through it.
 """
 
@@ -65,7 +65,10 @@ class Stepper:
     Builds the d factors of  I - gamma*tau*J_j  and the sweeps' (2, 4)
     matrices once, here.  The work rows [Z; T], r and a scratch row are
     allocated on the first step in the dtype of its stages,
-    result_type(y_n, forcing, factors),  and again only for another dtype.
+    result_type(y_n, factors),  and again only for another dtype.  The
+    forcing writes each stage's g straight into its T row, so a forcing
+    whose values that dtype cannot hold (complex into real rows) raises
+    TypeError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -104,8 +107,7 @@ class Stepper:
         """
         op = self.problem.op
         y_n = np.asarray(y_n)
-        g = [self.problem.forcing(t_n + ci * self.tau) for ci in self.tab.c]
-        dtype = np.result_type(y_n, g[0], self._factor_dtype)
+        dtype = np.result_type(y_n, self._factor_dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
             # one array per role: a single (7, m) block is big enough for
             # the C allocator to map it from, and return it to, the system
@@ -119,9 +121,12 @@ class Stepper:
             ]
         zt, r, (f,) = self._buf
         z, t = zt[:2], zt[2:]
-        apply_full(op, y_n, out=t[1], work=f)
-        np.add(t[1], g[0], out=t[0])
-        t[1] += g[1]
+        apply_full(op, y_n, out=f, work=r[0])
+        forcing = self.problem.forcing
+        for t_k, c_k in zip(t, self.tab.c):  # T_k = g(t_n + c_k tau) + J y_n
+            if forcing(t_n + c_k * self.tau, out=t_k, work=r[1]) is not t_k:
+                raise TypeError("forcing(t, out, work) must return out")
+            t_k += f
         last = len(self._rhs) - 1
         for nu, (coef, it) in enumerate(zip(self._rhs, self.scheme.iterations)):
             for zt_cols, t_cols, r_cols in self._cols:
@@ -173,7 +178,10 @@ class Stepper:
 
 
 def _check_finite(y: np.ndarray, step: int, t: float) -> None:
-    if not np.isfinite(y.sum()) and not np.isfinite(y).all():
+    # a finite state can still sum past the float range (inf, or inf - inf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = y.sum()
+    if not np.isfinite(total) and not np.isfinite(y).all():
         raise NonFiniteStateError(step, t)
 
 

@@ -20,6 +20,9 @@ Dirichlet data injects next to each face.
 
 Every spatial profile here is a fixed vector scaled by e^t or e^-t, so a
 time-dependent vector costs two scalings and one addition per evaluation.
+The forcing follows the package's out/work idiom (``apply_full``,
+``solve_pi``): ``forcing(t, out, work)`` writes into out with work as
+scratch and allocates nothing; ``forcing(t)`` returns a new array.
 """
 
 from __future__ import annotations
@@ -38,7 +41,11 @@ class SemidiscreteProblem:
     """Linear semidiscrete system  y' = J y + forcing(t).
 
     forcing : full right-hand-side vector at time t (source plus weighted
-        boundary injection)
+        boundary injection), called as ``forcing(t, out=None, work=None)``:
+        with out given it writes g(t) into out, may use work (same shape
+        and dtype) as scratch and returns out, casting as a ufunc does, so
+        a value out's dtype cannot hold raises TypeError; with out None it
+        returns a new array
     exact : grid restriction of the exact PDE solution, or None when no
         closed form is attached
     boundary : unweighted boundary-value vector at time t, or None when no
@@ -50,7 +57,7 @@ class SemidiscreteProblem:
     op: SplitOperator
     epsilon: float
     beta: float
-    forcing: Callable[[float], np.ndarray]
+    forcing: Callable[..., np.ndarray]
     exact: Optional[Callable[[float], np.ndarray]] = None
     boundary: Optional[Callable[[float], np.ndarray]] = None
 
@@ -133,11 +140,12 @@ def build_problem(
     ex_grow = prof["exact_grow"]
     ex_decay = prof["exact_decay"]
 
-    # the sum is built in the first product: one state-sized temporary
-    def forcing(t: float) -> np.ndarray:
-        g = np.exp(t) * src_grow
-        g += np.exp(-t) * src_decay
-        return g
+    # the sum is built in out; the second product goes to work, or to a
+    # state-sized temporary without one
+    def forcing(t: float, out=None, work=None) -> np.ndarray:
+        out = np.multiply(src_grow, np.exp(t), out=out)
+        out += np.multiply(src_decay, np.exp(-t), out=work)
+        return out
 
     def exact(t: float) -> np.ndarray:
         u = np.exp(t) * ex_grow

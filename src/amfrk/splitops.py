@@ -59,7 +59,9 @@ _DENSE_SOLVE_LIMIT = 2**19
 # Product solve time over Thomas time: 2-D 0.10 at N=96, 0.26 at N=384,
 # 0.38 at N=768 and 0.40 at N=1024; 3-D 0.43 at N=48 and 0.59 at N=64
 # (ROADMAP item 4 has the other lengths).  Blocks of 8 also measured
-# 0.68-0.88 of Thomas at 3-D N=72-88, and tied with it at N=96 (cube3d).
+# 0.68-0.88 of Thomas at 3-D N=72-88, and tied with it at N=96 (cube3d);
+# but whole amf2 steps at N=68-88 took 0.91-1.06 of Thomas, so the bound
+# stays at 3-D N=65.
 _BLOCK_SOLVE_LIMIT = 2**20
 _BLOCK_ENTRIES = 2**15
 

@@ -33,7 +33,7 @@ def scalar_problem(lam) -> SemidiscreteProblem:
         op=op,
         epsilon=0.0,
         beta=0.0,
-        forcing=lambda t: zero,
+        forcing=copying_forcing(lambda t: zero),
     )
 
 
@@ -42,8 +42,23 @@ def frozen_forcing_problem(problem: SemidiscreteProblem) -> SemidiscreteProblem:
     so one step is a pure linear map of the state."""
     zero = np.zeros(problem.op.grid.m)
     return dataclasses.replace(
-        problem, forcing=lambda t: zero, exact=None, boundary=None
+        problem, forcing=copying_forcing(lambda t: zero), exact=None, boundary=None
     )
+
+
+def copying_forcing(values):
+    """A forcing(t, out=None, work=None) from values(t), an array per time:
+    it returns values(t) itself, or copies it into out (``np.copyto``, so a
+    complex value into a real out raises TypeError)."""
+
+    def forcing(t, out=None, work=None):
+        g = values(t)
+        if out is None:
+            return g
+        np.copyto(out, g)
+        return out
+
+    return forcing
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import re
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -26,6 +27,7 @@ from amfrk import (
     weighted_norm,
 )
 from helpers import (
+    copying_forcing,
     frozen_forcing_problem,
     irk_reference_step,
     reference_integrate,
@@ -268,8 +270,10 @@ def test_nan_initial_state_raises_before_any_step():
 def test_state_turning_non_finite_reports_its_step():
     base = build_problem(2, 8, 1.0)
 
-    def forcing(t):
-        return base.forcing(t) * (math.inf if t > 0.5 else 1.0)
+    def forcing(t, out=None, work=None):
+        g = base.forcing(t, out, work)
+        g *= math.inf if t > 0.5 else 1.0
+        return g
 
     prob = dataclasses.replace(base, forcing=forcing)
     # step 3 (from t = 0.5) is the first to see an infinite forcing
@@ -277,6 +281,40 @@ def test_state_turning_non_finite_reports_its_step():
         integrate(prob, SCHEMES[1], TAB, 0.25, 1.0)
     assert info.value.step == 3
     assert info.value.t == 0.75
+
+
+@pytest.mark.parametrize(
+    "pattern", [[1e307], [1e308, 1e308, -1e308, -1e308]], ids=["inf", "inf-minus-inf"]
+)
+def test_finite_state_whose_sum_leaves_the_float_range_passes(pattern):
+    # 100 finite entries whose sum overflows (to inf, or to inf - inf = nan):
+    # the check falls through to the entries and warns of nothing
+    prob = build_problem(2, 11, 0.0)
+    y0 = np.resize(pattern, prob.op.grid.m)
+    stepper = Stepper(prob, SCHEMES[0], TAB, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(stepper.run(y0, 0), y0)
+        y0[42] = math.inf
+        with pytest.raises(NonFiniteStateError):
+            stepper.run(y0, 0)
+
+
+@pytest.mark.parametrize("write", ["copyto", "ufunc", "ignores-out"])
+def test_forcing_that_cannot_fill_the_rows_raises(write):
+    # complex forcing values into real rows (a real y0 and real factors)
+    # raise rather than drop their imaginary parts; so does a forcing that
+    # returns another array than out
+    base = build_problem(2, 8, 0.0)
+    g = base.forcing(0.0) * (1.0 + 1.0j)
+    forcing = {
+        "copyto": copying_forcing(lambda t: g),
+        "ufunc": lambda t, out=None, work=None: np.multiply(g, 1.0, out=out),
+        "ignores-out": lambda t, out=None, work=None: g.real.copy(),
+    }[write]
+    prob = dataclasses.replace(base, forcing=forcing)
+    with pytest.raises(TypeError):
+        integrate(prob, SCHEMES[1], TAB, 0.25, 1.0)
 
 
 @pytest.mark.parametrize("shape", ["short", "grid", "scalar"])
@@ -301,7 +339,7 @@ def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
     base = build_problem(dim, 8, 1.0)
     g = base.forcing(0.3)
     g.setflags(write=False)  # one shared array, returned at every time
-    prob = dataclasses.replace(base, forcing=lambda t: g)
+    prob = dataclasses.replace(base, forcing=copying_forcing(lambda t: g))
     y0 = base.exact(0.0)
     y0.setflags(write=False)
     tau = 0.125
@@ -339,9 +377,7 @@ def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes
     base = build_problem(dim, n, 1.0)
     blocks = base.op.grid.state_blocks
     assert (blocks is not None and len(blocks) > 2) == (planes is not None)
-    g = [base.forcing(t) for t in (0.0, 1.0)]
-    prob = dataclasses.replace(base, forcing=lambda t: g[int(t > 0.0)])
-    stepper = Stepper(prob, SCHEMES[2], TAB, 0.5)
+    stepper = Stepper(base, SCHEMES[2], TAB, 0.5)
     fac = stepper.factors[0]
     kernels = (fac.inv_t is not None, fac.blocks is not None)
     assert kernels == (kernel == "inv_t", kernel == "blocks")
@@ -433,9 +469,9 @@ def test_operation_counts_match_closed_forms(monkeypatch, dim, q):
     n_steps, s = 5, TAB.stages
     base = build_problem(dim, 6, 1.0)
 
-    def forcing(t):
+    def forcing(t, out=None, work=None):
         counts["forcing"] = counts.get("forcing", 0) + 1
-        return base.forcing(t)
+        return base.forcing(t, out, work)
 
     prob = dataclasses.replace(base, forcing=forcing)
     integrate(prob, SCHEMES[q - 1], TAB, 0.1, n_steps * 0.1)

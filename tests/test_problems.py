@@ -237,6 +237,28 @@ def test_time_dependent_vectors_build_their_sum_in_place(dim):
             assert peak < 2.5 * got.nbytes
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_forcing_into_out_equals_the_allocating_forcing(dim, beta):
+    """forcing(t, out, work) returns out holding forcing(t) bit for bit,
+    writes only out and work, and allocates less than half a state."""
+    p = build_problem(dim, 12, beta, EPS)
+    for a in inspect.getclosurevars(p.forcing).nonlocals.values():
+        a.setflags(write=False)  # any write to the forcing's data raises
+    for t in (0.0, 0.3, 1.7):
+        want = p.forcing(t)
+        out, work = np.full((2, want.size), np.nan)
+        tracemalloc.start()
+        try:
+            got = p.forcing(t, out=out, work=work)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got is out
+        assert np.array_equal(out, want)
+        assert peak < want.nbytes / 2
+
+
 def test_forcing_affine_in_beta():
     n, t = 6, 0.8
     f0 = build_problem(2, n, 0.0, EPS).forcing(t)
