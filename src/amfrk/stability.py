@@ -7,15 +7,15 @@ function R_q(z, w) of two complex arguments:
     z = z_1 + ... + z_d                  (the full eigenvalue times tau)
     w = (1 - prod_k (1 - gamma*z_k)) / gamma   (what the factored solve sees)
 
-R_q is evaluated by running the sweep recurrence on the 2-vector G:
+R_q is the ``Stepper``'s step from y_n = 1 on scalars.  Its product solve is
+the factor inv = 1/(1 - gamma*w); from Z = 0, sweep nu updates the increments
 
-    G^0 = e,   G^nu = inv(I - w*T_nu) (e + (z*A - w*T_nu) G^(nu-1)),
-    R_q = varpi + s_hat . G^q,
+    D = z A (e + Z) - Z,   r = (I - low) inv(mix) D,
+    E_1 = r_1 inv,   E_2 = (r_2 + low E_1) inv,   Z += mix E,
 
-where T_nu is the sweep's approx_a matrix.  Unrolled, this is the ordered
-product form  R_q = varpi + s_hat (Q_q + sum_j M_q...M_j Q_{j-1}) e  with
-Q_nu = inv(I - w*T_nu) and M_nu = Q_nu (z*A - w*T_nu); the recurrence keeps
-the product order M_q M_{q-1} ... M_j without forming it.
+and R_q = varpi + s_hat . (e + Z): as approx_a = T = gamma mix inv(I - low)
+inv(mix), the recurrence G <- inv(I - w T) (e + (z A - w T) G) on G = e + Z.
+R_q has a pole at 1 - gamma*w = 0, the double eigenvalue of I - w T.
 
 A-stability in a wedge of half-angle theta means |R_q| <= 1 whenever every
 -z_k lies within theta of the positive real axis.  The wedge scan samples
@@ -63,40 +63,40 @@ def combine_zw(zs, gamma: float) -> tuple[complex, complex]:
 def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
     """Step multiplier R_q(z, w); accepts scalars or broadcasting arrays.
 
-    R_q has a pole where the sweep's 2x2 solve degenerates (1 - gamma*w = 0);
-    samples at or beyond floating range never raise, they come back huge or
-    non-finite, and scans drop the non-finite ones.
+    Runs the factored sweep of the module docstring on float64 views of flat
+    buffers (only z * A (e + Z) and r * inv are complex products).  R is complex
+    infinity at the pole 1 - gamma*w = 0; samples at or beyond floating range
+    (a non-finite w too) never raise, they come back huge or non-finite.
     """
-    z_arr = np.asarray(z, dtype=complex)
-    w_arr = np.asarray(w, dtype=complex)
-    shape = np.broadcast_shapes(z_arr.shape, w_arr.shape)
-    z_arr = np.broadcast_to(z_arr, shape)
-    w_arr = np.broadcast_to(w_arr, shape)
-    a = tab.a
-    g0 = np.ones(shape, dtype=complex)
-    g1 = np.ones(shape, dtype=complex)
+    z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
+    shape, z = z.shape, np.ascontiguousarray(z).reshape(-1)
+    buf = np.empty((7, z.size), dtype=complex)  # inv, Z, r (then E), 2 scratch
+    inv, r = buf[0], buf[3:5]
+    zsf, rf, tf = buf[1:3].view(float), r.view(float), buf[5:].view(float)
+    a, ae = tab.a, tab.a.sum(axis=1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for it in scheme.iterations:
-            t = it.approx_a
-            # 2x2 coefficient arrays of z*A - w*T
-            c00 = z_arr * a[0, 0] - w_arr * t[0, 0]
-            c01 = z_arr * a[0, 1] - w_arr * t[0, 1]
-            c10 = z_arr * a[1, 0] - w_arr * t[1, 0]
-            c11 = z_arr * a[1, 1] - w_arr * t[1, 1]
-            v0 = 1.0 + c00 * g0 + c01 * g1
-            v1 = 1.0 + c10 * g0 + c11 * g1
-            # closed-form inverse of I - w*T
-            m00 = 1.0 - w_arr * t[0, 0]
-            m01 = -w_arr * t[0, 1]
-            m10 = -w_arr * t[1, 0]
-            m11 = 1.0 - w_arr * t[1, 1]
-            det = m00 * m11 - m01 * m10
-            g0 = (m11 * v0 - m01 * v1) / det
-            g1 = (m00 * v1 - m10 * v0) / det
-    out = tab.varpi + tab.s_hat[0] * g0 + tab.s_hat[1] * g1
-    if out.shape == ():
-        return complex(out)
-    return out
+        np.subtract(1.0, scheme.gamma * w.reshape(-1), out=inv)
+        pole = inv == 0.0
+        np.divide(1.0, inv, out=inv)
+        np.multiply(z.view(float), ae, out=rf)  # D = z A e while Z = 0
+        for nu, it in enumerate(scheme.iterations):
+            if nu:  # D = z A (e + Z) - Z
+                np.multiply(zsf[0], a[:, :1], out=rf)
+                rf += np.multiply(zsf[1], a[:, 1:], out=tf)
+                rf[:, ::2] += ae
+                r *= z
+                rf -= zsf
+            rf[0] -= np.multiply(rf[1], it.mix_coeff, out=tf[0])  # r = (I - low) inv(mix) D
+            rf[1] -= np.multiply(rf[0], it.low_coeff, out=tf[0])
+            r[0] *= inv  # E = ((1 - gamma*w) I - low)^-1 r, row by row
+            rf[1] += np.multiply(rf[0], it.low_coeff, out=tf[0])
+            r[1] *= inv
+            np.add(zsf if nu else 0.0, rf, out=zsf)  # Z += mix E, from Z = 0
+            zsf[0] += np.multiply(rf[1], it.mix_coeff, out=tf[0])
+        out = (tab.s_hat @ zsf).view(complex)  # R = varpi + s_hat . (e + Z)
+        out += tab.varpi + tab.s_hat.sum()
+    out[pole] = np.inf
+    return complex(out[0]) if shape == () else out.reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,7 @@ class ScanResult:
     argmax : sample attaining it
     per_ray : max |R_q| per combination of boundary rays, keyed by the tuple
         of ray angles (each is arg(-z_k))
-    n_samples / n_excluded : evaluated vs skipped (singular-solve) counts
+    n_samples / n_excluded : evaluated vs skipped (non-finite |R_q|) counts
     samples : optional retained rows (ComplexPoint, |R|) for export
     """
 
@@ -166,8 +166,8 @@ def wedge_stability_scan(
     Samples whose |R| is not finite, singular or past floating range, are
     counted in n_excluded, silently.
     """
-    if d < 1:
-        raise ValueError(f"need at least one direction, got {d}")
+    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
+        raise ValueError(f"d must be a whole number of directions >= 1, got d={d!r}")
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
     radii = np.logspace(-3.0, 6.0, 40) if radii is None else np.asarray(radii, float)

@@ -22,11 +22,14 @@ def scalar_problem(lam) -> SemidiscreteProblem:
 
     Built directly from a one-point 1-D grid so the whole integrator stack
     (residual, factored solves, corrector) runs on a problem whose exact
-    step behavior is known in closed form.
+    step behavior is known in closed form.  A sequence lam = (lam_1, ...,
+    lam_d) gives a one-point d-D grid with J_k = lam_k: y' = (lam_1 + ... +
+    lam_d) y, with one factor (1 - gamma*tau*lam_k) per direction.
     """
-    grid = GridSpec(dim=1, n_cells=2)
-    stencil = DirectionStencil(sub=0.0, diag=lam, sup=0.0)
-    op = SplitOperator(grid=grid, stencils=(stencil,))
+    lams = np.atleast_1d(lam)
+    grid = GridSpec(dim=lams.size, n_cells=2)
+    stencils = tuple(DirectionStencil(sub=0.0, diag=v, sup=0.0) for v in lams.tolist())
+    op = SplitOperator(grid=grid, stencils=stencils)
     dtype = complex if np.iscomplexobj(lam) else float
     zero = np.zeros(1, dtype=dtype)
     return SemidiscreteProblem(
@@ -285,6 +288,41 @@ def direction_eigenvalues(op, j):
     n_cells = op.grid.n_cells
     k = np.arange(1, n_cells)
     return st.diag + 2.0 * math.sqrt(prod) * np.cos(k * np.pi / n_cells)
+
+
+def reference_stability_function(scheme, tab, z, w):
+    """R_q(z, w) in np.clongdouble by the sweep recurrence on G = e + Z:
+
+        G^0 = e,   G^nu = inv(I - w*T_nu) (e + (z*A - w*T_nu) G^(nu-1)),
+        R_q = varpi + s_hat . G^q,
+
+    with T_nu the sweep's approx_a and the closed-form inverse of the 2x2
+    I - w*T_nu.  The package runs the factored form of the same sweep."""
+    z = np.asarray(z, dtype=np.clongdouble)
+    w = np.asarray(w, dtype=np.clongdouble)
+    a = tab.a.astype(np.longdouble)
+    g0 = np.ones(np.broadcast_shapes(z.shape, w.shape), dtype=np.clongdouble)
+    g1 = g0.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for it in scheme.iterations:
+            t = it.approx_a.astype(np.longdouble)
+            # 2x2 coefficient arrays of z*A - w*T
+            c00 = z * a[0, 0] - w * t[0, 0]
+            c01 = z * a[0, 1] - w * t[0, 1]
+            c10 = z * a[1, 0] - w * t[1, 0]
+            c11 = z * a[1, 1] - w * t[1, 1]
+            v0 = 1.0 + c00 * g0 + c01 * g1
+            v1 = 1.0 + c10 * g0 + c11 * g1
+            # closed-form inverse of I - w*T
+            m00 = 1.0 - w * t[0, 0]
+            m01 = -w * t[0, 1]
+            m10 = -w * t[1, 0]
+            m11 = 1.0 - w * t[1, 1]
+            det = m00 * m11 - m01 * m10
+            g0 = (m11 * v0 - m01 * v1) / det
+            g1 = (m00 * v1 - m10 * v0) / det
+    s_hat = tab.s_hat.astype(np.longdouble)
+    return np.longdouble(tab.varpi) + s_hat[0] * g0 + s_hat[1] * g1
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from amfrk import (
     amf_scheme,
     amf_step,
     build_problem,
+    combine_zw,
     extended_scheme,
     integrate,
     radau2a_tableau,
@@ -91,6 +92,23 @@ def test_scalar_step_equals_stability_function(scheme):
     prob = scalar_problem(lam)
     got = amf_step(prob, scheme, TAB, 0.0, tau, np.array([1.0]))[0]
     want = stability_function(scheme, TAB, tau * lam, tau * lam)
+    assert abs(got - want) <= 1e-14
+
+
+@pytest.mark.parametrize("zs", [
+    (-0.3 + 0.2j, -2.0 - 1.0j),
+    (-40.0 + 25.0j, -1e-3 + 0.0j),
+    (-0.5 + 0.1j, -7.0 - 3.0j, -1e3 + 600.0j),
+    (-1e5 - 5e4j, -1e5 + 5e4j, -2.0 + 0.0j),
+], ids=["d2-moderate", "d2-stiff", "d3-mixed", "d3-stiff"])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.name)
+def test_split_scalar_step_equals_stability_function_at_combined_zw(scheme, zs):
+    # one unknown per direction: the step's product solve is the one factor
+    # prod_k (1 - gamma*z_k) = 1 - gamma*w that the wedge scan's w stands for
+    tau = 0.5
+    prob = scalar_problem(np.array(zs) / tau)
+    got = Stepper(prob, scheme, TAB, tau).step(0.0, np.array([1.0]))[0]
+    want = stability_function(scheme, TAB, *combine_zw(zs, scheme.gamma))
     assert abs(got - want) <= 1e-14
 
 

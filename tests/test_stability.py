@@ -25,7 +25,7 @@ from amfrk import (
 )
 import amfrk.stability as stability
 from amfrk.tableau import GAMMA
-from helpers import reference_wedge_scan
+from helpers import reference_stability_function, reference_wedge_scan
 
 TAB = radau2a_tableau()
 SCHEMES = {q: amf_scheme(q) for q in (1, 2, 3)}
@@ -163,6 +163,25 @@ def test_pole_blows_up_without_raising():
     assert np.isfinite(arr[1])
 
 
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double is no wider than float64 here")
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_matches_long_double_recurrence_in_the_d3_wedge(q):
+    # seeded samples with every -z_k within pi/6 of the positive real axis,
+    # |z_k| log-uniform on [1e-3, 1e6]; (z, w) formed in float64 as the
+    # scan forms them, the reference evaluated at the same arguments
+    rng = np.random.default_rng(2024)
+    n, theta = 50_000, np.pi / 6
+    parts = -(10.0 ** rng.uniform(-3.0, 6.0, (3, n))
+              * np.exp(1j * rng.uniform(-theta, theta, (3, n))))
+    z = parts[0] + parts[1] + parts[2]
+    w = (1.0 - (1.0 - GAMMA * parts[2])
+         * ((1.0 - GAMMA * parts[1]) * (1.0 - GAMMA * parts[0]))) / GAMMA
+    got = stability_function(SCHEMES[q], TAB, z, w)
+    want = reference_stability_function(SCHEMES[q], TAB, z, w)
+    assert np.max(np.abs(got - want)) <= 2e-15
+
+
 def test_stiff_limit_per_sweep_count():
     # sweeps whose 2x2 matrix satisfies the output-row identity kill the
     # multiplier at -infinity; the single-sweep scheme plateaus instead
@@ -239,7 +258,35 @@ def test_scan_excludes_overflowing_samples_silently(d, kw):
     assert 0 < res.n_excluded < res.n_samples
     assert (res.n_samples, res.n_excluded) == (quiet.n_samples, quiet.n_excluded)
     if d == 2:
-        assert (res.n_samples, res.n_excluded) == (36, 27)
+        # the factored sweep stays finite where only one radius is 1e200 (the
+        # 2x2 determinant of the unfactored recurrence overflowed there): only
+        # the 9 samples with w past floating range are excluded
+        assert (res.n_samples, res.n_excluded) == (36, 9)
+        kept = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 4,
+                                    keep_samples=True, **kw).samples
+        huge = [(pt.parts, m) for pt, m in kept
+                if np.isfinite(m) and max(map(abs, pt.parts)) >= 1e200]
+        assert len(huge) == 18
+        parts = np.array([p for p, _ in huge], dtype=np.clongdouble)
+        z = parts.sum(axis=1)
+        w = (1.0 - np.prod(1.0 - GAMMA * parts, axis=1)) / GAMMA
+        want = np.abs(reference_stability_function(SCHEMES[2], TAB, z, w))
+        got = np.array([m for _, m in huge])
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3.0), "3"])
+def test_scan_rejects_a_direction_count_that_is_not_an_integer(d, monkeypatch):
+    # rejected before any sample is evaluated
+    monkeypatch.setattr(stability, "stability_function", None)
+    with pytest.raises(ValueError, match="d="):
+        wedge_stability_scan(SCHEMES[1], TAB, d=d, theta=0.0, radii=[1.0])
+
+
+def test_scan_accepts_a_numpy_integer_direction_count():
+    args = dict(theta=np.pi / 4, radii=[0.5, 2.0])
+    res = wedge_stability_scan(SCHEMES[2], TAB, d=np.int64(2), **args)
+    assert res == wedge_stability_scan(SCHEMES[2], TAB, d=2, **args)
 
 
 def test_scan_rejects_interior_ray_outside_wedge():
