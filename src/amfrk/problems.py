@@ -18,11 +18,14 @@ with J the split central-difference operator (eps folded into its diffusion
 coefficients) and boundary(t) the boundary-value vector that the eliminated
 Dirichlet data injects next to each face.
 
-Every spatial profile here is a fixed vector scaled by e^t or e^-t, so a
-time-dependent vector costs two scalings and one addition per evaluation.
-The forcing follows the package's out/work idiom (``apply_full``,
-``solve_pi``): ``forcing(t, out, work)`` writes into out with work as
-scratch and allocates nothing; ``forcing(t)`` returns a new array.
+Every vector here is a spatial profile scaled by e^t or e^-t.  A problem
+stores only the forcing's two profiles, so a forcing evaluation costs two
+scalings and one addition; exact(t) and boundary(t) rebuild their profiles
+from the 1-D grid axes on each call, holding the result and at most one
+state-sized temporary.  The forcing follows the package's out/work idiom
+(``apply_full``, ``solve_pi``): ``forcing(t, out, work)`` writes into out
+with work as scratch and allocates nothing; ``forcing(t)`` returns a new
+array.
 """
 
 from __future__ import annotations
@@ -46,12 +49,13 @@ class SemidiscreteProblem:
         and dtype) as scratch and returns out, casting as a ufunc does, so
         a value out's dtype cannot hold raises TypeError; with out None it
         returns a new array
-    exact : grid restriction of the exact PDE solution, or None when no
-        closed form is attached
-    boundary : unweighted boundary-value vector at time t, or None when no
-        boundary data is attached: each interior point adjacent to a face
-        picks up the exact solution at its off-grid neighbor, summed over
-        faces (so points next to edges/corners accumulate several terms)
+    exact : grid restriction of the exact PDE solution at time t, a new
+        array per call, or None when no closed form is attached
+    boundary : unweighted boundary-value vector at time t, a new array per
+        call, or None when no boundary data is attached: each interior point
+        adjacent to a face picks up the exact solution at its off-grid
+        neighbor, summed over faces (so points next to edges/corners
+        accumulate several terms)
     """
 
     op: SplitOperator
@@ -62,68 +66,36 @@ class SemidiscreteProblem:
     boundary: Optional[Callable[[float], np.ndarray]] = None
 
 
-def _interior(n_cells: int) -> np.ndarray:
-    h = 1.0 / n_cells
-    return h * np.arange(1, n_cells)
+def _ridge(coords) -> np.ndarray:
+    """exp(2x - y (- z)) at coordinates given as arrays or numbers, in one
+    new array."""
+    e = 2.0 * coords[0]
+    for c in coords[1:]:
+        e = e - c
+    return np.exp(e, out=e)
 
 
-def _spatial_vectors(dim: int, n_cells: int, beta: float, epsilon: float) -> dict:
-    """Fixed spatial vectors; keys grow/decay by their time factor e^t / e^-t."""
-    t = _interior(n_cells)
-    bump = t * (1.0 - t)
-    if dim == 2:
-        x = t.reshape(1, -1)
-        y = t.reshape(-1, 1)
-        bx = bump.reshape(1, -1)
-        by = bump.reshape(-1, 1)
-        amp = 10.0
-        exact_grow = amp * bx * by
-        source_grow = amp * (bx * by + 2.0 * epsilon * (bx + by))
-        ridge = np.exp(2.0 * x - y)
-        lap_coeff = 1.0 + 5.0 * epsilon  # laplacian of exp(2x - y) is 5x itself
-        boundary = np.zeros_like(ridge)
-        boundary[:, 0] += np.exp(-y[:, 0])
-        boundary[:, -1] += np.exp(2.0 - y[:, 0])
-        boundary[0, :] += np.exp(2.0 * x[0, :])
-        boundary[-1, :] += np.exp(2.0 * x[0, :] - 1.0)
-    else:
-        x = t.reshape(1, 1, -1)
-        y = t.reshape(1, -1, 1)
-        z = t.reshape(-1, 1, 1)
-        bx = bump.reshape(1, 1, -1)
-        by = bump.reshape(1, -1, 1)
-        bz = bump.reshape(-1, 1, 1)
-        amp = 64.0
-        exact_grow = amp * bx * by * bz
-        source_grow = amp * (
-            bx * by * bz + 2.0 * epsilon * (by * bz + bx * bz + bx * by)
-        )
-        ridge = np.exp(2.0 * x - y - z)
-        lap_coeff = 1.0 + 6.0 * epsilon  # laplacian of exp(2x - y - z) is 6x itself
-        boundary = np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
-        boundary[:, :, 0] += np.exp(-y - z)[:, :, 0]
-        boundary[:, :, -1] += np.exp(2.0 - y - z)[:, :, 0]
-        boundary[:, 0, :] += np.exp(2.0 * x - z)[:, 0, :]
-        boundary[:, -1, :] += np.exp(2.0 * x - 1.0 - z)[:, 0, :]
-        boundary[0, :, :] += np.exp(2.0 * x - y)[0, :, :]
-        boundary[-1, :, :] += np.exp(2.0 * x - y - 1.0)[0, :, :]
-    shape = (n_cells - 1,) * dim
-    exact_grow = np.broadcast_to(exact_grow, shape)
-    return {
-        "exact_grow": np.ravel(exact_grow).copy(),
-        "exact_decay": beta * np.ravel(np.broadcast_to(ridge, shape)).copy(),
-        "source_grow": np.ravel(np.broadcast_to(source_grow, shape)).copy(),
-        "source_decay": -beta * lap_coeff * np.ravel(
-            np.broadcast_to(ridge, shape)
-        ).copy(),
-        "boundary_decay": beta * np.ravel(boundary).copy(),
-    }
+def _faces(coords) -> np.ndarray:
+    """Unweighted boundary sum: the ridge on faces x=0, x=1, y=0, ... in
+    turn, added at the interior points next to each face."""
+    dim = len(coords)
+    out = np.zeros((coords[0].size,) * dim)
+    for j in range(dim):
+        for value, end in ((0.0, slice(0, 1)), (1.0, slice(-1, None))):
+            at = [slice(None)] * dim
+            at[dim - 1 - j] = end
+            out[tuple(at)] += _ridge(coords[:j] + [value] + coords[j + 1:])
+    return out
 
 
 def build_problem(
     dim: int, n_cells: int, beta: float, epsilon: float = 0.1
 ) -> SemidiscreteProblem:
-    """Assemble the 2D (dim=2) or 3D (dim=3) manufactured diffusion problem."""
+    """Assemble the 2D (dim=2) or 3D (dim=3) manufactured diffusion problem.
+
+    Only the forcing's two profiles are stored; exact(t) and boundary(t)
+    rebuild theirs from the 1-D grid axes on each call.
+    """
     if dim not in (2, 3):
         raise ValueError(f"manufactured problems exist for dim 2 and 3, got {dim}")
     if not math.isfinite(beta):
@@ -131,14 +103,25 @@ def build_problem(
     grid = GridSpec(dim=dim, n_cells=n_cells)
     # rejects an epsilon that is not positive and finite
     op = build_split_operator(grid, [epsilon] * dim)
-    prof = _spatial_vectors(dim, n_cells, float(beta), float(epsilon))
-    weight = epsilon / grid.h**2
+    beta, eps = float(beta), float(epsilon)
+    axis = grid.h * np.arange(1, n_cells)
+    # x, y(, z) and the bumps x(1-x), ..., each along its own grid axis
+    shapes = [(1,) * (dim - 1 - j) + (-1,) + (1,) * j for j in range(dim)]
+    coords = [axis.reshape(s) for s in shapes]
+    bumps = [(axis * (1.0 - axis)).reshape(s) for s in shapes]
+    amp = 10.0 if dim == 2 else 64.0
+    # the laplacian of exp(2x - y (- z)) is (dim + 3) times itself
+    lap_coeff = 1.0 + (dim + 3.0) * eps
+    # products of all bumps but one: by*bz + bx*bz + bx*by in 3-D
+    others = sum(math.prod(bumps[:j] + bumps[j + 1:]) for j in range(dim))
+    src_grow = (amp * (math.prod(bumps) + 2.0 * eps * others)).reshape(-1)
+    src_decay = _ridge(coords).reshape(-1)
+    src_decay *= -beta * lap_coeff
     # the polynomial part vanishes on every face, only the ridge contributes
-    bnd_decay = prof["boundary_decay"]
-    src_grow = prof["source_grow"]
-    src_decay = prof["source_decay"] + weight * bnd_decay
-    ex_grow = prof["exact_grow"]
-    ex_decay = prof["exact_decay"]
+    injected = _faces(coords).reshape(-1)
+    injected *= beta
+    injected *= epsilon / grid.h**2
+    src_decay += injected
 
     # the sum is built in out; the second product goes to work, or to a
     # state-sized temporary without one
@@ -147,18 +130,26 @@ def build_problem(
         out += np.multiply(src_decay, np.exp(-t), out=work)
         return out
 
+    # each builds its result and at most one state-sized temporary in place
     def exact(t: float) -> np.ndarray:
-        u = np.exp(t) * ex_grow
-        u += np.exp(-t) * ex_decay
-        return u
+        u = math.prod([amp, *bumps])
+        u *= np.exp(t)
+        ridge = _ridge(coords)
+        ridge *= beta
+        ridge *= np.exp(-t)
+        u += ridge
+        return u.reshape(-1)
 
     def boundary(t: float) -> np.ndarray:
-        return np.exp(-t) * bnd_decay
+        b = _faces(coords)
+        b *= beta
+        b *= np.exp(-t)
+        return b.reshape(-1)
 
     return SemidiscreteProblem(
         op=op,
-        epsilon=float(epsilon),
-        beta=float(beta),
+        epsilon=eps,
+        beta=beta,
         forcing=forcing,
         exact=exact,
         boundary=boundary,

@@ -42,6 +42,13 @@ class FactorSolveError(RuntimeError):
     """Tridiagonal factorization hit a vanishing pivot."""
 
 
+def check_count(name: str, value, least: int) -> None:
+    """Raise ValueError unless value is an int or NumPy integer (not a bool)
+    of at least ``least``: a size or a number of directions."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {name}={value!r}")
+
+
 # Product solves use the whole-line inverse while one product, n*m
 # multiply-adds per direction, stays within _DENSE_SOLVE_LIMIT and the
 # inverse within 256 x 256: 2-D lines of up to 80 points, 3-D of up to 26.
@@ -99,6 +106,9 @@ class GridSpec:
     n_cells : cells per axis, N; mesh width h = 1/N; unknowns live at the
         N-1 interior points per axis.
 
+    Both are whole numbers, an int or a NumPy integer; a bool or a float
+    raises ValueError.
+
     Flat state vectors of length m = (N-1)**dim are ordered x fastest:
     index = (i-1) + (j-1)*(N-1) + (k-1)*(N-1)**2 for the point (i*h, j*h, k*h).
     """
@@ -107,10 +117,10 @@ class GridSpec:
     n_cells: int
 
     def __post_init__(self):
-        if self.dim not in (1, 2, 3):
+        check_count("dim", self.dim, 1)
+        if self.dim > 3:
             raise ValueError(f"dim must be 1, 2 or 3, got {self.dim}")
-        if self.n_cells < 2:
-            raise ValueError(f"need at least 2 cells per axis, got {self.n_cells}")
+        check_count("n_cells", self.n_cells, 2)
 
     @property
     def h(self) -> float:

@@ -33,6 +33,7 @@ from typing import Optional
 
 import numpy as np
 
+from .splitops import check_count
 from .tableau import AmfScheme, ButcherTableau
 
 
@@ -166,8 +167,7 @@ def wedge_stability_scan(
     Samples whose |R| is not finite, singular or past floating range, are
     counted in n_excluded, silently.
     """
-    if isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 1:
-        raise ValueError(f"d must be a whole number of directions >= 1, got d={d!r}")
+    check_count("d", d, 1)
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
     radii = np.logspace(-3.0, 6.0, 40) if radii is None else np.asarray(radii, float)
@@ -274,8 +274,7 @@ def splitting_sup_bound(d: int, gamma: float) -> float:
     (1/gamma) * sqrt((d-1)^(d-1) / d^(d-2)), attained on the imaginary axis
     with all directions equal; d = 1 gives 1/gamma (approached, not attained).
     """
-    if d < 1:
-        raise ValueError(f"need at least one direction, got {d}")
+    check_count("d", d, 1)
     if gamma <= 0.0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if d == 1:
@@ -297,8 +296,7 @@ def sampled_sup_ratio(
     splitting_sup_bound(d, gamma) from below.  Requires d >= 2 (for d = 1
     the sup is only approached as |z| grows without bound).
     """
-    if d < 2:
-        raise ValueError("sampled sup needs d >= 2")
+    check_count("d", d, 2)
     x_star = 1.0 / (gamma * (d - 1) ** 0.5)
     xs = np.linspace(0.5 * x_star, 2.0 * x_star, n_diag)
     zs = 1j * xs

@@ -1,6 +1,7 @@
 """Shared test fixtures and oracles the library does not ship: degenerate
-problems, dense assembly, the exactly solved implicit step and independent
-reference implementations of the package's kernels."""
+problems, the eager manufactured profiles, dense assembly, the exactly
+solved implicit step and independent reference implementations of the
+package's kernels."""
 
 import dataclasses
 import math
@@ -62,6 +63,76 @@ def copying_forcing(values):
         return out
 
     return forcing
+
+
+# ---------------------------------------------------------------------------
+# Reference manufactured profiles: the eager construction the package used
+# before exact and boundary values were computed on demand.  Every profile is
+# a fixed state-sized vector, scaled by e^t (grow) or e^-t (decay).
+
+
+def reference_profiles(dim, n_cells, beta, epsilon):
+    """Fixed spatial vectors of ``build_problem``'s problem, flat."""
+    t = (1.0 / n_cells) * np.arange(1, n_cells)
+    bump = t * (1.0 - t)
+    if dim == 2:
+        x = t.reshape(1, -1)
+        y = t.reshape(-1, 1)
+        bx = bump.reshape(1, -1)
+        by = bump.reshape(-1, 1)
+        amp = 10.0
+        exact_grow = amp * bx * by
+        source_grow = amp * (bx * by + 2.0 * epsilon * (bx + by))
+        ridge = np.exp(2.0 * x - y)
+        lap_coeff = 1.0 + 5.0 * epsilon  # laplacian of exp(2x - y) is 5x itself
+        boundary = np.zeros_like(ridge)
+        boundary[:, 0] += np.exp(-y[:, 0])
+        boundary[:, -1] += np.exp(2.0 - y[:, 0])
+        boundary[0, :] += np.exp(2.0 * x[0, :])
+        boundary[-1, :] += np.exp(2.0 * x[0, :] - 1.0)
+    else:
+        x = t.reshape(1, 1, -1)
+        y = t.reshape(1, -1, 1)
+        z = t.reshape(-1, 1, 1)
+        bx = bump.reshape(1, 1, -1)
+        by = bump.reshape(1, -1, 1)
+        bz = bump.reshape(-1, 1, 1)
+        amp = 64.0
+        exact_grow = amp * bx * by * bz
+        source_grow = amp * (
+            bx * by * bz + 2.0 * epsilon * (by * bz + bx * bz + bx * by)
+        )
+        ridge = np.exp(2.0 * x - y - z)
+        lap_coeff = 1.0 + 6.0 * epsilon  # laplacian of exp(2x - y - z) is 6x itself
+        boundary = np.zeros(np.broadcast_shapes(x.shape, y.shape, z.shape))
+        boundary[:, :, 0] += np.exp(-y - z)[:, :, 0]
+        boundary[:, :, -1] += np.exp(2.0 - y - z)[:, :, 0]
+        boundary[:, 0, :] += np.exp(2.0 * x - z)[:, 0, :]
+        boundary[:, -1, :] += np.exp(2.0 * x - 1.0 - z)[:, 0, :]
+        boundary[0, :, :] += np.exp(2.0 * x - y)[0, :, :]
+        boundary[-1, :, :] += np.exp(2.0 * x - y - 1.0)[0, :, :]
+    shape = (n_cells - 1,) * dim
+    return {
+        "exact_grow": np.ravel(np.broadcast_to(exact_grow, shape)).copy(),
+        "exact_decay": beta * np.ravel(np.broadcast_to(ridge, shape)).copy(),
+        "source_grow": np.ravel(np.broadcast_to(source_grow, shape)).copy(),
+        "source_decay": -beta * lap_coeff * np.ravel(
+            np.broadcast_to(ridge, shape)
+        ).copy(),
+        "boundary_decay": beta * np.ravel(boundary).copy(),
+    }
+
+
+def reference_problem_vectors(dim, n_cells, beta, epsilon, t):
+    """(forcing, exact, boundary) at time t from the eager profiles, by the
+    products and sums ``build_problem``'s functions make, in their order."""
+    prof = reference_profiles(dim, n_cells, float(beta), float(epsilon))
+    weight = epsilon / (1.0 / n_cells) ** 2
+    src_decay = prof["source_decay"] + weight * prof["boundary_decay"]
+    forcing = np.exp(t) * prof["source_grow"] + np.exp(-t) * src_decay
+    exact = np.exp(t) * prof["exact_grow"]
+    exact += np.exp(-t) * prof["exact_decay"]
+    return forcing, exact, np.exp(-t) * prof["boundary_decay"]
 
 
 # ---------------------------------------------------------------------------

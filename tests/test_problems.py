@@ -16,6 +16,7 @@ from amfrk import (
     radau2a_tableau,
     weighted_norm,
 )
+from helpers import reference_problem_vectors
 
 EPS = 0.1
 
@@ -44,6 +45,20 @@ def _time_derivative(problem, t):
 def test_dimension_rejected(dim):
     with pytest.raises(ValueError):
         build_problem(dim, 8, 0.0)
+
+
+@pytest.mark.parametrize("dim,n,field", [(2, 24.0, "n_cells"), (2, 8.5, "n_cells"),
+                                         (3.0, 8, "dim")])
+def test_sizes_that_are_not_whole_numbers_rejected(dim, n, field):
+    with pytest.raises(ValueError, match=rf"\b{field}="):
+        build_problem(dim, n, 1.0)
+
+
+def test_numpy_integer_sizes_build_the_same_problem():
+    p = build_problem(np.int64(3), np.int64(8), 1.0, EPS)
+    q = build_problem(3, 8, 1.0, EPS)
+    for fn in ("forcing", "exact", "boundary"):
+        assert np.array_equal(getattr(p, fn)(0.3), getattr(q, fn)(0.3))
 
 
 def test_nonpositive_diffusion_rejected():
@@ -220,13 +235,21 @@ def test_forcing_full_assembly_oracle_2d():
 @pytest.mark.parametrize("dim", [2, 3])
 def test_time_dependent_vectors_build_their_sum_in_place(dim):
     """forcing and exact equal the two-product sum bit for bit, and hold
-    one state-sized temporary besides the result."""
+    one state-sized temporary besides the result.  exact runs on a grid
+    whose state exceeds 256 KB: NumPy's buffers for one broadcast product
+    (up to about 130 KB, two of 8192 doubles) outweigh a small state."""
     p = build_problem(dim, 12, 1.0, EPS)
-    for fn, grow, decay in ((p.forcing, "src_grow", "src_decay"),
-                            (p.exact, "ex_grow", "ex_decay")):
-        parts = inspect.getclosurevars(fn).nonlocals
+    parts = inspect.getclosurevars(p.forcing).nonlocals
+    n_big = {2: 256, 3: 41}[dim]
+    big = build_problem(dim, n_big, 1.0, EPS)
+    cases = (
+        (p.forcing,
+         lambda t: np.exp(t) * parts["src_grow"] + np.exp(-t) * parts["src_decay"]),
+        (big.exact, lambda t: reference_problem_vectors(dim, n_big, 1.0, EPS, t)[1]),
+    )
+    for fn, want_at in cases:
         for t in (0.0, 0.3, 1.7):
-            want = np.exp(t) * parts[grow] + np.exp(-t) * parts[decay]
+            want = want_at(t)
             tracemalloc.start()
             try:
                 got = fn(t)
@@ -235,6 +258,33 @@ def test_time_dependent_vectors_build_their_sum_in_place(dim):
                 tracemalloc.stop()
             assert np.array_equal(got, want)
             assert peak < 2.5 * got.nbytes
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("n", [2, 12])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_vectors_equal_the_eager_profiles_bitwise(dim, n, beta):
+    """forcing, and exact and boundary (rebuilt on each call), equal the
+    sums of the eager state-sized profiles bit for bit."""
+    p = build_problem(dim, n, beta, EPS)
+    for t in (0.0, 0.3, 1.7):
+        got = (p.forcing(t), p.exact(t), p.boundary(t))
+        for name, g, w in zip(("forcing", "exact", "boundary"), got,
+                              reference_problem_vectors(dim, n, beta, EPS, t)):
+            assert g.shape == w.shape == (p.op.grid.m,), name
+            assert g.tobytes() == w.tobytes(), f"{name} at t={t}"
+
+
+def test_problem_holds_only_the_forcing_profiles():
+    """After set-up a problem keeps two state-sized arrays, the forcing's
+    grow and decay profiles; exact and boundary keep only the grid axes."""
+    tracemalloc.start()
+    try:
+        p = build_problem(3, 24, 1.0, EPS)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 2.5 * p.op.grid.m * 8
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -92,6 +92,22 @@ def test_grid_spec_rejects_bad_arguments(dim, n):
         GridSpec(dim=dim, n_cells=n)
 
 
+@pytest.mark.parametrize(
+    "field,dim,n",
+    [("n_cells", 2, 8.5), ("n_cells", 2, 8.0), ("n_cells", 3, np.float64(8.0)),
+     ("n_cells", 2, "8"), ("dim", True, 8), ("dim", 2.0, 8), ("dim", 2.5, 8)],
+)
+def test_grid_spec_rejects_sizes_that_are_not_whole_numbers(field, dim, n):
+    with pytest.raises(ValueError, match=rf"\b{field}="):
+        GridSpec(dim=dim, n_cells=n)
+
+
+def test_grid_spec_accepts_numpy_integer_sizes():
+    g = GridSpec(dim=np.int64(3), n_cells=np.int32(5))
+    assert g == GridSpec(dim=3, n_cells=5)
+    assert g.shape == (4, 4, 4) and g.m == 64
+
+
 # ----------------------------------------------------------------- stencils
 
 

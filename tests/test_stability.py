@@ -508,6 +508,18 @@ def test_sampled_sup_needs_a_true_splitting():
         sampled_sup_ratio(1, GAMMA)
 
 
+@pytest.mark.parametrize("fn", [splitting_sup_bound, sampled_sup_ratio])
+@pytest.mark.parametrize("d", [2.5, True, "3", np.float64(3.0)])
+def test_sup_functions_reject_a_direction_count_that_is_not_an_integer(fn, d):
+    with pytest.raises(ValueError, match="d="):
+        fn(d, GAMMA)
+
+
+@pytest.mark.parametrize("fn", [splitting_sup_bound, sampled_sup_ratio])
+def test_sup_functions_accept_a_numpy_integer_direction_count(fn):
+    assert fn(np.int64(3), GAMMA) == fn(3, GAMMA)
+
+
 @given(
     st.lists(
         st.builds(
