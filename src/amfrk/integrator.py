@@ -12,11 +12,12 @@ T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
                 dZ = mix E,  Z += dZ,  T_k += J dZ_k  (but after the last sweep)
     corrector   y_{n+1} = varpi*y_n + s_hat . Y = y_n + s_hat . Z  (= y_n + Z_2)
 
-A ``Stepper``, built once per (problem, scheme, tableau, tau), owns seven
-state-sized work rows and allocates no state-sized array in a step: the
-forcing writes g into the T rows.  A step costs two forcing evaluations,
-s*q - 1 applications of J (one to y_n serves both stages) and 2q product solves
-(``solve_pi``).  ``amf_step`` and ``integrate`` both run through it.
+A ``Stepper``, built once per (problem, scheme, tableau, tau), owns six
+state-sized work rows (seven for q >= 3) and allocates no state-sized array
+in a step: the forcing writes g into the T rows.  A step costs two forcing
+evaluations, s*q - 1 applications of J (one to y_n serves both stages) and
+2q product solves (``solve_pi``).  ``amf_step`` and ``integrate`` both run
+through it.
 """
 
 from __future__ import annotations
@@ -63,12 +64,13 @@ class Stepper:
     """The q-sweep step of one (problem, scheme, tableau, tau).
 
     Builds the d factors of  I - gamma*tau*J_j  and the sweeps' (2, 4)
-    matrices once, here.  The work rows [Z; T], r and a scratch row are
-    allocated on the first step in the dtype of its stages,
-    result_type(y_n, factors),  and again only for another dtype.  The
-    forcing writes each stage's g straight into its T row, so a forcing
-    whose values that dtype cannot hold (complex into real rows) raises
-    TypeError.
+    matrices once, here.  The work rows [Z; T], r and, for q >= 3, a spare
+    row for the middle sweeps (the first sweep's product solves work in Z,
+    the last sweep's in T) are allocated on the first step in the dtype of
+    its stages,  result_type(y_n, factors),  and again only for another
+    dtype.  The forcing writes each stage's g straight into its T row, so
+    a forcing whose values that dtype cannot hold (complex into real rows)
+    raises TypeError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -104,34 +106,42 @@ class Stepper:
         """Advance one step of length tau from (t_n, y_n).
 
         out : flat array for y_{n+1} (allocated when None); may be y_n.
+        Raises ValueError unless y_n and out have shape (m,).
         """
         op = self.problem.op
         y_n = np.asarray(y_n)
+        m = op.grid.m
+        for name, a in (("state", y_n), ("out", out)):
+            if a is not None and a.shape != (m,):
+                raise ValueError(f"{name} must have shape ({m},), got {a.shape}")
         dtype = np.result_type(y_n, self._factor_dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
-            # one array per role: a single (7, m) block is big enough for
+            # one array per role: a single (6, m) block is big enough for
             # the C allocator to map it from, and return it to, the system
             # on its own, which leaves the caller's next allocations cold
-            self._buf = [np.empty((k, op.grid.m), dtype=dtype) for k in (4, 2, 1)]
+            rows = (4, 2, 1) if len(self._rhs) > 2 else (4, 2)
+            self._buf = [np.empty((k, m), dtype=dtype) for k in rows]
             zt, r = self._buf[:2]
             blocks = op.grid.state_blocks
             # the right-hand-side product by column blocks, each in cache
             self._cols = [(zt, zt[2:], r)] if blocks is None else [
                 (zt[:, b.flat], zt[2:, b.flat], r[:, b.flat]) for b in blocks
             ]
-        zt, r, (f,) = self._buf
+        zt, r = self._buf[:2]
         z, t = zt[:2], zt[2:]
-        apply_full(op, y_n, out=f, work=r[0])
+        apply_full(op, y_n, out=z[0], work=z[1])
         forcing = self.problem.forcing
         for t_k, c_k in zip(t, self.tab.c):  # T_k = g(t_n + c_k tau) + J y_n
             if forcing(t_n + c_k * self.tau, out=t_k, work=r[1]) is not t_k:
                 raise TypeError("forcing(t, out, work) must return out")
-            t_k += f
+            t_k += z[0]
         last = len(self._rhs) - 1
         for nu, (coef, it) in enumerate(zip(self._rhs, self.scheme.iterations)):
             for zt_cols, t_cols, r_cols in self._cols:
                 np.matmul(coef, zt_cols if nu else t_cols, out=r_cols)
-            e1, free = self._solve(r[0], f)
+            # spare row: Z_2 is idle until the first sweep ends, T once the last has r
+            spare = z[1] if not nu else t[1] if nu == last else self._buf[2][0]
+            e1, free = self._solve(r[0], spare)
             np.multiply(e1, it.low_coeff, out=free)
             r[1] += free
             e2, free = self._solve(r[1], free)
@@ -144,15 +154,15 @@ class Stepper:
                     z[0] += dz
             if nu:
                 z[1] += e2
-            else:
-                np.copyto(z[1], e2)
             if nu < last:
                 _add_full(op, dz, t[0], e1)
                 _add_full(op, e2, t[1], e1)
+            if not nu:  # with odd d e1 is in z[1], the work of both calls
+                np.copyto(z[1], e2)
         acc = y_n  # y_{n+1} = y_n + s_hat . Z, the zero weights skipped
         for c, z_i in zip(self._s_hat, z):
             if c:
-                term = z_i if c == 1.0 else np.multiply(z_i, c, out=f)
+                term = z_i if c == 1.0 else np.multiply(z_i, c, out=t[0])
                 acc = out = np.add(acc, term, out=out)
         return out
 

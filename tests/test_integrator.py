@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import amfrk.integrator as integrator
@@ -38,6 +38,7 @@ from helpers import (
 
 TAB = radau2a_tableau()
 SCHEMES = [amf_scheme(q) for q in (1, 2, 3)]
+EXT5 = extended_scheme(SCHEMES[0], 5)  # three middle sweeps
 
 
 def _radau_growth(z):
@@ -352,6 +353,27 @@ def test_initial_state_of_the_wrong_shape_rejected(shape):
         Stepper(prob, SCHEMES[1], TAB, 0.25).run(bad, 0)
 
 
+@pytest.mark.parametrize("bad", ["column", "short", "two-rows", "short-out"])
+def test_step_rejects_a_state_or_out_of_the_wrong_shape(bad):
+    # a column state would broadcast to an (m, m) result in the corrector
+    prob = build_problem(2, 8, 0.0)
+    m = prob.op.grid.m
+    y = prob.exact(0.0)
+    y_n, out = {
+        "column": (y[:, None], None),
+        "short": (y[:-1], None),
+        "two-rows": (np.stack([y, y]), None),
+        "short-out": (y, np.empty(m - 1)),
+    }[bad]
+    name, shape = ("state", y_n.shape) if out is None else ("out", out.shape)
+    msg = rf"^{name} .*\({m},\).*{re.escape(str(shape))}"
+    with pytest.raises(ValueError, match=msg):
+        Stepper(prob, SCHEMES[1], TAB, 0.25).step(0.0, y_n, out=out)
+    if out is None:
+        with pytest.raises(ValueError, match=msg):
+            amf_step(prob, SCHEMES[1], TAB, 0.0, 0.25, y_n)
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
     base = build_problem(dim, 8, 1.0)
@@ -419,6 +441,36 @@ def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes
         assert peak < planes * (n - 1) ** (dim - 1) * y.itemsize
 
 
+@pytest.mark.parametrize(
+    "dim,n,kernel", [(3, 40, None), (2, 258, "blocks")], ids=["3d-thomas", "2d-block"]
+)
+@pytest.mark.parametrize(
+    "scheme,rows",
+    [(SCHEMES[0], 6), (SCHEMES[1], 6), (SCHEMES[2], 7), (EXT5, 7)],
+    ids=lambda v: getattr(v, "name", None),
+)
+def test_stepper_holds_a_spare_row_only_for_middle_sweeps(
+    monkeypatch, dim, n, kernel, scheme, rows
+):
+    # [Z; T] and r; the first sweep's product solves borrow Z and the last
+    # sweep's borrow T, so only a middle sweep (q >= 3) needs a seventh row
+    if kernel is None:
+        monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
+    base = build_problem(dim, n, 1.0)
+    stepper = Stepper(base, scheme, TAB, 0.5)
+    assert (stepper.factors[0].blocks is not None) == (kernel == "blocks")
+    y = base.exact(0.0)
+    buf = np.empty_like(y)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        stepper.step(0.0, y, out=buf)  # allocates the work rows
+        added = tracemalloc.get_traced_memory()[0] - held
+    finally:
+        tracemalloc.stop()
+    assert rows * y.nbytes <= added < (rows + 0.5) * y.nbytes
+
+
 @pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
 @pytest.mark.parametrize("kernel", ["dense", "thomas"])
 def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
@@ -447,23 +499,25 @@ def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
     dim=st.sampled_from([2, 3]),
     n=st.integers(min_value=3, max_value=24),
     beta=st.sampled_from([0.0, 1.0]),
-    q=st.sampled_from([1, 2, 3]),
+    scheme=st.sampled_from(SCHEMES + [EXT5]),
     n_steps=st.integers(min_value=1, max_value=4),
     ratio=st.sampled_from([0.5, 1.0, 3.0]),
 )
+@example(dim=2, n=9, beta=1.0, scheme=EXT5, n_steps=2, ratio=1.0)
+@example(dim=3, n=7, beta=1.0, scheme=EXT5, n_steps=2, ratio=1.0)
 @settings(max_examples=25, deadline=None)
-def test_integrate_matches_allocating_reference(dim, n, beta, q, n_steps, ratio):
+def test_integrate_matches_allocating_reference(dim, n, beta, scheme, n_steps, ratio):
     prob = build_problem(dim, n, beta)
     tau = ratio / n
     y0 = prob.exact(0.0)
-    want = reference_integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps, y0)
-    got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y  # dense
+    want = reference_integrate(prob, scheme, TAB, tau, n_steps, y0)
+    got = integrate(prob, scheme, TAB, tau, n_steps * tau).y  # dense
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     # the kernel rule sends every product solve down the Thomas sweep (None)
     # or cuts lines of more than three points into blocks of three
     for length in (None, 3):
         with mock.patch.object(splitops, "_solve_block", lambda grid: length):
-            got = integrate(prob, SCHEMES[q - 1], TAB, tau, n_steps * tau).y
+            got = integrate(prob, scheme, TAB, tau, n_steps * tau).y
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), length
 
 
