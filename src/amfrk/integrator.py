@@ -75,6 +75,7 @@ class Stepper:
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
         _check_step_size(tau)
+        tau = float(tau)  # a NumPy float32 tau would round the factors to float32
         self.problem = problem
         self.scheme = scheme
         self.tab = tab

@@ -120,7 +120,7 @@ def build_problem(
     # the polynomial part vanishes on every face, only the ridge contributes
     injected = _faces(coords).reshape(-1)
     injected *= beta
-    injected *= epsilon / grid.h**2
+    injected *= eps / grid.h**2
     src_decay += injected
 
     # the sum is built in out; the second product goes to work, or to a

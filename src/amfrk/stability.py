@@ -23,6 +23,9 @@ the boundary rays (where the maximum modulus principle puts any violation)
 over a cross product of radii per direction, in blocks of about 10^4 samples
 (their temporaries stay in L2 cache) that broadcast the slowest direction
 against sums and products over the others; a reshape gives per-ray maxima.
+Every operation from the samples to |R_q| is odd in the imaginary parts, so
+a sample and its conjugate (each -z_k reflected in the real axis) have
+bitwise the same |R_q|, and the scan evaluates one sample of each pair.
 """
 
 from __future__ import annotations
@@ -70,13 +73,15 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
     (a non-finite w too) never raise, they come back huge or non-finite.
     """
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
-    shape, z = z.shape, np.ascontiguousarray(z).reshape(-1)
+    shape, size = z.shape, z.size
+    # one sample runs twice: NumPy's in-place product of one complex rounds apart
+    z, w = (np.ascontiguousarray(np.resize(a, 2) if size == 1 else a).reshape(-1) for a in (z, w))
     buf = np.empty((7, z.size), dtype=complex)  # inv, Z, r (then E), 2 scratch
     inv, r = buf[0], buf[3:5]
     zsf, rf, tf = buf[1:3].view(float), r.view(float), buf[5:].view(float)
     a, ae = tab.a, tab.a.sum(axis=1)[:, None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.subtract(1.0, scheme.gamma * w.reshape(-1), out=inv)
+        np.subtract(1.0, scheme.gamma * w, out=inv)
         pole = inv == 0.0
         np.divide(1.0, inv, out=inv)
         np.multiply(z.view(float), ae, out=rf)  # D = z A e while Z = 0
@@ -97,7 +102,7 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
         out = (tab.s_hat @ zsf).view(complex)  # R = varpi + s_hat . (e + Z)
         out += tab.varpi + tab.s_hat.sum()
     out[pole] = np.inf
-    return complex(out[0]) if shape == () else out.reshape(shape)
+    return complex(out[0]) if shape == () else out[:size].reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -165,7 +170,10 @@ def wedge_stability_scan(
     factor from the left (vector complex products are not bitwise
     commutative).  The argmax is the first sample of largest finite |R|.
     Samples whose |R| is not finite, singular or past floating range, are
-    counted in n_excluded, silently.
+    counted in n_excluded, silently.  The full cross product evaluates R_q on
+    ((n_rays*n_radii)^d + n_radii^d) / 2 samples: those whose slowest
+    direction off the zero ray is on a positive-angle ray, or with no such
+    direction; each conjugate, later in the scan order, takes their |R|.
     """
     check_count("d", d, 1)
     if not 0.0 <= theta <= np.pi / 2:
@@ -185,8 +193,12 @@ def wedge_stability_scan(
     rays_arr = np.asarray(rays)
     n_rays, n_radii = rays_arr.size, radii.size
     per_var = n_rays * n_radii
-    # per-direction sample values: index = ray*n_radii + radius
-    values = (-np.exp(1j * rays_arr)[:, None] * radii[None, :]).reshape(-1)
+    # per-direction sample values: index = ray*n_radii + radius; a -a ray holds the
+    # conjugates of the +a ray's, and mirror_ray / mirror_value map to the conjugate
+    mirror_ray = np.array([rays.index(-r) for r in rays])
+    mirror_value = (mirror_ray[:, None] * n_radii + np.arange(n_radii)).reshape(-1)
+    values = -np.exp(1j * rays_arr)[:, None] * radii[None, :]
+    values = np.where((rays_arr < 0)[:, None], np.conj(values[mirror_ray]), values).reshape(-1)
     gamma = scheme.gamma
     fac = 1.0 - gamma * values
     acc = np.full(n_rays**d, -np.inf)  # max |R| at combination sum ray_k*n_rays**k
@@ -195,26 +207,36 @@ def wedge_stability_scan(
     # a freed 4 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
     np.empty(16 * _BLOCK, complex)
 
-    def digits(flat):
-        return [(flat // per_var**k) % per_var for k in range(d)]
+    def digits(flat, base=per_var, n_digits=d):
+        return [(flat // base**k) % base for k in range(n_digits)]
 
-    def tally(zp, pp, last, index_at):
-        # |R| (-inf if not finite) at zp, pp over directions < d-1 and `last` of d-1
+    def mirror(flat, base, mates, n_digits=d):
+        # flat index of the conjugate of each sample (or ray combination)
+        return sum(mates[x] * base**k for k, x in enumerate(digits(flat, base, n_digits)))
+
+    def tally(zp, pp, last, lone):
+        # |R| at zp, pp over directions < d-1 and `last` of d-1; each sample
+        # counts for its mirror too, unless `lone` (self-conjugate)
         z = values[last] if d == 1 else zp + values[last]
         w = z if d == 1 else (1.0 - fac[last] * pp) / gamma
         mod = np.abs(stability_function(scheme, tab, z, w))
-        finite = np.isfinite(mod)
-        counts[0] += mod.size
-        counts[1] += mod.size - int(np.count_nonzero(finite))
-        mod_f = np.where(finite, mod, -np.inf)
+        bad = ~np.isfinite(mod)
+        single = bad[..., lone]  # the self-conjugate samples
+        counts[0] += 2 * mod.size - single.size
+        counts[1] += 2 * int(np.count_nonzero(bad)) - int(np.count_nonzero(single))
+        return mod
+
+    def record(mod, index_at):
+        # |R| with -inf where it is not finite; keeps the first sample of largest |R|
+        mod_f = np.where(np.isfinite(mod), mod, -np.inf)
         k = int(np.argmax(mod_f))
         if mod_f.flat[k] > best[0]:
             best[0], best[1] = float(mod_f.flat[k]), index_at(k)
-        if keep_samples:
-            for pt, m in zip(zip(*index_at(np.arange(mod.size))), mod.flat):
-                pt = tuple(complex(values[i]) for i in pt)
-                kept.append((ComplexPoint(pt, *combine_zw(pt, gamma)), float(m)))
         return mod_f
+
+    def point(idx):
+        parts = tuple(complex(values[i]) for i in idx)
+        return ComplexPoint(parts, *combine_zw(parts, gamma))
 
     # samples past floating range come back non-finite and are excluded
     with np.errstate(over="ignore", invalid="ignore"):
@@ -230,15 +252,37 @@ def wedge_stability_scan(
                 zp = (zp[None, :] + values[:, None]).reshape(-1)
                 pp = (fac[:, None] * pp[None, :]).reshape(-1)
             by_group = acc.reshape((-1,) + (n_rays,) * k)
-            for i0, c0 in itertools.product(range(0, per_var, rows), range(0, inner, width)):
+            # rows on -a rays (skipped) and the mirror columns of zero-ray rows are not
+            # evaluated: each takes its conjugate's |R|, at the end for the maxima
+            shift = mirror(np.arange(inner), per_var, mirror_value, d - 1) - np.arange(inner)
+            canon = np.flatnonzero(shift >= 0)
+            zc, pc, lone = zp[canon], pp[canon], shift[canon] == 0
+            mods = np.empty(per_var**d) if keep_samples else None
+            up_or_zero = np.flatnonzero(mirror_ray >= np.arange(n_rays)).tolist()
+            for ray, i0, c0 in itertools.product(up_or_zero, range(0, n_radii, rows),
+                                                 range(0, inner, width)):
+                i0 += ray * n_radii
+                last = np.s_[i0 : min(i0 + rows, (ray + 1) * n_radii), None]
                 cs = slice(c0, min(c0 + width, inner))
                 n = cs.stop - c0
-                mod_f = tally(zp[None, cs], pp[None, cs], np.s_[i0 : i0 + rows, None],
-                              lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
+                if mirror_ray[ray] > ray:
+                    block = tally(zp[None, cs], pp[None, cs], last, False)
+                else:  # zero-ray rows: their canonical columns
+                    at = slice(*np.searchsorted(canon, [c0, cs.stop]))
+                    block = np.full((last[0].stop - i0, n), np.nan)
+                    block[:, canon[at] - c0] = tally(zc[None, at], pc[None, at], last, lone[at])
+                mod_f = record(block, lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
+                if keep_samples:
+                    mods[i0 * inner + c0 :][: block.size] = block.reshape(-1)
                 groups = mod_f.reshape((-1,) + (n_rays, n_radii) * k)
                 slow = digits((i0 * inner + c0) // cols + np.arange(groups.shape[0]))
                 slow_id = sum((s // n_radii) * n_rays**j for j, s in enumerate(slow[: d - k]))
                 np.maximum.at(by_group, slow_id, groups.max(axis=tuple(range(2, 2 * k + 1, 2))))
+            np.maximum(acc, acc[mirror(np.arange(acc.size), n_rays, mirror_ray)], out=acc)
+            if keep_samples:
+                flat = np.arange(per_var**d)
+                mods = mods[np.minimum(flat, mirror(flat, per_var, mirror_value))]
+                kept.extend((point(pt), float(m)) for pt, m in zip(zip(*digits(flat)), mods))
         else:
             # equal-radius-index tuples across every ray combination, then random
             ray_digits = [r.reshape(-1) * n_radii for r in np.indices((n_rays,) * d)[::-1]]
@@ -252,7 +296,10 @@ def wedge_stability_scan(
                     zp, pp = values[idx[0]], fac[idx[0]]
                     for ix in idx[1:-1]:
                         zp, pp = zp + values[ix], fac[ix] * pp
-                    mod_f = tally(zp, pp, idx[-1], lambda pos: [ix[pos] for ix in idx])
+                    mod = tally(zp, pp, idx[-1], True)
+                    mod_f = record(mod, lambda pos: [ix[pos] for ix in idx])
+                    if keep_samples:
+                        kept.extend((point(pt), float(m)) for pt, m in zip(zip(*idx), mod))
                     combo = sum((ix // n_radii) * n_rays**j for j, ix in enumerate(idx))
                     np.maximum.at(acc, combo, mod_f)
 
@@ -262,9 +309,7 @@ def wedge_stability_scan(
     for cid, m in enumerate(acc.tolist()):
         key = tuple(float(rays_arr[(cid // n_rays**k) % n_rays]) for k in range(d))
         per_ray[key] = max(m, per_ray.get(key, -np.inf))
-    parts = tuple(complex(values[i]) for i in best[1])
-    argmax = ComplexPoint(parts, *combine_zw(parts, gamma))
-    return ScanResult(best[0], argmax, per_ray, counts[0], counts[1], kept)
+    return ScanResult(best[0], point(best[1]), per_ray, counts[0], counts[1], kept)
 
 
 def splitting_sup_bound(d: int, gamma: float) -> float:

@@ -127,7 +127,7 @@ def reference_problem_vectors(dim, n_cells, beta, epsilon, t):
     """(forcing, exact, boundary) at time t from the eager profiles, by the
     products and sums ``build_problem``'s functions make, in their order."""
     prof = reference_profiles(dim, n_cells, float(beta), float(epsilon))
-    weight = epsilon / (1.0 / n_cells) ** 2
+    weight = float(epsilon) / (1.0 / n_cells) ** 2
     src_decay = prof["source_decay"] + weight * prof["boundary_decay"]
     forcing = np.exp(t) * prof["source_grow"] + np.exp(-t) * src_decay
     exact = np.exp(t) * prof["exact_grow"]
@@ -422,7 +422,7 @@ def reference_wedge_scan(
     rays = [0.0] if theta == 0.0 else [theta, -theta, 0.0]
     for ang in angles or ():
         ang = float(ang)
-        if ang != 0.0 and ang != theta:
+        if ang not in rays:  # each ray once, as the scan adds them
             rays.extend([ang, -ang])
     rays_arr = np.asarray(rays)
     n_rays, n_radii = rays_arr.size, radii.size

@@ -218,6 +218,17 @@ def test_scalar_local_error_slope(scheme, order):
 # ------------------------------------------------------------------ driver
 
 
+def test_float32_step_size_runs_in_float64():
+    # tau = 1/16 is exact in float32; sigma = gamma*tau must still be a float64
+    p = build_problem(2, 32, 0.0, 0.1)
+    half, full = Stepper(p, SCHEMES[1], TAB, np.float32(0.0625)), Stepper(p, SCHEMES[1], TAB, 0.0625)
+    assert type(half.sigma) is float and half.sigma == full.sigma
+    y0 = p.exact(0.0)
+    assert half.run(y0, 16).tobytes() == full.run(y0, 16).tobytes()
+    got = integrate(p, SCHEMES[1], TAB, np.float32(0.0625), 1.0).y
+    assert got.tobytes() == integrate(p, SCHEMES[1], TAB, 0.0625, 1.0).y.tobytes()
+
+
 def test_integrate_step_bookkeeping():
     prob = build_problem(2, 8, 0.0)
     rec = integrate(prob, SCHEMES[1], TAB, 0.25, 1.0)

@@ -179,6 +179,18 @@ def test_forcing_injects_the_weighted_boundary():
     assert np.max(np.abs(ridge_part - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+def test_float32_epsilon_builds_the_float64_problem(dim):
+    # eps enters every term as a float64, the injected eps*h^-2 (J's own
+    # stencil weight) too; float32 arithmetic gave 57.600002 for 57.6000009
+    eps = np.float32(0.1)
+    p, want = build_problem(dim, 24, 1.0, eps), build_problem(dim, 24, 1.0, float(eps))
+    for t in (0.0, 0.7):
+        assert p.forcing(t).tobytes() == want.forcing(t).tobytes()
+        ref = reference_problem_vectors(dim, 24, 1.0, eps, t)[0]
+        assert ref.tobytes() == want.forcing(t).tobytes()
+
+
 def test_homogeneous_source_closed_form():
     n = 8
     p = build_problem(2, n, 0.0, EPS)

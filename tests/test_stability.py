@@ -7,6 +7,7 @@ sweep count's approximation order and break afterwards.
 """
 
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -140,9 +141,10 @@ def test_vectorized_evaluation_matches_scalar_loop():
         assert out.shape == (3, 4)
         for i in range(3):
             for j in range(4):
+                # a lone sample rounds as it does inside an array
                 one = stability_function(scheme, TAB, zs[i, j], ws[i, j])
-                # array and scalar ufunc loops may round differently by ulps
-                assert abs(out[i, j] - one) <= 1e-13 * max(1.0, abs(one))
+                assert one == out[i, j]
+                assert stability_function(scheme, TAB, zs[i:i + 1, j], ws[i, j]) == one
 
 
 def test_broadcasting_scalar_against_array():
@@ -161,6 +163,29 @@ def test_pole_blows_up_without_raising():
                              np.array([complex(np.inf), -1.0 + 0j]))
     assert not np.isfinite(arr[0])
     assert np.isfinite(arr[1])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_conjugate_arguments_give_the_conjugate(q):
+    # the wedge scan gives each mirror sample its conjugate's |R|: R at
+    # (conj z, conj w) is conj R(z, w) and |R| is bitwise equal, on d=3
+    # samples of the pi/6 and pi/2 wedges, past floating range and at the pole
+    rng = np.random.default_rng(15)
+    n = 30_000
+    rays = rng.choice([-1.0, 0.0, 1.0], (3, n)) * np.where(np.arange(n) % 2, np.pi / 6, np.pi / 2)
+    radii = 10.0 ** rng.uniform(-3.0, 6.0, (3, n))
+    radii[rng.random((3, n)) < 0.02] = 1e200
+    parts = -np.exp(1j * rays) * radii
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = parts.sum(axis=0)
+        w = (1.0 - (1.0 - GAMMA * parts[2])
+             * ((1.0 - GAMMA * parts[1]) * (1.0 - GAMMA * parts[0]))) / GAMMA
+    w[:3] = 1.0 / GAMMA, 1.0 / GAMMA + 1e-300j, np.nextafter(1.0 / GAMMA, 0.0) - 1e-17j
+    r = stability_function(SCHEMES[q], TAB, z, w)
+    r_conj = stability_function(SCHEMES[q], TAB, np.conj(z), np.conj(w))
+    assert not np.isfinite(r[0]) and np.count_nonzero(~np.isfinite(r)) > 10
+    assert np.array_equal(np.conj(r), r_conj, equal_nan=True)
+    assert np.abs(r).tobytes() == np.abs(r_conj).tobytes()
 
 
 @pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
@@ -446,6 +471,69 @@ def test_scan_matches_reference_at_any_block_size(monkeypatch, block, kw):
     _assert_matches_reference(SCHEMES[3], res, ref)
     assert [pt.parts for pt, _ in res.samples] == [pt.parts for pt, _ in ref.samples]
     assert all(_close(m, want) for (_, m), (_, want) in zip(res.samples, ref.samples))
+
+
+def test_scan_negative_rays_hold_the_conjugate_values():
+    rays = [np.pi / 3, -np.pi / 3, 0.0, 0.2, -0.2, 1.0, -1.0]
+    res = wedge_stability_scan(SCHEMES[1], TAB, d=1, theta=np.pi / 3,
+                               radii=[1e-3, 0.7, 2.0, 1e200], angles=[0.2, 1.0],
+                               keep_samples=True)
+    values = np.array([pt.parts[0] for pt, _ in res.samples]).reshape(len(rays), 4)
+    for a in (np.pi / 3, 0.2, 1.0):
+        plus, minus = values[rays.index(a)], values[rays.index(-a)]
+        assert minus.tobytes() == np.conj(plus).tobytes()
+    assert np.all(values[2].imag == 0.0)
+
+
+@pytest.mark.parametrize("d,theta,n_radii,want", [
+    (3, np.pi / 6, 40, 896_000),  # the d=3 wedge of the benchmark
+    (2, np.pi / 2, 40, 8_000),
+    (3, 0.0, 10, 1_000),  # every sample on the real axis: all evaluated
+    (2, 0.3, 4, 80),
+], ids=["wedge3d", "d2-half-plane", "axis", "d2"])
+def test_scan_evaluates_one_sample_of_each_conjugate_pair(monkeypatch, d, theta,
+                                                          n_radii, want):
+    # ((rays * radii)^d + radii^d) / 2: one sample of each conjugate pair, and
+    # the radii^d samples on the real axis alone
+    seen = []
+
+    def counting(scheme, tab, z, w):
+        seen.append(np.broadcast(z, w).size)
+        return stability_function(scheme, tab, z, w)
+
+    monkeypatch.setattr(stability, "stability_function", counting)
+    res = wedge_stability_scan(SCHEMES[2], TAB, d, theta,
+                               radii=np.logspace(-3.0, 6.0, n_radii))
+    assert sum(seen) == want
+    assert res.n_samples == ((3 if theta else 1) * n_radii) ** d
+
+
+@given(
+    d=st.integers(1, 4),
+    theta=st.floats(0.0, np.pi / 2, exclude_min=True),
+    radii=st.lists(st.sampled_from([1e-3, 0.05, 0.7, 3.0, 40.0, 2e4, 1e200]),
+                   min_size=1, max_size=4, unique=True).filter(lambda r: min(r) < 1e200),
+    fractions=st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), max_size=2),
+    block=st.sampled_from([None, 5, 37, 100, 1000]),
+    keep=st.booleans(),
+)
+@settings(max_examples=30, deadline=None)
+def test_scan_matches_reference_on_drawn_wedges(d, theta, radii, fractions, block,
+                                                keep):
+    # the mirrored full path, at any block size, against the gather scan that
+    # evaluates every sample; 4 directions take at most 2 radii with interior rays
+    angles = [f * theta for f in fractions] or None
+    if d == 4 and angles:
+        radii = radii[:2]
+    kw = dict(radii=radii, angles=angles, keep_samples=keep)
+    with mock.patch.object(stability, "_BLOCK", block or stability._BLOCK), \
+            np.errstate(over="ignore", invalid="ignore"):
+        res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, **kw)
+        ref = reference_wedge_scan(SCHEMES[2], TAB, d, theta, **kw)
+    _assert_matches_reference(SCHEMES[2], res, ref)
+    if keep:
+        assert [pt.parts for pt, _ in res.samples] == [pt.parts for pt, _ in ref.samples]
+        assert all(_close(m, want) for (_, m), (_, want) in zip(res.samples, ref.samples))
 
 
 @pytest.mark.parametrize("d,kw", [
