@@ -230,6 +230,9 @@ def integrate(
     _check_step_size(tau)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"end time must be non-negative and finite, got {t_end}")
+    # the step count and the returned t in float64, with the tau the Stepper
+    # steps with: a NumPy float32 tau would divide and multiply in float32
+    tau, t_end = float(tau), float(t_end)
     ratio = t_end / tau
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 1e-12 * max(1.0, abs(ratio)):

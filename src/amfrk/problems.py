@@ -18,14 +18,18 @@ with J the split central-difference operator (eps folded into its diffusion
 coefficients) and boundary(t) the boundary-value vector that the eliminated
 Dirichlet data injects next to each face.
 
-Every vector here is a spatial profile scaled by e^t or e^-t.  A problem
-stores only the forcing's two profiles, so a forcing evaluation costs two
-scalings and one addition; exact(t) and boundary(t) rebuild their profiles
-from the 1-D grid axes on each call, holding the result and at most one
-state-sized temporary.  The forcing follows the package's out/work idiom
-(``apply_full``, ``solve_pi``): ``forcing(t, out, work)`` writes into out
-with work as scratch and allocates nothing; ``forcing(t)`` returns a new
-array.
+Every vector here is a sum over k of lead_k(c) (x) plane_k: c is the
+slowest grid axis (y in 2D, z in 3D), lead_k a profile along it scaled by
+e^t or e^-t, and plane_k a profile over the other axes.  The ridge factors
+as e^-c times the plane's ridge, and so does its injection on the x- and
+y-faces; the c-faces inject the plane's ridge at c = 0 and c = 1.  The
+forcing takes K = 4 terms (leads bump(c), 1, e^-c and the end-plane
+weights), exact and boundary 2 each.  A problem stores only these factors,
+O(K n^(dim-1)) numbers, and each evaluation is one (n, K) @ (K, n^(dim-1))
+matrix product written straight into the result.  The forcing follows the
+package's out/work idiom (``apply_full``, ``solve_pi``):
+``forcing(t, out, work)`` writes into out, allocates nothing state-sized
+and leaves work unused; ``forcing(t)`` returns a new array.
 """
 
 from __future__ import annotations
@@ -67,12 +71,8 @@ class SemidiscreteProblem:
 
 
 def _ridge(coords) -> np.ndarray:
-    """exp(2x - y (- z)) at coordinates given as arrays or numbers, in one
-    new array."""
-    e = 2.0 * coords[0]
-    for c in coords[1:]:
-        e = e - c
-    return np.exp(e, out=e)
+    """exp(2x - y (- z)) at coordinates given as arrays or numbers."""
+    return np.exp(2.0 * coords[0] - sum(coords[1:]))
 
 
 def _faces(coords) -> np.ndarray:
@@ -88,13 +88,23 @@ def _faces(coords) -> np.ndarray:
     return out
 
 
+def _product(lead: np.ndarray, planes: np.ndarray, out=None) -> np.ndarray:
+    """sum_k lead[:, k] (x) planes[k] as a flat state (slowest axis first):
+    one matmul, written into out when given, else into a new array."""
+    if out is None:
+        return np.matmul(lead, planes).reshape(-1)
+    np.matmul(lead, planes, out=out.reshape(lead.shape[0], -1))
+    return out
+
+
 def build_problem(
     dim: int, n_cells: int, beta: float, epsilon: float = 0.1
 ) -> SemidiscreteProblem:
     """Assemble the 2D (dim=2) or 3D (dim=3) manufactured diffusion problem.
 
-    Only the forcing's two profiles are stored; exact(t) and boundary(t)
-    rebuild theirs from the 1-D grid axes on each call.
+    forcing, exact and boundary are each sum_k lead_k(c) (x) plane_k, with c
+    the slowest axis (y in 2D, z in 3D) and each plane_k a profile over the
+    other axes; only the factors are stored, O(K n^(dim-1)) numbers.
     """
     if dim not in (2, 3):
         raise ValueError(f"manufactured problems exist for dim 2 and 3, got {dim}")
@@ -105,46 +115,48 @@ def build_problem(
     op = build_split_operator(grid, [epsilon] * dim)
     beta, eps = float(beta), float(epsilon)
     axis = grid.h * np.arange(1, n_cells)
-    # x, y(, z) and the bumps x(1-x), ..., each along its own grid axis
-    shapes = [(1,) * (dim - 1 - j) + (-1,) + (1,) * j for j in range(dim)]
+    bump = axis * (1.0 - axis)
+    # the plane's x(, y) and bumps x(1-x)(, y(1-y)), each along its own axis
+    shapes = [(1,) * (dim - 2 - j) + (-1,) + (1,) * j for j in range(dim - 1)]
     coords = [axis.reshape(s) for s in shapes]
-    bumps = [(axis * (1.0 - axis)).reshape(s) for s in shapes]
+    bumps = [bump.reshape(s) for s in shapes]
     amp = 10.0 if dim == 2 else 64.0
     # the laplacian of exp(2x - y (- z)) is (dim + 3) times itself
     lap_coeff = 1.0 + (dim + 3.0) * eps
-    # products of all bumps but one: by*bz + bx*bz + bx*by in 3-D
-    others = sum(math.prod(bumps[:j] + bumps[j + 1:]) for j in range(dim))
-    src_grow = (amp * (math.prod(bumps) + 2.0 * eps * others)).reshape(-1)
-    src_decay = _ridge(coords).reshape(-1)
-    src_decay *= -beta * lap_coeff
-    # the polynomial part vanishes on every face, only the ridge contributes
-    injected = _faces(coords).reshape(-1)
-    injected *= beta
-    injected *= eps / grid.h**2
-    src_decay += injected
+    weight = eps / grid.h**2  # J's stencil weight on the injected boundary
+    bumps_p = math.prod(bumps)
+    # the plane's products of all bumps but one: 1 in 2D, bx + by in 3D
+    others_p = sum(math.prod(bumps[:j] + bumps[j + 1:]) for j in range(dim - 1))
+    ridge_p, faces_p = _ridge(coords), _faces(coords)
 
-    # the sum is built in out; the second product goes to work, or to a
-    # state-sized temporary without one
+    # the ridge is e^-c times the plane's ridge; its x- and y-faces too, and
+    # the c-faces are the plane's ridge at c = 0 and c = 1
+    ends = np.zeros(axis.size)
+    ends[0] += 1.0
+    ends[-1] += math.exp(-1.0)
+    # lead factors along c: bump(c), 1, e^-c and the end-plane weights
+    lead = np.stack([bump, np.ones(axis.size), np.exp(-axis), ends], axis=1)
+    # (K, n^(dim-1)) planes, one row per lead used; the polynomial source
+    # splits as b_c (b_p + 2 eps o_p) + 2 eps b_p
+    src = np.stack([
+        amp * (bumps_p + 2.0 * eps * others_p),
+        amp * 2.0 * eps * bumps_p,
+        beta * (weight * faces_p - lap_coeff * ridge_p),
+        beta * weight * ridge_p,
+    ]).reshape(4, -1)
+    sol = np.stack([amp * bumps_p, beta * ridge_p]).reshape(2, -1)
+    bnd = np.stack([beta * faces_p, beta * ridge_p]).reshape(2, -1)
+
+    # work is not needed: the scaled (n, 4) lead is the only temporary
     def forcing(t: float, out=None, work=None) -> np.ndarray:
-        out = np.multiply(src_grow, np.exp(t), out=out)
-        out += np.multiply(src_decay, np.exp(-t), out=work)
-        return out
+        grow, decay = np.exp(t), np.exp(-t)
+        return _product(lead * (grow, grow, decay, decay), src, out)
 
-    # each builds its result and at most one state-sized temporary in place
     def exact(t: float) -> np.ndarray:
-        u = math.prod([amp, *bumps])
-        u *= np.exp(t)
-        ridge = _ridge(coords)
-        ridge *= beta
-        ridge *= np.exp(-t)
-        u += ridge
-        return u.reshape(-1)
+        return _product(lead[:, 0::2] * (np.exp(t), np.exp(-t)), sol)
 
     def boundary(t: float) -> np.ndarray:
-        b = _faces(coords)
-        b *= beta
-        b *= np.exp(-t)
-        return b.reshape(-1)
+        return _product(lead[:, 2:] * np.exp(-t), bnd)
 
     return SemidiscreteProblem(
         op=op,
@@ -154,4 +166,3 @@ def build_problem(
         exact=exact,
         boundary=boundary,
     )
-

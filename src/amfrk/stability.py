@@ -200,7 +200,7 @@ def wedge_stability_scan(
     values = -np.exp(1j * rays_arr)[:, None] * radii[None, :]
     values = np.where((rays_arr < 0)[:, None], np.conj(values[mirror_ray]), values).reshape(-1)
     gamma = scheme.gamma
-    fac = 1.0 - gamma * values
+    fac, inv_gamma = 1.0 - gamma * values, 1.0 / gamma
     acc = np.full(n_rays**d, -np.inf)  # max |R| at combination sum ray_k*n_rays**k
     best, counts = [-np.inf, None], [0, 0]  # (max |R|, value indices), (n, excluded)
     kept: Optional[list] = [] if keep_samples else None
@@ -218,7 +218,7 @@ def wedge_stability_scan(
         # |R| at zp, pp over directions < d-1 and `last` of d-1; each sample
         # counts for its mirror too, unless `lone` (self-conjugate)
         z = values[last] if d == 1 else zp + values[last]
-        w = z if d == 1 else (1.0 - fac[last] * pp) / gamma
+        w = z if d == 1 else (1.0 - fac[last] * pp) * inv_gamma
         mod = np.abs(stability_function(scheme, tab, z, w))
         bad = ~np.isfinite(mod)
         single = bad[..., lone]  # the self-conjugate samples

@@ -135,6 +135,40 @@ def reference_problem_vectors(dim, n_cells, beta, epsilon, t):
     return forcing, exact, np.exp(-t) * prof["boundary_decay"]
 
 
+def closed_form_vectors(dim, n_cells, beta, epsilon, t):
+    """(forcing, exact, boundary) at time t in np.longdouble, straight from
+    the closed forms of u, of g = u_t - eps laplace(u) and of u on each face,
+    at the float64 grid nodes the package uses; flat, x fastest."""
+    ld = np.longdouble
+    nodes = ((1.0 / n_cells) * np.arange(1, n_cells)).astype(ld)
+    coords = np.meshgrid(*[nodes] * dim, indexing="ij")[::-1]  # x, y(, z)
+    beta, eps, t = ld(float(beta)), ld(float(epsilon)), ld(t)
+    amp = ld(10.0 if dim == 2 else 64.0)
+
+    def bumps(cs):
+        return [c * (1 - c) for c in cs]
+
+    def u(cs):
+        ridge = np.exp(2 * cs[0] - sum(cs[1:]) - t)
+        return amp * math.prod(bumps(cs)) * np.exp(t) + beta * ridge
+
+    b = bumps(coords)
+    others = sum(math.prod(b[:j] + b[j + 1:]) for j in range(dim))
+    ridge = np.exp(2 * coords[0] - sum(coords[1:]) - t)
+    source = amp * np.exp(t) * (math.prod(b) + 2 * eps * others)
+    source -= beta * (1 + (dim + 3) * eps) * ridge
+    boundary = np.zeros_like(ridge)
+    for j in range(dim):
+        for value, end in ((0, 0), (1, -1)):
+            face = list(coords)
+            face[j] = np.full_like(ridge, value)
+            at = [slice(None)] * dim
+            at[dim - 1 - j] = end
+            boundary[tuple(at)] += u(face)[tuple(at)]
+    forcing = source + eps * ld(n_cells) ** 2 * boundary
+    return forcing.ravel(), u(coords).ravel(), boundary.ravel()
+
+
 # ---------------------------------------------------------------------------
 # Reference oracles: the row-loop Thomas solve, the two-copies-per-direction
 # line layout and the allocate-per-sweep step that the package used before

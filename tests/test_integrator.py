@@ -229,6 +229,27 @@ def test_float32_step_size_runs_in_float64():
     assert got.tobytes() == integrate(p, SCHEMES[1], TAB, 0.0625, 1.0).y.tobytes()
 
 
+def test_float32_step_size_counts_steps_and_returns_t_in_float64():
+    # the step count and the returned t come from float(tau), the step the
+    # Stepper takes: a float32 0.1 is 0.10000000149 and does not divide 1.0,
+    # where float32 arithmetic made it exactly 10 steps ending past t_end
+    p = build_problem(2, 16, 1.0, 0.1)
+    times = []
+
+    def forcing(t, out=None, work=None):
+        times.append(t)
+        return p.forcing(t, out, work)
+
+    counted = dataclasses.replace(p, forcing=forcing)
+    rec = integrate(counted, SCHEMES[1], TAB, np.float32(0.125), 1.0)
+    assert type(rec.t) is float and rec.t == 1.0
+    assert len(times) == 2 * 8 and max(times) == 1.0  # s = 2 forcings per step
+    assert rec.y.tobytes() == integrate(p, SCHEMES[1], TAB, 0.125, 1.0).y.tobytes()
+    for tau in (np.float32(0.1), float(np.float32(0.1))):
+        with pytest.raises(ValueError, match="not an integer number of steps"):
+            integrate(p, SCHEMES[1], TAB, tau, 1.0)
+
+
 def test_integrate_step_bookkeeping():
     prob = build_problem(2, 8, 0.0)
     rec = integrate(prob, SCHEMES[1], TAB, 0.25, 1.0)
