@@ -45,7 +45,6 @@ from .tableau import (
     AmfScheme,
     ButcherTableau,
     amf_scheme,
-    extended_scheme,
     radau2a_tableau,
     scheme_sweeps,
     verify_scheme_conditions,
@@ -75,7 +74,6 @@ __all__ = [
     "build_problem",
     "build_split_operator",
     "combine_zw",
-    "extended_scheme",
     "factor_direction",
     "integrate",
     "radau2a_tableau",

@@ -60,9 +60,11 @@ def weighted_norm(v: np.ndarray, grid: GridSpec) -> float:
 
     This is the discrete L2 normalization the reference error tables use;
     it differs from h^(dim/2) * ||v||_2 by the vanishing factor
-    ((N-1)/N)^(dim/2).
+    ((N-1)/N)^(dim/2).  Raises ValueError unless v has grid.m entries.
     """
     v = np.asarray(v)
+    if v.size != grid.m:
+        raise ValueError(f"v must have grid.m = {grid.m} entries, got {v.size}")
     return float(np.linalg.norm(v) / math.sqrt(grid.m))
 
 

@@ -123,10 +123,9 @@ class Stepper:
             rows = (4, 2, 1) if len(self._rhs) > 2 else (4, 2)
             self._buf = [np.empty((k, m), dtype=dtype) for k in rows]
             zt, r = self._buf[:2]
-            blocks = op.grid.state_blocks
             # the right-hand-side product by column blocks, each in cache
-            self._cols = [(zt, zt[2:], r)] if blocks is None else [
-                (zt[:, b.flat], zt[2:, b.flat], r[:, b.flat]) for b in blocks
+            self._cols = [
+                (zt[:, b.flat], zt[2:, b.flat], r[:, b.flat]) for b in op.grid.state_blocks
             ]
         zt, r = self._buf[:2]
         z, t = zt[:2], zt[2:]

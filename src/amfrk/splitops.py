@@ -8,24 +8,24 @@ one-direction systems (I - sigma*J_j).
 
 A product solve runs one of two kernels, chosen from the grid's sizes alone
 (``_solve_block``).  Where a Thomas sweep would be mostly Python call
-overhead, each direction is matrix products with dense inverses that the
-factorization builds: one with the whole-line inverse on short lines;
-on longer lines, cut into blocks of 8 to 24 points, a small reduced system
-in the values beside the block boundaries, which decouples the blocks (the
-SPIKE algorithm of Polizzi and Sameh), and one batched product with the
-block inverse.  Elsewhere (3-D grids past N=65, 2-D lines of more than
-1024 points) it is a batched Thomas sweep, whose cost there is arithmetic
-rather than call overhead.
+overhead, each direction is matrix products with the dense inverses of
+line blocks that the factorization builds.  A short line is one block, and
+one product with its inverse solves it.  A longer line is cut into blocks
+of 8 to 24 points; a small reduced system in the values beside the block
+boundaries decouples them (the SPIKE algorithm of Polizzi and Sameh), and
+one batched product with the block inverse solves them.  Elsewhere (3-D
+grids past N=65, 2-D lines of more than 1024 points) it is a batched
+Thomas sweep, whose cost there is arithmetic rather than call overhead.
 
 Work that passes over the state several times (the ufuncs of a J apply,
 the Thomas scale-and-roll and, in the integrator, the stage right-hand-side
 product) runs over ``GridSpec.state_blocks``: blocks of whole slowest-axis
 planes of about ``_STATE_BLOCK`` unknowns, so that the passes after the
 first read a block from L2 rather than memory.  Each entry sees the same
-operations in the same order, so blocked results are bitwise the
-whole-state ones.  At 3-D N=96 (m = 857,375) apply_full fell from about 10
-to 6 ms and _add_full from 8 to 5 ms.  A grid of at most ``_STATE_BLOCK``
-unknowns is one block and makes the whole-state calls.
+operations in the same order, so results are bitwise those of one block
+whatever the block size.  At 3-D N=96 (m = 857,375) apply_full fell from
+about 10 to 6 ms and _add_full from 8 to 5 ms.  A grid of at most
+``_STATE_BLOCK`` unknowns, and every 1-D grid, is one block.
 """
 
 from __future__ import annotations
@@ -144,10 +144,10 @@ class GridSpec:
         return self.dim - 1 - j
 
     @cached_property
-    def state_blocks(self) -> tuple[StateBlock, ...] | None:
+    def state_blocks(self) -> tuple[StateBlock, ...]:
         """The state cut into blocks of ``_STATE_BLOCK`` unknowns rounded
-        down to whole planes (at least one), or None when one block holds it
-        or the grid is 1-D.
+        down to whole planes (at least one); a grid of at most that many
+        unknowns, or a 1-D grid, is one block.
 
         A 1-D plane is one unknown, and NumPy scales a block of one complex
         unknown in its scalar loop, which rounds apart from its vector loop.
@@ -155,9 +155,7 @@ class GridSpec:
         """
         n = self.n_interior
         plane = n ** (self.dim - 1)
-        step = max(1, _STATE_BLOCK // plane)
-        if self.dim == 1 or step >= n:
-            return None
+        step = n if self.dim == 1 else max(1, _STATE_BLOCK // plane)
         blocks = []
         for p in range(0, n, step):
             a, b = p * plane, min(p + step, n) * plane
@@ -295,10 +293,10 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
     symmetric stencil (diag = -2*sub) the additions that cancel a smooth
     state's large terms are exact, and only the products round.
 
-    On a grid of several ``state_blocks`` every term of a block is added
-    before the next block, in the same order per entry.  A block holds whole
-    lines of every direction but d-1, whose neighbours are a plane away: its
-    terms read v across the block's edges.
+    Every term of a block of ``state_blocks`` is added before the next
+    block, in the same order per entry.  A block holds whole lines of every
+    direction but d-1, whose neighbours are a plane away: its terms read v
+    across the block's edges.
     """
     v = np.asarray(v).reshape(-1)
     if out is None:
@@ -308,11 +306,8 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
         work = np.empty_like(out)
     n = op.grid.n_interior
     last = op.grid.dim - 1
-    for block in op.grid.state_blocks or (None,):  # None: the whole state
-        if block is None:
-            vb, ob, wb = v, out, work
-        else:
-            vb, ob, wb = v[block.flat], out[block.flat], work[block.flat]
+    for block in op.grid.state_blocks:
+        vb, ob, wb = v[block.flat], out[block.flat], work[block.flat]
         if fold is not None:
             np.multiply(vb, fold, out=wb)
             ob += wb
@@ -322,7 +317,7 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
                 np.multiply(vb, st.diag, out=wb if k else ob)
                 if k:
                     ob += wb
-            if block is not None and j == last:
+            if j == last:
                 for (src, dst), coeff in zip(block.shifts, (st.sub, st.sup)):
                     np.multiply(v[src], coeff, out=work[dst])
                     part = out[dst]
@@ -352,17 +347,15 @@ class TridiagFactor:
     because each enters one call per grid row.
 
     Where the product solve runs matrix products (``_solve_block``), the
-    factor also carries the dense inverses it needs, built from this
-    factorization: on short lines inv_t, the transpose of the n x n inverse
-    (I - sigma*J_j)^-1; on lines cut into blocks, ``blocks``.  Elsewhere both
-    are None and solves run the sweeps.  Factors compare by identity.
+    factor also carries the dense inverses of its line blocks, built from
+    this factorization (``blocks``; a short line is one block).  Elsewhere
+    blocks is None and solves run the sweeps.  Factors compare by identity.
     """
 
     sigma: float | complex
     lower: tuple  # lo / p_{i-1}, i = 1 .. n-1
     upper: tuple  # up / p_{i+1}, i = 0 .. n-2
     inv_diag: np.ndarray  # 1 / p_i
-    inv_t: np.ndarray | None = None  # transposed dense inverse, or None
     blocks: LineBlocks | None = None  # block inverses, reduced system, or None
 
     @property
@@ -371,7 +364,7 @@ class TridiagFactor:
 
 
 class LineBlocks(NamedTuple):
-    """A line of n points cut into P >= 2 blocks of L points, the last of r.
+    """A line of n points cut into P >= 1 blocks of L points, the last of r.
 
     The bands are constant, so every block's matrix is a leading principal
     block of I - sigma*J_j, whose LU data are the factor's first pivots and
@@ -384,6 +377,9 @@ class LineBlocks(NamedTuple):
     ends : (2, L); the first and last rows of a full block's inverse
     reduced : (2(P-1), 2(P-1)); the inverse of the reduced system in the
         boundary values, its rows scaled by -lo and -up in turn.
+
+    A line of P = 1 block (L = r = n) has inv_t and last_t both the
+    transposed inverse of the whole line and a 0 x 0 reduced system.
 
     With y_k the solution of block k on its own right-hand side, and v_k,
     w_k the first and last columns of the block's inverse,
@@ -457,18 +453,16 @@ def _factor(
     op: SplitOperator, j: int, sigma: float, length: int | None
 ) -> TridiagFactor:
     """The factor of I - sigma*J_j with the inverses of blocks of ``length``
-    points (the whole line when length >= n; none when length is None)."""
+    points (one block when length >= n; none when length is None)."""
     fac = _factor_lu(op, j, sigma)
     if length is None:
         return fac
     n = fac.n
-    if length >= n:
-        return replace(fac, inv_t=_leading_inverse(fac, n).T)
     st = op.stencils[j]
     lo, up = -sigma * st.sub, -sigma * st.sup
     head = (n - 1) // length * length  # points in the P-1 full blocks
-    inv = _leading_inverse(fac, length)
     last = _leading_inverse(fac, n - head)
+    inv = _leading_inverse(fac, length) if head else last
     # unknowns x_{kL-1} (rows a) and x_{kL} (rows c) of boundaries k = 1 .. P-1
     a = np.arange(0, 2 * head // length, 2)
     c = a + 1
@@ -476,7 +470,7 @@ def _factor(
     red[a[1:], a[:-1]] = lo * inv[-1, 0]
     red[a, c] = up * inv[-1, -1]
     red[c, a] = lo * inv[0, 0]
-    red[c[-1], a[-1]] = lo * last[0, 0]
+    red[c[-1:], a[-1:]] = lo * last[0, 0]
     red[c[:-1], c[1:]] = up * inv[0, -1]
     red = np.linalg.inv(red)
     red[a] *= -lo
@@ -565,14 +559,15 @@ def solve_pi(
     The factors choose the kernel.  The natural layout's leading axis is
     direction d-1, and each direction solves along the leading axis:
 
-    - matmul (factors with inv_t or blocks): matrix products with the dense
+    - matmul (factors with blocks): matrix products with the dense block
       inverses, rhs_lines^T @ inv^T, written straight into the other buffer.
       The transposed product is itself the cyclic axis roll that moves the
       leading axis to the end, so the directions are solved in the order
-      d-1, d-2, .., 0, and no scaling pass or layout copy is made.  On lines
-      cut into blocks (``_block_solve``), the neighbour terms from the
-      reduced system correct the boundary rows of the right-hand side
-      before the product: in place in the buffer a product wrote, and in a
+      d-1, d-2, .., 0, and no scaling pass or layout copy is made.  A line
+      of one block is one product with the whole-line inverse.  On lines
+      cut into P >= 2 blocks (``_block_solve``), the neighbour terms from
+      the reduced system correct the boundary rows of the right-hand side
+      before the products: in place in the buffer a product wrote, and in a
       copy for the caller's rhs (one copy per product solve).
     - Thomas (factors without inverses): a line sweep scaled by inv_diag in
       place, then one copy that rolls the axes cyclically (the last axis
@@ -598,25 +593,23 @@ def solve_pi(
         work = np.empty(grid.m, dtype=dtype)
     n = grid.n_interior
     src = rhs
-    if all(fac.inv_t is not None or fac.blocks is not None for fac in factors):
+    if all(fac.blocks is not None for fac in factors):
         # the last of the d products must land in out; when out is rhs,
-        # NumPy copies the overlapping input of a first whole-line product
+        # NumPy copies the overlapping input of a first one-block product
         bufs = (out, work) if d % 2 else (work, out)
         for k in range(d):
             dst = bufs[k % 2]
-            fac = factors[d - 1 - k]
-            if fac.blocks is None:  # one block: the whole line
-                np.matmul(src.reshape(n, -1).T, fac.inv_t, out=dst.reshape(-1, n))
-            else:
+            blocks = factors[d - 1 - k].blocks
+            rows, cols = src.reshape(n, -1), dst.reshape(-1, n)
+            if blocks.reduced.size:  # P >= 2 blocks
                 # the first product corrects the caller's rhs in a copy, in
                 # the buffer the second product writes (out itself when out
                 # is rhs and d is even)
-                stage = bufs[1] if k == 0 else None
-                _block_solve(fac.blocks, src.reshape(n, -1), dst.reshape(-1, n), stage)
+                rows, cols = _block_solve(blocks, rows, cols, bufs[1] if k == 0 else None)
+            np.matmul(rows.T, blocks.last_t, out=cols)  # the last block
             src = dst
         return out
     # an even number of rolls ends in the buffer the first sweep wrote
-    blocks = grid.state_blocks
     bufs = [b.reshape(grid.shape) for b in ((out, work) if d % 2 == 0 else (work, out))]
     for k in range(d):
         fac = factors[(d - 1 + k) % d]
@@ -625,14 +618,10 @@ def solve_pi(
         scale, rolled = _line_scale(fac, d), np.moveaxis(nxt, 0, -1)
         # a plain strided copy is about twice as fast as a scaling ufunc
         # writing through the rolled view; a block is rolled while in cache
-        if blocks is None:
-            cur *= scale
-            np.copyto(rolled, cur)
-        else:
-            for block in blocks:
-                part = cur[block.planes]
-                part *= scale[block.planes]
-                np.copyto(rolled[block.planes], part)
+        for block in grid.state_blocks:
+            part = cur[block.planes]
+            part *= scale[block.planes]
+            np.copyto(rolled[block.planes], part)
         src = nxt
     return out
 
@@ -657,12 +646,14 @@ def _boundary_terms(blocks: LineBlocks, rows: np.ndarray) -> np.ndarray:
 
 def _block_solve(
     blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray, stage: np.ndarray | None
-) -> None:
-    """Solve the (n, M) lines ``rows`` into the (M, n) transposed ``cols``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the P-1 >= 1 full blocks of the (n, M) lines ``rows`` into the
+    (M, n) transposed ``cols``; returns the last block's corrected rows and
+    its columns, for the caller's product with ``last_t``.
 
     The neighbour terms are added to the blocks' first and last rows, in a
     copy of rows in the buffer stage, or in rows itself when stage is None;
-    then one batched product solves the P-1 full blocks and one the last.
+    then one batched product solves the full blocks.
     """
     n, lines = rows.shape
     length = blocks.inv_t.shape[0]
@@ -678,4 +669,4 @@ def _block_solve(
         blocks.inv_t,
         out=cols[:, :head].reshape(lines, -1, length).transpose(1, 0, 2),
     )
-    np.matmul(rows[head:].T, blocks.last_t, out=cols[:, head:])
+    return rows[head:], cols[:, head:]

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 import itertools
+import math
 from typing import Optional
 
 import numpy as np
@@ -176,13 +177,13 @@ def wedge_stability_scan(
     direction; each conjugate, later in the scan order, takes their |R|.
     """
     check_count("d", d, 1)
+    check_count("cap", cap, 1)
+    check_count("n_random", n_random, 0)
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
     radii = np.logspace(-3.0, 6.0, 40) if radii is None else np.asarray(radii, float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radii must be a nonempty 1-D array of finite positive values")
-    if cap < 1 or n_random < 0:
-        raise ValueError(f"need cap >= 1 and n_random >= 0, got {cap}, {n_random}")
     rays = [0.0] if theta == 0.0 else [theta, -theta, 0.0]
     for ang in angles if angles is not None else ():
         ang = float(ang)
@@ -312,16 +313,21 @@ def wedge_stability_scan(
     return ScanResult(best[0], point(best[1]), per_ray, counts[0], counts[1], kept)
 
 
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
 def splitting_sup_bound(d: int, gamma: float) -> float:
     """Closed-form sup of |z / (1 - gamma*w)| over the left half-plane.
 
     For a d-direction splitting with all Re z_k <= 0 the ratio is bounded by
     (1/gamma) * sqrt((d-1)^(d-1) / d^(d-2)), attained on the imaginary axis
     with all directions equal; d = 1 gives 1/gamma (approached, not attained).
+    Raises ValueError unless gamma is finite and > 0.
     """
     check_count("d", d, 1)
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    _check_gamma(gamma)
     if d == 1:
         return 1.0 / gamma
     return float((1.0 / gamma) * np.sqrt((d - 1) ** (d - 1) / d ** (d - 2)))
@@ -339,9 +345,13 @@ def sampled_sup_ratio(
     Samples the diagonal z_k = i*x around the known maximizer
     x = 1/(gamma*sqrt(d-1)) plus seeded random imaginary tuples; approaches
     splitting_sup_bound(d, gamma) from below.  Requires d >= 2 (for d = 1
-    the sup is only approached as |z| grows without bound).
+    the sup is only approached as |z| grows without bound), a finite
+    gamma > 0, n_diag >= 1 and n_random >= 0 (0: the diagonal alone).
     """
     check_count("d", d, 2)
+    check_count("n_diag", n_diag, 1)
+    check_count("n_random", n_random, 0)
+    _check_gamma(gamma)
     x_star = 1.0 / (gamma * (d - 1) ** 0.5)
     xs = np.linspace(0.5 * x_star, 2.0 * x_star, n_diag)
     zs = 1j * xs
@@ -353,4 +363,4 @@ def sampled_sup_ratio(
     zr = 1j * xr
     prod = np.prod(1.0 - gamma * zr, axis=1)
     vals_r = np.abs(zr.sum(axis=1) / prod)
-    return max(out, float(vals_r.max()))
+    return max(out, float(vals_r.max(initial=0.0)))

@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from .splitops import check_count
+
 SQRT6 = math.sqrt(6.0)
 
 # gamma = sqrt(det A) for the 2-stage Radau IIA matrix (det A = 1/6)
@@ -156,24 +158,11 @@ def amf_scheme(q: int) -> AmfScheme:
     q=3: three identical sweeps, each with the output-row condition; order
          three with a wider usable step range.
     """
-    if not isinstance(q, int) or isinstance(q, bool):
-        raise ValueError(f"sweep count must be an int, got {q!r}")
+    check_count("q", q, 1)
     if q not in _SWEEPS:
-        raise ValueError(f"sweep count must be 1, 2 or 3, got {q}")
+        raise ValueError(f"sweep count must be 1, 2 or 3, got q={q!r}")
     iters = tuple(_make_iteration(s, l, cond, GAMMA) for s, l, cond in _SWEEPS[q])
-    return AmfScheme(name=SCHEME_IDS[q - 1], q=q, gamma=GAMMA, iterations=iters)
-
-
-def extended_scheme(scheme: AmfScheme, q: int) -> AmfScheme:
-    """Extend a scheme to q sweeps by repeating its last sweep.
-
-    Test facility: as q grows the sweeps converge to the exact stage solution,
-    so the extended scheme lets tests compare against a dense implicit solve.
-    """
-    if q < scheme.q:
-        raise ValueError(f"cannot shrink a {scheme.q}-sweep scheme to q={q}")
-    iters = scheme.iterations + (scheme.iterations[-1],) * (q - scheme.q)
-    return AmfScheme(name=f"{scheme.name}x{q}", q=q, gamma=scheme.gamma, iterations=iters)
+    return AmfScheme(name=SCHEME_IDS[q - 1], q=int(q), gamma=GAMMA, iterations=iters)
 
 
 def verify_scheme_conditions(scheme: AmfScheme, tab: ButcherTableau) -> dict[str, float]:

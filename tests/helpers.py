@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from amfrk import GridSpec, SemidiscreteProblem, SplitOperator, apply_direction
+from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator, apply_direction
 from amfrk.splitops import DirectionStencil
 from amfrk.stability import (
     ComplexPoint,
@@ -16,6 +16,18 @@ from amfrk.stability import (
     combine_zw,
     stability_function,
 )
+
+
+def extended_scheme(scheme: AmfScheme, q: int) -> AmfScheme:
+    """Extend a scheme to q sweeps by repeating its last sweep.
+
+    As q grows the sweeps converge to the exact stage solution, so the
+    extended scheme lets tests compare against a dense implicit solve.
+    """
+    if q < scheme.q:
+        raise ValueError(f"cannot shrink a {scheme.q}-sweep scheme to q={q}")
+    iters = scheme.iterations + (scheme.iterations[-1],) * (q - scheme.q)
+    return AmfScheme(name=f"{scheme.name}x{q}", q=q, gamma=scheme.gamma, iterations=iters)
 
 
 def scalar_problem(lam) -> SemidiscreteProblem:

@@ -22,7 +22,6 @@ from amfrk import (
     amf_scheme,
     amf_step,
     build_problem,
-    extended_scheme,
     radau2a_tableau,
     run_convergence,
     sampled_sup_ratio,
@@ -44,6 +43,7 @@ from helpers import (
     apply_pi,
     dense_direction_matrix,
     direction_eigenvalues,
+    extended_scheme,
     irk_reference_step,
     scalar_problem,
 )

@@ -55,6 +55,12 @@ def test_norm_never_exceeds_max_entry():
     assert weighted_norm(v, grid) <= np.max(np.abs(v)) + 1e-15
 
 
+@pytest.mark.parametrize("size", [0, 5, 48, 50])
+def test_norm_rejects_a_vector_of_another_size(size):
+    with pytest.raises(ValueError, match=f"49 entries, got {size}"):
+        weighted_norm(np.ones(size), GridSpec(dim=2, n_cells=8))
+
+
 # ---------------------------------------------------------------------------
 # run_convergence validation
 

@@ -21,7 +21,6 @@ from amfrk import (
     amf_step,
     build_problem,
     combine_zw,
-    extended_scheme,
     integrate,
     radau2a_tableau,
     stability_function,
@@ -29,6 +28,7 @@ from amfrk import (
 )
 from helpers import (
     copying_forcing,
+    extended_scheme,
     frozen_forcing_problem,
     irk_reference_step,
     reference_integrate,
@@ -426,11 +426,11 @@ def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
 @pytest.mark.parametrize(
     "dim,n,kernel,planes",
     [
-        (2, 160, "inv_t", None),
+        (2, 160, "line", None),
         (2, 258, "blocks", None),
-        (3, 32, "inv_t", None),
+        (3, 32, "line", None),
         (3, 40, None, None),
-        (3, 32, "inv_t", 10),
+        (3, 32, "line", 10),
         (3, 40, None, 10),
         (3, 40, "blocks", None),
         (3, 40, "blocks", 10),
@@ -439,20 +439,20 @@ def test_step_never_writes_into_the_forcing_or_the_initial_state(dim):
          "3d-thomas-10planes", "3d-block", "3d-block-10planes"],
 )
 def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes):
-    # the whole-line and Thomas kernels are forced on grids whose states
+    # one-block lines and the Thomas kernel are forced on grids whose states
     # are larger than NumPy's iteration buffer; blocks are the rule's own
     if kernel != "blocks":
-        length = n - 1 if kernel == "inv_t" else None
+        length = n - 1 if kernel == "line" else None
         monkeypatch.setattr(splitops, "_solve_block", lambda grid: length)
     if planes is not None:  # blocks larger than NumPy's iteration buffer
         monkeypatch.setattr(splitops, "_STATE_BLOCK", planes * (n - 1) ** (dim - 1))
     base = build_problem(dim, n, 1.0)
     blocks = base.op.grid.state_blocks
-    assert (blocks is not None and len(blocks) > 2) == (planes is not None)
+    assert (len(blocks) > 2) == (planes is not None)
     stepper = Stepper(base, SCHEMES[2], TAB, 0.5)
     fac = stepper.factors[0]
-    kernels = (fac.inv_t is not None, fac.blocks is not None)
-    assert kernels == (kernel == "inv_t", kernel == "blocks")
+    got = None if fac.blocks is None else "blocks" if fac.blocks.reduced.size else "line"
+    assert got == kernel
     y = base.exact(0.0)
     buf = np.empty_like(y)
     stepper.step(0.0, y, out=buf)  # allocates the work rows
@@ -490,7 +490,8 @@ def test_stepper_holds_a_spare_row_only_for_middle_sweeps(
         monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     base = build_problem(dim, n, 1.0)
     stepper = Stepper(base, scheme, TAB, 0.5)
-    assert (stepper.factors[0].blocks is not None) == (kernel == "blocks")
+    blocks = stepper.factors[0].blocks
+    assert (blocks is not None and blocks.reduced.size > 0) == (kernel == "blocks")
     y = base.exact(0.0)
     buf = np.empty_like(y)
     tracemalloc.start()
@@ -518,7 +519,7 @@ def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
         for block in (m, 1, int(2.5 * plane)):
             monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
             prob = build_problem(dim, n, 1.0)  # a fresh grid derives its blocks
-            assert (prob.op.grid.state_blocks is None) == (block == m)
+            assert (len(prob.op.grid.state_blocks) == 1) == (block == m)
             finals.append(integrate(prob, scheme, TAB, tau, 4 * tau).y)
         for y in finals[1:]:
             assert np.array_equal(y, finals[0]), scheme.name

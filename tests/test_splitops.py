@@ -31,19 +31,20 @@ from helpers import (
     dense_direction_matrix,
     dense_operator_matrix,
     direction_eigenvalues,
+    reference_apply_full,
     reference_solve_direction,
     reference_solve_pi,
 )
 
 
 def _kernel_factors(op, sigma):
-    """The factors of one product solve on each kernel: as built (with the
-    dense inverses, which every grid here is small enough for), with the
-    inverses dropped, which sends the solve down the Thomas sweep, and with
-    each line cut into blocks (``_block_factors``)."""
+    """The factors of one product solve on each kernel: as built (each line
+    one block with the whole-line inverse, which every grid here is small
+    enough for), with the inverses dropped, which sends the solve down the
+    Thomas sweep, and with each line cut into blocks (``_block_factors``)."""
     dense = factor_pi(op, sigma)
-    assert all(f.inv_t is not None for f in dense)
-    thomas = tuple(dataclasses.replace(f, inv_t=None) for f in dense)
+    assert all(f.blocks.reduced.shape == (0, 0) for f in dense)
+    thomas = tuple(dataclasses.replace(f, blocks=None) for f in dense)
     return {"dense": dense, "thomas": thomas, **_block_factors(op, sigma)}
 
 
@@ -59,7 +60,7 @@ def _block_factors(op, sigma):
         factors = tuple(
             splitops._factor(op, j, sigma, length) for j in range(op.grid.dim)
         )
-        assert all(f.inv_t is None and f.blocks is not None for f in factors)
+        assert all(f.blocks.reduced.shape[0] >= 2 for f in factors)  # P >= 2
         out[f"block{length}"] = factors
     return out
 
@@ -419,9 +420,11 @@ def test_dense_inverse_selection(dim, n, dense):
     product within 2^19, never above 256 x 256); the sizes alone decide."""
     op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
     for fac in factor_pi(op, 0.01):
-        assert (fac.inv_t is not None) == dense
+        one_block = fac.blocks is not None and fac.blocks.reduced.shape == (0, 0)
+        assert one_block == dense
         if dense:
-            assert fac.inv_t.shape == (n - 1, n - 1)
+            assert fac.blocks.last_t.shape == (n - 1, n - 1)
+            assert fac.blocks.last_t.flags.c_contiguous
             assert fac.n <= 256
 
 
@@ -457,9 +460,14 @@ def test_product_solve_kernel_selection(dim, n, kernel):
     op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
     length = splitops._solve_block(op.grid)
     for fac in factor_pi(op, 0.01):
-        got = "dense" if fac.inv_t is not None else "thomas"
-        if fac.blocks is not None:
-            assert got == "thomas"  # never both
+        if fac.blocks is None:
+            got = "thomas"
+        elif fac.blocks.reduced.shape == (0, 0):  # one block: the whole line
+            got = "dense"
+            assert length == n - 1
+            assert fac.blocks.last_t.shape == (n - 1, n - 1)
+            assert fac.blocks.last_t.flags.c_contiguous
+        else:
             got = "block"
             interfaces = (n - 2) // length  # P - 1
             last = n - 1 - interfaces * length
@@ -620,12 +628,33 @@ def test_roll_layout_round_trip(dim, n):
 # ------------------------------------------------------------ cache blocks
 
 
+@pytest.mark.parametrize(
+    "dim,n",
+    [(1, 2), (1, 12), (1, 2**17), (2, 2), (2, 12), (2, 258), (2, 300), (3, 8), (3, 97)],
+)
+def test_state_blocks_tile_the_state(dim, n):
+    """state_blocks is a non-empty tuple of whole planes whose flat slices
+    cover range(m) in order; a 1-D grid, or one of at most _STATE_BLOCK
+    unknowns, is one block."""
+    g = GridSpec(dim=dim, n_cells=n)
+    blocks = g.state_blocks
+    assert isinstance(blocks, tuple) and blocks
+    plane = g.n_interior ** (dim - 1)
+    stop = 0
+    for b in blocks:
+        assert b.flat.start == stop == b.planes.start * plane
+        assert b.flat.stop == min(b.planes.stop, g.n_interior) * plane
+        stop = b.flat.stop
+    assert stop == g.m
+    assert (len(blocks) == 1) == (dim == 1 or g.m <= splitops._STATE_BLOCK)
+
+
 def _pass_results(monkeypatch, dim, n, block, vectors):
-    """Every blocked kernel's results on a fresh grid (blocks are derived
-    once per grid) with the block constant patched to ``block`` unknowns:
-    J applies of an advective, reactive operator, out += J v, and Thomas
-    product solves (into a fresh array and in place) at a real and a complex
-    shift."""
+    """The operator and every blocked kernel's results on a fresh grid
+    (blocks are derived once per grid) with the block constant patched to
+    ``block`` unknowns: J applies of an advective, reactive operator,
+    out += J v, and Thomas product solves (into a fresh array and in place)
+    at a real and a complex shift."""
     monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
     monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     g = GridSpec(dim=dim, n_cells=n)
@@ -641,12 +670,24 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
         results.append(acc)
         for sigma in (0.02, 0.02 * (1.0 + 0.7j)):
             factors = factor_pi(op, sigma)
-            assert all(f.inv_t is None and f.blocks is None for f in factors)
+            assert all(f.blocks is None for f in factors)
             results.append(solve_pi(op, sigma, v, factors))
             w = v.astype(np.result_type(v, sigma))
             solve_pi(op, sigma, w, factors, out=w, work=np.empty_like(w))
             results.append(w)
-    return g.state_blocks, results
+    return op, results
+
+
+def _pass_references(op, vectors):
+    """``_pass_results`` in the same order from the reference kernels."""
+    results = []
+    for v in vectors:
+        results.append(reference_apply_full(op, v))
+        results.extend(dense_direction_matrix(op, j) @ v for j in range(op.grid.dim))
+        results.append(np.cos(np.arange(op.grid.m)) + reference_apply_full(op, v))
+        for sigma in (0.02, 0.02 * (1.0 + 0.7j)):
+            results.extend([reference_solve_pi(op, sigma, v)] * 2)
+    return results
 
 
 @pytest.mark.parametrize("dim,n", [(1, 12), (2, 10), (3, 8)])
@@ -655,17 +696,21 @@ def test_blocked_passes_equal_the_one_block_passes(monkeypatch, dim, n, size):
     """Blocks change no arithmetic: each kernel's result is bitwise its
     one-block result, whether a block is one plane (the constant 1 rounds
     up to it), two planes and a shorter last block, or all but one plane.
-    A 1-D state, whose planes are single unknowns, is never cut."""
+    A 1-D state, whose planes are single unknowns, is never cut.  The
+    one-block results match the reference kernels."""
     k = n - 1  # planes of the slowest axis
     plane, m = k ** (dim - 1), k**dim
     block = {"unit": 1, "plane": plane, "2.5planes": int(2.5 * plane), "m-1": m - 1}[size]
     rng = np.random.default_rng(dim * n)
     vectors = [rng.standard_normal(m), rng.standard_normal(m) * (1 - 0.5j)]
-    blocks, want = _pass_results(monkeypatch, dim, n, m, vectors)
-    assert blocks is None
-    blocks, got = _pass_results(monkeypatch, dim, n, block, vectors)
+    op, want = _pass_results(monkeypatch, dim, n, m, vectors)
+    assert len(op.grid.state_blocks) == 1
+    for i, (a, b) in enumerate(zip(want, _pass_references(op, vectors), strict=True)):
+        assert a.dtype == b.dtype and np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b)), i
+    op, got = _pass_results(monkeypatch, dim, n, block, vectors)
+    blocks = op.grid.state_blocks
     if dim == 1:
-        assert blocks is None
+        assert len(blocks) == 1
     else:
         per_block = max(1, block // plane)
         assert len(blocks) == -(-k // per_block) >= 2

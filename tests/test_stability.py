@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from amfrk import (
     amf_scheme,
     combine_zw,
-    extended_scheme,
     radau2a_tableau,
     sampled_sup_ratio,
     splitting_sup_bound,
@@ -26,7 +25,7 @@ from amfrk import (
 )
 import amfrk.stability as stability
 from amfrk.tableau import GAMMA
-from helpers import reference_stability_function, reference_wedge_scan
+from helpers import extended_scheme, reference_stability_function, reference_wedge_scan
 
 TAB = radau2a_tableau()
 SCHEMES = {q: amf_scheme(q) for q in (1, 2, 3)}
@@ -594,6 +593,43 @@ def test_sampled_sup_approaches_bound_from_below(d):
 def test_sampled_sup_needs_a_true_splitting():
     with pytest.raises(ValueError):
         sampled_sup_ratio(1, GAMMA)
+
+
+@pytest.mark.parametrize("fn", [splitting_sup_bound, sampled_sup_ratio])
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_sup_functions_reject_a_gamma_that_is_not_finite_and_positive(fn, gamma):
+    with pytest.raises(ValueError, match="gamma"):
+        fn(2, gamma)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sampled_sup_without_random_samples_is_the_diagonal_maximum(d):
+    x_star = 1.0 / (GAMMA * (d - 1) ** 0.5)
+    zs = 1j * np.linspace(0.5 * x_star, 2.0 * x_star, 101)
+    want = float(np.max(np.abs(d * zs / (1.0 - GAMMA * zs) ** d)))
+    assert sampled_sup_ratio(d, GAMMA, n_diag=101, n_random=0) == want
+    assert sampled_sup_ratio(d, GAMMA, n_diag=101, n_random=500) >= want
+
+
+@pytest.mark.parametrize(
+    "name,bad",
+    [("n_diag", 2.5), ("n_diag", True), ("n_diag", 0), ("n_random", 2.5),
+     ("n_random", np.float64(3.0)), ("n_random", -1)],
+)
+def test_sampled_sup_sample_counts_must_be_whole_numbers(name, bad):
+    with pytest.raises(ValueError, match=f"{name}="):
+        sampled_sup_ratio(2, GAMMA, **{name: bad})
+
+
+@pytest.mark.parametrize(
+    "name,bad", [("n_random", 2.5), ("n_random", True), ("cap", 10.0), ("cap", 0)]
+)
+def test_scan_counts_must_be_whole_numbers(name, bad):
+    # cap=1 sends the scan to the subsample, which draws n_random tuples
+    kwargs = {"cap": 1, name: bad}
+    with pytest.raises(ValueError, match=f"{name}="):
+        wedge_stability_scan(SCHEMES[1], TAB, d=2, theta=np.pi / 4,
+                             radii=np.array([1.0, 2.0]), **kwargs)
 
 
 @pytest.mark.parametrize("fn", [splitting_sup_bound, sampled_sup_ratio])

@@ -7,9 +7,9 @@ import inspect
 import pytest
 
 import amfrk
-from amfrk import harness, integrator, splitops
+from amfrk import harness, integrator, splitops, tableau
 
-# dense and closed-form oracles, kept in tests/helpers.py
+# dense and closed-form oracles and test-only schemes, kept in tests/helpers.py
 TEST_ONLY = (
     "SizeGuardError",
     "_DENSE_LIMIT",
@@ -18,6 +18,7 @@ TEST_ONLY = (
     "dense_direction_matrix",
     "dense_operator_matrix",
     "direction_eigenvalues",
+    "extended_scheme",
     "irk_reference_step",
     "residual",
 )
@@ -30,7 +31,7 @@ def test_every_exported_name_resolves_once():
 
 
 @pytest.mark.parametrize(
-    "module", [amfrk, splitops, integrator, harness], ids=lambda m: m.__name__
+    "module", [amfrk, splitops, integrator, harness, tableau], ids=lambda m: m.__name__
 )
 def test_test_oracles_are_not_in_the_package(module):
     assert [name for name in TEST_ONLY if hasattr(module, name)] == []

@@ -9,12 +9,12 @@ from hypothesis import given, settings, strategies as st
 from amfrk import (
     SCHEME_IDS,
     amf_scheme,
-    extended_scheme,
     radau2a_tableau,
     scheme_sweeps,
     verify_scheme_conditions,
 )
 from amfrk.tableau import GAMMA, SQRT6, AmfScheme, _make_iteration
+from helpers import extended_scheme
 
 TAB = radau2a_tableau()
 
@@ -118,10 +118,21 @@ def test_sweep_sharing_between_schemes():
         assert np.array_equal(it.approx_a, two.iterations[1].approx_a)
 
 
-@pytest.mark.parametrize("bad", [0, 4, -1, "2", 2.0, None, True])
+@pytest.mark.parametrize(
+    "bad", [0, 4, -1, "2", 2.0, None, True, pytest.param(np.float64(2.0), id="float64")]
+)
 def test_invalid_sweep_count_rejected(bad):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="q="):
         amf_scheme(bad)
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_numpy_integer_sweep_count_is_accepted(q):
+    scheme = amf_scheme(np.int64(q))
+    assert type(scheme.q) is int and scheme.q == q
+    assert scheme.name == amf_scheme(q).name
+    for a, b in zip(scheme.iterations, amf_scheme(q).iterations, strict=True):
+        assert (a.mix_coeff, a.low_coeff, a.condition) == (b.mix_coeff, b.low_coeff, b.condition)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
