@@ -4,7 +4,7 @@ and scheme verification.
 Exit status: 0 on success, 1 on numerical failure (vanishing pivot, a state
 that stops being finite, singular solve, verification residual past
 tolerance), 2 on usage errors (argparse rejections, invalid parameter
-combinations).
+combinations), 141 (128 + SIGPIPE) when the reader of stdout closes it early.
 
 A flat key=value config file (one pair per line, '#' comments) can seed any
 subcommand's options via --config; explicit flags win over the file.
@@ -13,6 +13,7 @@ subcommand's options via --config; explicit flags win over the file.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -259,6 +260,9 @@ def main(argv=None) -> int:
     except (FactorSolveError, NonFiniteStateError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1
+    except BrokenPipeError:  # no more output is read: end quietly, as on SIGPIPE
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

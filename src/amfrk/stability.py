@@ -15,7 +15,11 @@ the factor inv = 1/(1 - gamma*w); from Z = 0, sweep nu updates the increments
 
 and R_q = varpi + s_hat . (e + Z): as approx_a = T = gamma mix inv(I - low)
 inv(mix), the recurrence G <- inv(I - w T) (e + (z A - w T) G) on G = e + Z.
-R_q has a pole at 1 - gamma*w = 0, the double eigenvalue of I - w T.
+As in the ``Stepper``, the first sweep (Z = 0) takes r = z kappa with the real
+kappa = (I - low) inv(mix) A e, the last skips Z_1 when s_hat_1 = 0, and R
+sums only the non-zero weights (R = 1 + Z_2 for Radau IIA).  R_q has a pole
+at 1 - gamma*w = 0, the double eigenvalue of I - w T; only a call that meets
+one builds the mask that sets R to complex infinity there.
 
 A-stability in a wedge of half-angle theta means |R_q| <= 1 whenever every
 -z_k lies within theta of the positive real axis.  The wedge scan samples
@@ -53,8 +57,9 @@ class ComplexPoint:
 def combine_zw(zs, gamma: float) -> tuple[complex, complex]:
     """Combine per-direction eigenvalue arguments into the (z, w) pair.
 
-    With a single direction w = z exactly (no factorization error).
+    With one direction w = z (no factorization error); gamma must be finite and > 0.
     """
+    _check_gamma(gamma)
     zs = [complex(v) for v in np.atleast_1d(zs)]
     if len(zs) == 0:
         raise ValueError("need at least one direction argument")
@@ -68,41 +73,49 @@ def combine_zw(zs, gamma: float) -> tuple[complex, complex]:
 def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
     """Step multiplier R_q(z, w); accepts scalars or broadcasting arrays.
 
-    Runs the factored sweep of the module docstring on float64 views of flat
-    buffers (only z * A (e + Z) and r * inv are complex products).  R is complex
-    infinity at the pole 1 - gamma*w = 0; samples at or beyond floating range
-    (a non-finite w too) never raise, they come back huge or non-finite.
+    Runs the factored sweep of the module docstring, with the ``Stepper``'s
+    skips, on float64 views of flat buffers (only z * A (e + Z) and r * inv are
+    complex products).  R is complex infinity at the pole 1 - gamma*w = 0;
+    samples at or beyond floating range (a non-finite w too) never raise, they
+    come back huge or non-finite.
     """
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     shape, size = z.shape, z.size
     # one sample runs twice: NumPy's in-place product of one complex rounds apart
     z, w = (np.ascontiguousarray(np.resize(a, 2) if size == 1 else a).reshape(-1) for a in (z, w))
     buf = np.empty((7, z.size), dtype=complex)  # inv, Z, r (then E), 2 scratch
-    inv, r = buf[0], buf[3:5]
-    zsf, rf, tf = buf[1:3].view(float), r.view(float), buf[5:].view(float)
-    a, ae = tab.a, tab.a.sum(axis=1)[:, None]
+    inv, zs, r = buf[0], buf[1:3], buf[3:5]
+    zsf, rf, tf = zs.view(float), r.view(float), buf[5:].view(float)
+    a, ae = tab.a, tab.a.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         np.subtract(1.0, scheme.gamma * w, out=inv)
-        pole = inv == 0.0
+        pole = not inv.all() and inv == 0.0  # a mask only where there is a pole
         np.divide(1.0, inv, out=inv)
-        np.multiply(z.view(float), ae, out=rf)  # D = z A e while Z = 0
         for nu, it in enumerate(scheme.iterations):
-            if nu:  # D = z A (e + Z) - Z
+            if nu:  # D = z A (e + Z) - Z, r = (I - low) inv(mix) D
                 np.multiply(zsf[0], a[:, :1], out=rf)
                 rf += np.multiply(zsf[1], a[:, 1:], out=tf)
-                rf[:, ::2] += ae
+                rf[:, ::2] += ae[:, None]
                 r *= z
                 rf -= zsf
-            rf[0] -= np.multiply(rf[1], it.mix_coeff, out=tf[0])  # r = (I - low) inv(mix) D
-            rf[1] -= np.multiply(rf[0], it.low_coeff, out=tf[0])
+                rf[0] -= np.multiply(rf[1], it.mix_coeff, out=tf[0])
+                rf[1] -= np.multiply(rf[0], it.low_coeff, out=tf[0])
+            else:  # from Z = 0: r = z kappa, kappa = (I - low) inv(mix) A e
+                k0 = ae[0] - it.mix_coeff * ae[1]
+                np.multiply(z.view(float), [[k0], [ae[1] - it.low_coeff * k0]], out=rf)
             r[0] *= inv  # E = ((1 - gamma*w) I - low)^-1 r, row by row
             rf[1] += np.multiply(rf[0], it.low_coeff, out=tf[0])
-            r[1] *= inv
-            np.add(zsf if nu else 0.0, rf, out=zsf)  # Z += mix E, from Z = 0
-            zsf[0] += np.multiply(rf[1], it.mix_coeff, out=tf[0])
-        out = (tab.s_hat @ zsf).view(complex)  # R = varpi + s_hat . (e + Z)
-        out += tab.varpi + tab.s_hat.sum()
-    out[pole] = np.inf
+            e2 = np.multiply(r[1], inv, out=r[1] if nu else zs[1])  # from Z = 0: Z_2 = E_2
+            if nu:
+                zs[1] += e2
+            if nu < len(scheme.iterations) - 1 or tab.s_hat[0]:  # no last Z_1 if s_hat_1 = 0
+                dz = np.multiply(e2.view(float), it.mix_coeff, out=tf[0] if nu else zsf[0])
+                dz += rf[0]  # dZ_1 = E_1 + mix E_2, written into Z_1 = 0 by the first sweep
+                if nu:
+                    zsf[0] += dz
+        terms = [row if c == 1.0 else c * row for c, row in zip(tab.s_hat, zsf) if c]
+        out = sum(terms[1:], terms[0]).view(complex) + (tab.varpi + tab.s_hat.sum())
+    out[pole] = np.inf  # out[False] selects nothing
     return complex(out[0]) if shape == () else out[:size].reshape(shape)
 
 
@@ -129,11 +142,7 @@ class ScanResult:
         """Yield CSV lines 'z1_re,z1_im,...,abs_R' for retained samples."""
         if self.samples is None:
             raise ValueError("scan was run without keep_samples")
-        d = len(self.argmax.parts)
-        header = ",".join(
-            f"z{k+1}_re,z{k+1}_im" for k in range(d)
-        ) + ",abs_r"
-        yield header
+        yield ",".join(f"z{k+1}_re,z{k+1}_im" for k in range(len(self.argmax.parts))) + ",abs_r"
         for pt, mod in self.samples:
             parts = ",".join(f"{v.real:.9g},{v.imag:.9g}" for v in pt.parts)
             yield f"{parts},{mod:.9g}"
@@ -215,25 +224,22 @@ def wedge_stability_scan(
         # flat index of the conjugate of each sample (or ray combination)
         return sum(mates[x] * base**k for k, x in enumerate(digits(flat, base, n_digits)))
 
-    def tally(zp, pp, last, lone):
-        # |R| at zp, pp over directions < d-1 and `last` of d-1; each sample
-        # counts for its mirror too, unless `lone` (self-conjugate)
+    def evaluate(zp, pp, last, lone, index_at):
+        # |R| at zp, pp (directions < d-1) and `last` (d-1), and with -inf where not finite;
+        # a sample counts for its mirror too unless `lone`; keeps the first largest |R|
         z = values[last] if d == 1 else zp + values[last]
         w = z if d == 1 else (1.0 - fac[last] * pp) * inv_gamma
         mod = np.abs(stability_function(scheme, tab, z, w))
-        bad = ~np.isfinite(mod)
-        single = bad[..., lone]  # the self-conjugate samples
+        finite = np.isfinite(mod)
+        single = finite[..., lone]  # the self-conjugate samples
+        n_bad = mod.size - int(np.count_nonzero(finite))
         counts[0] += 2 * mod.size - single.size
-        counts[1] += 2 * int(np.count_nonzero(bad)) - int(np.count_nonzero(single))
-        return mod
-
-    def record(mod, index_at):
-        # |R| with -inf where it is not finite; keeps the first sample of largest |R|
-        mod_f = np.where(np.isfinite(mod), mod, -np.inf)
-        k = int(np.argmax(mod_f))
-        if mod_f.flat[k] > best[0]:
-            best[0], best[1] = float(mod_f.flat[k]), index_at(k)
-        return mod_f
+        counts[1] += 2 * n_bad - (single.size - int(np.count_nonzero(single)))
+        mod_f = np.where(finite, mod, -np.inf) if n_bad else mod
+        top = float(mod_f.max(initial=-np.inf))  # a zero-ray block may hold no sample
+        if top > best[0]:
+            best[0], best[1] = top, index_at(int(np.argmax(mod_f)))
+        return mod_f, mod
 
     def point(idx):
         parts = tuple(complex(values[i]) for i in idx)
@@ -258,31 +264,34 @@ def wedge_stability_scan(
             shift = mirror(np.arange(inner), per_var, mirror_value, d - 1) - np.arange(inner)
             canon = np.flatnonzero(shift >= 0)
             zc, pc, lone = zp[canon], pp[canon], shift[canon] == 0
-            mods = np.empty(per_var**d) if keep_samples else None
+            mods = np.empty((per_var, inner)) if keep_samples else None
             up_or_zero = np.flatnonzero(mirror_ray >= np.arange(n_rays)).tolist()
             for ray, i0, c0 in itertools.product(up_or_zero, range(0, n_radii, rows),
                                                  range(0, inner, width)):
                 i0 += ray * n_radii
                 last = np.s_[i0 : min(i0 + rows, (ray + 1) * n_radii), None]
-                cs = slice(c0, min(c0 + width, inner))
-                n = cs.stop - c0
+                on = slice(c0, min(c0 + width, inner))  # the columns evaluated
+                n = on.stop - c0
                 if mirror_ray[ray] > ray:
-                    block = tally(zp[None, cs], pp[None, cs], last, False)
+                    block, raw = evaluate(zp[None, on], pp[None, on], last, False,
+                                          lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
                 else:  # zero-ray rows: their canonical columns
-                    at = slice(*np.searchsorted(canon, [c0, cs.stop]))
-                    block = np.full((last[0].stop - i0, n), np.nan)
-                    block[:, canon[at] - c0] = tally(zc[None, at], pc[None, at], last, lone[at])
-                mod_f = record(block, lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
+                    at = slice(*np.searchsorted(canon, [c0, on.stop]))
+                    on = canon[at]
+                    block = np.full((last[0].stop - i0, n), -np.inf)
+                    block[:, on - c0], raw = evaluate(
+                        zc[None, at], pc[None, at], last, lone[at],
+                        lambda pos: digits((i0 + pos // on.size) * inner + on[pos % on.size]))
                 if keep_samples:
-                    mods[i0 * inner + c0 :][: block.size] = block.reshape(-1)
-                groups = mod_f.reshape((-1,) + (n_rays, n_radii) * k)
+                    mods[last[0], on] = raw
+                groups = block.reshape((-1,) + (n_rays, n_radii) * k)
                 slow = digits((i0 * inner + c0) // cols + np.arange(groups.shape[0]))
                 slow_id = sum((s // n_radii) * n_rays**j for j, s in enumerate(slow[: d - k]))
                 np.maximum.at(by_group, slow_id, groups.max(axis=tuple(range(2, 2 * k + 1, 2))))
             np.maximum(acc, acc[mirror(np.arange(acc.size), n_rays, mirror_ray)], out=acc)
             if keep_samples:
                 flat = np.arange(per_var**d)
-                mods = mods[np.minimum(flat, mirror(flat, per_var, mirror_value))]
+                mods = mods.reshape(-1)[np.minimum(flat, mirror(flat, per_var, mirror_value))]
                 kept.extend((point(pt), float(m)) for pt, m in zip(zip(*digits(flat)), mods))
         else:
             # equal-radius-index tuples across every ray combination, then random
@@ -297,8 +306,7 @@ def wedge_stability_scan(
                     zp, pp = values[idx[0]], fac[idx[0]]
                     for ix in idx[1:-1]:
                         zp, pp = zp + values[ix], fac[ix] * pp
-                    mod = tally(zp, pp, idx[-1], True)
-                    mod_f = record(mod, lambda pos: [ix[pos] for ix in idx])
+                    mod_f, mod = evaluate(zp, pp, idx[-1], True, lambda pos: [ix[pos] for ix in idx])
                     if keep_samples:
                         kept.extend((point(pt), float(m)) for pt, m in zip(zip(*idx), mod))
                     combo = sum((ix // n_radii) * n_rays**j for j, ix in enumerate(idx))
@@ -353,14 +361,12 @@ def sampled_sup_ratio(
     check_count("n_random", n_random, 0)
     _check_gamma(gamma)
     x_star = 1.0 / (gamma * (d - 1) ** 0.5)
-    xs = np.linspace(0.5 * x_star, 2.0 * x_star, n_diag)
-    zs = 1j * xs
+    zs = 1j * np.linspace(0.5 * x_star, 2.0 * x_star, n_diag)
     denom = (1.0 - gamma * zs) ** d
     vals = np.abs(d * zs / denom)
     out = float(vals.max())
     rng = np.random.default_rng(seed)
-    xr = rng.uniform(-3.0 * x_star, 3.0 * x_star, size=(n_random, d))
-    zr = 1j * xr
+    zr = 1j * rng.uniform(-3.0 * x_star, 3.0 * x_star, size=(n_random, d))
     prod = np.prod(1.0 - gamma * zr, axis=1)
     vals_r = np.abs(zr.sum(axis=1) / prod)
     return max(out, float(vals_r.max(initial=0.0)))

@@ -1,4 +1,10 @@
-"""End-to-end tests of the command-line interface, run in process."""
+"""End-to-end tests of the command-line interface, run in process (and once
+in a subprocess, for a closed stdout)."""
+
+import os
+from pathlib import Path
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -267,3 +273,19 @@ def test_stability_non_finite_angle_exits_two(capsys):
     rc = main(["stability", "--scheme", "amf2", "--d", "3", "--theta", "nan"])
     assert rc == 2
     assert "wedge half-angle" in capsys.readouterr().err
+
+
+def test_closed_stdout_ends_quietly_with_141():
+    # the reader takes one line and closes the pipe; the CSV rows (about 1 MB)
+    # still to come are not a usage error and print nothing to stderr
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-X", "dev", "-W", "error", "-m", "amfrk.cli", "stability",
+         "--scheme", "amf2", "--d", "2", "--theta", "0.7", "--csv", "/dev/stdout"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == 141
+    assert err == b""

@@ -24,7 +24,7 @@ from amfrk import (
     wedge_stability_scan,
 )
 import amfrk.stability as stability
-from amfrk.tableau import GAMMA
+from amfrk.tableau import GAMMA, ButcherTableau
 from helpers import extended_scheme, reference_stability_function, reference_wedge_scan
 
 TAB = radau2a_tableau()
@@ -67,6 +67,12 @@ def test_combine_zeros_give_zero_pair():
 def test_combine_empty_rejected():
     with pytest.raises(ValueError):
         combine_zw([], GAMMA)
+
+
+@pytest.mark.parametrize("gamma", [0.0, -1.0, np.nan, np.inf, -np.inf])
+def test_combine_rejects_a_gamma_that_is_not_finite_and_positive(gamma):
+    with pytest.raises(ValueError, match="gamma must be positive and finite"):
+        combine_zw([-1.0, -2.0], gamma)
 
 
 @given(
@@ -187,22 +193,50 @@ def test_conjugate_arguments_give_the_conjugate(q):
     assert np.abs(r).tobytes() == np.abs(r_conj).tobytes()
 
 
-@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
-                    reason="long double is no wider than float64 here")
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_matches_long_double_recurrence_in_the_d3_wedge(q):
-    # seeded samples with every -z_k within pi/6 of the positive real axis,
-    # |z_k| log-uniform on [1e-3, 1e6]; (z, w) formed in float64 as the
-    # scan forms them, the reference evaluated at the same arguments
-    rng = np.random.default_rng(2024)
-    n, theta = 50_000, np.pi / 6
+needs_long_double = pytest.mark.skipif(
+    np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+    reason="long double is no wider than float64 here")
+
+
+def _wedge_samples(theta, n=50_000, seed=2024):
+    # seeded d=3 samples with every -z_k within theta of the positive real
+    # axis, |z_k| log-uniform on [1e-3, 1e6]; (z, w) formed in float64 as the
+    # scan forms them
+    rng = np.random.default_rng(seed)
     parts = -(10.0 ** rng.uniform(-3.0, 6.0, (3, n))
               * np.exp(1j * rng.uniform(-theta, theta, (3, n))))
     z = parts[0] + parts[1] + parts[2]
     w = (1.0 - (1.0 - GAMMA * parts[2])
          * ((1.0 - GAMMA * parts[1]) * (1.0 - GAMMA * parts[0]))) / GAMMA
+    return z, w
+
+
+@needs_long_double
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_matches_long_double_recurrence_in_the_d3_wedge(q):
+    # the reference evaluated at the same float64 arguments
+    z, w = _wedge_samples(np.pi / 6)
     got = stability_function(SCHEMES[q], TAB, z, w)
     want = reference_stability_function(SCHEMES[q], TAB, z, w)
+    assert np.max(np.abs(got - want)) <= 2e-15
+
+
+# Radau IIA's stages with the output weights s_hat = (1/4, 1): not stiffly
+# accurate (varpi = -1/4), so R takes Z_1, a weight other than 1 and a constant
+_S_HAT = np.array([0.25, 1.0])
+_WEIGHTED_TAB = ButcherTableau(a=TAB.a, b=TAB.a.T @ _S_HAT, c=TAB.c, s_hat=_S_HAT,
+                               varpi=1.0 - _S_HAT.sum())
+
+
+@needs_long_double
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_matches_long_double_recurrence_for_a_tableau_that_is_not_stiffly_accurate(q):
+    # the corrector weighs Z_1 here, so no sweep skips it; with q = 1 the
+    # first sweep, from Z = 0, is also the last (Radau IIA's amf1, which skips
+    # Z_1 there, is the d3-wedge test's q = 1)
+    z, w = _wedge_samples(np.pi / 6)
+    got = stability_function(SCHEMES[q], _WEIGHTED_TAB, z, w)
+    want = reference_stability_function(SCHEMES[q], _WEIGHTED_TAB, z, w)
     assert np.max(np.abs(got - want)) <= 2e-15
 
 
@@ -358,6 +392,19 @@ def test_scan_argmax_is_reproducible():
     assert z == res.argmax.z and w == res.argmax.w
     again = abs(stability_function(SCHEMES[3], TAB, z, w))
     assert abs(again - res.max_modulus) <= 1e-13 * max(1.0, res.max_modulus)
+
+
+@pytest.mark.parametrize("theta,kw", [
+    (np.pi / 6, dict(radii=[1e-3, 0.5, 1e200])),
+    (0.0, dict(radii=[1e-3, 0.5, 1e200])),
+    (np.pi / 6, dict(radii=[0.5, 1e200], cap=10, n_random=300)),
+], ids=["full-product", "axis", "subsample"])
+def test_scan_counts_are_python_ints(theta, kw):
+    with np.errstate(over="ignore", invalid="ignore"):
+        res = wedge_stability_scan(SCHEMES[2], TAB, 3, theta, **kw)
+    assert res.n_excluded > 0
+    assert type(res.n_samples) is int
+    assert type(res.n_excluded) is int
 
 
 def test_scan_subsample_path_is_deterministic():
