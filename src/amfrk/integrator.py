@@ -70,11 +70,13 @@ class Stepper:
     its stages,  result_type(y_n, factors),  and again only for another
     dtype.  The forcing writes each stage's g straight into its T row, so
     a forcing whose values that dtype cannot hold (complex into real rows)
-    raises TypeError.
+    raises TypeError; a tableau whose s_hat is all zero raises ValueError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
         _check_step_size(tau)
+        if not tab.s_hat.any():
+            raise ValueError("s_hat has no non-zero weight: the step would not use the stages")
         tau = float(tau)  # a NumPy float32 tau would round the factors to float32
         self.problem = problem
         self.scheme = scheme

@@ -25,11 +25,10 @@ A-stability in a wedge of half-angle theta means |R_q| <= 1 whenever every
 -z_k lies within theta of the positive real axis.  The wedge scan samples
 the boundary rays (where the maximum modulus principle puts any violation)
 over a cross product of radii per direction, in blocks of about 10^4 samples
-(their temporaries stay in L2 cache) that broadcast the slowest direction
-against sums and products over the others; a reshape gives per-ray maxima.
-Every operation from the samples to |R_q| is odd in the imaginary parts, so
-a sample and its conjugate (each -z_k reflected in the real axis) have
-bitwise the same |R_q|, and the scan evaluates one sample of each pair.
+(their temporaries stay in L2 cache).  z and w are symmetric in the
+directions, so a sample and its permutations share R_q up to rounding: the
+full cross product evaluates one sample per permutation orbit, then the
+orbits near a ray combination's largest |R_q| sample by sample.
 """
 
 from __future__ import annotations
@@ -79,6 +78,8 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
     samples at or beyond floating range (a non-finite w too) never raise, they
     come back huge or non-finite.
     """
+    if not tab.s_hat.any():
+        raise ValueError("s_hat has no non-zero weight: R_q would not depend on the stages")
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     shape, size = z.shape, z.size
     # one sample runs twice: NumPy's in-place product of one complex rounds apart
@@ -95,7 +96,7 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
             if nu:  # D = z A (e + Z) - Z, r = (I - low) inv(mix) D
                 np.multiply(zsf[0], a[:, :1], out=rf)
                 rf += np.multiply(zsf[1], a[:, 1:], out=tf)
-                rf[:, ::2] += ae[:, None]
+                r += ae[:, None]
                 r *= z
                 rf -= zsf
                 rf[0] -= np.multiply(rf[1], it.mix_coeff, out=tf[0])
@@ -127,7 +128,7 @@ class ScanResult:
     argmax : sample attaining it
     per_ray : max |R_q| per combination of boundary rays, keyed by the tuple
         of ray angles (each is arg(-z_k))
-    n_samples / n_excluded : evaluated vs skipped (non-finite |R_q|) counts
+    n_samples / n_excluded : samples scanned, and those of them with a non-finite |R_q|
     samples : optional retained rows (ComplexPoint, |R|) for export
     """
 
@@ -148,8 +149,9 @@ class ScanResult:
             yield f"{parts},{mod:.9g}"
 
 
-_BLOCK = 1 << 14  # samples per evaluated block: its temporaries fit a core's L2
+_BLOCK = 1 << 13  # samples per evaluated block: its temporaries fit a core's L2
 _DRAW = 1 << 18  # random tuples per generator call; fixes the subsample set
+_SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 seen at maxima
 
 
 def wedge_stability_scan(
@@ -180,10 +182,12 @@ def wedge_stability_scan(
     factor from the left (vector complex products are not bitwise
     commutative).  The argmax is the first sample of largest finite |R|.
     Samples whose |R| is not finite, singular or past floating range, are
-    counted in n_excluded, silently.  The full cross product evaluates R_q on
-    ((n_rays*n_radii)^d + n_radii^d) / 2 samples: those whose slowest
-    direction off the zero ray is on a positive-angle ray, or with no such
-    direction; each conjugate, later in the scan order, takes their |R|.
+    counted in n_excluded, silently.  The full cross product (without
+    keep_samples) evaluates R_q once per permutation orbit, C(n + d - 1, d)
+    samples of n = n_rays*n_radii values, then sample by sample on the
+    orbits within _SPREAD of their ray combination's largest |R|: bitwise
+    what evaluating every sample gives while an orbit's samples round less
+    than _SPREAD / 2 apart there.
     """
     check_count("d", d, 1)
     check_count("cap", cap, 1)
@@ -204,42 +208,39 @@ def wedge_stability_scan(
     n_rays, n_radii = rays_arr.size, radii.size
     per_var = n_rays * n_radii
     # per-direction sample values: index = ray*n_radii + radius; a -a ray holds the
-    # conjugates of the +a ray's, and mirror_ray / mirror_value map to the conjugate
-    mirror_ray = np.array([rays.index(-r) for r in rays])
-    mirror_value = (mirror_ray[:, None] * n_radii + np.arange(n_radii)).reshape(-1)
+    # conjugates of the +a ray's
+    mirror_ray = [rays.index(-r) for r in rays]
     values = -np.exp(1j * rays_arr)[:, None] * radii[None, :]
     values = np.where((rays_arr < 0)[:, None], np.conj(values[mirror_ray]), values).reshape(-1)
     gamma = scheme.gamma
     fac, inv_gamma = 1.0 - gamma * values, 1.0 / gamma
     acc = np.full(n_rays**d, -np.inf)  # max |R| at combination sum ray_k*n_rays**k
-    best, counts = [-np.inf, None], [0, 0]  # (max |R|, value indices), (n, excluded)
+    best, n_excluded = [-np.inf, None], [0]  # (max |R|, value indices)
     kept: Optional[list] = [] if keep_samples else None
-    # a freed 4 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
+    # a freed 2 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
     np.empty(16 * _BLOCK, complex)
 
-    def digits(flat, base=per_var, n_digits=d):
-        return [(flat // base**k) % base for k in range(n_digits)]
+    def digits(flat, base=per_var):
+        return [(flat // base**k) % base for k in range(d)]
 
-    def mirror(flat, base, mates, n_digits=d):
-        # flat index of the conjugate of each sample (or ray combination)
-        return sum(mates[x] * base**k for k, x in enumerate(digits(flat, base, n_digits)))
+    def code(tuples, base=per_var):  # the inverse of digits, on a (d, n) index array
+        return (tuples * base ** np.arange(len(tuples))[:, None]).sum(axis=0)
 
-    def evaluate(zp, pp, last, lone, index_at):
-        # |R| at zp, pp (directions < d-1) and `last` (d-1), and with -inf where not finite;
-        # a sample counts for its mirror too unless `lone`; keeps the first largest |R|
+    def evaluate(zp, pp, last, combo, at=None):
+        # |R| at samples with value index `last` in direction d-1 (zp, pp: the sum and product
+        # over the others); keeps the running maxima of finite |R| per ray combination and,
+        # given at(pos) (a sample's value indices), the first largest and the non-finite count
         z = values[last] if d == 1 else zp + values[last]
         w = z if d == 1 else (1.0 - fac[last] * pp) * inv_gamma
         mod = np.abs(stability_function(scheme, tab, z, w))
         finite = np.isfinite(mod)
-        single = finite[..., lone]  # the self-conjugate samples
-        n_bad = mod.size - int(np.count_nonzero(finite))
-        counts[0] += 2 * mod.size - single.size
-        counts[1] += 2 * n_bad - (single.size - int(np.count_nonzero(single)))
-        mod_f = np.where(finite, mod, -np.inf) if n_bad else mod
-        top = float(mod_f.max(initial=-np.inf))  # a zero-ray block may hold no sample
-        if top > best[0]:
-            best[0], best[1] = top, index_at(int(np.argmax(mod_f)))
-        return mod_f, mod
+        mod_f = mod if finite.all() else np.where(finite, mod, -np.inf)
+        if at and mod_f is not mod:
+            n_excluded[0] += mod.size - int(np.count_nonzero(finite))
+        if at and (top := float(mod_f.max())) > best[0]:
+            best[0], best[1] = top, at(int(np.argmax(mod_f)))
+        np.maximum.at(acc, combo, mod_f)
+        return mod
 
     def point(idx):
         parts = tuple(complex(values[i]) for i in idx)
@@ -247,70 +248,69 @@ def wedge_stability_scan(
 
     # samples past floating range come back non-finite and are excluded
     with np.errstate(over="ignore", invalid="ignore"):
-        if per_var**d <= cap:
-            # a block is whole rows of direction d-1 or a run of groups in one row;
-            # a group spans all radii of the k >= 1 fastest directions a block holds
-            inner = per_var ** (d - 1)
-            k = next((j for j in range(d - 1, 1, -1) if per_var**j <= _BLOCK), min(d - 1, 1))
-            cols = per_var**k
-            rows, width = max(1, _BLOCK // inner), min(inner, max(1, _BLOCK // cols) * cols)
-            zp, pp = values, fac
-            for _ in range(d - 2):
-                zp = (zp[None, :] + values[:, None]).reshape(-1)
-                pp = (fac[:, None] * pp[None, :]).reshape(-1)
-            by_group = acc.reshape((-1,) + (n_rays,) * k)
-            # rows on -a rays (skipped) and the mirror columns of zero-ray rows are not
-            # evaluated: each takes its conjugate's |R|, at the end for the maxima
-            shift = mirror(np.arange(inner), per_var, mirror_value, d - 1) - np.arange(inner)
-            canon = np.flatnonzero(shift >= 0)
-            zc, pc, lone = zp[canon], pp[canon], shift[canon] == 0
-            mods = np.empty((per_var, inner)) if keep_samples else None
-            up_or_zero = np.flatnonzero(mirror_ray >= np.arange(n_rays)).tolist()
-            for ray, i0, c0 in itertools.product(up_or_zero, range(0, n_radii, rows),
-                                                 range(0, inner, width)):
-                i0 += ray * n_radii
-                last = np.s_[i0 : min(i0 + rows, (ray + 1) * n_radii), None]
-                on = slice(c0, min(c0 + width, inner))  # the columns evaluated
-                n = on.stop - c0
-                if mirror_ray[ray] > ray:
-                    block, raw = evaluate(zp[None, on], pp[None, on], last, False,
-                                          lambda pos: digits((i0 + pos // n) * inner + c0 + pos % n))
-                else:  # zero-ray rows: their canonical columns
-                    at = slice(*np.searchsorted(canon, [c0, on.stop]))
-                    on = canon[at]
-                    block = np.full((last[0].stop - i0, n), -np.inf)
-                    block[:, on - c0], raw = evaluate(
-                        zc[None, at], pc[None, at], last, lone[at],
-                        lambda pos: digits((i0 + pos // on.size) * inner + on[pos % on.size]))
-                if keep_samples:
-                    mods[last[0], on] = raw
-                groups = block.reshape((-1,) + (n_rays, n_radii) * k)
-                slow = digits((i0 * inner + c0) // cols + np.arange(groups.shape[0]))
-                slow_id = sum((s // n_radii) * n_rays**j for j, s in enumerate(slow[: d - k]))
-                np.maximum.at(by_group, slow_id, groups.max(axis=tuple(range(2, 2 * k + 1, 2))))
-            np.maximum(acc, acc[mirror(np.arange(acc.size), n_rays, mirror_ray)], out=acc)
-            if keep_samples:
-                flat = np.arange(per_var**d)
-                mods = mods.reshape(-1)[np.minimum(flat, mirror(flat, per_var, mirror_value))]
-                kept.extend((point(pt), float(m)) for pt, m in zip(zip(*digits(flat)), mods))
-        else:
-            # equal-radius-index tuples across every ray combination, then random
+        full = per_var**d <= cap
+        if full and not keep_samples:
+            # z and w are symmetric in the directions, so each permutation orbit is first
+            # evaluated once, at its first sample in scan order, whose value indices do not
+            # increase from direction 0 to d-1.  Extended by one direction, such a tuple
+            # takes a value a <= its last index; in scan order the tuples that allow a are
+            # a tail from start[a], and the longer tuples with a begin at off[a]
+            def extend(lo, hi):  # (shorter tuple, value a) at positions lo..hi-1 of the longer
+                rows = np.arange(*np.searchsorted(off, [lo, hi - 1], side="right") + [-1, 0])
+                n = np.diff(np.clip(off[rows[0] : rows[-1] + 2], lo, hi))
+                return np.arange(lo, hi) - np.repeat(off[rows] - start[rows], n), np.repeat(rows, n)
+
+            def near(mod, combo):  # within _SPREAD of the combination's maximum, or not finite
+                return ~(mod < acc[combo] * (1.0 - _SPREAD))
+
+            flat, zp, pp = np.zeros(1, int), values, fac  # the empty tuple
+            for k in range(d):  # the tuples of directions < d-1, their sums and products
+                ends = flat // per_var ** (k - 1) if k else [per_var]  # the empty tuple: any a
+                start = np.searchsorted(ends, np.arange(per_var))
+                off = np.concatenate(([0], np.cumsum(flat.size - start)))
+                if k < d - 1:
+                    sel, new = extend(0, off[-1])
+                    flat = flat[sel] + new * per_var**k
+                    if k:
+                        zp, pp = zp[sel] + values[new], fac[new] * pp[sel]
+            fast_combo, cands = code(np.array(digits(flat)) // n_radii, n_rays), []
+            for lo in range(0, off[-1], _BLOCK):
+                sel, last = extend(lo, min(lo + _BLOCK, off[-1]))
+                combo = fast_combo[sel] + last // n_radii * n_rays ** (d - 1)
+                mod = evaluate(zp[sel], pp[sel], last, combo)
+                keep = near(mod, combo)
+                cands.append((flat[sel[keep]] + last[keep] * per_var ** (d - 1), mod[keep]))
+            # the orbits within _SPREAD of their combination's maximum, or not finite, are
+            # evaluated again, every sample in its own order: per_ray, the maximum, the
+            # argmax and the count of non-finite samples are what evaluating every sample gives
+            flat, mod = map(np.concatenate, zip(*cands))
+            flat, size = flat[near(mod, code(np.array(digits(flat)) // n_radii, n_rays))], -1
+            while flat.size > size:  # with all their samples: swaps of adjacent directions
+                size, t = flat.size, digits(flat)
+                swaps = ((t[k] - t[k + 1]) * (per_var - 1) * per_var**k for k in range(d - 1))
+                flat = np.sort(np.concatenate([flat, *(flat + s for s in swaps)]))
+                flat = flat[np.diff(flat, prepend=-1) > 0]  # np.unique hashes: 20x slower here
+            batches = [digits(flat)]
+        elif full:  # every sample, for its own |R|, in scan order
+            batches = (digits(np.arange(s, min(s + _DRAW, per_var**d)))
+                       for s in range(0, per_var**d, _DRAW))
+        else:  # equal-radius-index tuples across every ray combination, then random
             ray_digits = [r.reshape(-1) * n_radii for r in np.indices((n_rays,) * d)[::-1]]
             rng = np.random.default_rng(seed)
             diagonal = ([dig + ri for dig in ray_digits] for ri in range(n_radii))
-            draws = (rng.integers(0, per_var, size=(d, min(_DRAW, n_random - start)))
-                     for start in range(0, n_random, _DRAW))
-            for batch in itertools.chain(diagonal, draws):
-                for b0 in range(0, batch[0].size, _BLOCK):
-                    idx = [ix[b0 : b0 + _BLOCK] for ix in batch]
-                    zp, pp = values[idx[0]], fac[idx[0]]
-                    for ix in idx[1:-1]:
-                        zp, pp = zp + values[ix], fac[ix] * pp
-                    mod_f, mod = evaluate(zp, pp, idx[-1], True, lambda pos: [ix[pos] for ix in idx])
-                    if keep_samples:
-                        kept.extend((point(pt), float(m)) for pt, m in zip(zip(*idx), mod))
-                    combo = sum((ix // n_radii) * n_rays**j for j, ix in enumerate(idx))
-                    np.maximum.at(acc, combo, mod_f)
+            draws = (rng.integers(0, per_var, size=(d, min(_DRAW, n_random - s)))
+                     for s in range(0, n_random, _DRAW))
+            batches = itertools.chain(diagonal, draws)
+        for batch in batches:
+            for b0 in range(0, batch[0].size, _BLOCK):
+                idx = [ix[b0 : b0 + _BLOCK] for ix in batch]
+                zp, pp = values[idx[0]], fac[idx[0]]
+                for ix in idx[1:-1]:
+                    zp, pp = zp + values[ix], fac[ix] * pp
+                mod = evaluate(zp, pp, idx[-1], code(np.array(idx) // n_radii, n_rays),
+                               lambda pos: [ix[pos] for ix in idx])
+                if keep_samples:
+                    kept.extend((point(pt), float(m)) for pt, m in zip(zip(*idx), mod))
 
     if best[1] is None:
         raise RuntimeError("every scan sample was excluded as singular")
@@ -318,7 +318,8 @@ def wedge_stability_scan(
     for cid, m in enumerate(acc.tolist()):
         key = tuple(float(rays_arr[(cid // n_rays**k) % n_rays]) for k in range(d))
         per_ray[key] = max(m, per_ray.get(key, -np.inf))
-    return ScanResult(best[0], point(best[1]), per_ray, counts[0], counts[1], kept)
+    n_samples = per_var**d if full else n_rays**d * n_radii + n_random
+    return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)
 
 
 def _check_gamma(gamma: float) -> None:

@@ -302,6 +302,16 @@ def test_bad_step_size_rejected_at_entry(tau):
         amf_step(prob, SCHEMES[0], TAB, 0.0, tau, prob.exact(0.0))
 
 
+def test_corrector_without_weights_rejected_at_entry():
+    # with s_hat = 0 a step would be y_{n+1} = varpi*y_n, whatever the stages
+    tab = dataclasses.replace(TAB, s_hat=np.zeros(2), varpi=1.0)
+    prob = build_problem(2, 8, 0.0)
+    for make in (lambda: Stepper(prob, SCHEMES[1], tab, 0.25),
+                 lambda: integrate(prob, SCHEMES[1], tab, 0.25, 1.0)):
+        with pytest.raises(ValueError, match="s_hat"):
+            make()
+
+
 @pytest.mark.parametrize("t_end", [-1.0, math.inf, math.nan])
 def test_bad_end_time_rejected_at_entry(t_end):
     prob = build_problem(2, 8, 0.0)

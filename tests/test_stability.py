@@ -6,6 +6,9 @@ DFT recovers the series coefficients, which must match exp(z) up to the
 sweep count's approximation order and break afterwards.
 """
 
+import dataclasses
+import itertools
+import math
 import warnings
 from unittest import mock
 
@@ -170,10 +173,16 @@ def test_pole_blows_up_without_raising():
     assert np.isfinite(arr[1])
 
 
+def test_corrector_without_weights_rejected():
+    # with s_hat = 0, R_q would not depend on the stages
+    tab = dataclasses.replace(TAB, s_hat=np.zeros(2), varpi=1.0)
+    with pytest.raises(ValueError, match="s_hat"):
+        stability_function(SCHEMES[2], tab, -1.0, -1.0)
+
+
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_conjugate_arguments_give_the_conjugate(q):
-    # the wedge scan gives each mirror sample its conjugate's |R|: R at
-    # (conj z, conj w) is conj R(z, w) and |R| is bitwise equal, on d=3
+    # R at (conj z, conj w) is conj R(z, w) and |R| is bitwise equal, on d=3
     # samples of the pi/6 and pi/2 wedges, past floating range and at the pole
     rng = np.random.default_rng(15)
     n = 30_000
@@ -532,26 +541,40 @@ def test_scan_negative_rays_hold_the_conjugate_values():
 
 
 @pytest.mark.parametrize("d,theta,n_radii,want", [
-    (3, np.pi / 6, 40, 896_000),  # the d=3 wedge of the benchmark
-    (2, np.pi / 2, 40, 8_000),
-    (3, 0.0, 10, 1_000),  # every sample on the real axis: all evaluated
-    (2, 0.3, 4, 80),
+    (3, np.pi / 6, 40, 295_240),  # the d=3 wedge of the benchmark
+    (2, np.pi / 2, 40, 7_260),
+    (3, 0.0, 10, 220),  # every sample on the real axis
+    (2, 0.3, 4, 78),
 ], ids=["wedge3d", "d2-half-plane", "axis", "d2"])
-def test_scan_evaluates_one_sample_of_each_conjugate_pair(monkeypatch, d, theta,
-                                                          n_radii, want):
-    # ((rays * radii)^d + radii^d) / 2: one sample of each conjugate pair, and
-    # the radii^d samples on the real axis alone
+def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, theta,
+                                                             n_radii, want):
+    # z and w are symmetric in the directions: the first pass evaluates one
+    # sample of each orbit, C(n + d - 1, d) of n values per direction, in scan
+    # order (index tuples i_{d-1} <= ... <= i_0); the second every sample of
+    # the orbits within _SPREAD of their ray combination's largest |R| (no
+    # sample here is past floating range)
     seen = []
 
     def counting(scheme, tab, z, w):
-        seen.append(np.broadcast(z, w).size)
-        return stability_function(scheme, tab, z, w)
+        r = stability_function(scheme, tab, z, w)
+        seen.append(np.abs(r))
+        return r
 
     monkeypatch.setattr(stability, "stability_function", counting)
     res = wedge_stability_scan(SCHEMES[2], TAB, d, theta,
                                radii=np.logspace(-3.0, 6.0, n_radii))
-    assert sum(seen) == want
-    assert res.n_samples == ((3 if theta else 1) * n_radii) ** d
+    n = (3 if theta else 1) * n_radii
+    assert want == math.comb(n + d - 1, d) and res.n_samples == n**d
+    mods = np.concatenate(seen)
+    orbits = list(itertools.combinations_with_replacement(range(n), d))
+    rays = [tuple(i // n_radii for i in t) for t in orbits]
+    top = {}
+    for r, m in zip(rays, mods[:want].tolist()):
+        top[r] = max(top.get(r, 0.0), m)
+    near = [t for t, r, m in zip(orbits, rays, mods[:want].tolist())
+            if m >= top[r] * (1.0 - stability._SPREAD)]
+    assert mods.size - want == sum(
+        math.factorial(d) // math.prod(math.factorial(t.count(i)) for i in set(t)) for t in near)
 
 
 @given(
@@ -580,6 +603,31 @@ def test_scan_matches_reference_on_drawn_wedges(d, theta, radii, fractions, bloc
     if keep:
         assert [pt.parts for pt, _ in res.samples] == [pt.parts for pt, _ in ref.samples]
         assert all(_close(m, want) for (_, m), (_, want) in zip(res.samples, ref.samples))
+
+
+@given(
+    d=st.integers(1, 4),
+    theta=st.sampled_from([0.0, 0.1, np.pi / 6, 1.0, np.pi / 2]),
+    radii=st.lists(st.sampled_from([1e-3, 0.05, 0.7, 3.0, 40.0, 2e4, 1e200]),
+                   min_size=1, max_size=3, unique=True).filter(lambda r: min(r) < 1e200),
+    fractions=st.lists(st.sampled_from([0.1, 0.5, 0.9]), max_size=2),
+    block=st.sampled_from([5, 37, 1000]),
+)
+@settings(max_examples=25, deadline=None)
+def test_scan_orbits_give_what_every_sample_gives(d, theta, radii, fractions, block):
+    # each orbit evaluated once, then the near-maximal ones sample by sample,
+    # bitwise against the same scan evaluating every sample (keep_samples)
+    angles = [f * theta for f in fractions] or None
+    if d == 4:
+        radii = radii[:2]
+    kw = dict(radii=radii, angles=angles)
+    with mock.patch.object(stability, "_BLOCK", block), \
+            np.errstate(over="ignore", invalid="ignore"):
+        res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, **kw)
+        every = wedge_stability_scan(SCHEMES[2], TAB, d, theta, keep_samples=True, **kw)
+    assert (res.max_modulus, res.argmax, res.n_samples, res.n_excluded) == (
+        every.max_modulus, every.argmax, every.n_samples, every.n_excluded)
+    assert list(res.per_ray.items()) == list(every.per_ray.items())  # -inf == -inf
 
 
 @pytest.mark.parametrize("d,kw", [
