@@ -14,7 +14,6 @@ from .integrator import (
     NonFiniteStateError,
     Stepper,
     StepRecord,
-    amf_step,
     integrate,
 )
 from .problems import SemidiscreteProblem, build_problem
@@ -23,11 +22,9 @@ from .splitops import (
     FactorSolveError,
     GridSpec,
     SplitOperator,
-    apply_direction,
     apply_full,
     build_split_operator,
     factor_direction,
-    solve_direction_factor,
     solve_pi,
 )
 from .stability import (
@@ -68,8 +65,6 @@ __all__ = [
     "Stepper",
     "StudyConfig",
     "amf_scheme",
-    "amf_step",
-    "apply_direction",
     "apply_full",
     "build_problem",
     "build_split_operator",
@@ -81,7 +76,6 @@ __all__ = [
     "run_convergence",
     "sampled_sup_ratio",
     "scheme_sweeps",
-    "solve_direction_factor",
     "solve_pi",
     "splitting_sup_bound",
     "stability_function",

@@ -7,7 +7,12 @@ tolerance), 2 on usage errors (argparse rejections, invalid parameter
 combinations), 141 (128 + SIGPIPE) when the reader of stdout closes it early.
 
 A flat key=value config file (one pair per line, '#' comments) can seed any
-subcommand's options via --config; explicit flags win over the file.
+subcommand's options via --config. Each pair is read as the flag
+``--key=value`` (``_`` in a key read as ``-``) and placed ahead of the
+command line's own flags, so explicit flags win over the file, and an
+unknown key or a bad value exits 2 as the flag would. On the command line a
+value such as ``-1e-3``, which argparse would take for a flag, goes in the
+same one-token form: ``--beta=-1e-3``.
 """
 
 from __future__ import annotations
@@ -40,37 +45,19 @@ from .tableau import (
 _VERIFY_TOL = 1e-12
 
 
-def _read_config(path: str) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _config_flags(path: str) -> list[str]:
+    """The config file's pairs as ``--key=value`` tokens, in file order."""
+    flags = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
             if not line:
                 continue
-            if "=" not in line:
+            key, sep, value = line.partition("=")
+            if not sep or not key.strip():
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            key, value = line.split("=", 1)
-            out[key.strip().replace("-", "_")] = value.strip()
-    return out
-
-
-def _merge_config(args: argparse.Namespace, casts: dict[str, object]) -> None:
-    """Fill still-unset options (None) from the config file, casting values."""
-    if getattr(args, "config", None) is None:
-        return
-    file_values = _read_config(args.config)
-    for key, cast in casts.items():
-        if getattr(args, key, None) is None and key in file_values:
-            setattr(args, key, cast(file_values[key]))
-
-
-def _require(args: argparse.Namespace, names: list[str], parser) -> None:
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        parser.error(
-            "missing required option(s): "
-            + ", ".join("--" + n.replace("_", "-") for n in missing)
-        )
+            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return flags
 
 
 def _scheme_id(text: str) -> str:
@@ -80,39 +67,26 @@ def _scheme_id(text: str) -> str:
 
 
 def _parse_grids(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
-    except ValueError as exc:
-        raise ValueError(f"bad --grids value {text!r}: {exc}") from None
+    return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _cmd_converge(args, parser) -> int:
-    _merge_config(
-        args,
-        {
-            "dim": int,
-            "beta": float,
-            "eps": float,
-            "scheme": str,
-            "grids": _parse_grids,
-            "format": str,
-            "out": str,
-            "t_end": float,
-        },
-    )
-    _require(args, ["dim", "beta", "scheme", "grids"], parser)
-    if isinstance(args.grids, str):
-        args.grids = _parse_grids(args.grids)
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
+    return value
+
+
+def _cmd_converge(args) -> int:
     cfg = StudyConfig(
         dim=args.dim,
         beta=args.beta,
         scheme_id=args.scheme,
-        grid_ns=tuple(args.grids),
-        epsilon=args.eps if args.eps is not None else 0.1,
-        t_end=args.t_end if args.t_end is not None else 1.0,
+        grid_ns=args.grids,
+        epsilon=args.eps,
+        t_end=args.t_end,
     )
-    fmt = args.format if args.format is not None else "csv"
-    text = render_table(run_convergence(cfg), fmt)
+    text = render_table(run_convergence(cfg), args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -120,29 +94,14 @@ def _cmd_converge(args, parser) -> int:
     return 0
 
 
-def _cmd_integrate(args, parser) -> int:
-    _merge_config(
-        args,
-        {
-            "dim": int,
-            "beta": float,
-            "eps": float,
-            "scheme": str,
-            "n": int,
-            "tau_ratio": float,
-            "t_end": float,
-        },
-    )
-    _require(args, ["dim", "beta", "scheme", "n"], parser)
+def _cmd_integrate(args) -> int:
     q = scheme_sweeps(args.scheme)
     ratio = args.tau_ratio if args.tau_ratio is not None else float(q)
-    eps = args.eps if args.eps is not None else 0.1
-    t_end = args.t_end if args.t_end is not None else 1.0
-    problem = build_problem(args.dim, args.n, args.beta, eps)
+    problem = build_problem(args.dim, args.n, args.beta, args.eps)
     scheme = amf_scheme(q)
     tab = radau2a_tableau()
-    record = integrate(problem, scheme, tab, ratio / args.n, t_end)
-    err = problem.exact(t_end) - record.y
+    record = integrate(problem, scheme, tab, ratio / args.n, args.t_end)
+    err = problem.exact(args.t_end) - record.y
     eps2 = weighted_norm(err, problem.op.grid)
     sys.stdout.write(
         f"t={record.t:g} n={args.n} scheme={scheme.name} "
@@ -151,19 +110,10 @@ def _cmd_integrate(args, parser) -> int:
     return 0
 
 
-def _cmd_stability(args, parser) -> int:
-    _merge_config(
-        args,
-        {"scheme": str, "d": int, "theta": float, "radii": int, "csv": str},
-    )
-    _require(args, ["scheme", "d", "theta"], parser)
+def _cmd_stability(args) -> int:
     scheme = amf_scheme(scheme_sweeps(args.scheme))
     tab = radau2a_tableau()
-    radii = None
-    if args.radii is not None:
-        if args.radii < 1:
-            parser.error(f"--radii must be positive, got {args.radii}")
-        radii = np.logspace(-3.0, 6.0, args.radii)
+    radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
     keep = args.csv is not None
     result = wedge_stability_scan(
         scheme, tab, args.d, args.theta, radii=radii, keep_samples=keep
@@ -186,9 +136,7 @@ def _cmd_stability(args, parser) -> int:
     return 0
 
 
-def _cmd_verify(args, parser) -> int:
-    _merge_config(args, {"scheme": str})
-    _require(args, ["scheme"], parser)
+def _cmd_verify(args) -> int:
     scheme = amf_scheme(scheme_sweeps(args.scheme))
     tab = radau2a_tableau()
     residuals = verify_scheme_conditions(scheme, tab)
@@ -212,51 +160,50 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    pc = sub.add_parser("converge", help="run a convergence study table")
-    pc.add_argument("--dim", type=int, choices=(2, 3))
-    pc.add_argument("--beta", type=float)
-    pc.add_argument("--eps", type=float)
-    pc.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
-    pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...")
-    pc.add_argument("--format", choices=("csv", "md", "markdown"))
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS, required=True)
+    shared.add_argument("--config", metavar="PATH")
+    problem = argparse.ArgumentParser(add_help=False)
+    problem.add_argument("--dim", type=int, choices=(2, 3), required=True)
+    problem.add_argument("--beta", type=float, required=True)
+    problem.add_argument("--eps", type=float, default=0.1)
+    problem.add_argument("--t-end", type=float, default=1.0)
+
+    pc = sub.add_parser("converge", parents=[problem, shared],
+                        help="run a convergence study table")
+    pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...", required=True)
+    pc.add_argument("--format", choices=("csv", "md", "markdown"), default="csv")
     pc.add_argument("--out", metavar="PATH")
-    pc.add_argument("--t-end", dest="t_end", type=float)
-    pc.add_argument("--config", metavar="PATH")
     pc.set_defaults(func=_cmd_converge)
 
-    pi = sub.add_parser("integrate", help="single run, print final error")
-    pi.add_argument("--dim", type=int, choices=(2, 3))
-    pi.add_argument("--beta", type=float)
-    pi.add_argument("--eps", type=float)
-    pi.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
-    pi.add_argument("--n", type=int)
-    pi.add_argument("--tau-ratio", dest="tau_ratio", type=float)
-    pi.add_argument("--t-end", dest="t_end", type=float)
-    pi.add_argument("--config", metavar="PATH")
+    pi = sub.add_parser("integrate", parents=[problem, shared],
+                        help="single run, print final error")
+    pi.add_argument("--n", type=int, required=True)
+    pi.add_argument("--tau-ratio", type=float)
     pi.set_defaults(func=_cmd_integrate)
 
-    ps = sub.add_parser("stability", help="wedge scan of |R_q|")
-    ps.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
-    ps.add_argument("--d", type=int)
-    ps.add_argument("--theta", type=float)
-    ps.add_argument("--radii", type=int, help="number of log-spaced radii")
+    ps = sub.add_parser("stability", parents=[shared], help="wedge scan of |R_q|")
+    ps.add_argument("--d", type=int, required=True)
+    ps.add_argument("--theta", type=float, required=True)
+    ps.add_argument("--radii", type=_positive_int, help="number of log-spaced radii")
     ps.add_argument("--csv", metavar="PATH", help="write sample rows")
-    ps.add_argument("--config", metavar="PATH")
     ps.set_defaults(func=_cmd_stability)
 
-    pv = sub.add_parser("verify", help="check scheme-defining residuals")
-    pv.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS)
-    pv.add_argument("--config", metavar="PATH")
+    pv = sub.add_parser("verify", parents=[shared], help="check scheme-defining residuals")
     pv.set_defaults(func=_cmd_verify)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args, parser)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    pre = argparse.ArgumentParser(prog="amfrk", add_help=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    try:  # the file's flags go right after the subcommand, so the user's own win
+        flags = _config_flags(path) if path is not None else []
+        args = _build_parser().parse_args(argv[:1] + flags + argv[1:])
+        return args.func(args)
     except (FactorSolveError, NonFiniteStateError, np.linalg.LinAlgError) as exc:
         sys.stderr.write(f"numerical failure: {exc}\n")
         return 1

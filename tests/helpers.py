@@ -8,8 +8,8 @@ import math
 
 import numpy as np
 
-from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator, apply_direction
-from amfrk.splitops import DirectionStencil
+from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator
+from amfrk.splitops import DirectionStencil, apply_direction
 from amfrk.stability import (
     ComplexPoint,
     ScanResult,

@@ -20,7 +20,6 @@ import numpy as np
 from amfrk import (
     StudyConfig,
     amf_scheme,
-    amf_step,
     build_problem,
     radau2a_tableau,
     run_convergence,
@@ -30,6 +29,7 @@ from amfrk import (
     verify_scheme_conditions,
     wedge_stability_scan,
 )
+from amfrk.integrator import amf_step
 from amfrk.splitops import (
     GridSpec,
     apply_direction,

@@ -107,7 +107,8 @@ def test_converge_missing_options_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--dim", "2"])
     assert exc.value.code == 2
-    assert "missing required option" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "the following arguments are required: --beta, --scheme, --grids" in err
 
 
 def test_converge_invalid_choice_is_usage_error():
@@ -160,6 +161,58 @@ def test_bad_config_line_exits_two(tmp_path, capsys):
 def test_missing_config_file_exits_two(tmp_path):
     rc = main(["converge", "--config", str(tmp_path / "nope.cfg")])
     assert rc == 2
+
+
+def _config(tmp_path, text):
+    path = tmp_path / "run.cfg"
+    path.write_text(text, encoding="utf-8")
+    return str(path)
+
+
+def test_misspelled_config_key_is_usage_error(tmp_path, capsys):
+    cfg = _config(tmp_path, "dim=2\nbeta=0\nscheme=amf1\nn=8\ntend=0\n")
+    with pytest.raises(SystemExit) as exc:
+        main(["integrate", "--config", cfg])
+    assert exc.value.code == 2
+    assert "--tend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd,text,flag", [
+    (["converge"], "dim=4\nbeta=0\nscheme=amf1\ngrids=8\n", "--dim"),
+    (["stability"], "scheme=amf1\nd=2\ntheta=0\nradii=0\n", "--radii"),
+])
+def test_config_values_pass_their_flags_checks(tmp_path, capsys, cmd, text, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(cmd + ["--config", _config(tmp_path, text)])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_config_negative_value_runs(tmp_path, capsys):
+    cfg = _config(tmp_path, "dim=2\nbeta=-1e-3\nscheme=amf1\nn=8\nt_end=0\n")
+    assert main(["integrate", "--config", cfg]) == 0
+    assert capsys.readouterr().out == "t=0 n=8 scheme=amf1 eps2=0 delta2=inf\n"
+
+
+@pytest.mark.parametrize("key", ["tau_ratio", "tau-ratio"])
+def test_config_key_takes_underscore_or_dash(tmp_path, capsys, key):
+    cfg = _config(tmp_path, f"dim=2\nbeta=0\nscheme=amf1\nn=8\n{key}=4\n")
+    assert main(["integrate", "--config", cfg]) == 0
+    out = capsys.readouterr().out
+    assert main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1",
+                 "--n", "8", "--tau-ratio", "4"]) == 0
+    assert capsys.readouterr().out == out
+    assert main(["integrate", "--config", cfg, "--tau-ratio", "1"]) == 0
+    assert capsys.readouterr().out != out
+
+
+@pytest.mark.parametrize("before", [True, False])
+def test_flag_beats_config_on_either_side(tmp_path, capsys, before):
+    cfg = ["--config", _config(tmp_path, "dim=2\nbeta=0\nscheme=amf1\nn=8\n")]
+    flag = ["--n", "16"]
+    argv = ["integrate"] + (flag + cfg if before else cfg + flag)
+    assert main(argv) == 0
+    assert " n=16 " in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

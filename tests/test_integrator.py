@@ -18,7 +18,6 @@ from amfrk import (
     NonFiniteStateError,
     Stepper,
     amf_scheme,
-    amf_step,
     build_problem,
     combine_zw,
     integrate,
@@ -26,6 +25,7 @@ from amfrk import (
     stability_function,
     weighted_norm,
 )
+from amfrk.integrator import amf_step
 from helpers import (
     copying_forcing,
     extended_scheme,

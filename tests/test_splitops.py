@@ -13,17 +13,20 @@ from amfrk import (
     SplitOperator,
     Stepper,
     amf_scheme,
-    apply_direction,
     apply_full,
     build_problem,
     build_split_operator,
     factor_direction,
     radau2a_tableau,
-    solve_direction_factor,
     solve_pi,
 )
 import amfrk.splitops as splitops
-from amfrk.splitops import DirectionStencil, factor_pi
+from amfrk.splitops import (
+    DirectionStencil,
+    apply_direction,
+    factor_pi,
+    solve_direction_factor,
+)
 from helpers import (
     SizeGuardError,
     apply_pi,

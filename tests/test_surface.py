@@ -37,8 +37,16 @@ def test_test_oracles_are_not_in_the_package(module):
     assert [name for name in TEST_ONLY if hasattr(module, name)] == []
 
 
+def test_module_level_kernels_are_not_exported():
+    # reached as integrator.amf_step and splitops.apply_direction / .solve_direction_factor
+    names = ("amf_step", "apply_direction", "solve_direction_factor")
+    assert [name for name in names if name in amfrk.__all__] == []
+    assert callable(integrator.amf_step)
+    assert callable(splitops.apply_direction) and callable(splitops.solve_direction_factor)
+
+
 def test_no_test_only_options():
-    assert "n_sweeps" not in inspect.signature(amfrk.amf_step).parameters
+    assert "n_sweeps" not in inspect.signature(integrator.amf_step).parameters
     assert "taus" not in {f.name for f in dataclasses.fields(amfrk.StudyConfig)}
     assert "iterations_applied" not in {
         f.name for f in dataclasses.fields(amfrk.StepRecord)
