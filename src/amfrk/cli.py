@@ -10,9 +10,10 @@ A flat key=value config file (one pair per line, '#' comments) can seed any
 subcommand's options via --config. Each pair is read as the flag
 ``--key=value`` (``_`` in a key read as ``-``) and placed ahead of the
 command line's own flags, so explicit flags win over the file, and an
-unknown key or a bad value exits 2 as the flag would. On the command line a
-value such as ``-1e-3``, which argparse would take for a flag, goes in the
-same one-token form: ``--beta=-1e-3``.
+unknown key (a flag's prefix included: flags are spelled out in full), a
+nested ``config`` key or a bad value exits 2. On the command line a value
+such as ``-1e-3``, which argparse would take for a flag, goes in the same
+one-token form: ``--beta=-1e-3``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,12 @@ def _config_flags(path: str) -> list[str]:
             if not line:
                 continue
             key, sep, value = line.partition("=")
-            if not sep or not key.strip():
+            key = key.strip().replace("_", "-")
+            if not sep or not key:
                 raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-            flags.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+            if key == "config":
+                raise ValueError(f"{path}:{lineno}: a config file cannot name another")
+            flags.append(f"--{key}={value.strip()}")
     return flags
 
 
@@ -64,6 +68,18 @@ def _scheme_id(text: str) -> str:
     """A --scheme value read as ``scheme_sweeps`` reads it: case and
     surrounding blanks are ignored."""
     return text.strip().lower()
+
+
+def _scheme_list(text: str) -> tuple[str, ...]:
+    """A converge --scheme value: scheme ids, comma separated, each once."""
+    ids = tuple(_scheme_id(tok) for tok in text.split(","))
+    for sid in ids:
+        if sid not in SCHEME_IDS:
+            raise argparse.ArgumentTypeError(
+                f"invalid choice: {sid!r} (choose from {', '.join(SCHEME_IDS)})")
+    if len(set(ids)) < len(ids):
+        raise argparse.ArgumentTypeError(f"a scheme is listed twice in {text!r}")
+    return ids
 
 
 def _parse_grids(text: str) -> tuple[int, ...]:
@@ -78,15 +94,18 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfg = StudyConfig(
-        dim=args.dim,
-        beta=args.beta,
-        scheme_id=args.scheme,
-        grid_ns=args.grids,
-        epsilon=args.eps,
-        t_end=args.t_end,
-    )
-    text = render_table(run_convergence(cfg), args.format)
+    studies = {
+        sid: run_convergence(StudyConfig(
+            dim=args.dim,
+            beta=args.beta,
+            scheme_id=sid,
+            grid_ns=args.grids,
+            epsilon=args.eps,
+            t_end=args.t_end,
+        ))
+        for sid in args.scheme
+    }
+    text = render_table(studies, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -157,39 +176,44 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="amfrk",
         description="Factored-sweep implicit Runge-Kutta tools for split "
         "diffusion problems",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    shared = argparse.ArgumentParser(add_help=False)
+    config = argparse.ArgumentParser(add_help=False)
+    config.add_argument("--config", metavar="PATH")
+    shared = argparse.ArgumentParser(add_help=False, parents=[config])
     shared.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS, required=True)
-    shared.add_argument("--config", metavar="PATH")
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--dim", type=int, choices=(2, 3), required=True)
     problem.add_argument("--beta", type=float, required=True)
     problem.add_argument("--eps", type=float, default=0.1)
     problem.add_argument("--t-end", type=float, default=1.0)
 
-    pc = sub.add_parser("converge", parents=[problem, shared],
-                        help="run a convergence study table")
+    pc = sub.add_parser("converge", parents=[problem, config], allow_abbrev=False,
+                        help="run a convergence study table, schemes side by side")
+    pc.add_argument("--scheme", type=_scheme_list, metavar="ID[,ID...]", required=True)
     pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...", required=True)
     pc.add_argument("--format", choices=("csv", "md", "markdown"), default="csv")
     pc.add_argument("--out", metavar="PATH")
     pc.set_defaults(func=_cmd_converge)
 
-    pi = sub.add_parser("integrate", parents=[problem, shared],
+    pi = sub.add_parser("integrate", parents=[problem, shared], allow_abbrev=False,
                         help="single run, print final error")
     pi.add_argument("--n", type=int, required=True)
     pi.add_argument("--tau-ratio", type=float)
     pi.set_defaults(func=_cmd_integrate)
 
-    ps = sub.add_parser("stability", parents=[shared], help="wedge scan of |R_q|")
+    ps = sub.add_parser("stability", parents=[shared], allow_abbrev=False,
+                        help="wedge scan of |R_q|")
     ps.add_argument("--d", type=int, required=True)
     ps.add_argument("--theta", type=float, required=True)
     ps.add_argument("--radii", type=_positive_int, help="number of log-spaced radii")
     ps.add_argument("--csv", metavar="PATH", help="write sample rows")
     ps.set_defaults(func=_cmd_stability)
 
-    pv = sub.add_parser("verify", parents=[shared], help="check scheme-defining residuals")
+    pv = sub.add_parser("verify", parents=[shared], allow_abbrev=False,
+                        help="check scheme-defining residuals")
     pv.set_defaults(func=_cmd_verify)
 
     return parser
@@ -197,7 +221,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    pre = argparse.ArgumentParser(prog="amfrk", add_help=False)
+    pre = argparse.ArgumentParser(prog="amfrk", add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     path = pre.parse_known_args(argv)[0].config
     try:  # the file's flags go right after the subcommand, so the user's own win

@@ -16,8 +16,9 @@ exact result (eps2 = 0, as at t* = 0) has delta2 = inf and no order.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Union
 
 import numpy as np
 
@@ -114,22 +115,31 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     return rows
 
 
-def render_table(rows: Sequence[ConvergenceRow], format: str = "csv") -> str:
-    """Render rows as 'csv' (h,tau,eps2,delta2,p at 6 significant digits)
-    or 'markdown' (reference-table style: h as a unit fraction, delta2 to 2
+def render_table(rows: Union[Sequence[ConvergenceRow], Mapping[str, Sequence[ConvergenceRow]]],
+                 format: str = "csv") -> str:
+    """Render one study's rows, or a {scheme id: rows} mapping of studies on
+    the same grids, as 'csv' (h,tau,eps2,delta2,p at 6 significant digits,
+    after a scheme column when there are several studies) or 'markdown'
+    (reference-table style: h as a unit fraction, then per study delta2 to 2
     decimals with the order estimate in parentheses)."""
+    studies = rows if isinstance(rows, Mapping) else {"": rows}
+    named = len(studies) > 1
     if format == "csv":
-        lines = ["h,tau,eps2,delta2,p"]
-        for r in rows:
-            p = f"{r.p:.6g}" if r.p is not None else ""
-            lines.append(
-                f"{r.h:.6g},{r.tau:.6g},{r.eps2:.6g},{r.delta2:.6g},{p}"
-            )
+        lines = [("scheme," if named else "") + "h,tau,eps2,delta2,p"]
+        for sid, study in studies.items():
+            for r in study:
+                p = f"{r.p:.6g}" if r.p is not None else ""
+                lines.append(
+                    (f"{sid}," if named else "")
+                    + f"{r.h:.6g},{r.tau:.6g},{r.eps2:.6g},{r.delta2:.6g},{p}"
+                )
         return "\n".join(lines) + "\n"
     if format in ("markdown", "md"):
-        lines = ["| h | delta2 (p) |", "| --- | --- |"]
-        for r in rows:
-            p = f" ({r.p:.2f})" if r.p is not None else ""
-            lines.append(f"| 1/{r.n_cells} | {r.delta2:.2f}{p} |")
+        heads = list(studies) if named else ["delta2 (p)"]
+        lines = ["| h | " + " | ".join(heads) + " |", "| --- |" + " --- |" * len(heads)]
+        for level in zip(*studies.values()):
+            cells = (f"{r.delta2:.2f}" + (f" ({r.p:.2f})" if r.p is not None else "")
+                     for r in level)
+            lines.append(f"| 1/{level[0].n_cells} | " + " | ".join(cells) + " |")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown table format {format!r}")

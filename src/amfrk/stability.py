@@ -129,7 +129,8 @@ class ScanResult:
     per_ray : max |R_q| per combination of boundary rays, keyed by the tuple
         of ray angles (each is arg(-z_k))
     n_samples / n_excluded : samples scanned, and those of them with a non-finite |R_q|
-    samples : optional retained rows (ComplexPoint, |R|) for export
+    samples : with keep_samples, the arrays (values, index, modulus) in scan order:
+        sample i takes values[index[k, i]] in direction k and has |R| = modulus[i]
     """
 
     max_modulus: float
@@ -137,16 +138,19 @@ class ScanResult:
     per_ray: dict
     n_samples: int
     n_excluded: int
-    samples: Optional[list] = None
+    samples: Optional[tuple] = None
 
     def csv_rows(self):
         """Yield CSV lines 'z1_re,z1_im,...,abs_R' for retained samples."""
         if self.samples is None:
             raise ValueError("scan was run without keep_samples")
-        yield ",".join(f"z{k+1}_re,z{k+1}_im" for k in range(len(self.argmax.parts))) + ",abs_r"
-        for pt, mod in self.samples:
-            parts = ",".join(f"{v.real:.9g},{v.imag:.9g}" for v in pt.parts)
-            yield f"{parts},{mod:.9g}"
+        values, index, modulus = self.samples
+        yield ",".join(f"z{k+1}_re,z{k+1}_im" for k in range(len(index))) + ",abs_r"
+        cells = [f"{v.real:.9g},{v.imag:.9g}" for v in values.tolist()]
+        for lo in range(0, modulus.size, _BLOCK):  # formatted a block at a time
+            for ix, mod in zip(index[:, lo : lo + _BLOCK].T.tolist(),
+                               modulus[lo : lo + _BLOCK].tolist()):
+                yield ",".join([cells[i] for i in ix]) + f",{mod:.9g}"
 
 
 _BLOCK = 1 << 13  # samples per evaluated block: its temporaries fit a core's L2
@@ -216,7 +220,12 @@ def wedge_stability_scan(
     fac, inv_gamma = 1.0 - gamma * values, 1.0 / gamma
     acc = np.full(n_rays**d, -np.inf)  # max |R| at combination sum ray_k*n_rays**k
     best, n_excluded = [-np.inf, None], [0]  # (max |R|, value indices)
-    kept: Optional[list] = [] if keep_samples else None
+    full = per_var**d <= cap
+    n_samples = per_var**d if full else n_rays**d * n_radii + n_random
+    kept, n_kept = None, 0
+    if keep_samples:  # value indices in the smallest integer type that holds them
+        kept = (values, np.empty((d, n_samples), np.min_scalar_type(per_var - 1)),
+                np.empty(n_samples))
     # a freed 2 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
     np.empty(16 * _BLOCK, complex)
 
@@ -248,7 +257,6 @@ def wedge_stability_scan(
 
     # samples past floating range come back non-finite and are excluded
     with np.errstate(over="ignore", invalid="ignore"):
-        full = per_var**d <= cap
         if full and not keep_samples:
             # z and w are symmetric in the directions, so each permutation orbit is first
             # evaluated once, at its first sample in scan order, whose value indices do not
@@ -310,7 +318,9 @@ def wedge_stability_scan(
                 mod = evaluate(zp, pp, idx[-1], code(np.array(idx) // n_radii, n_rays),
                                lambda pos: [ix[pos] for ix in idx])
                 if keep_samples:
-                    kept.extend((point(pt), float(m)) for pt, m in zip(zip(*idx), mod))
+                    kept[1][:, n_kept : n_kept + mod.size] = idx
+                    kept[2][n_kept : n_kept + mod.size] = mod
+                    n_kept += mod.size
 
     if best[1] is None:
         raise RuntimeError("every scan sample was excluded as singular")
@@ -318,7 +328,6 @@ def wedge_stability_scan(
     for cid, m in enumerate(acc.tolist()):
         key = tuple(float(rays_arr[(cid // n_rays**k) % n_rays]) for k in range(d))
         per_ray[key] = max(m, per_ray.get(key, -np.inf))
-    n_samples = per_var**d if full else n_rays**d * n_radii + n_random
     return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)
 
 

@@ -480,7 +480,7 @@ def reference_wedge_scan(
     best = {"mod": -np.inf, "parts": None}
     per_ray: dict = {}
     counts = {"n": 0, "excluded": 0}
-    kept = [] if keep_samples else None
+    kept = ([], []) if keep_samples else None  # value-index blocks, |R| blocks
 
     def eval_chunk(idx_parts):
         parts = [values[ix] for ix in idx_parts]
@@ -525,10 +525,8 @@ def reference_wedge_scan(
             best["mod"] = float(mod_f[k])
             best["parts"] = tuple(complex(p[k]) for p in parts)
         if kept is not None:
-            for i in range(mod.size):
-                pt = tuple(complex(p[i]) for p in parts)
-                zz, ww = combine_zw(pt, gamma)
-                kept.append((ComplexPoint(parts=pt, z=zz, w=ww), float(mod[i])))
+            kept[0].append(np.array(idx_parts))
+            kept[1].append(mod)
 
     chunk = 1 << 18
     if total <= cap:
@@ -554,5 +552,6 @@ def reference_wedge_scan(
         per_ray=per_ray,
         n_samples=counts["n"],
         n_excluded=counts["excluded"],
-        samples=kept,
+        samples=None if kept is None else (
+            values, np.concatenate(kept[0], axis=1), np.concatenate(kept[1])),
     )

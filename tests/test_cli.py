@@ -103,6 +103,42 @@ def test_converge_explicit_flags_beat_config(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 3
 
 
+def test_converge_several_schemes_csv_adds_a_scheme_column(capsys):
+    argv = ["converge", "--dim", "2", "--beta", "1", "--grids", "12,24"]
+    want = ["scheme,h,tau,eps2,delta2,p"]
+    for sid in ("amf3", "amf1"):
+        assert main(argv + ["--scheme", sid]) == 0
+        want += [f"{sid},{line}" for line in capsys.readouterr().out.splitlines()[1:]]
+    assert main(argv + ["--scheme", "amf3,amf1"]) == 0
+    assert capsys.readouterr().out.splitlines() == want
+
+
+def test_converge_several_schemes_markdown_is_the_side_by_side_table(capsys):
+    rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1,amf2,amf3",
+               "--grids", "24,48,96", "--format", "md"])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "| h | amf1 | amf2 | amf3 |\n"
+        "| --- | --- | --- | --- |\n"
+        "| 1/24 | 3.74 (2.03) | 4.94 (2.85) | 4.90 (2.55) |\n"
+        "| 1/48 | 4.35 (2.01) | 5.79 (2.88) | 5.67 (2.42) |\n"
+        "| 1/96 | 4.96 | 6.66 | 6.40 |\n"
+    )
+
+
+@pytest.mark.parametrize("schemes,message", [
+    ("amf1,amf9", "invalid choice: 'amf9'"),
+    ("amf1,", "invalid choice: ''"),
+    ("amf2,AMF2", "listed twice"),
+])
+def test_converge_bad_scheme_list_is_usage_error(capsys, schemes, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--dim", "2", "--beta", "0", "--scheme", schemes,
+              "--grids", "8"])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_converge_missing_options_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--dim", "2"])
@@ -175,6 +211,23 @@ def test_misspelled_config_key_is_usage_error(tmp_path, capsys):
         main(["integrate", "--config", cfg])
     assert exc.value.code == 2
     assert "--tend" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("use_config", [True, False])
+def test_flag_prefix_is_usage_error(tmp_path, capsys, use_config):
+    # t is a prefix of --t-end only, yet it is not read as that flag
+    argv = ["converge", "--dim", "2", "--beta", "1", "--scheme", "amf2", "--grids", "8,16"]
+    extra = ["--config", _config(tmp_path, "t=0\n")] if use_config else ["--t=0"]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + extra)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --t=0" in capsys.readouterr().err
+
+
+def test_nested_config_key_exits_two(tmp_path, capsys):
+    cfg = _config(tmp_path, "dim=2\nbeta=0\nscheme=amf1\nn=8\nconfig=/nonexistent\n")
+    assert main(["integrate", "--config", cfg]) == 2
+    assert "cannot name another" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("cmd,text,flag", [
