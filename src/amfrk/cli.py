@@ -26,6 +26,7 @@ import numpy as np
 
 from .harness import (
     StudyConfig,
+    check_study,
     correct_digits,
     render_table,
     run_convergence,
@@ -94,18 +95,11 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_converge(args) -> int:
-    studies = {
-        sid: run_convergence(StudyConfig(
-            dim=args.dim,
-            beta=args.beta,
-            scheme_id=sid,
-            grid_ns=args.grids,
-            epsilon=args.eps,
-            t_end=args.t_end,
-        ))
-        for sid in args.scheme
-    }
-    text = render_table(studies, args.format)
+    cfgs = [StudyConfig(dim=args.dim, beta=args.beta, scheme_id=sid, grid_ns=args.grids,
+                        epsilon=args.eps, t_end=args.t_end) for sid in args.scheme]
+    for cfg in cfgs:  # every study is checked before the first one runs
+        check_study(cfg)
+    text = render_table({cfg.scheme_id: run_convergence(cfg) for cfg in cfgs}, args.format)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)

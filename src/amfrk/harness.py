@@ -25,7 +25,7 @@ import numpy as np
 from .integrator import integrate
 from .problems import build_problem
 from .splitops import GridSpec
-from .tableau import amf_scheme, radau2a_tableau, scheme_sweeps
+from .tableau import AmfScheme, amf_scheme, radau2a_tableau, scheme_sweeps
 
 
 @dataclass(frozen=True)
@@ -74,14 +74,12 @@ def correct_digits(eps2: float) -> float:
     return -math.log10(eps2) if eps2 else math.inf
 
 
-def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
-    """Run the study and return one row per grid level, orders attached."""
+def check_study(cfg: StudyConfig) -> AmfScheme:
+    """The study's scheme; raises ValueError for a study that cannot run (an
+    unknown scheme, a dim other than 2 or 3, or a grid size), integrating nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
-    tab = radau2a_tableau()
     if cfg.dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
-    if not cfg.grid_ns:
-        return []
     for n in cfg.grid_ns:
         if n < 2:
             raise ValueError(f"N = {n}: need at least 2 cells per axis")
@@ -90,7 +88,13 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
                 f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "
                 "integer step counts"
             )
+    return scheme
 
+
+def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
+    """Run the study and return one row per grid level, orders attached."""
+    scheme = check_study(cfg)
+    tab = radau2a_tableau()
     bare: list[tuple[int, float, float, float]] = []
     for n in cfg.grid_ns:
         tau = scheme.q / n

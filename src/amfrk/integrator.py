@@ -16,8 +16,8 @@ A ``Stepper``, built once per (problem, scheme, tableau, tau), owns six
 state-sized work rows (seven for q >= 3) and allocates no state-sized array
 in a step: the forcing writes g into the T rows.  A step costs two forcing
 evaluations, s*q - 1 applications of J (one to y_n serves both stages) and
-2q product solves (``solve_pi``).  ``amf_step`` and ``integrate`` both run
-through it.
+2q product solves (``solve_pi``).  ``amf_step``, ``integrate`` and the
+stability function R_q all run through it.
 """
 
 from __future__ import annotations
@@ -63,14 +63,17 @@ def _check_step_size(tau: float) -> None:
 class Stepper:
     """The q-sweep step of one (problem, scheme, tableau, tau).
 
-    Builds the d factors of  I - gamma*tau*J_j  and the sweeps' (2, 4)
-    matrices once, here.  The work rows [Z; T], r and, for q >= 3, a spare
-    row for the middle sweeps (the first sweep's product solves work in Z,
-    the last sweep's in T) are allocated on the first step in the dtype of
-    its stages,  result_type(y_n, factors),  and again only for another
-    dtype.  The forcing writes each stage's g straight into its T row, so
-    a forcing whose values that dtype cannot hold (complex into real rows)
-    raises TypeError; a tableau whose s_hat is all zero raises ValueError.
+    Builds the factors of  prod_j (I - gamma*tau*J_j)  and the sweeps' (2, 4)
+    matrices once, here.  The operator, problem.op, has a ``grid`` (m, dim,
+    state_blocks), a ``dtype`` and four kernels: a ``SplitOperator``'s are
+    ``splitops``'; another operator brings its own (``stability``'s diagonal
+    one).  The work rows [Z; T], r and, for q >= 3, a spare row for the middle
+    sweeps (the first sweep's product solves work in Z, the last sweep's in
+    T) are allocated on the first step in the dtype of its stages,
+    result_type(y_n, op.dtype),  and again only for another dtype.  The
+    forcing writes each stage's g straight into its T row, so a forcing
+    whose values that dtype cannot hold (complex into real rows) raises
+    TypeError; a tableau whose s_hat is all zero raises ValueError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -83,15 +86,20 @@ class Stepper:
         self.tab = tab
         self.tau = tau
         self.sigma = scheme.gamma * tau
-        self.factors = factor_pi(problem.op, self.sigma)
-        self._factor_dtype = np.result_type(*(f.inv_diag for f in self.factors))
+        op = problem.op
+        # apply J, add J v, factor, product solve: the operator's own, or this module's
+        # names, read here so that a wrapper put on one sees the Steppers built after it
+        self._apply, self._add, factor, self._solve_pi = getattr(
+            type(op), "kernels", (apply_full, _add_full, factor_pi, solve_pi))
+        self.factors = factor(op, self.sigma)
+        self._factor_dtype = op.dtype
         # r = [-M, M tau A] @ [Z; T]; Z = 0 in the first sweep, which keeps
         # only the block acting on T
         self._rhs = []
         for it in scheme.iterations:
             mix, low = it.mix_coeff, it.low_coeff
             m = np.array([[1.0, -mix], [-low, 1.0 + low * mix]])
-            self._rhs.append(np.hstack([-m, m @ (tau * tab.a)]))
+            self._rhs.append(np.concatenate((-m, m @ (tau * tab.a)), axis=1))
         self._rhs[0] = self._rhs[0][:, 2:].copy()
         self._s_hat = tab.s_hat.tolist()
         self._buf = None  # [Z; T], r, scratch
@@ -101,7 +109,7 @@ class Stepper:
         """Product solve in the buffers rhs and spare, no matrix product writing
         the one it reads (with odd d into spare); returns (x, the other)."""
         out, work = (spare, rhs) if self.problem.op.grid.dim % 2 else (rhs, spare)
-        return solve_pi(self.problem.op, self.sigma, rhs, self.factors, out, work), work
+        return self._solve_pi(self.problem.op, self.sigma, rhs, self.factors, out, work), work
 
     def step(
         self, t_n: float, y_n: np.ndarray, out: np.ndarray | None = None
@@ -125,13 +133,14 @@ class Stepper:
             rows = (4, 2, 1) if len(self._rhs) > 2 else (4, 2)
             self._buf = [np.empty((k, m), dtype=dtype) for k in rows]
             zt, r = self._buf[:2]
-            # the right-hand-side product by column blocks, each in cache
-            self._cols = [
-                (zt[:, b.flat], zt[2:, b.flat], r[:, b.flat]) for b in op.grid.state_blocks
-            ]
+            # the products with real coefficients run on real views (the rows
+            # themselves when they are real): the right-hand side by column
+            # blocks, each in cache, and the low/mix scalings
+            self._cols = [tuple(a[:, b.flat].view(zt.real.dtype) for a in (zt, zt[2:], r))
+                          for b in op.grid.state_blocks]
         zt, r = self._buf[:2]
-        z, t = zt[:2], zt[2:]
-        apply_full(op, y_n, out=z[0], work=z[1])
+        z, t, re = zt[:2], zt[2:], zt.real.dtype
+        self._apply(op, y_n, out=z[0], work=z[1])
         forcing = self.problem.forcing
         for t_k, c_k in zip(t, self.tab.c):  # T_k = g(t_n + c_k tau) + J y_n
             if forcing(t_n + c_k * self.tau, out=t_k, work=r[1]) is not t_k:
@@ -144,21 +153,22 @@ class Stepper:
             # spare row: Z_2 is idle until the first sweep ends, T once the last has r
             spare = z[1] if not nu else t[1] if nu == last else self._buf[2][0]
             e1, free = self._solve(r[0], spare)
-            np.multiply(e1, it.low_coeff, out=free)
+            np.multiply(e1.view(re), it.low_coeff, out=free.view(re))
             r[1] += free
             e2, free = self._solve(r[1], free)
             # dZ = (e1 + mix e2, e2), into Z = 0 in the first sweep; dZ_1 is
             # skipped after the last sweep if the corrector gives Z_1 no weight
             if nu < last or self._s_hat[0]:
-                dz = np.multiply(e2, it.mix_coeff, out=free if nu else z[0])
+                dz = free if nu else z[0]
+                np.multiply(e2.view(re), it.mix_coeff, out=dz.view(re))
                 dz += e1
                 if nu:
                     z[0] += dz
             if nu:
                 z[1] += e2
             if nu < last:
-                _add_full(op, dz, t[0], e1)
-                _add_full(op, e2, t[1], e1)
+                self._add(op, dz, t[0], e1)
+                self._add(op, e2, t[1], e1)
             if not nu:  # with odd d e1 is in z[1], the work of both calls
                 np.copyto(z[1], e2)
         acc = y_n  # y_{n+1} = y_n + s_hat . Z, the zero weights skipped

@@ -102,7 +102,7 @@ class StateBlock(NamedTuple):
 class GridSpec:
     """Uniform grid on the unit interval/square/cube.
 
-    dim : number of space dimensions (1 is allowed for degenerate test use)
+    dim : number of space dimensions (1 holds the samples of R_q, and tests)
     n_cells : cells per axis, N; mesh width h = 1/N; unknowns live at the
         N-1 interior points per axis.
 
@@ -194,6 +194,11 @@ class SplitOperator:
             raise ValueError(
                 f"got {len(self.stencils)} stencils for a {self.grid.dim}-D grid"
             )
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype of its factors' pivots: float64, complex128 for complex stencils."""
+        return np.result_type(float, *(st.diag for st in self.stencils))
 
 
 def build_split_operator(

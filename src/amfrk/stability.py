@@ -7,25 +7,17 @@ function R_q(z, w) of two complex arguments:
     z = z_1 + ... + z_d                  (the full eigenvalue times tau)
     w = (1 - prod_k (1 - gamma*z_k)) / gamma   (what the factored solve sees)
 
-R_q is the ``Stepper``'s step from y_n = 1 on scalars.  Its product solve is
-the factor inv = 1/(1 - gamma*w); from Z = 0, sweep nu updates the increments
-
-    D = z A (e + Z) - Z,   r = (I - low) inv(mix) D,
-    E_1 = r_1 inv,   E_2 = (r_2 + low E_1) inv,   Z += mix E,
-
-and R_q = varpi + s_hat . (e + Z): as approx_a = T = gamma mix inv(I - low)
-inv(mix), the recurrence G <- inv(I - w T) (e + (z A - w T) G) on G = e + Z.
-As in the ``Stepper``, the first sweep (Z = 0) takes r = z kappa with the real
-kappa = (I - low) inv(mix) A e, the last skips Z_1 when s_hat_1 = 0, and R
-sums only the non-zero weights (R = 1 + Z_2 for Radau IIA).  R_q has a pole
-at 1 - gamma*w = 0, the double eigenvalue of I - w T; only a call that meets
-one builds the mask that sets R to complex infinity there.
+R_q is one ``Stepper`` step of length 1 from y_n = 1, without forcing, on the
+diagonal operator J = z whose product solve multiplies by 1/(1 - gamma*w): the
+sweep recurrence of the ``integrator`` docstring.  R_q has a pole where
+1 - gamma*w = 0; only a call that meets one builds the mask that sets R to
+complex infinity there.
 
 A-stability in a wedge of half-angle theta means |R_q| <= 1 whenever every
 -z_k lies within theta of the positive real axis.  The wedge scan samples
 the boundary rays (where the maximum modulus principle puts any violation)
-over a cross product of radii per direction, in blocks of about 10^4 samples
-(their temporaries stay in L2 cache).  z and w are symmetric in the
+over a cross product of radii per direction, in blocks of about 1.6*10^4
+samples (each is one ``Stepper`` step).  z and w are symmetric in the
 directions, so a sample and its permutations share R_q up to rounding: the
 full cross product evaluates one sample per permutation orbit, then the
 orbits near a ray combination's largest |R_q| sample by sample.
@@ -36,11 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 import itertools
 import math
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .splitops import check_count
+from .integrator import Stepper
+from .problems import SemidiscreteProblem
+from .splitops import GridSpec, check_count
 from .tableau import AmfScheme, ButcherTableau
 
 
@@ -69,53 +63,45 @@ def combine_zw(zs, gamma: float) -> tuple[complex, complex]:
     return z, (1.0 - prod) / gamma
 
 
+class _Diagonal(NamedTuple):
+    """J = diag(z) on a 1-D grid of the samples, given the inverse inv of its
+    factored product 1 - gamma*w: a product solve multiplies by inv."""
+
+    grid: GridSpec
+    z: np.ndarray
+    inv: np.ndarray
+    dtype = np.dtype(complex)
+    kernels = (  # the Stepper's: apply J, add J v, factor, product solve
+        lambda op, v, out, work: np.multiply(v, op.z, out=out),
+        lambda op, v, out, work: np.add(out, np.multiply(v, op.z, out=work), out=out),
+        lambda op, sigma: op.inv,
+        lambda op, sigma, rhs, inv, out, work: np.multiply(rhs, inv, out=out),
+    )
+
+
+def _no_forcing(t, out, work):
+    out.fill(0.0)
+    return out
+
+
 def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
     """Step multiplier R_q(z, w); accepts scalars or broadcasting arrays.
 
-    Runs the factored sweep of the module docstring, with the ``Stepper``'s
-    skips, on float64 views of flat buffers (only z * A (e + Z) and r * inv are
-    complex products).  R is complex infinity at the pole 1 - gamma*w = 0;
-    samples at or beyond floating range (a non-finite w too) never raise, they
-    come back huge or non-finite.
+    R is complex infinity at the pole 1 - gamma*w = 0; samples at or beyond
+    floating range (a non-finite w too) never raise, they come back huge or
+    non-finite.
     """
-    if not tab.s_hat.any():
-        raise ValueError("s_hat has no non-zero weight: R_q would not depend on the stages")
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     shape, size = z.shape, z.size
     # one sample runs twice: NumPy's in-place product of one complex rounds apart
     z, w = (np.ascontiguousarray(np.resize(a, 2) if size == 1 else a).reshape(-1) for a in (z, w))
-    buf = np.empty((7, z.size), dtype=complex)  # inv, Z, r (then E), 2 scratch
-    inv, zs, r = buf[0], buf[1:3], buf[3:5]
-    zsf, rf, tf = zs.view(float), r.view(float), buf[5:].view(float)
-    a, ae = tab.a, tab.a.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        np.subtract(1.0, scheme.gamma * w, out=inv)
+        inv = 1.0 - scheme.gamma * w
         pole = not inv.all() and inv == 0.0  # a mask only where there is a pole
         np.divide(1.0, inv, out=inv)
-        for nu, it in enumerate(scheme.iterations):
-            if nu:  # D = z A (e + Z) - Z, r = (I - low) inv(mix) D
-                np.multiply(zsf[0], a[:, :1], out=rf)
-                rf += np.multiply(zsf[1], a[:, 1:], out=tf)
-                r += ae[:, None]
-                r *= z
-                rf -= zsf
-                rf[0] -= np.multiply(rf[1], it.mix_coeff, out=tf[0])
-                rf[1] -= np.multiply(rf[0], it.low_coeff, out=tf[0])
-            else:  # from Z = 0: r = z kappa, kappa = (I - low) inv(mix) A e
-                k0 = ae[0] - it.mix_coeff * ae[1]
-                np.multiply(z.view(float), [[k0], [ae[1] - it.low_coeff * k0]], out=rf)
-            r[0] *= inv  # E = ((1 - gamma*w) I - low)^-1 r, row by row
-            rf[1] += np.multiply(rf[0], it.low_coeff, out=tf[0])
-            e2 = np.multiply(r[1], inv, out=r[1] if nu else zs[1])  # from Z = 0: Z_2 = E_2
-            if nu:
-                zs[1] += e2
-            if nu < len(scheme.iterations) - 1 or tab.s_hat[0]:  # no last Z_1 if s_hat_1 = 0
-                dz = np.multiply(e2.view(float), it.mix_coeff, out=tf[0] if nu else zsf[0])
-                dz += rf[0]  # dZ_1 = E_1 + mix E_2, written into Z_1 = 0 by the first sweep
-                if nu:
-                    zsf[0] += dz
-        terms = [row if c == 1.0 else c * row for c, row in zip(tab.s_hat, zsf) if c]
-        out = sum(terms[1:], terms[0]).view(complex) + (tab.varpi + tab.s_hat.sum())
+        op = _Diagonal(GridSpec(1, z.size + 1), z, inv)
+        stepper = Stepper(SemidiscreteProblem(op, 0.0, 0.0, _no_forcing), scheme, tab, 1.0)
+        out = stepper.step(0.0, np.broadcast_to(np.complex128(1.0), z.shape))
     out[pole] = np.inf  # out[False] selects nothing
     return complex(out[0]) if shape == () else out[:size].reshape(shape)
 
@@ -153,7 +139,7 @@ class ScanResult:
                 yield ",".join([cells[i] for i in ix]) + f",{mod:.9g}"
 
 
-_BLOCK = 1 << 13  # samples per evaluated block: its temporaries fit a core's L2
+_BLOCK = 1 << 14  # samples per evaluated block; amortizes each R_q call's Stepper build
 _DRAW = 1 << 18  # random tuples per generator call; fixes the subsample set
 _SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 seen at maxima
 
@@ -226,7 +212,7 @@ def wedge_stability_scan(
     if keep_samples:  # value indices in the smallest integer type that holds them
         kept = (values, np.empty((d, n_samples), np.min_scalar_type(per_var - 1)),
                 np.empty(n_samples))
-    # a freed 2 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
+    # a freed 4 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
     np.empty(16 * _BLOCK, complex)
 
     def digits(flat, base=per_var):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import amfrk.cli as cli
+import amfrk.harness as harness
 from amfrk import FactorSolveError, NonFiniteStateError
 from amfrk.cli import main
 
@@ -174,6 +175,18 @@ def test_converge_grid_of_fewer_than_two_cells_exits_two(grids, capsys):
                "--grids", grids])
     assert rc == 2
     assert "at least 2 cells" in capsys.readouterr().err
+
+
+def test_converge_checks_every_study_before_the_first_integration(monkeypatch, capsys):
+    # N = 193 suits amf1 but not amf2: the run exits 2 before amf1 integrates
+    def never(*args, **kwargs):
+        raise AssertionError("a study ran before every study was checked")
+    monkeypatch.setattr(cli, "run_convergence", never)
+    monkeypatch.setattr(harness, "integrate", never)
+    rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1,amf2",
+               "--grids", "192,193"])
+    assert rc == 2
+    assert "N = 193 not divisible by q = 2" in capsys.readouterr().err
 
 
 def test_converge_numerical_failure_exits_one(monkeypatch, capsys):

@@ -28,6 +28,7 @@ from amfrk import (
 from amfrk.integrator import amf_step
 from helpers import (
     copying_forcing,
+    direction_eigenvalues,
     extended_scheme,
     frozen_forcing_problem,
     irk_reference_step,
@@ -122,6 +123,42 @@ def test_complex_scalar_run_promotes_a_real_initial_state(scheme):
     want = stability_function(scheme, TAB, tau * lam, tau * lam) ** 5
     assert rec.y.dtype == np.complex128
     assert abs(rec.y[0] - want) <= 1e-14
+
+
+@given(dim=st.sampled_from([2, 3]), n=st.integers(3, 64), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_step_of_an_eigenmode_is_the_stability_function_times_the_mode(dim, n, data):
+    # the grid step is diagonal in the sine basis: a mode with wave numbers k_j
+    # comes back multiplied by R_q(z, w), z = sum tau*lam_j and w from the
+    # factors (1 - gamma*tau*lam_j), which ties the grid path to R_q at any N
+    scheme = data.draw(st.sampled_from(SCHEMES), label="scheme")
+    ks = data.draw(st.lists(st.integers(1, n - 1), min_size=dim, max_size=dim), label="k")
+    tau = data.draw(st.sampled_from([0.25, 1.0, 4.0]), label="tau*N") / n
+    prob = frozen_forcing_problem(build_problem(dim, n, 0.0))
+    x = np.arange(1, n) / n
+    mode = np.ones(())
+    for k in reversed(ks):  # direction 0 (x) is the fastest axis
+        mode = np.multiply.outer(mode, np.sin(k * np.pi * x))
+    mode = mode.reshape(-1)
+    zs = [tau * direction_eigenvalues(prob.op, j)[k - 1] for j, k in enumerate(ks)]
+    got = Stepper(prob, scheme, TAB, tau).step(0.0, mode)
+    want = stability_function(scheme, TAB, *combine_zw(zs, scheme.gamma)) * mode
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(mode))
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.name)
+def test_complex_grid_state_runs_its_real_and_imaginary_parts_apart(scheme):
+    # without forcing a run is real-linear: S(a + ib) = S(a) + i S(b); the
+    # complex rows take the real coefficients' products on real views
+    prob = frozen_forcing_problem(build_problem(2, 10, 1.0))
+    rng = np.random.default_rng(7)
+    a, b = rng.standard_normal((2, prob.op.grid.m))
+    tau = 0.2
+    got = integrate(prob, scheme, TAB, tau, 5 * tau, y0=a + 1j * b).y
+    want = (integrate(prob, scheme, TAB, tau, 5 * tau, y0=a).y
+            + 1j * integrate(prob, scheme, TAB, tau, 5 * tau, y0=b).y)
+    assert got.dtype == np.complex128
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 def test_reference_step_is_the_radau_growth_function():
