@@ -31,7 +31,6 @@ from .stability import (
     ComplexPoint,
     ScanResult,
     combine_zw,
-    sampled_sup_ratio,
     splitting_sup_bound,
     stability_function,
     wedge_stability_scan,
@@ -74,7 +73,6 @@ __all__ = [
     "radau2a_tableau",
     "render_table",
     "run_convergence",
-    "sampled_sup_ratio",
     "scheme_sweeps",
     "solve_pi",
     "splitting_sup_bound",

@@ -143,8 +143,8 @@ class Stepper:
         self._apply(op, y_n, out=z[0], work=z[1])
         forcing = self.problem.forcing
         for t_k, c_k in zip(t, self.tab.c):  # T_k = g(t_n + c_k tau) + J y_n
-            if forcing(t_n + c_k * self.tau, out=t_k, work=r[1]) is not t_k:
-                raise TypeError("forcing(t, out, work) must return out")
+            if forcing(t_n + c_k * self.tau, out=t_k) is not t_k:
+                raise TypeError("forcing(t, out) must return out")
             t_k += z[0]
         last = len(self._rhs) - 1
         for nu, (coef, it) in enumerate(zip(self._rhs, self.scheme.iterations)):

@@ -26,10 +26,9 @@ y-faces; the c-faces inject the plane's ridge at c = 0 and c = 1.  The
 forcing takes K = 4 terms (leads bump(c), 1, e^-c and the end-plane
 weights), exact and boundary 2 each.  A problem stores only these factors,
 O(K n^(dim-1)) numbers, and each evaluation is one (n, K) @ (K, n^(dim-1))
-matrix product written straight into the result.  The forcing follows the
-package's out/work idiom (``apply_full``, ``solve_pi``):
-``forcing(t, out, work)`` writes into out, allocates nothing state-sized
-and leaves work unused; ``forcing(t)`` returns a new array.
+matrix product written straight into the result: ``forcing(t, out)``
+writes into out and allocates nothing state-sized; ``forcing(t)`` returns a
+new array.
 """
 
 from __future__ import annotations
@@ -48,11 +47,10 @@ class SemidiscreteProblem:
     """Linear semidiscrete system  y' = J y + forcing(t).
 
     forcing : full right-hand-side vector at time t (source plus weighted
-        boundary injection), called as ``forcing(t, out=None, work=None)``:
-        with out given it writes g(t) into out, may use work (same shape
-        and dtype) as scratch and returns out, casting as a ufunc does, so
-        a value out's dtype cannot hold raises TypeError; with out None it
-        returns a new array
+        boundary injection), called as ``forcing(t, out=None)``: with out
+        given it writes g(t) into out and returns out, casting as a ufunc
+        does, so a value out's dtype cannot hold raises TypeError; with out
+        None it returns a new array
     exact : grid restriction of the exact PDE solution at time t, a new
         array per call, or None when no closed form is attached
     boundary : unweighted boundary-value vector at time t, a new array per
@@ -147,8 +145,8 @@ def build_problem(
     sol = np.stack([amp * bumps_p, beta * ridge_p]).reshape(2, -1)
     bnd = np.stack([beta * faces_p, beta * ridge_p]).reshape(2, -1)
 
-    # work is not needed: the scaled (n, 4) lead is the only temporary
-    def forcing(t: float, out=None, work=None) -> np.ndarray:
+    # the scaled (n, 4) lead is the only temporary
+    def forcing(t: float, out=None) -> np.ndarray:
         grow, decay = np.exp(t), np.exp(-t)
         return _product(lead * (grow, grow, decay, decay), src, out)
 

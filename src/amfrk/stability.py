@@ -20,7 +20,8 @@ over a cross product of radii per direction, in blocks of about 1.6*10^4
 samples (each is one ``Stepper`` step).  z and w are symmetric in the
 directions, so a sample and its permutations share R_q up to rounding: the
 full cross product evaluates one sample per permutation orbit, then the
-orbits near a ray combination's largest |R_q| sample by sample.
+orbits near a ray combination's largest |R_q| sample by sample.  A larger
+cross product is subsampled, and a subsample too large itself is refused.
 """
 
 from __future__ import annotations
@@ -79,7 +80,7 @@ class _Diagonal(NamedTuple):
     )
 
 
-def _no_forcing(t, out, work):
+def _no_forcing(t, out):
     out.fill(0.0)
     return out
 
@@ -142,6 +143,8 @@ class ScanResult:
 _BLOCK = 1 << 14  # samples per evaluated block; amortizes each R_q call's Stepper build
 _DRAW = 1 << 18  # random tuples per generator call; fixes the subsample set
 _SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 seen at maxima
+_CAP = 4_000_000  # the largest cross product scanned whole, and the largest subsample's base
+_N_RANDOM = 1_000_000  # random tuples (from seed 0) the subsample adds
 
 
 def wedge_stability_scan(
@@ -150,29 +153,25 @@ def wedge_stability_scan(
     d: int,
     theta: float,
     radii=None,
-    angles=None,
-    cap: int = 4_000_000,
-    n_random: int = 1_000_000,
-    seed: int = 0,
     keep_samples: bool = False,
 ) -> ScanResult:
     """Scan |R_q| with every -z_k inside the wedge of half-angle theta.
 
     Each direction samples the wedge boundary: the rays arg(-z_k) = +-theta
-    plus the negative real axis (just the real axis when theta = 0), with
-    optional extra interior rays via ``angles`` (offsets in [0, theta], added
-    with both signs, each ray once however often it is given).  Radii
+    plus the negative real axis (just the real axis when theta = 0).  Radii
     default to 40 points log-spaced on [1e-3, 1e6].
 
     The full (ray, radius) cross product across the d directions is scanned
-    when its size fits ``cap``; otherwise a deterministic subsample is used
+    when its size fits _CAP; otherwise a deterministic subsample is used
     (all ray combinations crossed with equal-radius-index tuples, plus
-    ``n_random`` seeded random tuples).  Samples are ordered with direction
-    0 fastest; z adds the directions in order and w's product takes each new
-    factor from the left (vector complex products are not bitwise
-    commutative).  The argmax is the first sample of largest finite |R|.
-    Samples whose |R| is not finite, singular or past floating range, are
-    counted in n_excluded, silently.  The full cross product (without
+    _N_RANDOM random tuples drawn from seed 0).  When the equal-radius tuples
+    alone, n_rays**d * n_radii, pass _CAP (d = 11 at the default radii) the
+    scan raises ValueError before it evaluates anything.  Samples are ordered
+    with direction 0 fastest; z adds the directions in order and w's product
+    takes each new factor from the left (vector complex products are not
+    bitwise commutative).  The argmax is the first sample of largest finite
+    |R|.  Samples whose |R| is not finite, singular or past floating range,
+    are counted in n_excluded, silently.  The full cross product (without
     keep_samples) evaluates R_q once per permutation orbit, C(n + d - 1, d)
     samples of n = n_rays*n_radii values, then sample by sample on the
     orbits within _SPREAD of their ray combination's largest |R|: bitwise
@@ -180,34 +179,30 @@ def wedge_stability_scan(
     than _SPREAD / 2 apart there.
     """
     check_count("d", d, 1)
-    check_count("cap", cap, 1)
-    check_count("n_random", n_random, 0)
+    d = int(d)  # a NumPy integer's powers would wrap around
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
     radii = np.logspace(-3.0, 6.0, 40) if radii is None else np.asarray(radii, float)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radii must be a nonempty 1-D array of finite positive values")
-    rays = [0.0] if theta == 0.0 else [theta, -theta, 0.0]
-    for ang in angles if angles is not None else ():
-        ang = float(ang)
-        if not 0.0 <= ang <= theta:
-            raise ValueError(f"interior ray angle {ang} outside [0, {theta}]")
-        if ang not in rays:
-            rays.extend([ang, -ang])
-    rays_arr = np.asarray(rays)
-    n_rays, n_radii = rays_arr.size, radii.size
+    rays = np.array([0.0] if theta == 0.0 else [theta, -theta, 0.0])
+    n_rays, n_radii = rays.size, radii.size
+    if n_rays**d * n_radii > _CAP:  # each direction more triples the subsample's base
+        raise ValueError(f"{d} directions of {n_radii} radii would subsample "
+                         f"{n_rays}**{d} * {n_radii} equal-radius tuples, past {_CAP}")
     per_var = n_rays * n_radii
-    # per-direction sample values: index = ray*n_radii + radius; a -a ray holds the
-    # conjugates of the +a ray's
-    mirror_ray = [rays.index(-r) for r in rays]
-    values = -np.exp(1j * rays_arr)[:, None] * radii[None, :]
-    values = np.where((rays_arr < 0)[:, None], np.conj(values[mirror_ray]), values).reshape(-1)
+    # per-direction sample values: index = ray*n_radii + radius; the -theta ray holds
+    # the conjugates of the +theta ray's
+    values = -np.exp(1j * rays)[:, None] * radii[None, :]
+    if theta > 0.0:
+        values[1] = np.conj(values[0])
+    values = values.reshape(-1)
     gamma = scheme.gamma
     fac, inv_gamma = 1.0 - gamma * values, 1.0 / gamma
     acc = np.full(n_rays**d, -np.inf)  # max |R| at combination sum ray_k*n_rays**k
     best, n_excluded = [-np.inf, None], [0]  # (max |R|, value indices)
-    full = per_var**d <= cap
-    n_samples = per_var**d if full else n_rays**d * n_radii + n_random
+    full = per_var**d <= _CAP
+    n_samples = per_var**d if full else n_rays**d * n_radii + _N_RANDOM
     kept, n_kept = None, 0
     if keep_samples:  # value indices in the smallest integer type that holds them
         kept = (values, np.empty((d, n_samples), np.min_scalar_type(per_var - 1)),
@@ -290,10 +285,10 @@ def wedge_stability_scan(
                        for s in range(0, per_var**d, _DRAW))
         else:  # equal-radius-index tuples across every ray combination, then random
             ray_digits = [r.reshape(-1) * n_radii for r in np.indices((n_rays,) * d)[::-1]]
-            rng = np.random.default_rng(seed)
+            rng = np.random.default_rng(0)
             diagonal = ([dig + ri for dig in ray_digits] for ri in range(n_radii))
-            draws = (rng.integers(0, per_var, size=(d, min(_DRAW, n_random - s)))
-                     for s in range(0, n_random, _DRAW))
+            draws = (rng.integers(0, per_var, size=(d, min(_DRAW, _N_RANDOM - s)))
+                     for s in range(0, _N_RANDOM, _DRAW))
             batches = itertools.chain(diagonal, draws)
         for batch in batches:
             for b0 in range(0, batch[0].size, _BLOCK):
@@ -310,10 +305,8 @@ def wedge_stability_scan(
 
     if best[1] is None:
         raise RuntimeError("every scan sample was excluded as singular")
-    per_ray: dict = {}
-    for cid, m in enumerate(acc.tolist()):
-        key = tuple(float(rays_arr[(cid // n_rays**k) % n_rays]) for k in range(d))
-        per_ray[key] = max(m, per_ray.get(key, -np.inf))
+    per_ray = {tuple(float(rays[(cid // n_rays**k) % n_rays]) for k in range(d)): m
+               for cid, m in enumerate(acc.tolist())}  # the rays are distinct
     return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)
 
 
@@ -335,34 +328,3 @@ def splitting_sup_bound(d: int, gamma: float) -> float:
     if d == 1:
         return 1.0 / gamma
     return float((1.0 / gamma) * np.sqrt((d - 1) ** (d - 1) / d ** (d - 2)))
-
-
-def sampled_sup_ratio(
-    d: int,
-    gamma: float,
-    n_diag: int = 4001,
-    n_random: int = 20000,
-    seed: int = 0,
-) -> float:
-    """Sampled sup of |z / (1 - gamma*w)| over imaginary-axis arguments.
-
-    Samples the diagonal z_k = i*x around the known maximizer
-    x = 1/(gamma*sqrt(d-1)) plus seeded random imaginary tuples; approaches
-    splitting_sup_bound(d, gamma) from below.  Requires d >= 2 (for d = 1
-    the sup is only approached as |z| grows without bound), a finite
-    gamma > 0, n_diag >= 1 and n_random >= 0 (0: the diagonal alone).
-    """
-    check_count("d", d, 2)
-    check_count("n_diag", n_diag, 1)
-    check_count("n_random", n_random, 0)
-    _check_gamma(gamma)
-    x_star = 1.0 / (gamma * (d - 1) ** 0.5)
-    zs = 1j * np.linspace(0.5 * x_star, 2.0 * x_star, n_diag)
-    denom = (1.0 - gamma * zs) ** d
-    vals = np.abs(d * zs / denom)
-    out = float(vals.max())
-    rng = np.random.default_rng(seed)
-    zr = 1j * rng.uniform(-3.0 * x_star, 3.0 * x_star, size=(n_random, d))
-    prod = np.prod(1.0 - gamma * zr, axis=1)
-    vals_r = np.abs(zr.sum(axis=1) / prod)
-    return max(out, float(vals_r.max(initial=0.0)))

@@ -9,10 +9,11 @@ import math
 import numpy as np
 
 from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator
-from amfrk.splitops import DirectionStencil, apply_direction
+from amfrk.splitops import DirectionStencil, apply_direction, check_count
 from amfrk.stability import (
     ComplexPoint,
     ScanResult,
+    _check_gamma,
     combine_zw,
     stability_function,
 )
@@ -63,11 +64,11 @@ def frozen_forcing_problem(problem: SemidiscreteProblem) -> SemidiscreteProblem:
 
 
 def copying_forcing(values):
-    """A forcing(t, out=None, work=None) from values(t), an array per time:
+    """A forcing(t, out=None) from values(t), an array per time:
     it returns values(t) itself, or copies it into out (``np.copyto``, so a
     complex value into a real out raises TypeError)."""
 
-    def forcing(t, out=None, work=None):
+    def forcing(t, out=None):
         g = values(t)
         if out is None:
             return g
@@ -456,21 +457,14 @@ def reference_wedge_scan(
     d,
     theta,
     radii=None,
-    angles=None,
     cap=4_000_000,
     n_random=1_000_000,
-    seed=0,
     keep_samples=False,
 ):
     """Wedge scan of |R_q| by index gathers in chunks of 2^18 samples."""
     radii = (np.logspace(-3.0, 6.0, 40) if radii is None
              else np.asarray(radii, dtype=float))
-    rays = [0.0] if theta == 0.0 else [theta, -theta, 0.0]
-    for ang in angles or ():
-        ang = float(ang)
-        if ang not in rays:  # each ray once, as the scan adds them
-            rays.extend([ang, -ang])
-    rays_arr = np.asarray(rays)
+    rays_arr = np.asarray([0.0] if theta == 0.0 else [theta, -theta, 0.0])
     n_rays, n_radii = rays_arr.size, radii.size
     per_var = n_rays * n_radii
     values = (-np.exp(1j * rays_arr)[:, None] * radii[None, :]).reshape(-1)
@@ -538,7 +532,7 @@ def reference_wedge_scan(
         ray_digits = [(ray_grid // n_rays**k) % n_rays for k in range(d)]
         for ri in range(n_radii):
             eval_chunk([dig * n_radii + ri for dig in ray_digits])
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         remaining = n_random
         while remaining > 0:
             take = min(chunk, remaining)
@@ -555,3 +549,38 @@ def reference_wedge_scan(
         samples=None if kept is None else (
             values, np.concatenate(kept[0], axis=1), np.concatenate(kept[1])),
     )
+
+
+# ---------------------------------------------------------------------------
+# Sampled oracle of the closed-form factorization bound splitting_sup_bound
+
+
+def sampled_sup_ratio(
+    d: int,
+    gamma: float,
+    n_diag: int = 4001,
+    n_random: int = 20000,
+    seed: int = 0,
+) -> float:
+    """Sampled sup of |z / (1 - gamma*w)| over imaginary-axis arguments.
+
+    Samples the diagonal z_k = i*x around the known maximizer
+    x = 1/(gamma*sqrt(d-1)) plus seeded random imaginary tuples; approaches
+    splitting_sup_bound(d, gamma) from below.  Requires d >= 2 (for d = 1
+    the sup is only approached as |z| grows without bound), a finite
+    gamma > 0, n_diag >= 1 and n_random >= 0 (0: the diagonal alone).
+    """
+    check_count("d", d, 2)
+    check_count("n_diag", n_diag, 1)
+    check_count("n_random", n_random, 0)
+    _check_gamma(gamma)
+    x_star = 1.0 / (gamma * (d - 1) ** 0.5)
+    zs = 1j * np.linspace(0.5 * x_star, 2.0 * x_star, n_diag)
+    denom = (1.0 - gamma * zs) ** d
+    vals = np.abs(d * zs / denom)
+    out = float(vals.max())
+    rng = np.random.default_rng(seed)
+    zr = 1j * rng.uniform(-3.0 * x_star, 3.0 * x_star, size=(n_random, d))
+    prod = np.prod(1.0 - gamma * zr, axis=1)
+    vals_r = np.abs(zr.sum(axis=1) / prod)
+    return max(out, float(vals_r.max(initial=0.0)))

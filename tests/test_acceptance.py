@@ -23,7 +23,6 @@ from amfrk import (
     build_problem,
     radau2a_tableau,
     run_convergence,
-    sampled_sup_ratio,
     splitting_sup_bound,
     stability_function,
     verify_scheme_conditions,
@@ -45,6 +44,7 @@ from helpers import (
     direction_eigenvalues,
     extended_scheme,
     irk_reference_step,
+    sampled_sup_ratio,
     scalar_problem,
 )
 

@@ -11,6 +11,7 @@ import pytest
 
 import amfrk.cli as cli
 import amfrk.harness as harness
+import amfrk.stability as stability
 from amfrk import FactorSolveError, NonFiniteStateError
 from amfrk.cli import main
 
@@ -392,6 +393,14 @@ def test_stability_non_finite_angle_exits_two(capsys):
     rc = main(["stability", "--scheme", "amf2", "--d", "3", "--theta", "nan"])
     assert rc == 2
     assert "wedge half-angle" in capsys.readouterr().err
+
+
+def test_stability_subsample_past_the_cap_exits_two(capsys, monkeypatch):
+    # 3**11 * 40 equal-radius tuples: refused before any sample is evaluated
+    monkeypatch.setattr(stability, "stability_function", None)
+    rc = main(["stability", "--scheme", "amf1", "--d", "11", "--theta", "0.5"])
+    assert rc == 2
+    assert "equal-radius tuples" in capsys.readouterr().err
 
 
 def test_closed_stdout_ends_quietly_with_141():

@@ -273,9 +273,9 @@ def test_float32_step_size_counts_steps_and_returns_t_in_float64():
     p = build_problem(2, 16, 1.0, 0.1)
     times = []
 
-    def forcing(t, out=None, work=None):
+    def forcing(t, out=None):
         times.append(t)
-        return p.forcing(t, out, work)
+        return p.forcing(t, out)
 
     counted = dataclasses.replace(p, forcing=forcing)
     rec = integrate(counted, SCHEMES[1], TAB, np.float32(0.125), 1.0)
@@ -368,8 +368,8 @@ def test_nan_initial_state_raises_before_any_step():
 def test_state_turning_non_finite_reports_its_step():
     base = build_problem(2, 8, 1.0)
 
-    def forcing(t, out=None, work=None):
-        g = base.forcing(t, out, work)
+    def forcing(t, out=None):
+        g = base.forcing(t, out)
         g *= math.inf if t > 0.5 else 1.0
         return g
 
@@ -621,9 +621,9 @@ def test_operation_counts_match_closed_forms(monkeypatch, dim, q):
     n_steps, s = 5, TAB.stages
     base = build_problem(dim, 6, 1.0)
 
-    def forcing(t, out=None, work=None):
+    def forcing(t, out=None):
         counts["forcing"] = counts.get("forcing", 0) + 1
-        return base.forcing(t, out, work)
+        return base.forcing(t, out)
 
     prob = dataclasses.replace(base, forcing=forcing)
     integrate(prob, SCHEMES[q - 1], TAB, 0.1, n_steps * 0.1)

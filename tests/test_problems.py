@@ -339,9 +339,9 @@ def test_problem_holds_only_the_forcing_profiles():
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize("beta", [0.0, 1.0])
 def test_forcing_into_out_equals_the_allocating_forcing(dim, beta):
-    """forcing(t, out, work) returns out holding forcing(t) bit for bit,
-    writes only out and work, and allocates less than half a state (on
-    grids of 1000+ unknowns, where the state outweighs the (n, 4) lead)."""
+    """forcing(t, out) returns out holding forcing(t) bit for bit, writes
+    only out, and allocates less than half a state (on grids of 1000+
+    unknowns, where the state outweighs the (n, 4) lead)."""
     p = build_problem(dim, {2: 48, 3: 12}[dim], beta, EPS)
     data = [a for a in inspect.getclosurevars(p.forcing).nonlocals.values()
             if isinstance(a, np.ndarray)]
@@ -350,10 +350,10 @@ def test_forcing_into_out_equals_the_allocating_forcing(dim, beta):
         a.setflags(write=False)  # any write to the forcing's data raises
     for t in (0.0, 0.3, 1.7):
         want = p.forcing(t)
-        out, work = np.full((2, want.size), np.nan)
+        out = np.full(want.size, np.nan)
         tracemalloc.start()
         try:
-            got = p.forcing(t, out=out, work=work)
+            got = p.forcing(t, out=out)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -21,14 +21,18 @@ from amfrk import (
     amf_scheme,
     combine_zw,
     radau2a_tableau,
-    sampled_sup_ratio,
     splitting_sup_bound,
     stability_function,
     wedge_stability_scan,
 )
 import amfrk.stability as stability
 from amfrk.tableau import GAMMA, ButcherTableau
-from helpers import extended_scheme, reference_stability_function, reference_wedge_scan
+from helpers import (
+    extended_scheme,
+    reference_stability_function,
+    reference_wedge_scan,
+    sampled_sup_ratio,
+)
 
 TAB = radau2a_tableau()
 SCHEMES = {q: amf_scheme(q) for q in (1, 2, 3)}
@@ -267,6 +271,14 @@ def test_stiff_limit_per_sweep_count():
 # wedge scan bookkeeping
 
 
+def _subsample(monkeypatch, cap, n_random):
+    """Scan cross products past cap samples by the subsample of n_random
+    draws; returns the reference_wedge_scan options that do the same."""
+    monkeypatch.setattr(stability, "_CAP", cap)
+    monkeypatch.setattr(stability, "_N_RANDOM", n_random)
+    return dict(cap=cap, n_random=n_random)
+
+
 def test_scan_full_cross_product_counts():
     radii = np.logspace(-1, 1, 5)
     res = wedge_stability_scan(SCHEMES[2], TAB, d=2, theta=np.pi / 4,
@@ -287,35 +299,14 @@ def test_scan_axis_only_when_angle_is_zero():
     assert all(v.imag == 0.0 and v.real < 0.0 for v in res.argmax.parts)
 
 
-def test_scan_interior_rays_extend_the_ray_set():
-    radii = np.array([0.5, 2.0])
-    res = wedge_stability_scan(SCHEMES[1], TAB, d=1, theta=np.pi / 4,
-                               radii=radii, angles=[np.pi / 8])
-    # rays: +theta, -theta, axis, +pi/8, -pi/8
-    assert res.n_samples == 5 * 2
-    assert len(res.per_ray) == 5
-
-
-def test_scan_repeated_interior_angle_adds_its_rays_once():
-    args = dict(d=2, theta=np.pi / 4, radii=np.array([1.0, 2.0]))
-    once = wedge_stability_scan(SCHEMES[2], TAB, angles=[0.3], **args)
-    # rays: +-theta, axis, +-0.3; so 5 * 2 values per direction
-    assert once.n_samples == 10**2
-    for angles in ([0.3, 0.3], [0.3, 0.0, 0.3, np.pi / 4, 0.3]):
-        again = wedge_stability_scan(SCHEMES[2], TAB, angles=angles, **args)
-        assert again.n_samples == once.n_samples
-        assert again.n_excluded == once.n_excluded
-        assert again.per_ray == once.per_ray
-        assert again.max_modulus == once.max_modulus
-        assert again.argmax == once.argmax
-
-
-@pytest.mark.parametrize("d,kw", [
-    (2, dict(radii=[1e200, 1.0])),
-    (3, dict(radii=[1e-3, 1e200, 1.0, 1e104])),
-    (3, dict(radii=[1e200, 0.5], cap=5, n_random=5000)),
+@pytest.mark.parametrize("d,kw,sub", [
+    (2, dict(radii=[1e200, 1.0]), None),
+    (3, dict(radii=[1e-3, 1e200, 1.0, 1e104]), None),
+    (3, dict(radii=[1e200, 0.5]), (100, 5000)),
 ], ids=["full-product-d2", "full-product-d3", "subsample-d3"])
-def test_scan_excludes_overflowing_samples_silently(d, kw):
+def test_scan_excludes_overflowing_samples_silently(monkeypatch, d, kw, sub):
+    if sub:
+        _subsample(monkeypatch, *sub)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         quiet = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 4, **kw)
@@ -348,16 +339,32 @@ def test_scan_rejects_a_direction_count_that_is_not_an_integer(d, monkeypatch):
         wedge_stability_scan(SCHEMES[1], TAB, d=d, theta=0.0, radii=[1.0])
 
 
+@pytest.mark.parametrize("d,radii", [
+    (11, None),
+    (14, [1.0]),
+    (np.int64(38), None),  # in int64, 3**38 * 40 wraps around to a negative count
+    (10_000, [1.0]),  # 3**10_000 has more digits than an int may print
+], ids=["d11", "d14-one-radius", "numpy-d38", "d10000"])
+def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
+    # 3**d * n_radii equal-radius tuples past the 4,000,000 cap, rejected
+    # before any sample is evaluated
+    monkeypatch.setattr(stability, "stability_function", None)
+    with pytest.raises(ValueError, match="equal-radius tuples"):
+        wedge_stability_scan(SCHEMES[1], TAB, d, np.pi / 6, radii=radii)
+
+
+@pytest.mark.parametrize("d,radii", [(10, None), (13, [1.0])], ids=["d10", "d13-one-radius"])
+def test_scan_just_below_the_cap_reaches_the_evaluation(d, radii, monkeypatch):
+    # 2,361,960 and 1,594,323 equal-radius tuples: the (missing) evaluation is reached
+    monkeypatch.setattr(stability, "stability_function", None)
+    with pytest.raises(TypeError):
+        wedge_stability_scan(SCHEMES[1], TAB, d, np.pi / 6, radii=radii)
+
+
 def test_scan_accepts_a_numpy_integer_direction_count():
     args = dict(theta=np.pi / 4, radii=[0.5, 2.0])
     res = wedge_stability_scan(SCHEMES[2], TAB, d=np.int64(2), **args)
     assert res == wedge_stability_scan(SCHEMES[2], TAB, d=2, **args)
-
-
-def test_scan_rejects_interior_ray_outside_wedge():
-    with pytest.raises(ValueError):
-        wedge_stability_scan(SCHEMES[1], TAB, d=2, theta=0.1,
-                             radii=np.array([1.0]), angles=[0.2])
 
 
 def test_scan_rejects_bad_geometry():
@@ -379,11 +386,7 @@ def test_scan_rejects_bad_geometry():
     dict(theta=np.nan),
     dict(radii=np.array([1.0, np.nan])),
     dict(radii=np.array([1.0, np.inf])),
-    dict(angles=[np.nan]),
-    dict(n_random=-1),
-    dict(cap=0),
-], ids=["theta-nan", "radius-nan", "radius-inf", "angle-nan",
-        "negative-n-random", "cap-zero"])
+], ids=["theta-nan", "radius-nan", "radius-inf"])
 def test_scan_rejects_non_finite_and_negative_inputs(kwargs):
     args = dict(d=2, theta=np.pi / 4, radii=np.array([1.0, 2.0]))
     args.update(kwargs)
@@ -401,22 +404,24 @@ def test_scan_argmax_is_reproducible():
     assert abs(again - res.max_modulus) <= 1e-13 * max(1.0, res.max_modulus)
 
 
-@pytest.mark.parametrize("theta,kw", [
-    (np.pi / 6, dict(radii=[1e-3, 0.5, 1e200])),
-    (0.0, dict(radii=[1e-3, 0.5, 1e200])),
-    (np.pi / 6, dict(radii=[0.5, 1e200], cap=10, n_random=300)),
+@pytest.mark.parametrize("theta,radii,sub", [
+    (np.pi / 6, [1e-3, 0.5, 1e200], None),
+    (0.0, [1e-3, 0.5, 1e200], None),
+    (np.pi / 6, [0.5, 1e200], (100, 300)),
 ], ids=["full-product", "axis", "subsample"])
-def test_scan_counts_are_python_ints(theta, kw):
+def test_scan_counts_are_python_ints(monkeypatch, theta, radii, sub):
+    if sub:
+        _subsample(monkeypatch, *sub)
     with np.errstate(over="ignore", invalid="ignore"):
-        res = wedge_stability_scan(SCHEMES[2], TAB, 3, theta, **kw)
+        res = wedge_stability_scan(SCHEMES[2], TAB, 3, theta, radii=radii)
     assert res.n_excluded > 0
     assert type(res.n_samples) is int
     assert type(res.n_excluded) is int
 
 
-def test_scan_subsample_path_is_deterministic():
-    radii = np.logspace(-2, 2, 10)
-    kw = dict(d=3, theta=np.pi / 6, radii=radii, cap=10, n_random=500, seed=4)
+def test_scan_subsample_path_is_deterministic(monkeypatch):
+    _subsample(monkeypatch, 1000, 500)
+    kw = dict(d=3, theta=np.pi / 6, radii=np.logspace(-2, 2, 10))
     res1 = wedge_stability_scan(SCHEMES[2], TAB, **kw)
     res2 = wedge_stability_scan(SCHEMES[2], TAB, **kw)
     # diagonal tuples: 27 ray combinations x 10 radii, plus the random draw
@@ -498,55 +503,49 @@ def test_scan_matches_reference_gather_scan(d, theta):
     _assert_matches_reference(SCHEMES[2], res, ref)
 
 
-@pytest.mark.parametrize("q,d,theta,kw", [
-    (1, 2, np.pi / 3, dict(radii=[0.3, 2.0, 50.0], angles=[0.2, 0.5, np.pi / 3, 0.0])),
-    (3, 3, np.pi / 4, dict(radii=[0.5, 7.0], angles=[0.1])),
+@pytest.mark.parametrize("q,d,theta,radii,sub", [
+    (1, 2, np.pi / 3, [0.3, 2.0, 50.0], None),
+    (3, 3, np.pi / 4, [0.5, 7.0], None),
     # subsample: equal-radius tuples, then draws spanning several blocks
-    (2, 3, np.pi / 6, dict(radii=np.logspace(-2, 2, 10), cap=10,
-                           n_random=40_000, seed=4)),
-    (2, 4, np.pi / 6, dict(radii=np.logspace(-2, 4, 7), cap=1000,
-                           n_random=300_000, seed=9)),
+    (2, 3, np.pi / 6, np.logspace(-2, 2, 10), (1000, 40_000)),
+    (2, 4, np.pi / 6, np.logspace(-2, 4, 7), (1000, 300_000)),
     # radii at 1e200 overflow w or R: non-finite samples are excluded
-    (2, 2, np.pi / 4, dict(radii=[1e200, 1.0, 3e150])),
-    (2, 3, np.pi / 2, dict(radii=[1e-3, 1e200, 1.0, 1e104])),
-    (1, 3, np.pi / 6, dict(radii=[1e200, 0.5], cap=5, n_random=5000)),
+    (2, 2, np.pi / 4, [1e200, 1.0, 3e150], None),
+    (2, 3, np.pi / 2, [1e-3, 1e200, 1.0, 1e104], None),
+    (1, 3, np.pi / 6, [1e200, 0.5], (100, 5000)),
 ], ids=["interior-rays", "interior-ray-d3", "subsample-d3", "subsample-d4",
         "huge-radii-d2", "huge-radii-d3", "huge-radii-subsample"])
-def test_scan_matches_reference_on_custom_sets(q, d, theta, kw):
+def test_scan_matches_reference_on_custom_sets(monkeypatch, q, d, theta, radii, sub):
+    ref_kw = _subsample(monkeypatch, *sub) if sub else {}
     with np.errstate(over="ignore", invalid="ignore"):
-        res = wedge_stability_scan(SCHEMES[q], TAB, d, theta, **kw)
-        ref = reference_wedge_scan(SCHEMES[q], TAB, d, theta, **kw)
-    if max(kw["radii"]) >= 1e200:
+        res = wedge_stability_scan(SCHEMES[q], TAB, d, theta, radii=radii)
+        ref = reference_wedge_scan(SCHEMES[q], TAB, d, theta, radii=radii, **ref_kw)
+    if max(radii) >= 1e200:
         assert res.n_excluded > 0
     _assert_matches_reference(SCHEMES[q], res, ref)
 
 
 @pytest.mark.parametrize("block", [1000, 100, 5])
-@pytest.mark.parametrize("kw", [
-    dict(),
-    dict(cap=10, n_random=700),
-], ids=["full-product", "subsample"])
-def test_scan_matches_reference_at_any_block_size(monkeypatch, block, kw):
+@pytest.mark.parametrize("sub", [None, (1000, 700)], ids=["full-product", "subsample"])
+def test_scan_matches_reference_at_any_block_size(monkeypatch, block, sub):
     # 12 values per direction: blocks of whole rows (1000), runs of groups
     # within a row (100) and single groups larger than a block (5)
     monkeypatch.setattr(stability, "_BLOCK", block)
-    args = dict(radii=[0.01, 0.7, 30.0, 2e4], keep_samples=True, **kw)
+    ref_kw = _subsample(monkeypatch, *sub) if sub else {}
+    args = dict(radii=[0.01, 0.7, 30.0, 2e4], keep_samples=True)
     res = wedge_stability_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args)
-    ref = reference_wedge_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args)
+    ref = reference_wedge_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args, **ref_kw)
     _assert_matches_reference(SCHEMES[3], res, ref)
     _assert_same_samples(res, ref)
 
 
 def test_scan_negative_rays_hold_the_conjugate_values():
-    rays = [np.pi / 3, -np.pi / 3, 0.0, 0.2, -0.2, 1.0, -1.0]
+    # rays: +theta, -theta, axis
     res = wedge_stability_scan(SCHEMES[1], TAB, d=1, theta=np.pi / 3,
-                               radii=[1e-3, 0.7, 2.0, 1e200], angles=[0.2, 1.0],
-                               keep_samples=True)
-    values = _kept(res)[0][0].reshape(len(rays), 4)
-    for a in (np.pi / 3, 0.2, 1.0):
-        plus, minus = values[rays.index(a)], values[rays.index(-a)]
-        assert minus.tobytes() == np.conj(plus).tobytes()
-    assert np.all(values[2].imag == 0.0)
+                               radii=[1e-3, 0.7, 2.0, 1e200], keep_samples=True)
+    plus, minus, axis = _kept(res)[0][0].reshape(3, 4)
+    assert minus.tobytes() == np.conj(plus).tobytes()
+    assert np.all(axis.imag == 0.0)
 
 
 @pytest.mark.parametrize("d,theta,n_radii,want", [
@@ -591,19 +590,14 @@ def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, the
     theta=st.floats(0.0, np.pi / 2, exclude_min=True),
     radii=st.lists(st.sampled_from([1e-3, 0.05, 0.7, 3.0, 40.0, 2e4, 1e200]),
                    min_size=1, max_size=4, unique=True).filter(lambda r: min(r) < 1e200),
-    fractions=st.lists(st.sampled_from([0.0, 0.1, 0.5, 0.9, 1.0]), max_size=2),
     block=st.sampled_from([None, 5, 37, 100, 1000]),
     keep=st.booleans(),
 )
 @settings(max_examples=30, deadline=None)
-def test_scan_matches_reference_on_drawn_wedges(d, theta, radii, fractions, block,
-                                                keep):
+def test_scan_matches_reference_on_drawn_wedges(d, theta, radii, block, keep):
     # the mirrored full path, at any block size, against the gather scan that
-    # evaluates every sample; 4 directions take at most 2 radii with interior rays
-    angles = [f * theta for f in fractions] or None
-    if d == 4 and angles:
-        radii = radii[:2]
-    kw = dict(radii=radii, angles=angles, keep_samples=keep)
+    # evaluates every sample
+    kw = dict(radii=radii, keep_samples=keep)
     with mock.patch.object(stability, "_BLOCK", block or stability._BLOCK), \
             np.errstate(over="ignore", invalid="ignore"):
         res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, **kw)
@@ -618,17 +612,13 @@ def test_scan_matches_reference_on_drawn_wedges(d, theta, radii, fractions, bloc
     theta=st.sampled_from([0.0, 0.1, np.pi / 6, 1.0, np.pi / 2]),
     radii=st.lists(st.sampled_from([1e-3, 0.05, 0.7, 3.0, 40.0, 2e4, 1e200]),
                    min_size=1, max_size=3, unique=True).filter(lambda r: min(r) < 1e200),
-    fractions=st.lists(st.sampled_from([0.1, 0.5, 0.9]), max_size=2),
     block=st.sampled_from([5, 37, 1000]),
 )
 @settings(max_examples=25, deadline=None)
-def test_scan_orbits_give_what_every_sample_gives(d, theta, radii, fractions, block):
+def test_scan_orbits_give_what_every_sample_gives(d, theta, radii, block):
     # each orbit evaluated once, then the near-maximal ones sample by sample,
     # bitwise against the same scan evaluating every sample (keep_samples)
-    angles = [f * theta for f in fractions] or None
-    if d == 4:
-        radii = radii[:2]
-    kw = dict(radii=radii, angles=angles)
+    kw = dict(radii=radii)
     with mock.patch.object(stability, "_BLOCK", block), \
             np.errstate(over="ignore", invalid="ignore"):
         res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, **kw)
@@ -638,16 +628,17 @@ def test_scan_orbits_give_what_every_sample_gives(d, theta, radii, fractions, bl
     assert list(res.per_ray.items()) == list(every.per_ray.items())  # -inf == -inf
 
 
-@pytest.mark.parametrize("d,kw", [
-    (2, dict(radii=[1.0, 3.0, 1e200])),
-    (3, dict(radii=[0.5, 4.0], cap=10, n_random=100)),
+@pytest.mark.parametrize("d,radii,sub", [
+    (2, [1.0, 3.0, 1e200], None),
+    (3, [0.5, 4.0], (100, 100)),
 ], ids=["full-product", "subsample"])
-def test_scan_kept_samples_keep_the_reference_order(d, kw):
+def test_scan_kept_samples_keep_the_reference_order(monkeypatch, d, radii, sub):
+    ref_kw = _subsample(monkeypatch, *sub) if sub else {}
     with np.errstate(over="ignore", invalid="ignore"):
         res = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 3,
-                                   keep_samples=True, **kw)
+                                   radii=radii, keep_samples=True)
         ref = reference_wedge_scan(SCHEMES[2], TAB, d, np.pi / 3,
-                                   keep_samples=True, **kw)
+                                   radii=radii, keep_samples=True, **ref_kw)
     assert res.samples[2].size == res.n_samples
     _assert_same_samples(res, ref)  # z and w follow from the parts by combine_zw
 
@@ -730,17 +721,6 @@ def test_sampled_sup_without_random_samples_is_the_diagonal_maximum(d):
 def test_sampled_sup_sample_counts_must_be_whole_numbers(name, bad):
     with pytest.raises(ValueError, match=f"{name}="):
         sampled_sup_ratio(2, GAMMA, **{name: bad})
-
-
-@pytest.mark.parametrize(
-    "name,bad", [("n_random", 2.5), ("n_random", True), ("cap", 10.0), ("cap", 0)]
-)
-def test_scan_counts_must_be_whole_numbers(name, bad):
-    # cap=1 sends the scan to the subsample, which draws n_random tuples
-    kwargs = {"cap": 1, name: bad}
-    with pytest.raises(ValueError, match=f"{name}="):
-        wedge_stability_scan(SCHEMES[1], TAB, d=2, theta=np.pi / 4,
-                             radii=np.array([1.0, 2.0]), **kwargs)
 
 
 @pytest.mark.parametrize("fn", [splitting_sup_bound, sampled_sup_ratio])

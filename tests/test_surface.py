@@ -7,7 +7,7 @@ import inspect
 import pytest
 
 import amfrk
-from amfrk import harness, integrator, splitops, tableau
+from amfrk import harness, integrator, splitops, stability, tableau
 
 # dense and closed-form oracles and test-only schemes, kept in tests/helpers.py
 TEST_ONLY = (
@@ -21,6 +21,7 @@ TEST_ONLY = (
     "extended_scheme",
     "irk_reference_step",
     "residual",
+    "sampled_sup_ratio",
 )
 
 
@@ -31,7 +32,8 @@ def test_every_exported_name_resolves_once():
 
 
 @pytest.mark.parametrize(
-    "module", [amfrk, splitops, integrator, harness, tableau], ids=lambda m: m.__name__
+    "module", [amfrk, splitops, integrator, harness, stability, tableau],
+    ids=lambda m: m.__name__,
 )
 def test_test_oracles_are_not_in_the_package(module):
     assert [name for name in TEST_ONLY if hasattr(module, name)] == []
@@ -51,3 +53,11 @@ def test_no_test_only_options():
     assert "iterations_applied" not in {
         f.name for f in dataclasses.fields(amfrk.StepRecord)
     }
+
+
+def test_wedge_scan_takes_only_the_options_its_callers_set():
+    # the cap, the random draw count and the seed are module constants
+    params = inspect.signature(amfrk.wedge_stability_scan).parameters
+    assert list(params) == ["scheme", "tab", "d", "theta", "radii", "keep_samples"]
+    assert (params["radii"].default, params["keep_samples"].default) == (None, False)
+    assert "sampled_sup_ratio" not in amfrk.__all__
