@@ -84,7 +84,10 @@ def _scheme_list(text: str) -> tuple[str, ...]:
 
 
 def _parse_grids(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+    grids = tuple(int(tok) for tok in text.split(",") if tok.strip())
+    if not grids:
+        raise argparse.ArgumentTypeError(f"no grid size in {text!r}")
+    return grids
 
 
 def _positive_int(text: str) -> int:

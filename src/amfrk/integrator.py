@@ -14,9 +14,10 @@ T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
 
 A ``Stepper``, built once per (problem, scheme, tableau, tau), owns six
 state-sized work rows (seven for q >= 3) and allocates no state-sized array
-in a step: the forcing writes g into the T rows.  A step costs two forcing
-evaluations, s*q - 1 applications of J (one to y_n serves both stages) and
-2q product solves (``solve_pi``).  ``amf_step``, ``integrate`` and the
+in a step: the forcing writes g into the T rows, and the kernels (the J
+applies and the product solves) work in the rows they are given.  A step
+costs two forcing evaluations, s*q - 1 applications of J (one to y_n serves
+both stages) and 2q product solves (``solve_pi``).  ``amf_step``, ``integrate`` and the
 stability function R_q all run through it.
 """
 
@@ -64,16 +65,19 @@ class Stepper:
     """The q-sweep step of one (problem, scheme, tableau, tau).
 
     Builds the factors of  prod_j (I - gamma*tau*J_j)  and the sweeps' (2, 4)
-    matrices once, here.  The operator, problem.op, has a ``grid`` (m, dim,
+    matrices once, here.  The operator, problem.op, has a ``grid`` (m,
     state_blocks), a ``dtype`` and four kernels: a ``SplitOperator``'s are
     ``splitops``'; another operator brings its own (``stability``'s diagonal
-    one).  The work rows [Z; T], r and, for q >= 3, a spare row for the middle
-    sweeps (the first sweep's product solves work in Z, the last sweep's in
-    T) are allocated on the first step in the dtype of its stages,
-    result_type(y_n, op.dtype),  and again only for another dtype.  The
-    forcing writes each stage's g straight into its T row, so a forcing
-    whose values that dtype cannot hold (complex into real rows) raises
-    TypeError; a tableau whose s_hat is all zero raises ValueError.
+    one).  The kernels work in the buffers the Stepper gives them: the J
+    applies write into out, and the product solve overwrites rhs and returns
+    whichever of rhs and its work buffer holds x.  The work rows [Z; T], r
+    and, for q >= 3, a spare row for the middle sweeps (the first sweep's
+    product solves work in Z, the last sweep's in T) are allocated on the
+    first step in the dtype of its stages,  result_type(y_n, op.dtype),  and
+    again only for another dtype.  The forcing writes each stage's g
+    straight into its T row, so a forcing whose values that dtype cannot
+    hold (complex into real rows) raises TypeError; a tableau whose s_hat is
+    all zero raises ValueError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -106,10 +110,9 @@ class Stepper:
         self._cols = None  # column blocks of ([Z; T], T, r)
 
     def _solve(self, rhs: np.ndarray, spare: np.ndarray):
-        """Product solve in the buffers rhs and spare, no matrix product writing
-        the one it reads (with odd d into spare); returns (x, the other)."""
-        out, work = (spare, rhs) if self.problem.op.grid.dim % 2 else (rhs, spare)
-        return self._solve_pi(self.problem.op, self.sigma, rhs, self.factors, out, work), work
+        """Product solve in the buffers rhs and spare; returns (x, the other)."""
+        x = self._solve_pi(self.problem.op, self.sigma, rhs, self.factors, spare)
+        return x, spare if x is rhs else rhs
 
     def step(
         self, t_n: float, y_n: np.ndarray, out: np.ndarray | None = None

@@ -4,7 +4,9 @@ The semidiscrete Jacobian J = J_1 + ... + J_d is a sum of one-direction
 operators, each acting tridiagonally along its own grid axis (Kronecker
 structure, x fastest).  Everything the integrator needs is here: applying a
 direction or the full sum, and factoring and solving the shifted
-one-direction systems (I - sigma*J_j).
+one-direction systems (I - sigma*J_j).  The step's kernels (the J applies
+and the product solve) write into the flat buffers they are given and
+allocate no state-sized array: the integrator's ``Stepper`` owns them.
 
 A product solve runs one of two kernels, chosen from the grid's sizes alone
 (``_solve_block``).  Where a Thomas sweep would be mostly Python call
@@ -255,29 +257,21 @@ def build_split_operator(
 
 
 def apply_direction(
-    op: SplitOperator,
-    j: int,
-    v: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    op: SplitOperator, j: int, v: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Apply the direction-j operator J_j to a flat state vector.
+    """Write J_j v into out and return it.
 
-    out : flat result array (allocated when None)
-    work : flat scratch array of the result's size and dtype (allocated
-        when None)
+    v, out, work : flat state vectors; out and work (scratch) take the
+        result's dtype, and neither may share memory with v
     """
     return _apply(op, (j,), v, out, work)
 
 
 def apply_full(
-    op: SplitOperator,
-    v: np.ndarray,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    op: SplitOperator, v: np.ndarray, out: np.ndarray, work: np.ndarray
 ) -> np.ndarray:
-    """Apply J = J_1 + ... + J_d to a flat state vector (out and work as in
-    ``apply_direction``)."""
+    """Write J v = (J_1 + ... + J_d) v into out and return it (v, out and
+    work as in ``apply_direction``)."""
     return _apply(op, range(op.grid.dim), v, out, work)
 
 
@@ -303,12 +297,6 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
     direction but d-1, whose neighbours are a plane away: its terms read v
     across the block's edges.
     """
-    v = np.asarray(v).reshape(-1)
-    if out is None:
-        diags = (type(op.stencils[j].diag) for j in directions)
-        out = np.empty(op.grid.m, dtype=np.result_type(v.dtype, *diags))
-    if work is None:
-        work = np.empty_like(out)
     n = op.grid.n_interior
     last = op.grid.dim - 1
     for block in op.grid.state_blocks:
@@ -555,71 +543,54 @@ def solve_pi(
     op: SplitOperator,
     sigma: float,
     rhs: np.ndarray,
-    factors: tuple[TridiagFactor, ...] | None = None,
-    out: np.ndarray | None = None,
-    work: np.ndarray | None = None,
+    factors: tuple[TridiagFactor, ...],
+    work: np.ndarray,
 ) -> np.ndarray:
-    """Solve  prod_j (I - sigma*J_j) x = rhs  one direction at a time.
+    """Solve  prod_j (I - sigma*J_j) x = rhs  one direction at a time, in
+    the two buffers rhs and work; returns the one that holds x: rhs for even
+    d, work for odd d.  rhs is overwritten either way.
 
-    The factors choose the kernel.  The natural layout's leading axis is
-    direction d-1, and each direction solves along the leading axis:
+    factors : the d factors from ``factor_pi(op, sigma)``
+    rhs, work : flat state vectors of one dtype that holds the factors'
+        (a real rhs cannot take a complex shift)
+
+    Direction k runs from one buffer into the other, bufs[k % 2] into
+    bufs[(k + 1) % 2] of (rhs, work), and the factors choose the kernel.
+    The natural layout's leading axis is direction d-1, and each direction
+    solves along the leading axis:
 
     - matmul (factors with blocks): matrix products with the dense block
-      inverses, rhs_lines^T @ inv^T, written straight into the other buffer.
-      The transposed product is itself the cyclic axis roll that moves the
-      leading axis to the end, so the directions are solved in the order
-      d-1, d-2, .., 0, and no scaling pass or layout copy is made.  A line
-      of one block is one product with the whole-line inverse.  On lines
-      cut into P >= 2 blocks (``_block_solve``), the neighbour terms from
-      the reduced system correct the boundary rows of the right-hand side
-      before the products: in place in the buffer a product wrote, and in a
-      copy for the caller's rhs (one copy per product solve).
+      inverses, rhs_lines^T @ inv^T.  The transposed product is itself the
+      cyclic axis roll that moves the leading axis to the end, so the
+      directions are solved in the order d-1, d-2, .., 0, and no scaling
+      pass or layout copy is made.  A line of one block is one product with
+      the whole-line inverse.  On lines cut into P >= 2 blocks
+      (``_block_solve``), the neighbour terms from the reduced system
+      correct the boundary rows of the buffer read, in place, before the
+      products.
     - Thomas (factors without inverses): a line sweep scaled by inv_diag in
       place, then one copy that rolls the axes cyclically (the last axis
-      moves to the front); the directions are solved in the order
-      d-1, 0, 1, .., d-2: d copies per product solve.
+      moves to the front) into the other buffer; the directions are solved
+      in the order d-1, 0, 1, .., d-2: d copies per product solve.
 
     Either way the d-th roll restores the natural layout.  The factors
     commute, so the order is immaterial up to rounding.
-
-    factors : the d factors from ``factor_pi(op, sigma)`` (built when None)
-    out : flat result array (allocated when None); may be rhs itself
-    work : flat scratch array of the result's size and dtype
     """
     grid = op.grid
-    if factors is None:
-        factors = factor_pi(op, sigma)
-    rhs = np.asarray(rhs).reshape(grid.shape)
-    dtype = np.result_type(rhs, *(fac.inv_diag for fac in factors))
-    if out is None:
-        out = np.empty(grid.m, dtype=dtype)
-    d = grid.dim
-    if work is None:
-        work = np.empty(grid.m, dtype=dtype)
-    n = grid.n_interior
-    src = rhs
+    d, n = grid.dim, grid.n_interior
+    bufs = (rhs, work)
     if all(fac.blocks is not None for fac in factors):
-        # the last of the d products must land in out; when out is rhs,
-        # NumPy copies the overlapping input of a first one-block product
-        bufs = (out, work) if d % 2 else (work, out)
         for k in range(d):
-            dst = bufs[k % 2]
             blocks = factors[d - 1 - k].blocks
-            rows, cols = src.reshape(n, -1), dst.reshape(-1, n)
+            rows, cols = bufs[k % 2].reshape(n, -1), bufs[(k + 1) % 2].reshape(-1, n)
             if blocks.reduced.size:  # P >= 2 blocks
-                # the first product corrects the caller's rhs in a copy, in
-                # the buffer the second product writes (out itself when out
-                # is rhs and d is even)
-                rows, cols = _block_solve(blocks, rows, cols, bufs[1] if k == 0 else None)
+                rows, cols = _block_solve(blocks, rows, cols)
             np.matmul(rows.T, blocks.last_t, out=cols)  # the last block
-            src = dst
-        return out
-    # an even number of rolls ends in the buffer the first sweep wrote
-    bufs = [b.reshape(grid.shape) for b in ((out, work) if d % 2 == 0 else (work, out))]
+        return bufs[d % 2]
     for k in range(d):
         fac = factors[(d - 1 + k) % d]
-        cur, nxt = bufs[k % 2], bufs[(k + 1) % 2]
-        _sweep(fac, src.reshape(n, -1), cur.reshape(n, -1))
+        cur, nxt = (bufs[i % 2].reshape(grid.shape) for i in (k, k + 1))
+        _sweep(fac, cur.reshape(n, -1), cur.reshape(n, -1))
         scale, rolled = _line_scale(fac, d), np.moveaxis(nxt, 0, -1)
         # a plain strided copy is about twice as fast as a scaling ufunc
         # writing through the rolled view; a block is rolled while in cache
@@ -627,8 +598,7 @@ def solve_pi(
             part = cur[block.planes]
             part *= scale[block.planes]
             np.copyto(rolled[block.planes], part)
-        src = nxt
-    return out
+    return bufs[d % 2]
 
 
 def _boundary_terms(blocks: LineBlocks, rows: np.ndarray) -> np.ndarray:
@@ -650,23 +620,19 @@ def _boundary_terms(blocks: LineBlocks, rows: np.ndarray) -> np.ndarray:
 
 
 def _block_solve(
-    blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray, stage: np.ndarray | None
+    blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Solve the P-1 >= 1 full blocks of the (n, M) lines ``rows`` into the
     (M, n) transposed ``cols``; returns the last block's corrected rows and
     its columns, for the caller's product with ``last_t``.
 
-    The neighbour terms are added to the blocks' first and last rows, in a
-    copy of rows in the buffer stage, or in rows itself when stage is None;
-    then one batched product solves the full blocks.
+    The neighbour terms are added to the blocks' first and last rows, in
+    rows itself; then one batched product solves the full blocks.
     """
     n, lines = rows.shape
     length = blocks.inv_t.shape[0]
     head = (n - 1) // length * length
     terms = _boundary_terms(blocks, rows)
-    if stage is not None:
-        np.copyto(stage.reshape(n, lines), rows)
-        rows = stage.reshape(n, lines)
     rows[length::length] += terms[:, 0]  # first rows of blocks 1 .. P-1
     rows[length - 1 : head : length] += terms[:, 1]  # last rows of 0 .. P-2
     np.matmul(

@@ -66,7 +66,8 @@ def combine_zw(zs, gamma: float) -> tuple[complex, complex]:
 
 class _Diagonal(NamedTuple):
     """J = diag(z) on a 1-D grid of the samples, given the inverse inv of its
-    factored product 1 - gamma*w: a product solve multiplies by inv."""
+    factored product 1 - gamma*w: a product solve multiplies by inv into its
+    work buffer, as ``solve_pi`` leaves x there for odd d."""
 
     grid: GridSpec
     z: np.ndarray
@@ -76,7 +77,7 @@ class _Diagonal(NamedTuple):
         lambda op, v, out, work: np.multiply(v, op.z, out=out),
         lambda op, v, out, work: np.add(out, np.multiply(v, op.z, out=work), out=out),
         lambda op, sigma: op.inv,
-        lambda op, sigma, rhs, inv, out, work: np.multiply(rhs, inv, out=out),
+        lambda op, sigma, rhs, inv, work: np.multiply(rhs, inv, out=work),
     )
 
 
@@ -145,6 +146,7 @@ _DRAW = 1 << 18  # random tuples per generator call; fixes the subsample set
 _SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 seen at maxima
 _CAP = 4_000_000  # the largest cross product scanned whole, and the largest subsample's base
 _N_RANDOM = 1_000_000  # random tuples (from seed 0) the subsample adds
+_MAX_D = 63  # directions: np.indices((n_rays,) * d) has d + 1 axes, and NumPy allows 64
 
 
 def wedge_stability_scan(
@@ -159,7 +161,8 @@ def wedge_stability_scan(
 
     Each direction samples the wedge boundary: the rays arg(-z_k) = +-theta
     plus the negative real axis (just the real axis when theta = 0).  Radii
-    default to 40 points log-spaced on [1e-3, 1e6].
+    default to 40 points log-spaced on [1e-3, 1e6].  d is a whole number
+    from 1 to _MAX_D = 63; any other d raises ValueError at once.
 
     The full (ray, radius) cross product across the d directions is scanned
     when its size fits _CAP; otherwise a deterministic subsample is used
@@ -179,6 +182,9 @@ def wedge_stability_scan(
     than _SPREAD / 2 apart there.
     """
     check_count("d", d, 1)
+    if d > _MAX_D:
+        raise ValueError(f"d must be at most {_MAX_D}, got d={d}: the subsample's ray "
+                         "indices would pass NumPy's 64 array dimensions")
     d = int(d)  # a NumPy integer's powers would wrap around
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")

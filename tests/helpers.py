@@ -9,7 +9,13 @@ import math
 import numpy as np
 
 from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator
-from amfrk.splitops import DirectionStencil, apply_direction, check_count
+from amfrk.splitops import (
+    DirectionStencil,
+    apply_direction,
+    check_count,
+    factor_pi,
+    solve_pi,
+)
 from amfrk.stability import (
     ComplexPoint,
     ScanResult,
@@ -188,6 +194,22 @@ def closed_form_vectors(dim, n_cells, beta, epsilon, t):
 # the Stepper.  They share no kernel with the package (only the stencils, the
 # grid and the problem's forcing), so the lean step is compared against an
 # independent implementation.
+
+
+def allocating(kernel, op, *args):
+    """A step kernel of ``splitops`` on buffers of its own, for tests: a J
+    apply, ``kernel(op, [j,] v)``, into a new out, or ``solve_pi(op, sigma,
+    rhs[, factors])`` on a copy of rhs, its factors built when not given.
+    The buffers take the dtype that holds the input and the operator's (the
+    factors', which a complex shift makes complex); returns the result."""
+    if kernel is solve_pi:
+        sigma, rhs, *factors = args
+        factors = factors[0] if factors else factor_pi(op, sigma)
+        x = np.array(rhs, np.result_type(rhs, *(f.inv_diag for f in factors))).reshape(-1)
+        return solve_pi(op, sigma, x, factors, np.empty_like(x))
+    *index, v = args
+    out = np.empty(op.grid.m, np.result_type(v, op.dtype))
+    return kernel(op, *index, np.asarray(v).reshape(-1), out, np.empty_like(out))
 
 
 def reference_factor(op, j, sigma):
@@ -386,7 +408,7 @@ def apply_pi(op, sigma, v):
     """Apply the factored shift  prod_j (I - sigma*J_j)  to a flat state."""
     out = np.asarray(v)
     for j in range(op.grid.dim):
-        out = out - sigma * apply_direction(op, j, out)
+        out = out - sigma * allocating(apply_direction, op, j, out)
     return out
 
 

@@ -178,6 +178,13 @@ def test_converge_grid_of_fewer_than_two_cells_exits_two(grids, capsys):
     assert "at least 2 cells" in capsys.readouterr().err
 
 
+def test_converge_without_a_grid_size_exits_two(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1", "--grids", ","])
+    assert exc.value.code == 2
+    assert "no grid size" in capsys.readouterr().err
+
+
 def test_converge_checks_every_study_before_the_first_integration(monkeypatch, capsys):
     # N = 193 suits amf1 but not amf2: the run exits 2 before amf1 integrates
     def never(*args, **kwargs):
@@ -401,6 +408,15 @@ def test_stability_subsample_past_the_cap_exits_two(capsys, monkeypatch):
     rc = main(["stability", "--scheme", "amf1", "--d", "11", "--theta", "0.5"])
     assert rc == 2
     assert "equal-radius tuples" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("d,theta", [("65", "0"), ("100000000", "0.5")])
+def test_stability_past_the_direction_limit_exits_two(capsys, monkeypatch, d, theta):
+    # refused at once, before any power of d or any sample
+    monkeypatch.setattr(stability, "stability_function", None)
+    rc = main(["stability", "--scheme", "amf1", "--d", d, "--theta", theta])
+    assert rc == 2
+    assert "d must be at most 63" in capsys.readouterr().err
 
 
 def test_closed_stdout_ends_quietly_with_141():

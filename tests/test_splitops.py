@@ -1,6 +1,7 @@
 """Split operators: stencils, applies, factored solves, dense oracles."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from amfrk.splitops import (
 )
 from helpers import (
     SizeGuardError,
+    allocating,
     apply_pi,
     dense_band,
     dense_direction_matrix,
@@ -181,7 +183,7 @@ def test_apply_full_on_basis_vector():
     op = build_split_operator(g, [1.0, 1.0])
     v = np.zeros(g.m)
     v[0] = 1.0
-    out = apply_full(op, v)
+    out = allocating(apply_full, op, v)
     expected = np.zeros(g.m)
     expected[0] = -64.0
     expected[1] = 16.0  # x neighbor
@@ -198,8 +200,8 @@ def test_x_direction_acts_on_fastest_index():
     jy = np.kron(dense_band(op, 1), np.eye(n))
     rng = np.random.default_rng(7)
     v = rng.standard_normal(g.m)
-    assert np.allclose(apply_direction(op, 0, v), jx @ v, rtol=0, atol=1e-12)
-    assert np.allclose(apply_direction(op, 1, v), jy @ v, rtol=0, atol=1e-12)
+    assert np.allclose(allocating(apply_direction, op, 0, v), jx @ v, rtol=0, atol=1e-12)
+    assert np.allclose(allocating(apply_direction, op, 1, v), jy @ v, rtol=0, atol=1e-12)
     assert np.allclose(dense_direction_matrix(op, 0), jx, rtol=0, atol=0)
     assert np.allclose(dense_direction_matrix(op, 1), jy, rtol=0, atol=0)
 
@@ -214,7 +216,7 @@ def test_apply_full_matches_dense_assembly(dim, n):
     rng = np.random.default_rng(dim * 10 + n)
     v = rng.standard_normal(g.m)
     scale = np.max(np.abs(dense @ v))
-    assert np.max(np.abs(apply_full(op, v) - dense @ v)) <= 1e-12 * scale
+    assert np.max(np.abs(allocating(apply_full, op, v) - dense @ v)) <= 1e-12 * scale
 
 
 def test_apply_full_is_sum_of_directions():
@@ -222,13 +224,13 @@ def test_apply_full_is_sum_of_directions():
     op = build_split_operator(g, [0.3, 0.7, 1.1])
     rng = np.random.default_rng(3)
     v = rng.standard_normal(g.m)
-    total = sum(apply_direction(op, j, v) for j in range(3))
-    assert np.allclose(apply_full(op, v), total, rtol=0, atol=1e-12)
+    total = sum(allocating(apply_direction, op, j, v) for j in range(3))
+    assert np.allclose(allocating(apply_full, op, v), total, rtol=0, atol=1e-12)
 
 
 def test_apply_zero_vector():
     op = build_split_operator(GridSpec(dim=2, n_cells=6), [1.0, 1.0])
-    assert np.array_equal(apply_full(op, np.zeros(25)), np.zeros(25))
+    assert np.array_equal(allocating(apply_full, op, np.zeros(25)), np.zeros(25))
 
 
 # ---------------------------------------------------------- factored solves
@@ -281,7 +283,10 @@ def test_factored_solve_matches_dense_product_solve():
     rng = np.random.default_rng(11)
     rhs = rng.standard_normal(g.m)
     assert np.allclose(
-        solve_pi(op, sigma, rhs), np.linalg.solve(pi_dense, rhs), rtol=0, atol=1e-10
+        allocating(solve_pi, op, sigma, rhs),
+        np.linalg.solve(pi_dense, rhs),
+        rtol=0,
+        atol=1e-10,
     )
 
 
@@ -300,11 +305,46 @@ def test_product_solve_pairs_each_factor_with_its_axis(dim, n):
     rhs = np.random.default_rng(dim).standard_normal(g.m)
     want = np.linalg.solve(pi_dense, rhs)
     for kernel, factors in _kernel_factors(op, sigma).items():
-        err = np.max(np.abs(solve_pi(op, sigma, rhs, factors) - want))
+        err = np.max(np.abs(allocating(solve_pi, op, sigma, rhs, factors) - want))
         assert err <= 1e-12 * np.max(np.abs(want)), kernel
-        x = rhs.copy()  # in place: the result overwrites the right-hand side
-        solve_pi(op, sigma, x, factors, out=x, work=np.empty_like(x))
-        assert np.max(np.abs(x - want)) <= 1e-12 * np.max(np.abs(want)), kernel
+
+
+@pytest.mark.parametrize("kernel", ["thomas", "line", "blocks"])
+@pytest.mark.parametrize("dim,n", [(1, 1025), (2, 257), (3, 33)])
+def test_step_kernels_work_in_the_buffers_they_are_given(dim, n, kernel):
+    """The product solve overwrites rhs and returns the buffer that holds x,
+    rhs for even d and work for odd d, on each kernel: the Thomas sweep,
+    lines cut into blocks of 16 and one whole-line block.  It and the J
+    apply allocate less than half a state: a Thomas row, a block solve's
+    neighbour terms, NumPy's iteration buffer.  A 1-D Thomas sweep is
+    exempt from the bound: its rows are single points, whose views
+    outweigh the state."""
+    g = GridSpec(dim=dim, n_cells=n)
+    op = build_split_operator(g, [0.5 + 0.25 * j for j in range(dim)], advection=[1.0] * dim)
+    sigma = 0.01
+    length = {"thomas": None, "line": n - 1, "blocks": 16}[kernel]
+    factors = tuple(splitops._factor(op, j, sigma, length) for j in range(dim))
+    for f in factors:
+        assert kernel == "thomas" if f.blocks is None else (
+            "blocks" if f.blocks.reduced.size else "line")
+    rhs = np.random.default_rng(dim).standard_normal(g.m)
+    x, work, out = rhs.copy(), np.empty_like(rhs), np.empty_like(rhs)
+    got = solve_pi(op, sigma, x, factors, work)
+    assert got is (work if dim % 2 else x)
+    want = reference_solve_pi(op, sigma, rhs)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    want = reference_apply_full(op, rhs)
+    assert np.max(np.abs(apply_full(op, rhs, out, work) - want)) <= 1e-12 * np.max(np.abs(want))
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        solve_pi(op, sigma, x, factors, work)
+        apply_full(op, rhs, out, work)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    if (dim, kernel) != (1, "thomas"):
+        assert peak < rhs.nbytes / 2
 
 
 def test_stepper_owns_its_factors():
@@ -522,18 +562,21 @@ def test_reduced_interface_terms_equal_the_spike_row_products(n):
                 assert err <= 1e-13 * np.max(np.abs(want)), (j, sigma, length)
 
 
-def test_dense_solve_promotes_real_rhs_to_complex():
+def test_complex_shift_solves_in_complex_buffers():
+    """A complex shift's factors are complex: every kernel refuses real
+    buffers, and a real right-hand side in complex ones comes back complex."""
     g = GridSpec(dim=2, n_cells=9)
     op = build_split_operator(g, [1.0, 0.5], advection=[1.0, -2.0])
     sigma = 0.01 * complex(1.0, 0.5)
     rhs = np.random.default_rng(4).standard_normal(g.m)
     kernels = _kernel_factors(op, sigma)
-    del kernels["thomas"]
-    assert len(kernels) == 5  # dense and blocks of 1, 2, 4 and 7 points
+    assert len(kernels) == 6  # dense, Thomas and blocks of 1, 2, 4 and 7 points
     want = reference_solve_pi(op, sigma, rhs)
     for kernel, factors in kernels.items():
-        got = solve_pi(op, sigma, rhs, factors)
-        assert got.dtype == np.complex128, kernel
+        with pytest.raises(TypeError):
+            solve_pi(op, sigma, rhs.copy(), factors, np.empty_like(rhs))
+        x = rhs.astype(complex)
+        got = solve_pi(op, sigma, x, factors, np.empty_like(x))
         assert np.abs(got.imag).max() > 0.0, kernel
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kernel
 
@@ -543,7 +586,7 @@ def test_solve_accepts_complex_right_side():
     op = build_split_operator(g, [1.0, 1.0])
     rng = np.random.default_rng(2)
     rhs = rng.standard_normal(g.m) + 1j * rng.standard_normal(g.m)
-    out = solve_pi(op, 0.01, rhs)
+    out = allocating(solve_pi, op, 0.01, rhs)
     back = apply_pi(op, 0.01, out)
     assert np.max(np.abs(back - rhs)) <= 1e-12 * np.max(np.abs(rhs))
 
@@ -616,16 +659,12 @@ def test_directions_commute_exactly(dim, n):
 @pytest.mark.parametrize("dim,n", [(1, 5), (2, 5), (3, 4)])
 def test_roll_layout_round_trip(dim, n):
     """At sigma = 0 every factor is the identity, so a product solve is just
-    its d cyclic axis rolls, which must restore the natural layout, also
-    when the result overwrites the right-hand side."""
+    its d cyclic axis rolls, which must restore the natural layout."""
     g = GridSpec(dim=dim, n_cells=n)
     op = build_split_operator(g, [1.0] * dim)
     v = np.arange(g.m, dtype=float)
     for factors in _kernel_factors(op, 0.0).values():
-        assert np.array_equal(solve_pi(op, 0.0, v, factors), v)
-        w = v.copy()
-        assert solve_pi(op, 0.0, w, factors, out=w, work=np.empty_like(w)) is w
-        assert np.array_equal(w, v)
+        assert np.array_equal(allocating(solve_pi, op, 0.0, v, factors), v)
 
 
 # ------------------------------------------------------------ cache blocks
@@ -656,8 +695,7 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
     """The operator and every blocked kernel's results on a fresh grid
     (blocks are derived once per grid) with the block constant patched to
     ``block`` unknowns: J applies of an advective, reactive operator,
-    out += J v, and Thomas product solves (into a fresh array and in place)
-    at a real and a complex shift."""
+    out += J v, and Thomas product solves at a real and a complex shift."""
     monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
     monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     g = GridSpec(dim=dim, n_cells=n)
@@ -666,18 +704,15 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
     op = build_split_operator(g, diff, advection=adv, reaction=-0.6)
     results = []
     for v in vectors:
-        results.append(apply_full(op, v))
-        results.extend(apply_direction(op, j, v) for j in range(dim))
+        results.append(allocating(apply_full, op, v))
+        results.extend(allocating(apply_direction, op, j, v) for j in range(dim))
         acc = np.cos(np.arange(g.m)).astype(v.dtype)
         splitops._add_full(op, v, acc, np.empty_like(acc))
         results.append(acc)
         for sigma in (0.02, 0.02 * (1.0 + 0.7j)):
             factors = factor_pi(op, sigma)
             assert all(f.blocks is None for f in factors)
-            results.append(solve_pi(op, sigma, v, factors))
-            w = v.astype(np.result_type(v, sigma))
-            solve_pi(op, sigma, w, factors, out=w, work=np.empty_like(w))
-            results.append(w)
+            results.append(allocating(solve_pi, op, sigma, v, factors))
     return op, results
 
 
@@ -689,7 +724,7 @@ def _pass_references(op, vectors):
         results.extend(dense_direction_matrix(op, j) @ v for j in range(op.grid.dim))
         results.append(np.cos(np.arange(op.grid.m)) + reference_apply_full(op, v))
         for sigma in (0.02, 0.02 * (1.0 + 0.7j)):
-            results.extend([reference_solve_pi(op, sigma, v)] * 2)
+            results.append(reference_solve_pi(op, sigma, v))
     return results
 
 
@@ -742,8 +777,8 @@ def test_factor_solve_linearity(data, sigma):
     g, (u, v) = data
     op = build_split_operator(g, [1.0] * g.dim)
     a, b = 2.25, -0.5
-    lhs = solve_pi(op, sigma, a * u + b * v)
-    rhs = a * solve_pi(op, sigma, u) + b * solve_pi(op, sigma, v)
+    lhs = allocating(solve_pi, op, sigma, a * u + b * v)
+    rhs = a * allocating(solve_pi, op, sigma, u) + b * allocating(solve_pi, op, sigma, v)
     scale = 1.0 + np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
@@ -753,7 +788,7 @@ def test_factor_solve_linearity(data, sigma):
 def test_apply_then_solve_round_trip(data, sigma):
     g, (v,) = data
     op = build_split_operator(g, [1.0] * g.dim)
-    out = solve_pi(op, sigma, apply_pi(op, sigma, v))
+    out = allocating(solve_pi, op, sigma, apply_pi(op, sigma, v))
     # shifted factors are diagonally dominant for sigma >= 0, so this is tame
     scale = 1.0 + np.max(np.abs(v))
     assert np.max(np.abs(out - v)) <= 1e-10 * scale
@@ -764,8 +799,8 @@ def test_apply_then_solve_round_trip(data, sigma):
 def test_apply_full_linearity(data):
     g, (u, v) = data
     op = build_split_operator(g, [0.5] * g.dim, advection=[0.25] * g.dim)
-    lhs = apply_full(op, 1.5 * u - 2.0 * v)
-    rhs = 1.5 * apply_full(op, u) - 2.0 * apply_full(op, v)
+    lhs = allocating(apply_full, op, 1.5 * u - 2.0 * v)
+    rhs = 1.5 * allocating(apply_full, op, u) - 2.0 * allocating(apply_full, op, v)
     scale = 1.0 + np.max(np.abs(lhs))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12 * scale
 
@@ -795,7 +830,8 @@ def test_solves_match_row_loop_reference(case):
     want = reference_solve_pi(op, sigma, rhs)
     tol = 1e-13 * np.max(np.abs(want))
     for kernel, factors in _kernel_factors(op, sigma).items():
-        assert np.max(np.abs(solve_pi(op, sigma, rhs, factors) - want)) <= tol, kernel
+        got = allocating(solve_pi, op, sigma, rhs, factors)
+        assert np.max(np.abs(got - want)) <= tol, kernel
     for j in range(op.grid.dim):
         want = reference_solve_direction(op, j, sigma, rhs)
         got = solve_direction_factor(op, j, sigma, rhs)

@@ -343,8 +343,7 @@ def test_scan_rejects_a_direction_count_that_is_not_an_integer(d, monkeypatch):
     (11, None),
     (14, [1.0]),
     (np.int64(38), None),  # in int64, 3**38 * 40 wraps around to a negative count
-    (10_000, [1.0]),  # 3**10_000 has more digits than an int may print
-], ids=["d11", "d14-one-radius", "numpy-d38", "d10000"])
+], ids=["d11", "d14-one-radius", "numpy-d38"])
 def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
     # 3**d * n_radii equal-radius tuples past the 4,000,000 cap, rejected
     # before any sample is evaluated
@@ -353,12 +352,30 @@ def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
         wedge_stability_scan(SCHEMES[1], TAB, d, np.pi / 6, radii=radii)
 
 
-@pytest.mark.parametrize("d,radii", [(10, None), (13, [1.0])], ids=["d10", "d13-one-radius"])
-def test_scan_just_below_the_cap_reaches_the_evaluation(d, radii, monkeypatch):
-    # 2,361,960 and 1,594,323 equal-radius tuples: the (missing) evaluation is reached
+@pytest.mark.parametrize("d,theta,radii", [
+    (10, np.pi / 6, None),
+    (13, np.pi / 6, [1.0]),
+    (63, 0.0, [1.0]),  # the most directions the scan takes: one ray at theta = 0
+], ids=["d10", "d13-one-radius", "d63-axis"])
+def test_scan_just_below_the_cap_reaches_the_evaluation(d, theta, radii, monkeypatch):
+    # 2,361,960, 1,594,323 and 1 equal-radius tuples: the (missing) evaluation is reached
     monkeypatch.setattr(stability, "stability_function", None)
     with pytest.raises(TypeError):
-        wedge_stability_scan(SCHEMES[1], TAB, d, np.pi / 6, radii=radii)
+        wedge_stability_scan(SCHEMES[1], TAB, d, theta, radii=radii)
+
+
+@pytest.mark.parametrize("d,theta", [
+    (64, 0.0),  # np.indices would need 65 array dimensions
+    (65, 0.0),
+    (np.int64(65), 0.0),
+    (10_000, np.pi / 6),  # 3**10_000 has more digits than an int may print
+    (10**8, 0.5),  # 3**(10**8) alone takes minutes
+], ids=["d64", "d65", "numpy-d65", "d10000", "d1e8"])
+def test_scan_rejects_more_directions_than_numpy_allows(d, theta, monkeypatch):
+    # refused before any power of d is formed or any sample is evaluated
+    monkeypatch.setattr(stability, "stability_function", None)
+    with pytest.raises(ValueError, match="d must be at most 63"):
+        wedge_stability_scan(SCHEMES[1], TAB, d, theta)
 
 
 def test_scan_accepts_a_numpy_integer_direction_count():
