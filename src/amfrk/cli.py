@@ -26,6 +26,7 @@ import numpy as np
 
 from .harness import (
     StudyConfig,
+    check_memory,
     check_study,
     correct_digits,
     render_table,
@@ -113,6 +114,7 @@ def _cmd_converge(args) -> int:
 def _cmd_integrate(args) -> int:
     q = scheme_sweeps(args.scheme)
     ratio = args.tau_ratio if args.tau_ratio is not None else float(q)
+    check_memory(args.dim, args.n, q)  # before the problem's profiles are built
     problem = build_problem(args.dim, args.n, args.beta, args.eps)
     scheme = amf_scheme(q)
     tab = radau2a_tableau()

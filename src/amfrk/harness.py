@@ -16,13 +16,14 @@ exact result (eps2 = 0, as at t* = 0) has delta2 = inf and no order.
 from __future__ import annotations
 
 import math
+import os
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
 
-from .integrator import integrate
+from .integrator import integrate, work_rows
 from .problems import build_problem
 from .splitops import GridSpec
 from .tableau import AmfScheme, amf_scheme, radau2a_tableau, scheme_sweeps
@@ -74,9 +75,28 @@ def correct_digits(eps2: float) -> float:
     return -math.log10(eps2) if eps2 else math.inf
 
 
+def _physical_memory() -> int:
+    """Bytes of physical memory; 0, unknown, where sysconf does not say."""
+    try:
+        return max(0, os.sysconf("SC_PHYS_PAGES")) * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return 0
+
+
+def check_memory(dim: int, n: int, q: int) -> None:
+    """Raise ValueError, naming both sizes, if a q-sweep run on the dim-D grid
+    of n cells per axis needs more than the physical memory for its float64
+    states: the Stepper's work rows, the initial state and the result."""
+    need, have = (work_rows(q) + 2) * max(n - 1, 0) ** dim * 8, _physical_memory()
+    if 0 < have < need:
+        raise ValueError(f"N = {n}: the run's states need {need / 2**20:.4g} MiB, "
+                         f"more than the {have / 2**20:.4g} MiB of physical memory")
+
+
 def check_study(cfg: StudyConfig) -> AmfScheme:
     """The study's scheme; raises ValueError for a study that cannot run (an
-    unknown scheme, a dim other than 2 or 3, or a grid size), integrating nothing."""
+    unknown scheme, a dim other than 2 or 3, a bad grid size or one too large
+    for the memory), integrating nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
     if cfg.dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
@@ -88,6 +108,7 @@ def check_study(cfg: StudyConfig) -> AmfScheme:
                 f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "
                 "integer step counts"
             )
+        check_memory(cfg.dim, n, scheme.q)
     return scheme
 
 

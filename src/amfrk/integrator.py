@@ -12,10 +12,11 @@ T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
                 dZ = mix E,  Z += dZ,  T_k += J dZ_k  (but after the last sweep)
     corrector   y_{n+1} = varpi*y_n + s_hat . Y = y_n + s_hat . Z  (= y_n + Z_2)
 
-A ``Stepper``, built once per (problem, scheme, tableau, tau), owns six
-state-sized work rows (seven for q >= 3) and allocates no state-sized array
-in a step: the forcing writes g into the T rows, and the kernels (the J
-applies and the product solves) work in the rows they are given.  A step
+A ``Stepper``, built once per (problem, scheme, tableau, tau), owns 4, 5 or
+7 state-sized work rows (amf1, amf2, q >= 3) and allocates no state-sized
+array in a step: the forcing writes g into the T rows, the first sweep's r
+goes into the idle Z rows and the last sweep's over the T rows, and the J
+applies and the product solves work in the rows they are given.  A step
 costs two forcing evaluations, s*q - 1 applications of J (one to y_n serves
 both stages) and 2q product solves (``solve_pi``).  ``amf_step``, ``integrate`` and the
 stability function R_q all run through it.
@@ -28,7 +29,7 @@ import math
 
 import numpy as np
 
-from .splitops import _add_full, apply_full, factor_pi, solve_pi
+from .splitops import _add_full, apply_full, check_count, factor_pi, solve_pi
 from .tableau import AmfScheme, ButcherTableau
 
 
@@ -61,23 +62,32 @@ def _check_step_size(tau: float) -> None:
         raise ValueError(f"step size must be positive and finite, got {tau}")
 
 
+# real columns per right-hand-side product; the last sweep's goes through a
+# (2, _CHUNK) scratch of 128 KB over the T rows it reads
+_CHUNK = 2**13
+
+
+def work_rows(q: int) -> int:
+    """State-sized rows of a q-sweep ``Stepper``: [Z; T], spare (q >= 2), r (q >= 3)."""
+    return 4 if q == 1 else 5 if q == 2 else 7
+
+
 class Stepper:
     """The q-sweep step of one (problem, scheme, tableau, tau).
 
     Builds the factors of  prod_j (I - gamma*tau*J_j)  and the sweeps' (2, 4)
-    matrices once, here.  The operator, problem.op, has a ``grid`` (m,
-    state_blocks), a ``dtype`` and four kernels: a ``SplitOperator``'s are
-    ``splitops``'; another operator brings its own (``stability``'s diagonal
-    one).  The kernels work in the buffers the Stepper gives them: the J
-    applies write into out, and the product solve overwrites rhs and returns
-    whichever of rhs and its work buffer holds x.  The work rows [Z; T], r
-    and, for q >= 3, a spare row for the middle sweeps (the first sweep's
-    product solves work in Z, the last sweep's in T) are allocated on the
-    first step in the dtype of its stages,  result_type(y_n, op.dtype),  and
-    again only for another dtype.  The forcing writes each stage's g
-    straight into its T row, so a forcing whose values that dtype cannot
-    hold (complex into real rows) raises TypeError; a tableau whose s_hat is
-    all zero raises ValueError.
+    matrices once, here.  The operator, problem.op, has a ``grid`` (m), a
+    ``dtype`` and four kernels: a ``SplitOperator``'s are ``splitops``';
+    another operator brings its own (``stability``'s diagonal one).  The
+    kernels work in the buffers the Stepper gives them: the J applies write
+    into out, and the product solve overwrites rhs and returns whichever of
+    rhs and its work buffer holds x.  The ``work_rows(q)`` rows, and a small
+    scratch for the last sweep's r, are allocated on the first step in the
+    dtype of its stages,  result_type(y_n, op.dtype),  and again only for
+    another dtype.  The forcing writes each stage's g straight into its T
+    row, so a forcing whose values that dtype cannot hold (complex into real
+    rows) raises TypeError; a tableau whose s_hat is all zero raises
+    ValueError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -106,8 +116,7 @@ class Stepper:
             self._rhs.append(np.concatenate((-m, m @ (tau * tab.a)), axis=1))
         self._rhs[0] = self._rhs[0][:, 2:].copy()
         self._s_hat = tab.s_hat.tolist()
-        self._buf = None  # [Z; T], r, scratch
-        self._cols = None  # column blocks of ([Z; T], T, r)
+        self._buf = None  # [Z; T], the rows after T, (columns, scratch part) chunks
 
     def _solve(self, rhs: np.ndarray, spare: np.ndarray):
         """Product solve in the buffers rhs and spare; returns (x, the other)."""
@@ -130,19 +139,25 @@ class Stepper:
                 raise ValueError(f"{name} must have shape ({m},), got {a.shape}")
         dtype = np.result_type(y_n, self._factor_dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
-            # one array per role: a single (6, m) block is big enough for
-            # the C allocator to map it from, and return it to, the system
-            # on its own, which leaves the caller's next allocations cold
-            rows = (4, 2, 1) if len(self._rhs) > 2 else (4, 2)
-            self._buf = [np.empty((k, m), dtype=dtype) for k in rows]
-            zt, r = self._buf[:2]
+            # one array per role: a single block of every row is big enough
+            # for the C allocator to map it from, and return it to, the
+            # system on its own, which leaves the caller's next allocations cold
+            zt, rest = (np.empty((k, m), dtype) for k in (4, work_rows(len(self._rhs)) - 4))
             # the products with real coefficients run on real views (the rows
-            # themselves when they are real): the right-hand side by column
-            # blocks, each in cache, and the low/mix scalings
-            self._cols = [tuple(a[:, b.flat].view(zt.real.dtype) for a in (zt, zt[2:], r))
-                          for b in op.grid.state_blocks]
-        zt, r = self._buf[:2]
-        z, t, re = zt[:2], zt[2:], zt.real.dtype
+            # themselves when they are real) by column chunks, each in cache;
+            # a rest of one column joins the last chunk, as BLAS rounds a
+            # one-column product (gemv) apart from a wider one (gemm)
+            n_cols = zt.view(zt.real.dtype).shape[1]
+            starts = range(0, max(n_cols - 1, 1), _CHUNK)
+            scratch = np.empty((2, min(_CHUNK + 1, n_cols)), zt.real.dtype)
+            self._buf = (zt, rest, [(slice(a, b), scratch[:, : b - a])
+                                    for a, b in zip(starts, [*starts[1:], n_cols])])
+        zt, rest, chunks = self._buf
+        re = zt.real.dtype
+        zt_re, r_re = zt.view(re), rest.view(re)[:2]
+        # each row's view is bound once: the solve returns the object it was given
+        z, t = list(zt[:2]), list(zt[2:])
+        *r, spare = list(rest) or t[:1]  # amf1's: T_1, dead once read
         self._apply(op, y_n, out=z[0], work=z[1])
         forcing = self.problem.forcing
         for t_k, c_k in zip(t, self.tab.c):  # T_k = g(t_n + c_k tau) + J y_n
@@ -151,29 +166,35 @@ class Stepper:
             t_k += z[0]
         last = len(self._rhs) - 1
         for nu, (coef, it) in enumerate(zip(self._rhs, self.scheme.iterations)):
-            for zt_cols, t_cols, r_cols in self._cols:
-                np.matmul(coef, zt_cols if nu else t_cols, out=r_cols)
-            # spare row: Z_2 is idle until the first sweep ends, T once the last has r
-            spare = z[1] if not nu else t[1] if nu == last else self._buf[2][0]
-            e1, free = self._solve(r[0], spare)
+            # r goes into Z in the first sweep (Z = 0 is idle until it ends),
+            # over T in the last (nothing reads T after it), else into r
+            src, dst = (zt_re[2:], zt_re[:2]) if not nu else (zt_re, r_re if nu < last else None)
+            for cols, part in chunks:
+                prod = np.matmul(coef, src[:, cols], out=part if dst is None else dst[:, cols])
+                if dst is None:  # through the scratch, as the product reads T
+                    np.copyto(zt_re[2:, cols], prod)
+            rows = z if not nu else r if nu < last else t
+            e1, free = self._solve(rows[0], spare)
             np.multiply(e1.view(re), it.low_coeff, out=free.view(re))
-            r[1] += free
-            e2, free = self._solve(r[1], free)
+            rows[1] += free
+            e2, free = self._solve(rows[1], free)
+            if not nu and e2 is not z[1]:  # odd d: Z_2 = e2 is in Z_1
+                np.copyto(z[1], e2)
+                e2 = z[1]
             # dZ = (e1 + mix e2, e2), into Z = 0 in the first sweep; dZ_1 is
             # skipped after the last sweep if the corrector gives Z_1 no weight
             if nu < last or self._s_hat[0]:
-                dz = free if nu else z[0]
+                dz = free if nu or e1 is z[0] else z[0]
                 np.multiply(e2.view(re), it.mix_coeff, out=dz.view(re))
-                dz += e1
+                np.add(dz, e1, out=dz if nu else z[0])
                 if nu:
                     z[0] += dz
             if nu:
                 z[1] += e2
-            if nu < last:
-                self._add(op, dz, t[0], e1)
-                self._add(op, e2, t[1], e1)
-            if not nu:  # with odd d e1 is in z[1], the work of both calls
-                np.copyto(z[1], e2)
+            if nu < last:  # T_k += J dZ_k
+                dz, work = (dz, e1) if nu else (z[0], spare)
+                self._add(op, dz, t[0], work)
+                self._add(op, e2, t[1], work)
         acc = y_n  # y_{n+1} = y_n + s_hat . Z, the zero weights skipped
         for c, z_i in zip(self._s_hat, z):
             if c:
@@ -184,12 +205,13 @@ class Stepper:
     def run(self, y0: np.ndarray, n_steps: int) -> np.ndarray:
         """Take n_steps steps from (0, y0); y0 is not modified.
 
-        Raises ValueError unless y0 is a flat state of the problem's grid,
-        and NonFiniteStateError, carrying the step count, as soon as the
-        state is not finite.  The check is one reduction per step: a finite
-        sum proves every entry finite, and only a non-finite sum is
-        confirmed entry by entry.
+        Raises ValueError unless n_steps is a whole number >= 0 and y0 a
+        flat state of the problem's grid, and NonFiniteStateError, carrying
+        the step count, as soon as the state is not finite.  The check is one
+        reduction per step: a finite sum proves every entry finite, and only
+        a non-finite sum is confirmed entry by entry.
         """
+        check_count("n_steps", n_steps, 0)
         y = np.asarray(y0)
         m = self.problem.op.grid.m
         if y.shape != (m,):

@@ -19,15 +19,14 @@ one batched product with the block inverse solves them.  Elsewhere (3-D
 grids past N=65, 2-D lines of more than 1024 points) it is a batched
 Thomas sweep, whose cost there is arithmetic rather than call overhead.
 
-Work that passes over the state several times (the ufuncs of a J apply,
-the Thomas scale-and-roll and, in the integrator, the stage right-hand-side
-product) runs over ``GridSpec.state_blocks``: blocks of whole slowest-axis
-planes of about ``_STATE_BLOCK`` unknowns, so that the passes after the
-first read a block from L2 rather than memory.  Each entry sees the same
-operations in the same order, so results are bitwise those of one block
-whatever the block size.  At 3-D N=96 (m = 857,375) apply_full fell from
-about 10 to 6 ms and _add_full from 8 to 5 ms.  A grid of at most
-``_STATE_BLOCK`` unknowns, and every 1-D grid, is one block.
+Work that passes over the state several times (the ufuncs of a J apply
+and the Thomas scale-and-roll) runs over ``GridSpec.state_blocks``: blocks
+of whole slowest-axis planes of about ``_STATE_BLOCK`` unknowns, so that
+the passes after the first read a block from L2 rather than memory.  Each
+entry sees the same operations in the same order, so results are bitwise
+those of one block whatever the block size.  At 3-D N=96 (m = 857,375)
+apply_full fell from about 10 to 6 ms and _add_full from 8 to 5 ms.  A
+grid of at most ``_STATE_BLOCK`` unknowns, and every 1-D grid, is one block.
 """
 
 from __future__ import annotations
@@ -78,10 +77,9 @@ _BLOCK_ENTRIES = 2**15
 # planes, at least one plane; a grid of at most this many unknowns is one
 # block.  Min-of-15 times at 3-D N=96, one BLAS thread, unblocked -> 2^16
 # (other sizes): apply_full 9.6-10.4 -> 6.0-6.2 ms (2^15 5.5-6.9, 2^17
-# 7.2-7.9, 2^18 10.0); the (2, 4) @ (4, m) product 2.5-2.7 -> 1.8 ms (3
-# planes 1.9, 14 planes 2.5); one direction's scale-and-roll 1.5 -> 1.1 ms
-# (2-4 planes 1.0-1.1, 14 planes 1.1).  A 2-D N=384 apply_full: 1.04-1.13
-# -> 0.55-0.69 ms.
+# 7.2-7.9, 2^18 10.0); one direction's scale-and-roll 1.5 -> 1.1 ms (2-4
+# planes 1.0-1.1, 14 planes 1.1).  A 2-D N=384 apply_full: 1.04-1.13 ->
+# 0.55-0.69 ms.
 _STATE_BLOCK = 2**16
 
 

@@ -419,6 +419,33 @@ def test_stability_past_the_direction_limit_exits_two(capsys, monkeypatch, d, th
     assert "d must be at most 63" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["integrate", "--dim", "2", "--beta", "1", "--scheme", "amf1", "--n", "64"],
+    ["converge", "--dim", "2", "--beta", "0", "--scheme", "amf2", "--grids", "24,64"],
+], ids=["integrate", "converge"])
+def test_grid_too_large_for_the_memory_exits_two(capsys, monkeypatch, command):
+    # refused before the problem is built: 2-D N=64 under 100 kB of memory
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 100_000)
+    monkeypatch.setattr(cli, "build_problem", None)
+    monkeypatch.setattr(harness, "build_problem", None)
+    assert main(command) == 2
+    assert "N = 64: the run's states need" in capsys.readouterr().err
+
+
+def test_oversized_grid_is_refused_under_an_address_space_limit():
+    # 2-D N=10^8 in a child limited to 2 GiB: a missing check fails fast
+    # (out of memory, exit 1) instead of filling the machine's memory
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    code = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)); "
+            "from amfrk.cli import main; sys.exit(main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", code, "integrate", "--dim", "2",
+         "--beta", "1", "--scheme", "amf1", "--n", "100000000"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "MiB of physical memory" in proc.stderr
+
+
 def test_closed_stdout_ends_quietly_with_141():
     # the reader takes one line and closes the pipe; the CSV rows (about 1 MB)
     # still to come are not a usage error and print nothing to stderr

@@ -1,5 +1,6 @@
 """Tests for the convergence-study harness and its table rendering."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import amfrk.harness as harness
+from amfrk.harness import check_study
 from amfrk import (
     ConvergenceRow,
     GridSpec,
@@ -109,6 +111,20 @@ def test_rejects_grids_of_fewer_than_two_cells(n):
     cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(8, n))
     with pytest.raises(ValueError, match="at least 2 cells"):
         run_convergence(cfg)
+
+
+def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):
+    # 2-D N=64 with amf2: (5 work rows + 2) states of 63^2 float64 values
+    need = 7 * 63**2 * 8
+    cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(8, 64))
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need - 1)
+    with pytest.raises(ValueError, match=r"N = 64: .* MiB, more than the .* MiB of physical"):
+        check_study(cfg)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: need)
+    check_study(cfg)
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 0)  # unknown: not checked
+    check_study(dataclasses.replace(cfg, grid_ns=(10**8,)))
 
 
 # ---------------------------------------------------------------------------

@@ -328,6 +328,15 @@ def test_integrate_accumulates_single_steps():
 # -------------------------------------------------------- input validation
 
 
+@pytest.mark.parametrize("n_steps", [-1, True, 2.5])
+def test_run_rejects_a_step_count_that_is_not_a_whole_number(n_steps):
+    # -1 would hand back y0 itself, True take one step, 2.5 fail inside range
+    prob = build_problem(2, 8, 1.0)
+    stepper = Stepper(prob, SCHEMES[1], TAB, 0.25)
+    with pytest.raises(ValueError, match="n_steps must be a whole number >= 0"):
+        stepper.run(prob.exact(0.0), n_steps)
+
+
 @pytest.mark.parametrize("tau", [math.inf, math.nan, 0.0, -0.25])
 def test_bad_step_size_rejected_at_entry(tau):
     prob = build_problem(2, 8, 0.0)
@@ -525,14 +534,17 @@ def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes
 )
 @pytest.mark.parametrize(
     "scheme,rows",
-    [(SCHEMES[0], 6), (SCHEMES[1], 6), (SCHEMES[2], 7), (EXT5, 7)],
+    [(SCHEMES[0], 4), (SCHEMES[1], 5), (SCHEMES[2], 7), (EXT5, 7)],
     ids=lambda v: getattr(v, "name", None),
 )
 def test_stepper_holds_a_spare_row_only_for_middle_sweeps(
     monkeypatch, dim, n, kernel, scheme, rows
 ):
-    # [Z; T] and r; the first sweep's product solves borrow Z and the last
-    # sweep's borrow T, so only a middle sweep (q >= 3) needs a seventh row
+    # [Z; T], and the spare row of a later sweep's product solves; the
+    # first sweep's r and solves go in Z and amf1's spare is a dead T row,
+    # the last sweep's r goes over T, so only a middle sweep (q >= 3) keeps
+    # its two r rows; the last sweep's scratch is two rows of 2^13 columns
+    assert rows == integrator.work_rows(scheme.q)
     if kernel is None:
         monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     base = build_problem(dim, n, 1.0)
@@ -554,17 +566,22 @@ def test_stepper_holds_a_spare_row_only_for_middle_sweeps(
 @pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
 @pytest.mark.parametrize("kernel", ["dense", "thomas"])
 def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
-    """Cache blocks change no arithmetic: the final state of every scheme is
-    bitwise the one-block state, with blocks of one plane, and of two planes
-    with a shorter last block."""
+    """Cache blocks and column chunks change no arithmetic: the final state
+    of every scheme is bitwise the one-block state, with blocks of one plane,
+    and of two planes with a shorter last block, and with the right-hand-side
+    products in chunks of two and three columns (on each grid one of them
+    leaves a rest of one column, which joins the last chunk: a one-column
+    product runs in BLAS's gemv, which rounds apart from its gemm)."""
     if kernel == "thomas":
         monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     plane, m = (n - 1) ** (dim - 1), (n - 1) ** dim
+    assert 1 in (m % 2, m % 3)
     for scheme in SCHEMES:
         tau = scheme.q / n
         finals = []
-        for block in (m, 1, int(2.5 * plane)):
+        for block, chunk in ((m, m), (1, m), (int(2.5 * plane), m), (m, 2), (m, 3)):
             monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
+            monkeypatch.setattr(integrator, "_CHUNK", chunk)
             prob = build_problem(dim, n, 1.0)  # a fresh grid derives its blocks
             assert (len(prob.op.grid.state_blocks) == 1) == (block == m)
             finals.append(integrate(prob, scheme, TAB, tau, 4 * tau).y)
@@ -573,6 +590,23 @@ def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
 
 
 # ------------------------------------------------------- reference and counts
+
+
+@pytest.mark.parametrize("s_hat", [(0.3, 0.7), (0.5, 0.25)], ids=str)
+@pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
+@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.name)
+def test_corrector_weights_match_allocating_reference(dim, n, scheme, s_hat):
+    """A corrector that weights Z_1, and by weights other than one: the
+    first sweep's dZ_1 and the scaled corrector terms, at both parities of
+    d, on each product solve kernel."""
+    tab = dataclasses.replace(TAB, s_hat=np.array(s_hat), varpi=1.0 - sum(s_hat))
+    prob = build_problem(dim, n, 1.0)
+    tau, y0 = scheme.q / n, prob.exact(0.0)
+    want = reference_integrate(prob, scheme, tab, tau, 3, y0)
+    for length in (n - 1, 3, None):  # the whole line, blocks of three, Thomas
+        with mock.patch.object(splitops, "_solve_block", lambda grid: length):
+            got = Stepper(prob, scheme, tab, tau).run(y0, 3)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), length
 
 
 @given(
