@@ -31,7 +31,6 @@ from .stability import (
     ComplexPoint,
     ScanResult,
     combine_zw,
-    splitting_sup_bound,
     stability_function,
     wedge_stability_scan,
 )
@@ -75,7 +74,6 @@ __all__ = [
     "run_convergence",
     "scheme_sweeps",
     "solve_pi",
-    "splitting_sup_bound",
     "stability_function",
     "verify_scheme_conditions",
     "weighted_norm",

@@ -192,7 +192,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pc = sub.add_parser("converge", parents=[problem, config], allow_abbrev=False,
                         help="run a convergence study table, schemes side by side")
     pc.add_argument("--scheme", type=_scheme_list, metavar="ID[,ID...]", required=True)
-    pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...", required=True)
+    pc.add_argument("--grids", type=_parse_grids, metavar="N1,N2,...", required=True,
+                    help="cells per axis, strictly increasing")
     pc.add_argument("--format", choices=("csv", "md", "markdown"), default="csv")
     pc.add_argument("--out", metavar="PATH")
     pc.set_defaults(func=_cmd_converge)

@@ -96,7 +96,7 @@ def check_memory(dim: int, n: int, q: int) -> None:
 def check_study(cfg: StudyConfig) -> AmfScheme:
     """The study's scheme; raises ValueError for a study that cannot run (an
     unknown scheme, a dim other than 2 or 3, a bad grid size or one too large
-    for the memory), integrating nothing."""
+    for the memory, grids not strictly increasing), integrating nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
     if cfg.dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
@@ -109,6 +109,8 @@ def check_study(cfg: StudyConfig) -> AmfScheme:
                 "integer step counts"
             )
         check_memory(cfg.dim, n, scheme.q)
+    if any(a >= b for a, b in zip(cfg.grid_ns, cfg.grid_ns[1:])):
+        raise ValueError(f"grids must increase strictly, got {list(cfg.grid_ns)}")
     return scheme
 
 

@@ -61,8 +61,6 @@ class SemidiscreteProblem:
     """
 
     op: SplitOperator
-    epsilon: float
-    beta: float
     forcing: Callable[..., np.ndarray]
     exact: Optional[Callable[[float], np.ndarray]] = None
     boundary: Optional[Callable[[float], np.ndarray]] = None
@@ -156,11 +154,4 @@ def build_problem(
     def boundary(t: float) -> np.ndarray:
         return _product(lead[:, 2:] * np.exp(-t), bnd)
 
-    return SemidiscreteProblem(
-        op=op,
-        epsilon=eps,
-        beta=beta,
-        forcing=forcing,
-        exact=exact,
-        boundary=boundary,
-    )
+    return SemidiscreteProblem(op=op, forcing=forcing, exact=exact, boundary=boundary)

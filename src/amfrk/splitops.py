@@ -219,25 +219,20 @@ def build_split_operator(
     diag = (-2*D_j + h^2*kappa/d)/h^2.
     """
     d = grid.dim
-    diffusion = [float(v) for v in np.atleast_1d(diffusion)]
-    if len(diffusion) == 1 and d > 1:
-        diffusion = diffusion * d
-    if len(diffusion) != d:
-        raise ValueError(f"need {d} diffusion coefficients, got {len(diffusion)}")
-    if not all(math.isfinite(v) and v > 0.0 for v in diffusion):
-        raise ValueError(
-            f"diffusion coefficients must be positive and finite, got {diffusion}"
-        )
-    if advection is None:
-        advection = [0.0] * d
-    else:
-        advection = [float(v) for v in np.atleast_1d(advection)]
-        if len(advection) == 1 and d > 1:
-            advection = advection * d
-    if len(advection) != d:
-        raise ValueError(f"need {d} advection coefficients, got {len(advection)}")
-    if not all(map(math.isfinite, advection)):
-        raise ValueError(f"advection coefficients must be finite, got {advection}")
+
+    def per_direction(name, values, positive):
+        values = [float(v) for v in np.atleast_1d(values)]
+        if len(values) == 1:  # one value spreads to every direction
+            values *= d
+        if len(values) != d:
+            raise ValueError(f"need {d} {name} coefficients, got {len(values)}")
+        if not all(math.isfinite(v) and (v > 0.0 or not positive) for v in values):
+            raise ValueError(f"{name} coefficients must be {'positive and ' * positive}"
+                             f"finite, got {values}")
+        return values
+
+    diffusion = per_direction("diffusion", diffusion, True)
+    advection = per_direction("advection", 0.0 if advection is None else advection, False)
     if not math.isfinite(reaction):
         raise ValueError(f"reaction coefficient must be finite, got {reaction}")
     h = grid.h

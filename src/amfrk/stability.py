@@ -53,7 +53,8 @@ def combine_zw(zs, gamma: float) -> tuple[complex, complex]:
 
     With one direction w = z (no factorization error); gamma must be finite and > 0.
     """
-    _check_gamma(gamma)
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
     zs = [complex(v) for v in np.atleast_1d(zs)]
     if len(zs) == 0:
         raise ValueError("need at least one direction argument")
@@ -102,7 +103,7 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
         pole = not inv.all() and inv == 0.0  # a mask only where there is a pole
         np.divide(1.0, inv, out=inv)
         op = _Diagonal(GridSpec(1, z.size + 1), z, inv)
-        stepper = Stepper(SemidiscreteProblem(op, 0.0, 0.0, _no_forcing), scheme, tab, 1.0)
+        stepper = Stepper(SemidiscreteProblem(op, _no_forcing), scheme, tab, 1.0)
         out = stepper.step(0.0, np.broadcast_to(np.complex128(1.0), z.shape))
     out[pole] = np.inf  # out[False] selects nothing
     return complex(out[0]) if shape == () else out[:size].reshape(shape)
@@ -315,22 +316,3 @@ def wedge_stability_scan(
                for cid, m in enumerate(acc.tolist())}  # the rays are distinct
     return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)
 
-
-def _check_gamma(gamma: float) -> None:
-    if not (math.isfinite(gamma) and gamma > 0.0):
-        raise ValueError(f"gamma must be positive and finite, got {gamma}")
-
-
-def splitting_sup_bound(d: int, gamma: float) -> float:
-    """Closed-form sup of |z / (1 - gamma*w)| over the left half-plane.
-
-    For a d-direction splitting with all Re z_k <= 0 the ratio is bounded by
-    (1/gamma) * sqrt((d-1)^(d-1) / d^(d-2)), attained on the imaginary axis
-    with all directions equal; d = 1 gives 1/gamma (approached, not attained).
-    Raises ValueError unless gamma is finite and > 0.
-    """
-    check_count("d", d, 1)
-    _check_gamma(gamma)
-    if d == 1:
-        return 1.0 / gamma
-    return float((1.0 / gamma) * np.sqrt((d - 1) ** (d - 1) / d ** (d - 2)))

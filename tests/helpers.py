@@ -16,13 +16,7 @@ from amfrk.splitops import (
     factor_pi,
     solve_pi,
 )
-from amfrk.stability import (
-    ComplexPoint,
-    ScanResult,
-    _check_gamma,
-    combine_zw,
-    stability_function,
-)
+from amfrk.stability import ComplexPoint, ScanResult, combine_zw, stability_function
 
 
 def extended_scheme(scheme: AmfScheme, q: int) -> AmfScheme:
@@ -52,12 +46,7 @@ def scalar_problem(lam) -> SemidiscreteProblem:
     op = SplitOperator(grid=grid, stencils=stencils)
     dtype = complex if np.iscomplexobj(lam) else float
     zero = np.zeros(1, dtype=dtype)
-    return SemidiscreteProblem(
-        op=op,
-        epsilon=0.0,
-        beta=0.0,
-        forcing=copying_forcing(lambda t: zero),
-    )
+    return SemidiscreteProblem(op=op, forcing=copying_forcing(lambda t: zero))
 
 
 def frozen_forcing_problem(problem: SemidiscreteProblem) -> SemidiscreteProblem:
@@ -574,7 +563,29 @@ def reference_wedge_scan(
 
 
 # ---------------------------------------------------------------------------
-# Sampled oracle of the closed-form factorization bound splitting_sup_bound
+# The closed-form factorization bound splitting_sup_bound and its sampled
+# oracle sampled_sup_ratio.  No package code calls the bound: it is a tested
+# fact about the split step, not part of the integrator.
+
+
+def _check_gamma(gamma: float) -> None:
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be positive and finite, got {gamma}")
+
+
+def splitting_sup_bound(d: int, gamma: float) -> float:
+    """Closed-form sup of |z / (1 - gamma*w)| over the left half-plane.
+
+    For a d-direction splitting with all Re z_k <= 0 the ratio is bounded by
+    (1/gamma) * sqrt((d-1)^(d-1) / d^(d-2)), attained on the imaginary axis
+    with all directions equal; d = 1 gives 1/gamma (approached, not attained).
+    Raises ValueError unless gamma is finite and > 0.
+    """
+    check_count("d", d, 1)
+    _check_gamma(gamma)
+    if d == 1:
+        return 1.0 / gamma
+    return float((1.0 / gamma) * np.sqrt((d - 1) ** (d - 1) / d ** (d - 2)))
 
 
 def sampled_sup_ratio(

@@ -23,7 +23,6 @@ from amfrk import (
     build_problem,
     radau2a_tableau,
     run_convergence,
-    splitting_sup_bound,
     stability_function,
     verify_scheme_conditions,
     wedge_stability_scan,
@@ -47,6 +46,7 @@ from helpers import (
     irk_reference_step,
     sampled_sup_ratio,
     scalar_problem,
+    splitting_sup_bound,
 )
 
 TAB = radau2a_tableau()

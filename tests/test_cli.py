@@ -178,6 +178,17 @@ def test_converge_grid_of_fewer_than_two_cells_exits_two(grids, capsys):
     assert "at least 2 cells" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("grids", ["24,24", "48,24"])
+def test_converge_grids_that_do_not_increase_strictly_exit_two(monkeypatch, grids, capsys):
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf2",
+               "--grids", grids])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"grids must increase strictly, got [{grids.replace(',', ', ')}]" in captured.err
+
+
 def test_converge_without_a_grid_size_exits_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1", "--grids", ","])

@@ -113,6 +113,14 @@ def test_rejects_grids_of_fewer_than_two_cells(n):
         run_convergence(cfg)
 
 
+@pytest.mark.parametrize("grids", [(24, 24), (48, 24), (8, 16, 12)])
+def test_rejects_grids_that_do_not_increase_strictly(monkeypatch, grids):
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=grids)
+    with pytest.raises(ValueError, match=r"grids must increase strictly, got \["):
+        run_convergence(cfg)
+
+
 def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):
     # 2-D N=64 with amf2: (5 work rows + 2) states of 63^2 float64 values
     need = 7 * 63**2 * 8

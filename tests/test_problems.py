@@ -47,10 +47,11 @@ def _closed_form_error(got, dim, n, beta, t, eps=EPS):
 
 
 def _time_derivative(problem, t):
-    """u'(t) from the grow/decay structure: u = G e^t + D e^-t implies
-    u' = u - 2 D e^-t, and D e^-t is the beta part of the solution."""
+    """u'(t) of a problem built with epsilon EPS, from the grow/decay
+    structure: u = G e^t + D e^-t implies u' = u - 2 D e^-t, and D e^-t is
+    the beta part of the solution."""
     beta_part = problem.exact(t) - build_problem(
-        problem.op.grid.dim, problem.op.grid.n_cells, 0.0, problem.epsilon
+        problem.op.grid.dim, problem.op.grid.n_cells, 0.0, EPS
     ).exact(t)
     return problem.exact(t) - 2.0 * beta_part
 
@@ -132,9 +133,7 @@ def test_exact_envelope_3d():
 
 def test_exact_accessor_requires_closed_form():
     p = build_problem(2, 6, 0.0, EPS)
-    bare = SemidiscreteProblem(
-        op=p.op, epsilon=p.epsilon, beta=0.0, forcing=p.forcing
-    )
+    bare = SemidiscreteProblem(op=p.op, forcing=p.forcing)
     assert bare.exact is None and bare.boundary is None
     # without a closed form the integrator needs an explicit initial state
     with pytest.raises(ValueError):

@@ -143,9 +143,14 @@ def test_reaction_share_spread_across_directions():
 
 
 def test_scalar_coefficients_broadcast():
-    op = build_split_operator(GridSpec(dim=3, n_cells=4), 0.1)
+    g = GridSpec(dim=3, n_cells=4)
+    op = build_split_operator(g, 0.1)
     assert len(op.stencils) == 3
     assert op.stencils[0] == op.stencils[2]
+    # one advection value spreads to every direction by the same rule
+    op = build_split_operator(g, [0.1, 0.2, 0.3], advection=2.0)
+    assert op.stencils == build_split_operator(g, [0.1, 0.2, 0.3], [2.0] * 3).stencils
+    assert op.stencils[0].sup - op.stencils[0].sub == 2.0 / g.h
 
 
 @pytest.mark.parametrize(
@@ -161,10 +166,14 @@ def test_scalar_coefficients_broadcast():
         dict(diffusion=[1.0, 1.0], advection=[0.0, -np.inf]),
         dict(diffusion=[1.0, 1.0], reaction=np.nan),
         dict(diffusion=[1.0, 1.0], reaction=np.inf),
+        dict(diffusion=[]),
+        dict(diffusion=-1.0),  # one value spreads, then must be positive
+        dict(diffusion=1.0, advection=np.inf),
     ],
 )
 def test_build_rejects_bad_coefficients(kwargs):
-    with pytest.raises(ValueError):
+    # the error names the bad list: the last one given
+    with pytest.raises(ValueError, match=rf"^(need 2 )?{list(kwargs)[-1]} coefficient"):
         build_split_operator(GridSpec(dim=2, n_cells=4), **kwargs)
 
 

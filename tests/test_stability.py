@@ -21,7 +21,6 @@ from amfrk import (
     amf_scheme,
     combine_zw,
     radau2a_tableau,
-    splitting_sup_bound,
     stability_function,
     wedge_stability_scan,
 )
@@ -32,6 +31,7 @@ from helpers import (
     reference_stability_function,
     reference_wedge_scan,
     sampled_sup_ratio,
+    splitting_sup_bound,
 )
 
 TAB = radau2a_tableau()

@@ -22,6 +22,7 @@ TEST_ONLY = (
     "irk_reference_step",
     "residual",
     "sampled_sup_ratio",
+    "splitting_sup_bound",
 )
 
 
@@ -53,6 +54,12 @@ def test_no_test_only_options():
     assert "iterations_applied" not in {
         f.name for f in dataclasses.fields(amfrk.StepRecord)
     }
+
+
+def test_problem_holds_only_the_fields_its_callers_read():
+    # epsilon is on the operator (each stencil's sub * h**2); beta is in the vectors
+    fields = dataclasses.fields(amfrk.SemidiscreteProblem)
+    assert tuple(f.name for f in fields) == ("op", "forcing", "exact", "boundary")
 
 
 def test_wedge_scan_takes_only_the_options_its_callers_set():
