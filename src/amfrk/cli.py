@@ -39,6 +39,7 @@ from .splitops import FactorSolveError
 from .stability import wedge_stability_scan
 from .tableau import (
     SCHEME_IDS,
+    AmfScheme,
     amf_scheme,
     radau2a_tableau,
     scheme_sweeps,
@@ -66,22 +67,20 @@ def _config_flags(path: str) -> list[str]:
     return flags
 
 
-def _scheme_id(text: str) -> str:
-    """A --scheme value read as ``scheme_sweeps`` reads it: case and
-    surrounding blanks are ignored."""
-    return text.strip().lower()
+def _scheme(text: str) -> AmfScheme:
+    """A --scheme value: the scheme of that id, read by ``scheme_sweeps``."""
+    try:
+        return amf_scheme(scheme_sweeps(text))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _scheme_list(text: str) -> tuple[str, ...]:
+def _scheme_list(text: str) -> tuple[AmfScheme, ...]:
     """A converge --scheme value: scheme ids, comma separated, each once."""
-    ids = tuple(_scheme_id(tok) for tok in text.split(","))
-    for sid in ids:
-        if sid not in SCHEME_IDS:
-            raise argparse.ArgumentTypeError(
-                f"invalid choice: {sid!r} (choose from {', '.join(SCHEME_IDS)})")
-    if len(set(ids)) < len(ids):
+    schemes = tuple(_scheme(tok) for tok in text.split(","))
+    if len({scheme.name for scheme in schemes}) < len(schemes):
         raise argparse.ArgumentTypeError(f"a scheme is listed twice in {text!r}")
-    return ids
+    return schemes
 
 
 def _parse_grids(text: str) -> tuple[int, ...]:
@@ -99,8 +98,8 @@ def _positive_int(text: str) -> int:
 
 
 def _cmd_converge(args) -> int:
-    cfgs = [StudyConfig(dim=args.dim, beta=args.beta, scheme_id=sid, grid_ns=args.grids,
-                        epsilon=args.eps, t_end=args.t_end) for sid in args.scheme]
+    cfgs = [StudyConfig(dim=args.dim, beta=args.beta, scheme_id=scheme.name, grid_ns=args.grids,
+                        epsilon=args.eps, t_end=args.t_end) for scheme in args.scheme]
     for cfg in cfgs:  # every study is checked before the first one runs
         check_study(cfg)
     text = render_table({cfg.scheme_id: run_convergence(cfg) for cfg in cfgs}, args.format)
@@ -112,32 +111,29 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
-    q = scheme_sweeps(args.scheme)
-    ratio = args.tau_ratio if args.tau_ratio is not None else float(q)
-    check_memory(args.dim, args.n, q)  # before the problem's profiles are built
+    ratio = args.tau_ratio if args.tau_ratio is not None else float(args.scheme.q)
+    check_memory(args.dim, args.n, args.scheme.q)  # before the problem's profiles are built
     problem = build_problem(args.dim, args.n, args.beta, args.eps)
-    scheme = amf_scheme(q)
     tab = radau2a_tableau()
-    record = integrate(problem, scheme, tab, ratio / args.n, args.t_end)
+    record = integrate(problem, args.scheme, tab, ratio / args.n, args.t_end)
     err = problem.exact(args.t_end) - record.y
     eps2 = weighted_norm(err, problem.op.grid)
     sys.stdout.write(
-        f"t={record.t:g} n={args.n} scheme={scheme.name} "
+        f"t={record.t:g} n={args.n} scheme={args.scheme.name} "
         f"eps2={eps2:.6g} delta2={correct_digits(eps2):.6g}\n"
     )
     return 0
 
 
 def _cmd_stability(args) -> int:
-    scheme = amf_scheme(scheme_sweeps(args.scheme))
     tab = radau2a_tableau()
     radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
     keep = args.csv is not None
     result = wedge_stability_scan(
-        scheme, tab, args.d, args.theta, radii=radii, keep_samples=keep
+        args.scheme, tab, args.d, args.theta, radii=radii, keep_samples=keep
     )
     sys.stdout.write(
-        f"scheme={scheme.name} d={args.d} theta={args.theta:g} "
+        f"scheme={args.scheme.name} d={args.d} theta={args.theta:g} "
         f"samples={result.n_samples} excluded={result.n_excluded}\n"
         f"max |R| = {result.max_modulus:.15g} at z_k = "
         + " ".join(f"{v:.6g}" for v in result.argmax.parts)
@@ -155,9 +151,8 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    scheme = amf_scheme(scheme_sweeps(args.scheme))
     tab = radau2a_tableau()
-    residuals = verify_scheme_conditions(scheme, tab)
+    residuals = verify_scheme_conditions(args.scheme, tab)
     worst = 0.0
     for name in sorted(residuals):
         value = residuals[name]
@@ -182,7 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
     config = argparse.ArgumentParser(add_help=False)
     config.add_argument("--config", metavar="PATH")
     shared = argparse.ArgumentParser(add_help=False, parents=[config])
-    shared.add_argument("--scheme", type=_scheme_id, choices=SCHEME_IDS, required=True)
+    shared.add_argument("--scheme", type=_scheme, metavar="{" + ",".join(SCHEME_IDS) + "}",
+                        required=True)
     problem = argparse.ArgumentParser(add_help=False)
     problem.add_argument("--dim", type=int, choices=(2, 3), required=True)
     problem.add_argument("--beta", type=float, required=True)

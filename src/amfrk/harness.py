@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -118,27 +118,21 @@ def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     """Run the study and return one row per grid level, orders attached."""
     scheme = check_study(cfg)
     tab = radau2a_tableau()
-    bare: list[tuple[int, float, float, float]] = []
+    rows: list[ConvergenceRow] = []
     for n in cfg.grid_ns:
         tau = scheme.q / n
         problem = build_problem(cfg.dim, n, cfg.beta, cfg.epsilon)
         record = integrate(problem, scheme, tab, tau, cfg.t_end)
         err = problem.exact(cfg.t_end) - record.y
         eps2 = weighted_norm(err, problem.op.grid)
-        bare.append((n, tau, eps2, correct_digits(eps2)))
-
-    rows: list[ConvergenceRow] = []
-    for i, (n, tau, eps2, delta2) in enumerate(bare):
-        p = None
-        if i + 1 < len(bare):
-            n2, _, _, d2next = bare[i + 1]
-            if n2 == 2 * n and math.isfinite(delta2 + d2next):
-                p = (d2next - delta2) / math.log10(2.0)
         rows.append(
             ConvergenceRow(
-                n_cells=n, h=1.0 / n, tau=tau, eps2=eps2, delta2=delta2, p=p
+                n_cells=n, h=1.0 / n, tau=tau, eps2=eps2, delta2=correct_digits(eps2), p=None
             )
         )
+    for i, (row, finer) in enumerate(zip(rows, rows[1:])):
+        if finer.n_cells == 2 * row.n_cells and math.isfinite(row.delta2 + finer.delta2):
+            rows[i] = replace(row, p=(finer.delta2 - row.delta2) / math.log10(2.0))
     return rows
 
 

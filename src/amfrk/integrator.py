@@ -57,11 +57,6 @@ class StepRecord:
     y: np.ndarray
 
 
-def _check_step_size(tau: float) -> None:
-    if not (math.isfinite(tau) and tau > 0.0):
-        raise ValueError(f"step size must be positive and finite, got {tau}")
-
-
 # real columns per right-hand-side product; the last sweep's goes through a
 # (2, _CHUNK) scratch of 128 KB over the T rows it reads
 _CHUNK = 2**13
@@ -91,7 +86,8 @@ class Stepper:
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
-        _check_step_size(tau)
+        if not (math.isfinite(tau) and tau > 0.0):
+            raise ValueError(f"step size must be positive and finite, got {tau}")
         if not tab.s_hat.any():
             raise ValueError("s_hat has no non-zero weight: the step would not use the stages")
         tau = float(tau)  # a NumPy float32 tau would round the factors to float32
@@ -260,24 +256,26 @@ def integrate(
 
     The initial state defaults to the problem's exact solution at t = 0.
     Raises ValueError for a non-positive or non-finite tau, a negative or
-    non-finite t_end or an initial state of another shape than (m,), and
-    NonFiniteStateError once the state is not finite.
+    non-finite t_end, a t_end / tau past the float range or an initial state
+    of another shape than (m,), and NonFiniteStateError once the state is
+    not finite.
     """
-    _check_step_size(tau)
+    stepper = Stepper(problem, scheme, tab, tau)
     if not (math.isfinite(t_end) and t_end >= 0.0):
         raise ValueError(f"end time must be non-negative and finite, got {t_end}")
     # the step count and the returned t in float64, with the tau the Stepper
     # steps with: a NumPy float32 tau would divide and multiply in float32
-    tau, t_end = float(tau), float(t_end)
-    ratio = t_end / tau
+    ratio = float(t_end) / stepper.tau
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end = {t_end} over tau = {stepper.tau} is not a finite step count")
     n_steps = int(round(ratio))
     if abs(ratio - n_steps) > 1e-12 * max(1.0, abs(ratio)):
         raise ValueError(
-            f"t_end = {t_end} is not an integer number of steps of tau = {tau}"
+            f"t_end = {t_end} is not an integer number of steps of tau = {stepper.tau}"
         )
     if y0 is None:
         if problem.exact is None:
             raise ValueError("problem has no exact solution; pass y0 explicitly")
         y0 = problem.exact(0.0)
-    y = Stepper(problem, scheme, tab, tau).run(y0, n_steps)
-    return StepRecord(t=n_steps * tau, y=y)
+    y = stepper.run(y0, n_steps)
+    return StepRecord(t=n_steps * stepper.tau, y=y)

@@ -216,7 +216,8 @@ def build_split_operator(
         that the one-direction pieces still sum to the full operator
 
     Direction j stencil: sub = (D_j - h*a_j/2)/h^2, sup = (D_j + h*a_j/2)/h^2,
-    diag = (-2*D_j + h^2*kappa/d)/h^2.
+    diag = (-2*D_j + h^2*kappa/d)/h^2.  Raises ValueError for a bad
+    coefficient, and for finite ones that make a weight overflow.
     """
     d = grid.dim
 
@@ -246,6 +247,9 @@ def build_split_operator(
                 sup=(dj + 0.5 * h * aj) / h**2,
             )
         )
+    if not all(math.isfinite(w) for st in stencils for w in (st.sub, st.diag, st.sup)):
+        raise ValueError(f"diffusion coefficients {diffusion} with advection {advection} "
+                         f"and reaction {reaction} give a non-finite stencil weight at h = {h:g}")
     return SplitOperator(grid=grid, stencils=tuple(stencils))
 
 
@@ -428,18 +432,12 @@ def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
     """Factor I - sigma*J_j (a pure function: every call builds afresh).
 
     Where the product solve runs matrix products (``_solve_block``), the
-    dense inverses come from sweeping identities with this factor, and a
-    block line's reduced system from their end entries, after every pivot
-    has passed the vanishing-pivot check.
+    factor carries the inverses of blocks of that many points (one block
+    when it is the whole line).  They come from sweeping identities with
+    this factor, and a block line's reduced system from their end entries,
+    after every pivot has passed the vanishing-pivot check.
     """
-    return _factor(op, j, sigma, _solve_block(op.grid))
-
-
-def _factor(
-    op: SplitOperator, j: int, sigma: float, length: int | None
-) -> TridiagFactor:
-    """The factor of I - sigma*J_j with the inverses of blocks of ``length``
-    points (one block when length >= n; none when length is None)."""
+    length = _solve_block(op.grid)
     fac = _factor_lu(op, j, sigma)
     if length is None:
         return fac
@@ -594,10 +592,18 @@ def solve_pi(
     return bufs[d % 2]
 
 
-def _boundary_terms(blocks: LineBlocks, rows: np.ndarray) -> np.ndarray:
-    """The (P-1, 2, M) neighbour terms -lo*x_{kL-1} and -up*x_{kL} of the
-    (n, M) lines ``rows``: the reduced system on the ends of each block's
-    own solution."""
+def _block_solve(
+    blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the P-1 >= 1 full blocks of the (n, M) lines ``rows`` into the
+    (M, n) transposed ``cols``; returns the last block's corrected rows and
+    its columns, for the caller's product with ``last_t``.
+
+    The (P-1, 2, M) neighbour terms -lo*x_{kL-1} and -up*x_{kL}, the reduced
+    system on the ends of each block's own solution, are added to the
+    blocks' first and last rows, in rows itself; then one batched product
+    solves the full blocks.
+    """
     n, lines = rows.shape
     length = blocks.inv_t.shape[0]
     head = (n - 1) // length * length  # points in the P-1 full blocks
@@ -609,23 +615,8 @@ def _boundary_terms(blocks: LineBlocks, rows: np.ndarray) -> np.ndarray:
         out=ends[:-1].reshape(-1, 2, lines),
     )
     np.matmul(blocks.last_t[:, 0], rows[head:], out=ends[-1])
-    return np.matmul(blocks.reduced, ends[1:]).reshape(-1, 2, lines)
-
-
-def _block_solve(
-    blocks: LineBlocks, rows: np.ndarray, cols: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve the P-1 >= 1 full blocks of the (n, M) lines ``rows`` into the
-    (M, n) transposed ``cols``; returns the last block's corrected rows and
-    its columns, for the caller's product with ``last_t``.
-
-    The neighbour terms are added to the blocks' first and last rows, in
-    rows itself; then one batched product solves the full blocks.
-    """
-    n, lines = rows.shape
-    length = blocks.inv_t.shape[0]
-    head = (n - 1) // length * length
-    terms = _boundary_terms(blocks, rows)
+    terms = np.matmul(blocks.reduced, ends[1:]).reshape(-1, 2, lines)
+    del ends  # freed before the batched product makes its own temporaries
     rows[length::length] += terms[:, 0]  # first rows of blocks 1 .. P-1
     rows[length - 1 : head : length] += terms[:, 1]  # last rows of 0 .. P-2
     np.matmul(

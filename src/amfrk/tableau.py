@@ -11,7 +11,6 @@ checks that pin the published coefficient values down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 import math
 
 import numpy as np
@@ -47,35 +46,20 @@ class ButcherTableau:
         return self.b.shape[0]
 
 
-def _solve2_fraction(m, rhs):
-    """Solve a 2x2 system in exact rational arithmetic."""
-    det = m[0][0] * m[1][1] - m[0][1] * m[1][0]
-    x0 = (rhs[0] * m[1][1] - rhs[1] * m[0][1]) / det
-    x1 = (rhs[1] * m[0][0] - rhs[0] * m[1][0]) / det
-    return x0, x1
-
-
 def radau2a_tableau() -> ButcherTableau:
     """Two-stage Radau IIA method (stage order 2, classical order 3, L-stable).
 
-    Entries are assembled in exact rational arithmetic before conversion to
-    float64, so derived quantities like s_hat = (0, 1) and varpi = 0 carry no
-    rounding at all.
+    Each entry is its rational value correctly rounded to float64.  The
+    method is stiffly accurate: b is the last row of A, so the output
+    weights b^T A^{-1} are exactly s_hat = (0, 1) and varpi = 0.
     """
-    F = Fraction
-    a = [[F(5, 12), F(-1, 12)], [F(3, 4), F(1, 4)]]
-    b = [F(3, 4), F(1, 4)]
-    c = [F(1, 3), F(1)]
-    # s_hat solves A^T s_hat = b
-    at = [[a[0][0], a[1][0]], [a[0][1], a[1][1]]]
-    s0, s1 = _solve2_fraction(at, b)
-    varpi = F(1) - s0 - s1
+    a = np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]])
     return ButcherTableau(
-        a=np.array(a, dtype=float),
-        b=np.array(b, dtype=float),
-        c=np.array(c, dtype=float),
-        s_hat=np.array([s0, s1], dtype=float),
-        varpi=float(varpi),
+        a=a,
+        b=a[-1].copy(),
+        c=np.array([1.0 / 3.0, 1.0]),
+        s_hat=np.array([0.0, 1.0]),
+        varpi=0.0,
     )
 
 

@@ -37,6 +37,26 @@ def test_scheme_option_ignores_case_and_blanks(capsys, scheme):
     assert "ok: worst residual" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "--scheme", "amf9"],
+    ["integrate", "--dim", "2", "--beta", "0", "--n", "8", "--scheme", "amf9"],
+    ["converge", "--dim", "2", "--beta", "0", "--grids", "8", "--scheme", "amf1,amf9"],
+], ids=lambda argv: argv[0])
+def test_unknown_scheme_is_usage_error_naming_the_ids(capsys, argv):
+    """Every command reads --scheme by the tableau's one rule; --help shows
+    the ids where one scheme is taken, ID[,ID...] for a converge list."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert ("argument --scheme: unknown scheme 'amf9'; expected one of "
+            "('amf1', 'amf2', 'amf3')\n") in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exc:
+        main([argv[0], "--help"])
+    assert exc.value.code == 0
+    help_text = capsys.readouterr().out
+    assert ("ID[,ID...]" if argv[0] == "converge" else "{amf1,amf2,amf3}") in help_text
+
+
 def test_verify_flags_bad_residuals(capsys, monkeypatch):
     monkeypatch.setattr(cli, "verify_scheme_conditions",
                         lambda scheme, tab: {"fake_condition": 1.0})
@@ -129,8 +149,8 @@ def test_converge_several_schemes_markdown_is_the_side_by_side_table(capsys):
 
 
 @pytest.mark.parametrize("schemes,message", [
-    ("amf1,amf9", "invalid choice: 'amf9'"),
-    ("amf1,", "invalid choice: ''"),
+    ("amf1,amf9", "unknown scheme 'amf9'"),
+    ("amf1,", "unknown scheme ''"),
     ("amf2,AMF2", "listed twice"),
 ])
 def test_converge_bad_scheme_list_is_usage_error(capsys, schemes, message):
@@ -342,6 +362,22 @@ def test_integrate_non_finite_parameter_exits_two(flag, value, capsys):
                "--n", "8", flag, value])
     assert rc == 2
     assert "finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["integrate", "--n", "8", "--t-end", "1e308"],
+    ["integrate", "--n", "8", "--tau-ratio", "1e-320"],
+    ["converge", "--grids", "8", "--t-end", "1e308"],
+    ["integrate", "--n", "8", "--eps", "1e308"],
+], ids=["integrate-t-end", "integrate-tau-ratio", "converge-t-end", "integrate-eps"])
+def test_finite_parameter_that_overflows_exits_two(argv, capsys):
+    """A step count t_end/tau past the float range, or a diffusion weight
+    eps/h^2 past it, is a usage error, raised before any step is taken."""
+    rc = main(argv[:1] + ["--dim", "2", "--beta", "0", "--scheme", "amf1"] + argv[1:])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert ("stencil weight" if "--eps" in argv else "not a finite step count") in err
 
 
 def test_integrate_non_finite_state_exits_one(monkeypatch, capsys):

@@ -365,6 +365,14 @@ def test_bad_end_time_rejected_at_entry(t_end):
         integrate(prob, SCHEMES[0], TAB, 0.25, t_end)
 
 
+@pytest.mark.parametrize("tau,t_end", [(0.125, 1e308), (1e-320 / 8, 1.0)])
+def test_step_count_past_the_float_range_rejected(tau, t_end):
+    # t_end / tau overflows to inf, which has no integer step count
+    prob = build_problem(2, 8, 0.0)
+    with pytest.raises(ValueError, match="not a finite step count"):
+        integrate(prob, SCHEMES[0], TAB, tau, t_end)
+
+
 def test_nan_initial_state_raises_before_any_step():
     prob = build_problem(2, 8, 1.0)
     y0 = prob.exact(0.0)

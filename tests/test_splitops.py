@@ -2,6 +2,7 @@
 
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -42,6 +43,13 @@ from helpers import (
 )
 
 
+def _factor_with_blocks(op, j, sigma, length):
+    """``factor_direction`` with each line cut into blocks of ``length``
+    points: one block when length >= n, the Thomas sweep's factor when None."""
+    with mock.patch.object(splitops, "_solve_block", lambda grid: length):
+        return factor_direction(op, j, sigma)
+
+
 def _kernel_factors(op, sigma):
     """The factors of one product solve on each kernel: as built (each line
     one block with the whole-line inverse, which every grid here is small
@@ -63,7 +71,7 @@ def _block_factors(op, sigma):
     out = {}
     for length in lengths:
         factors = tuple(
-            splitops._factor(op, j, sigma, length) for j in range(op.grid.dim)
+            _factor_with_blocks(op, j, sigma, length) for j in range(op.grid.dim)
         )
         assert all(f.blocks.reduced.shape[0] >= 2 for f in factors)  # P >= 2
         out[f"block{length}"] = factors
@@ -169,6 +177,7 @@ def test_scalar_coefficients_broadcast():
         dict(diffusion=[]),
         dict(diffusion=-1.0),  # one value spreads, then must be positive
         dict(diffusion=1.0, advection=np.inf),
+        dict(diffusion=[1.0, 1e308]),  # finite, but D/h^2 overflows
     ],
 )
 def test_build_rejects_bad_coefficients(kwargs):
@@ -332,7 +341,7 @@ def test_step_kernels_work_in_the_buffers_they_are_given(dim, n, kernel):
     op = build_split_operator(g, [0.5 + 0.25 * j for j in range(dim)], advection=[1.0] * dim)
     sigma = 0.01
     length = {"thomas": None, "line": n - 1, "blocks": 16}[kernel]
-    factors = tuple(splitops._factor(op, j, sigma, length) for j in range(dim))
+    factors = tuple(_factor_with_blocks(op, j, sigma, length) for j in range(dim))
     for f in factors:
         assert kernel == "thomas" if f.blocks is None else (
             "blocks" if f.blocks.reduced.size else "line")
@@ -413,9 +422,9 @@ def test_vanishing_pivot_raises_before_the_block_inverses_are_built(monkeypatch)
         with monkeypatch.context() as patch:
             patch.setattr(module, name, build)
             with pytest.raises(Built):  # a regular shift builds the inverses
-                splitops._factor(op, 0, 0.5, 3)
+                _factor_with_blocks(op, 0, 0.5, 3)
             with pytest.raises(FactorSolveError, match="row 4"):
-                splitops._factor(op, 0, 1.0, 3)
+                _factor_with_blocks(op, 0, 1.0, 3)
 
 
 def test_factors_compare_by_identity():
@@ -544,10 +553,12 @@ def test_block_length_selection(dim, n, length):
 
 @pytest.mark.parametrize("n", [12, 21])
 def test_reduced_interface_terms_equal_the_spike_row_products(n):
-    """The neighbour terms from the reduced system are the products of the
-    right-hand side with rows kL-1 and kL of the dense line inverse, times
-    -lo and -up, for every block length from one point to the line minus
-    one, advective stencils and complex shifts."""
+    """The neighbour terms that the block solve adds to the blocks' first and
+    last rows, in place, are the products of the right-hand side with rows
+    kL-1 and kL of the dense line inverse, times -lo and -up, for block
+    lengths from three points to the line minus one, advective stencils and
+    complex shifts; no other row changes.  (A block of one point has one row
+    for both terms; the solve tests cover L = 1 and L = 2.)"""
     op = build_split_operator(
         GridSpec(dim=2, n_cells=n), [0.7, 0.3], advection=[1.6 * n, -0.5 * n]
     )
@@ -557,18 +568,22 @@ def test_reduced_interface_terms_equal_the_spike_row_products(n):
         st = op.stencils[j]
         for sigma in (0.03, 0.03 * (1.0 - 0.8j)):
             inv = np.linalg.inv(np.eye(size) - sigma * dense_band(op, j))
-            for length in sorted({1, 2, -(-size // 2), size - 1}):
+            for length in sorted({3, -(-size // 2), size - 1}):
                 k = np.arange(length, size, length)  # first points of blocks 1 ..
                 # rows kL-1 and kL of the line inverse, times -lo and -up
                 spikes = np.stack(
                     [sigma * st.sub * inv[k - 1], sigma * st.sup * inv[k]], 1
                 )
                 want = spikes @ rows
-                fac = splitops._factor(op, j, sigma, length)
-                got = splitops._boundary_terms(fac.blocks, rows)
-                assert got.shape == want.shape
-                err = np.max(np.abs(got - want))
-                assert err <= 1e-13 * np.max(np.abs(want)), (j, sigma, length)
+                blocks = _factor_with_blocks(op, j, sigma, length).blocks
+                got = rows.astype(blocks.inv_t.dtype)
+                splitops._block_solve(blocks, got, np.empty(got.T.shape, got.dtype))
+                got -= rows
+                # -lo terms in the first rows of blocks 1 .., -up in the last of 0 ..
+                for terms, at in ((want[:, 0], k), (want[:, 1], k - 1)):
+                    err = np.max(np.abs(got[at] - terms))
+                    assert err <= 1e-13 * np.max(np.abs(want)), (j, sigma, length)
+                assert not np.delete(got, np.r_[k - 1, k], axis=0).any()
 
 
 def test_complex_shift_solves_in_complex_buffers():

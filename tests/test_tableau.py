@@ -1,5 +1,6 @@
 """Tableau entries, sweep coefficients, and their defining identities."""
 
+from fractions import Fraction
 import math
 
 import numpy as np
@@ -20,14 +21,19 @@ TAB = radau2a_tableau()
 
 
 def test_tableau_entries_exact():
-    assert np.array_equal(TAB.a, np.array([[5 / 12, -1 / 12], [3 / 4, 1 / 4]]))
-    assert np.array_equal(TAB.b, np.array([3 / 4, 1 / 4]))
-    assert np.array_equal(TAB.c, np.array([1 / 3, 1.0]))
+    # each entry is its rational value correctly rounded
+    F = Fraction
+    assert TAB.a.tolist() == [[float(F(5, 12)), float(F(-1, 12))],
+                              [float(F(3, 4)), float(F(1, 4))]]
+    assert TAB.b.tolist() == [float(F(3, 4)), float(F(1, 4))]
+    assert TAB.c.tolist() == [float(F(1, 3)), float(F(1))]
+    assert {x.dtype for x in (TAB.a, TAB.b, TAB.c, TAB.s_hat)} == {np.dtype(np.float64)}
     assert TAB.stages == 2
 
 
 def test_output_weights_are_exact():
-    # rational construction leaves no rounding at all
+    # stiffly accurate: b is A's last row, so b^T A^{-1} = (0, 1) exactly
+    assert np.array_equal(TAB.b, TAB.a[-1])
     assert TAB.s_hat[0] == 0.0
     assert TAB.s_hat[1] == 1.0
     assert TAB.varpi == 0.0
