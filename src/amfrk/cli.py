@@ -36,7 +36,7 @@ from .harness import (
 from .integrator import NonFiniteStateError, integrate
 from .problems import build_problem
 from .splitops import FactorSolveError
-from .stability import wedge_stability_scan
+from .stability import _CAP, wedge_stability_scan
 from .tableau import (
     SCHEME_IDS,
     AmfScheme,
@@ -126,6 +126,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
+    if args.radii is not None and args.radii > _CAP:  # every scan refuses it: n_rays**d >= 1
+        raise ValueError(f"--radii {args.radii} is past the {_CAP} radii a scan can take")
     tab = radau2a_tableau()
     radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
     keep = args.csv is not None

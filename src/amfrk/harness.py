@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .integrator import integrate, work_rows
+from .integrator import integrate, step_count, work_rows
 from .problems import build_problem
 from .splitops import GridSpec
 from .tableau import AmfScheme, amf_scheme, radau2a_tableau, scheme_sweeps
@@ -96,7 +96,8 @@ def check_memory(dim: int, n: int, q: int) -> None:
 def check_study(cfg: StudyConfig) -> AmfScheme:
     """The study's scheme; raises ValueError for a study that cannot run (an
     unknown scheme, a dim other than 2 or 3, a bad grid size or one too large
-    for the memory, grids not strictly increasing), integrating nothing."""
+    for the memory, a t_end that some level's tau = q*h does not divide,
+    grids not strictly increasing), integrating nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
     if cfg.dim not in (2, 3):
         raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
@@ -108,6 +109,7 @@ def check_study(cfg: StudyConfig) -> AmfScheme:
                 f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "
                 "integer step counts"
             )
+        step_count(cfg.t_end, scheme.q / n)  # integrate's own check of t_end
         check_memory(cfg.dim, n, scheme.q)
     if any(a >= b for a, b in zip(cfg.grid_ns, cfg.grid_ns[1:])):
         raise ValueError(f"grids must increase strictly, got {list(cfg.grid_ns)}")

@@ -102,7 +102,6 @@ class Stepper:
         self._apply, self._add, factor, self._solve_pi = getattr(
             type(op), "kernels", (apply_full, _add_full, factor_pi, solve_pi))
         self.factors = factor(op, self.sigma)
-        self._factor_dtype = op.dtype
         # r = [-M, M tau A] @ [Z; T]; Z = 0 in the first sweep, which keeps
         # only the block acting on T
         self._rhs = []
@@ -133,7 +132,7 @@ class Stepper:
         for name, a in (("state", y_n), ("out", out)):
             if a is not None and a.shape != (m,):
                 raise ValueError(f"{name} must have shape ({m},), got {a.shape}")
-        dtype = np.result_type(y_n, self._factor_dtype)
+        dtype = np.result_type(y_n, op.dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
             # one array per role: a single block of every row is big enough
             # for the C allocator to map it from, and return it to, the
@@ -244,6 +243,23 @@ def amf_step(
     return Stepper(problem, scheme, tab, tau).step(t_n, y_n)
 
 
+def step_count(t_end: float, tau: float) -> int:
+    """The steps of tau from t = 0 to t_end; raises ValueError for a negative
+    or non-finite t_end, a t_end / tau past the float range, or a t_end that
+    is not a whole number of steps."""
+    if not (math.isfinite(t_end) and t_end >= 0.0):
+        raise ValueError(f"end time must be non-negative and finite, got {t_end}")
+    ratio = float(t_end) / tau
+    if not math.isfinite(ratio):
+        raise ValueError(f"t_end = {t_end} over tau = {tau} is not a finite step count")
+    n_steps = int(round(ratio))
+    if abs(ratio - n_steps) > 1e-12 * max(1.0, abs(ratio)):
+        raise ValueError(
+            f"t_end = {t_end} is not an integer number of steps of tau = {tau}"
+        )
+    return n_steps
+
+
 def integrate(
     problem,
     scheme: AmfScheme,
@@ -255,24 +271,14 @@ def integrate(
     """Run fixed steps from t = 0 to t_end; tau must divide t_end exactly.
 
     The initial state defaults to the problem's exact solution at t = 0.
-    Raises ValueError for a non-positive or non-finite tau, a negative or
-    non-finite t_end, a t_end / tau past the float range or an initial state
-    of another shape than (m,), and NonFiniteStateError once the state is
-    not finite.
+    Raises ValueError for a non-positive or non-finite tau, a t_end that
+    ``step_count`` refuses or an initial state of another shape than (m,),
+    and NonFiniteStateError once the state is not finite.
     """
     stepper = Stepper(problem, scheme, tab, tau)
-    if not (math.isfinite(t_end) and t_end >= 0.0):
-        raise ValueError(f"end time must be non-negative and finite, got {t_end}")
     # the step count and the returned t in float64, with the tau the Stepper
     # steps with: a NumPy float32 tau would divide and multiply in float32
-    ratio = float(t_end) / stepper.tau
-    if not math.isfinite(ratio):
-        raise ValueError(f"t_end = {t_end} over tau = {stepper.tau} is not a finite step count")
-    n_steps = int(round(ratio))
-    if abs(ratio - n_steps) > 1e-12 * max(1.0, abs(ratio)):
-        raise ValueError(
-            f"t_end = {t_end} is not an integer number of steps of tau = {stepper.tau}"
-        )
+    n_steps = step_count(t_end, stepper.tau)
     if y0 is None:
         if problem.exact is None:
             raise ValueError("problem has no exact solution; pass y0 explicitly")

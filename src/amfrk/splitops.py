@@ -25,14 +25,12 @@ of whole slowest-axis planes of about ``_STATE_BLOCK`` unknowns, so that
 the passes after the first read a block from L2 rather than memory.  Each
 entry sees the same operations in the same order, so results are bitwise
 those of one block whatever the block size.  At 3-D N=96 (m = 857,375)
-apply_full fell from about 10 to 6 ms and _add_full from 8 to 5 ms.  A
-grid of at most ``_STATE_BLOCK`` unknowns, and every 1-D grid, is one block.
+apply_full fell from about 10 to 6 ms and _add_full from 8 to 5 ms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import cached_property
 import math
 from typing import NamedTuple
 
@@ -83,21 +81,6 @@ _BLOCK_ENTRIES = 2**15
 _STATE_BLOCK = 2**16
 
 
-class StateBlock(NamedTuple):
-    """Block of whole slowest-axis planes of a state (``GridSpec.state_blocks``).
-
-    planes : its rows of the leading axis of the grid-shaped state
-    flat : the same unknowns in the flat state
-    shifts : (source, destination) flat slices of direction d-1's lower and
-        upper neighbour terms; they read across the block's edges and stop
-        only at the ends of the state
-    """
-
-    planes: slice
-    flat: slice
-    shifts: tuple[tuple[slice, slice], tuple[slice, slice]]
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the unit interval/square/cube.
@@ -143,29 +126,20 @@ class GridSpec:
         """Array axis of direction j (0 = x) in the ``shape`` ordering."""
         return self.dim - 1 - j
 
-    @cached_property
-    def state_blocks(self) -> tuple[StateBlock, ...]:
+    @property
+    def state_blocks(self) -> tuple[slice, ...]:
         """The state cut into blocks of ``_STATE_BLOCK`` unknowns rounded
-        down to whole planes (at least one); a grid of at most that many
-        unknowns, or a 1-D grid, is one block.
+        down to whole planes (at least one), as slices of the grid-shaped
+        state's leading axis; a grid of at most that many unknowns, or a 1-D
+        grid, is one block.
 
         A 1-D plane is one unknown, and NumPy scales a block of one complex
         unknown in its scalar loop, which rounds apart from its vector loop.
-        Derived from the sizes alone and computed once per grid.
+        Derived from the sizes on each access.
         """
         n = self.n_interior
-        plane = n ** (self.dim - 1)
-        step = n if self.dim == 1 else max(1, _STATE_BLOCK // plane)
-        blocks = []
-        for p in range(0, n, step):
-            a, b = p * plane, min(p + step, n) * plane
-            lo, hi = max(a, plane), min(b, self.m - plane)
-            shifts = (
-                (slice(lo - plane, b - plane), slice(lo, b)),
-                (slice(a + plane, hi + plane), slice(a, hi)),
-            )
-            blocks.append(StateBlock(slice(p, p + step), slice(a, b), shifts))
-        return tuple(blocks)
+        step = n if self.dim == 1 else max(1, _STATE_BLOCK // n ** (self.dim - 1))
+        return tuple(slice(p, min(p + step, n)) for p in range(0, n, step))
 
 
 @dataclass(frozen=True)
@@ -292,12 +266,13 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
     Every term of a block of ``state_blocks`` is added before the next
     block, in the same order per entry.  A block holds whole lines of every
     direction but d-1, whose neighbours are a plane away: its terms read v
-    across the block's edges.
+    across the block's edges and stop only at the ends of the state.
     """
-    n = op.grid.n_interior
-    last = op.grid.dim - 1
-    for block in op.grid.state_blocks:
-        vb, ob, wb = v[block.flat], out[block.flat], work[block.flat]
+    n, m, last = op.grid.n_interior, op.grid.m, op.grid.dim - 1
+    plane = n**last  # unknowns per slowest-axis plane
+    for planes in op.grid.state_blocks:
+        a, b = planes.start * plane, planes.stop * plane  # the block in the flat state
+        vb, ob, wb = v[a:b], out[a:b], work[a:b]
         if fold is not None:
             np.multiply(vb, fold, out=wb)
             ob += wb
@@ -307,8 +282,10 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
                 np.multiply(vb, st.diag, out=wb if k else ob)
                 if k:
                     ob += wb
-            if j == last:
-                for (src, dst), coeff in zip(block.shifts, (st.sub, st.sup)):
+            if j == last:  # the lower, then the upper neighbour terms, stopped at the state's ends
+                lo, hi = max(a, plane), min(b, m - plane)
+                for src, dst, coeff in ((slice(lo - plane, b - plane), slice(lo, b), st.sub),
+                                        (slice(a + plane, hi + plane), slice(a, hi), st.sup)):
                     np.multiply(v[src], coeff, out=work[dst])
                     part = out[dst]
                     part += work[dst]
@@ -585,10 +562,10 @@ def solve_pi(
         scale, rolled = _line_scale(fac, d), np.moveaxis(nxt, 0, -1)
         # a plain strided copy is about twice as fast as a scaling ufunc
         # writing through the rolled view; a block is rolled while in cache
-        for block in grid.state_blocks:
-            part = cur[block.planes]
-            part *= scale[block.planes]
-            np.copyto(rolled[block.planes], part)
+        for planes in grid.state_blocks:
+            part = cur[planes]
+            part *= scale[planes]
+            np.copyto(rolled[planes], part)
     return bufs[d % 2]
 
 

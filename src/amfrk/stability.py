@@ -92,10 +92,12 @@ def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w):
 
     R is complex infinity at the pole 1 - gamma*w = 0; samples at or beyond
     floating range (a non-finite w too) never raise, they come back huge or
-    non-finite.
+    non-finite.  Empty arrays give an empty array of their broadcast shape.
     """
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     shape, size = z.shape, z.size
+    if not size:  # no samples: their 1-D grid would need at least one
+        return np.empty(shape, complex)
     # one sample runs twice: NumPy's in-place product of one complex rounds apart
     z, w = (np.ascontiguousarray(np.resize(a, 2) if size == 1 else a).reshape(-1) for a in (z, w))
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -175,7 +177,8 @@ def wedge_stability_scan(
     takes each new factor from the left (vector complex products are not
     bitwise commutative).  The argmax is the first sample of largest finite
     |R|.  Samples whose |R| is not finite, singular or past floating range,
-    are counted in n_excluded, silently.  The full cross product (without
+    are counted in n_excluded, silently; a scan whose every sample is
+    non-finite raises RuntimeError.  The full cross product (without
     keep_samples) evaluates R_q once per permutation orbit, C(n + d - 1, d)
     samples of n = n_rays*n_radii values, then sample by sample on the
     orbits within _SPREAD of their ray combination's largest |R|: bitwise
@@ -311,7 +314,7 @@ def wedge_stability_scan(
                     n_kept += mod.size
 
     if best[1] is None:
-        raise RuntimeError("every scan sample was excluded as singular")
+        raise RuntimeError("every scan sample was non-finite (singular or past the float range)")
     per_ray = {tuple(float(rays[(cid // n_rays**k) % n_rays]) for k in range(d)): m
                for cid, m in enumerate(acc.tolist())}  # the rays are distinct
     return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)

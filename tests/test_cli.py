@@ -228,6 +228,20 @@ def test_converge_checks_every_study_before_the_first_integration(monkeypatch, c
     assert "N = 193 not divisible by q = 2" in capsys.readouterr().err
 
 
+def test_converge_end_time_a_later_level_cannot_reach_exits_two(monkeypatch, capsys):
+    # N = 64 reaches t = 0.25 in 16 amf1 steps, N = 90 in no whole number of
+    # them: the run exits 2 and prints no table before N = 64 integrates
+    def never(*args, **kwargs):
+        raise AssertionError("a level ran before every level was checked")
+    monkeypatch.setattr(harness, "integrate", never)
+    rc = main(["converge", "--dim", "3", "--beta", "0", "--scheme", "amf1",
+               "--grids", "64,90", "--t-end", "0.25"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "t_end = 0.25 is not an integer number of steps of tau = 0.0111" in captured.err
+
+
 def test_converge_numerical_failure_exits_one(monkeypatch, capsys):
     def boom(cfg):
         raise FactorSolveError("vanishing pivot in direction 0")
@@ -434,6 +448,18 @@ def test_stability_rejects_nonpositive_radii_count():
         main(["stability", "--scheme", "amf1", "--d", "2", "--theta", "0",
               "--radii", "0"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("radii", ["4000001", "1000000000"])
+def test_stability_radii_past_the_cap_exit_two_before_allocating(capsys, monkeypatch, radii):
+    # every scan refuses more than _CAP radii (n_rays**d >= 1), so the count
+    # is refused before np.logspace makes them: 10^9 radii would be 7.45 GiB
+    monkeypatch.setattr(np, "logspace", None)
+    monkeypatch.setattr(stability, "stability_function", None)
+    rc = main(["stability", "--scheme", "amf1", "--d", "1", "--theta", "0",
+               "--radii", radii])
+    assert rc == 2
+    assert f"--radii {radii} is past the {stability._CAP} radii" in capsys.readouterr().err
 
 
 def test_stability_invalid_angle_exits_two(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,6 +15,10 @@ from amfrk import (
     ConvergenceRow,
     GridSpec,
     StudyConfig,
+    amf_scheme,
+    build_problem,
+    integrate,
+    radau2a_tableau,
     render_table,
     run_convergence,
     weighted_norm,
@@ -119,6 +124,27 @@ def test_rejects_grids_that_do_not_increase_strictly(monkeypatch, grids):
     cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=grids)
     with pytest.raises(ValueError, match=r"grids must increase strictly, got \["):
         run_convergence(cfg)
+
+
+@pytest.mark.parametrize("t_end,message", [
+    (0.25, "t_end = 0.25 is not an integer number of steps of tau = 0.0111"),
+    (-1.0, "end time must be non-negative and finite, got -1.0"),
+    (1e308, "not a finite step count"),
+], ids=["indivisible", "negative", "past-the-float-range"])
+def test_end_time_a_level_cannot_reach_is_refused_before_any_run(monkeypatch, t_end, message):
+    # N = 64 reaches t = 0.25 in 16 amf1 steps, N = 90 in no whole number of
+    # them: refused with integrate's own message before N = 64 integrates
+    def never(*args, **kwargs):
+        raise AssertionError("a level ran before every level was checked")
+    monkeypatch.setattr(harness, "integrate", never)
+    cfg = StudyConfig(dim=3, beta=0.0, scheme_id="amf1", grid_ns=(64, 90), t_end=t_end)
+    with pytest.raises(ValueError, match=re.escape(message)) as got:
+        run_convergence(cfg)
+    monkeypatch.undo()
+    n = 90 if t_end == 0.25 else 64
+    with pytest.raises(ValueError) as want:
+        integrate(build_problem(2, n, 0.0), amf_scheme(1), radau2a_tableau(), 1 / n, t_end)
+    assert str(got.value) == str(want.value)
 
 
 def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):

@@ -590,7 +590,7 @@ def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
         for block, chunk in ((m, m), (1, m), (int(2.5 * plane), m), (m, 2), (m, 3)):
             monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
             monkeypatch.setattr(integrator, "_CHUNK", chunk)
-            prob = build_problem(dim, n, 1.0)  # a fresh grid derives its blocks
+            prob = build_problem(dim, n, 1.0)
             assert (len(prob.op.grid.state_blocks) == 1) == (block == m)
             finals.append(integrate(prob, scheme, TAB, tau, 4 * tau).y)
         for y in finals[1:]:

@@ -699,27 +699,56 @@ def test_roll_layout_round_trip(dim, n):
     [(1, 2), (1, 12), (1, 2**17), (2, 2), (2, 12), (2, 258), (2, 300), (3, 8), (3, 97)],
 )
 def test_state_blocks_tile_the_state(dim, n):
-    """state_blocks is a non-empty tuple of whole planes whose flat slices
-    cover range(m) in order; a 1-D grid, or one of at most _STATE_BLOCK
+    """state_blocks is a non-empty tuple of slices of the leading axis that
+    run in order, each starting where the last stopped, and cover range(n)
+    with no stop past n; a 1-D grid, or one of at most _STATE_BLOCK
     unknowns, is one block."""
     g = GridSpec(dim=dim, n_cells=n)
     blocks = g.state_blocks
     assert isinstance(blocks, tuple) and blocks
-    plane = g.n_interior ** (dim - 1)
     stop = 0
     for b in blocks:
-        assert b.flat.start == stop == b.planes.start * plane
-        assert b.flat.stop == min(b.planes.stop, g.n_interior) * plane
-        stop = b.flat.stop
-    assert stop == g.m
+        assert isinstance(b, slice) and b.step is None
+        assert b.start == stop < b.stop <= g.n_interior
+        stop = b.stop
+    assert stop == g.n_interior
     assert (len(blocks) == 1) == (dim == 1 or g.m <= splitops._STATE_BLOCK)
 
 
+def test_state_blocks_follow_the_block_constant_of_the_moment(monkeypatch):
+    """The blocks are derived on each access: a grid built before the block
+    constant is patched takes the patched blocks, and an equal grid the
+    same ones."""
+    g = GridSpec(dim=3, n_cells=11)
+    assert g.state_blocks == (slice(0, 10),)
+    monkeypatch.setattr(splitops, "_STATE_BLOCK", 3 * 10**2)
+    assert g.state_blocks == GridSpec(3, 11).state_blocks
+    assert g.state_blocks == (slice(0, 3), slice(3, 6), slice(6, 9), slice(9, 10))
+
+
+@pytest.mark.parametrize("dim,n", [(2, 12), (2, 300), (3, 42)])
+def test_kernels_leave_the_grid_holding_only_its_sizes(dim, n):
+    """The J applies and the product solves (Thomas, and the rule's own
+    kernel: one line block, or blocks of a cut line), over one state block
+    or several, store nothing on the frozen grid: its instance holds dim and
+    n_cells alone."""
+    g = GridSpec(dim=dim, n_cells=n)
+    op = build_split_operator(g, [0.4] * dim, advection=[1.0] * dim)
+    v = np.cos(np.arange(g.m))
+    allocating(apply_full, op, v)
+    allocating(apply_direction, op, dim - 1, v)
+    splitops._add_full(op, v, v.copy(), np.empty_like(v))
+    thomas = tuple(splitops._factor_lu(op, j, 0.02) for j in range(dim))
+    allocating(solve_pi, op, 0.02, v, thomas)
+    allocating(solve_pi, op, 0.02, v, factor_pi(op, 0.02))
+    assert vars(g) == {"dim": dim, "n_cells": n}
+
+
 def _pass_results(monkeypatch, dim, n, block, vectors):
-    """The operator and every blocked kernel's results on a fresh grid
-    (blocks are derived once per grid) with the block constant patched to
-    ``block`` unknowns: J applies of an advective, reactive operator,
-    out += J v, and Thomas product solves at a real and a complex shift."""
+    """The operator and every blocked kernel's results with the block
+    constant patched to ``block`` unknowns: J applies of an advective,
+    reactive operator, out += J v, and Thomas product solves at a real and a
+    complex shift."""
     monkeypatch.setattr(splitops, "_STATE_BLOCK", block)
     monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     g = GridSpec(dim=dim, n_cells=n)
@@ -776,7 +805,7 @@ def test_blocked_passes_equal_the_one_block_passes(monkeypatch, dim, n, size):
     else:
         per_block = max(1, block // plane)
         assert len(blocks) == -(-k // per_block) >= 2
-        sizes = [b.flat.stop - b.flat.start for b in blocks]
+        sizes = [(b.stop - b.start) * plane for b in blocks]
         assert sizes[:-1] == [per_block * plane] * (len(blocks) - 1)
     for i, (a, b) in enumerate(zip(got, want)):
         assert a.dtype == b.dtype and np.array_equal(a, b), i

@@ -177,6 +177,18 @@ def test_pole_blows_up_without_raising():
     assert np.isfinite(arr[1])
 
 
+@pytest.mark.parametrize("z_shape,w_shape,want", [
+    ((0,), (), (0,)),
+    ((2, 0), (), (2, 0)),
+    ((3, 1, 0), (2, 1), (3, 2, 0)),
+])
+def test_empty_samples_give_an_empty_array_of_the_broadcast_shape(z_shape, w_shape, want):
+    # as a ufunc does: no sample needs no grid of samples
+    for scheme in SCHEMES.values():
+        out = stability_function(scheme, TAB, np.zeros(z_shape), np.zeros(w_shape))
+        assert out.shape == want and out.dtype == np.complex128
+
+
 def test_corrector_without_weights_rejected():
     # with s_hat = 0, R_q would not depend on the stages
     tab = dataclasses.replace(TAB, s_hat=np.zeros(2), varpi=1.0)
@@ -329,6 +341,16 @@ def test_scan_excludes_overflowing_samples_silently(monkeypatch, d, kw, sub):
         w = (1.0 - np.prod(1.0 - GAMMA * parts, axis=0)) / GAMMA
         want = np.abs(reference_stability_function(SCHEMES[2], TAB, z, w))
         assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("theta", [0.0, 0.3])
+def test_scan_whose_every_sample_is_non_finite_raises(theta):
+    # at radius 1e308 every sample's w, and so |R|, is past the float range
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning would raise here
+        with pytest.raises(RuntimeError, match=r"^every scan sample was non-finite "
+                           r"\(singular or past the float range\)$"):
+            wedge_stability_scan(SCHEMES[2], TAB, 2, theta, radii=[1e308])
 
 
 @pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3.0), "3"])
