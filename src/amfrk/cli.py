@@ -19,6 +19,7 @@ one-token form: ``--beta=-1e-3``.
 from __future__ import annotations
 
 import argparse
+from contextlib import nullcontext
 import os
 import sys
 
@@ -102,9 +103,10 @@ def _cmd_converge(args) -> int:
                         epsilon=args.eps, t_end=args.t_end) for scheme in args.scheme]
     for cfg in cfgs:  # every study is checked before the first one runs
         check_study(cfg)
-    text = render_table({cfg.scheme_id: run_convergence(cfg) for cfg in cfgs}, args.format)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+    # --out is opened before the first study, as a shell redirect would be
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext() as fh:
+        text = render_table({cfg.scheme_id: run_convergence(cfg) for cfg in cfgs}, args.format)
+        if fh is not None:
             fh.write(text)
     sys.stdout.write(text)
     return 0
@@ -128,26 +130,27 @@ def _cmd_integrate(args) -> int:
 def _cmd_stability(args) -> int:
     if args.radii is not None and args.radii > _CAP:  # every scan refuses it: n_rays**d >= 1
         raise ValueError(f"--radii {args.radii} is past the {_CAP} radii a scan can take")
-    tab = radau2a_tableau()
-    radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
     keep = args.csv is not None
-    result = wedge_stability_scan(
-        args.scheme, tab, args.d, args.theta, radii=radii, keep_samples=keep
-    )
-    sys.stdout.write(
-        f"scheme={args.scheme.name} d={args.d} theta={args.theta:g} "
-        f"samples={result.n_samples} excluded={result.n_excluded}\n"
-        f"max |R| = {result.max_modulus:.15g} at z_k = "
-        + " ".join(f"{v:.6g}" for v in result.argmax.parts)
-        + "\n"
-    )
-    for key in sorted(result.per_ray):
-        label = ",".join(f"{ang:+.6g}" for ang in key)
-        sys.stdout.write(f"  rays({label}): max |R| = {result.per_ray[key]:.15g}\n")
+    # --csv is opened before the scan, as a shell redirect would be
+    with open(args.csv, "w", encoding="utf-8") if keep else nullcontext() as fh:
+        tab = radau2a_tableau()
+        radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
+        result = wedge_stability_scan(
+            args.scheme, tab, args.d, args.theta, radii=radii, keep_samples=keep
+        )
+        sys.stdout.write(
+            f"scheme={args.scheme.name} d={args.d} theta={args.theta:g} "
+            f"samples={result.n_samples} excluded={result.n_excluded}\n"
+            f"max |R| = {result.max_modulus:.15g} at z_k = "
+            + " ".join(f"{v:.6g}" for v in result.argmax.parts)
+            + "\n"
+        )
+        for key in sorted(result.per_ray):
+            label = ",".join(f"{ang:+.6g}" for ang in key)
+            sys.stdout.write(f"  rays({label}): max |R| = {result.per_ray[key]:.15g}\n")
+        if keep:
+            fh.writelines(line + "\n" for line in result.csv_rows())
     if keep:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            for line in result.csv_rows():
-                fh.write(line + "\n")
         sys.stdout.write(f"wrote {result.n_samples} samples to {args.csv}\n")
     return 0
 

@@ -10,7 +10,7 @@ T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
                 solve prod_j (I - gamma*tau*J_j) E_1 = r_1
                 solve prod_j (I - gamma*tau*J_j) E_2 = r_2 + low_coeff * E_1
                 dZ = mix E,  Z += dZ,  T_k += J dZ_k  (but after the last sweep)
-    corrector   y_{n+1} = varpi*y_n + s_hat . Y = y_n + s_hat . Z  (= y_n + Z_2)
+    corrector   y_{n+1} = y_n + s_hat . Z  (= y_n + Z_2),  y_n weighed by 1 - sum(s_hat)
 
 A ``Stepper``, built once per (problem, scheme, tableau, tau), owns 4, 5 or
 7 state-sized work rows (amf1, amf2, q >= 3) and allocates no state-sized
@@ -18,8 +18,9 @@ array in a step: the forcing writes g into the T rows, the first sweep's r
 goes into the idle Z rows and the last sweep's over the T rows, and the J
 applies and the product solves work in the rows they are given.  A step
 costs two forcing evaluations, s*q - 1 applications of J (one to y_n serves
-both stages) and 2q product solves (``solve_pi``).  ``amf_step``, ``integrate`` and the
-stability function R_q all run through it.
+both stages) and 2q product solves (``solve_pi``, which reads the factors
+alone, not the shift).  ``amf_step``, ``integrate`` and the stability
+function R_q all run through it.
 """
 
 from __future__ import annotations
@@ -75,14 +76,14 @@ class Stepper:
     ``dtype`` and four kernels: a ``SplitOperator``'s are ``splitops``';
     another operator brings its own (``stability``'s diagonal one).  The
     kernels work in the buffers the Stepper gives them: the J applies write
-    into out, and the product solve overwrites rhs and returns whichever of
-    rhs and its work buffer holds x.  The ``work_rows(q)`` rows, and a small
-    scratch for the last sweep's r, are allocated on the first step in the
-    dtype of its stages,  result_type(y_n, op.dtype),  and again only for
-    another dtype.  The forcing writes each stage's g straight into its T
-    row, so a forcing whose values that dtype cannot hold (complex into real
-    rows) raises TypeError; a tableau whose s_hat is all zero raises
-    ValueError.
+    into out, and the product solve, (op, rhs, factors, work), overwrites rhs
+    and returns whichever of rhs and work holds x.  The ``work_rows(q)``
+    rows, and a small scratch for the last sweep's r, are allocated on the
+    first step in the dtype of its stages,  result_type(y_n, op.dtype),  and
+    again only for another dtype.  The forcing writes each stage's g
+    straight into its T row, so a forcing whose values that dtype cannot
+    hold (complex into real rows) raises TypeError; a tableau whose s_hat is
+    all zero raises ValueError.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
@@ -115,7 +116,7 @@ class Stepper:
 
     def _solve(self, rhs: np.ndarray, spare: np.ndarray):
         """Product solve in the buffers rhs and spare; returns (x, the other)."""
-        x = self._solve_pi(self.problem.op, self.sigma, rhs, self.factors, spare)
+        x = self._solve_pi(self.problem.op, rhs, self.factors, spare)
         return x, spare if x is rhs else rhs
 
     def step(

@@ -30,9 +30,8 @@ apply_full fell from about 10 to 6 ms and _add_full from 8 to 5 ms.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 import math
-from typing import NamedTuple
 
 import numpy as np
 
@@ -303,7 +302,7 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class TridiagFactor:
-    """Pivot-free LU data of  I - sigma*J_j  along one direction.
+    """The Thomas sweep's factor: pivot-free LU data of  I - sigma*J_j.
 
     With constant bands (lo, d0, up) and pivots p_i, the matrix is L U with
     L unit lower bidiagonal (multipliers lower[i-1] = lo / p_{i-1}) and U
@@ -311,30 +310,20 @@ class TridiagFactor:
     the forward sweep  w_i = r_i - lower[i-1] w_{i-1},  the scaled back sweep
     u_i = w_i - upper[i] u_{i+1}  with  upper[i] = up / p_{i+1}  (u = p x),
     and one broadcast  x = u * inv_diag.  The multipliers are Python scalars
-    because each enters one call per grid row.
-
-    Where the product solve runs matrix products (``_solve_block``), the
-    factor also carries the dense inverses of its line blocks, built from
-    this factorization (``blocks``; a short line is one block).  Elsewhere
-    blocks is None and solves run the sweeps.  Factors compare by identity.
+    because each enters one call per grid row.  Factors compare by identity.
     """
 
-    sigma: float | complex
     lower: tuple  # lo / p_{i-1}, i = 1 .. n-1
     upper: tuple  # up / p_{i+1}, i = 0 .. n-2
     inv_diag: np.ndarray  # 1 / p_i
-    blocks: LineBlocks | None = None  # block inverses, reduced system, or None
-
-    @property
-    def n(self) -> int:
-        return self.inv_diag.shape[0]
 
 
-class LineBlocks(NamedTuple):
-    """A line of n points cut into P >= 1 blocks of L points, the last of r.
+@dataclass(frozen=True, eq=False)
+class LineBlocks:
+    """The matrix products' factor: a line's n points in P >= 1 blocks of L, the last of r.
 
     The bands are constant, so every block's matrix is a leading principal
-    block of I - sigma*J_j, whose LU data are the factor's first pivots and
+    block of I - sigma*J_j, whose LU data are the line's first pivots and
     multipliers.  Block k (points kL .. kL+L-1) couples to the rest of the
     line only through the solution values x_{kL-1} and x_{kL+L}; with them
     moved to the right-hand side, each block is solved on its own.
@@ -356,7 +345,8 @@ class LineBlocks(NamedTuple):
     ..), whose right side t is the last entry of y_{k-1} and the first of
     y_k.  reduced @ t gives -lo*x_{kL-1} and -up*x_{kL}, the terms that move
     to the right-hand side of block k's first row and of block k-1's last
-    row.  R is regular whenever the factor's pivots are.
+    row.  R is regular whenever the line's pivots are.  Factors compare by
+    identity.
     """
 
     inv_t: np.ndarray
@@ -398,27 +388,28 @@ def _factor_lu(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
             piv.append(d0 - lo * (up / piv[i]))
     dtype = np.result_type(type(d0), float)
     return TridiagFactor(
-        sigma=sigma,
         lower=tuple(lo / p for p in piv[:-1]),
         upper=tuple(up / p for p in piv[1:]),
         inv_diag=1.0 / np.array(piv, dtype=dtype),
     )
 
 
-def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
-    """Factor I - sigma*J_j (a pure function: every call builds afresh).
+def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor | LineBlocks:
+    """Factor I - sigma*J_j for the product solve's kernel on this grid
+    (``_solve_block``); a pure function: every call builds afresh.
 
-    Where the product solve runs matrix products (``_solve_block``), the
-    factor carries the inverses of blocks of that many points (one block
-    when it is the whole line).  They come from sweeping identities with
-    this factor, and a block line's reduced system from their end entries,
-    after every pivot has passed the vanishing-pivot check.
+    Where the kernel is matrix products, the factor is the ``LineBlocks`` of
+    blocks of that many points (one block when it is the whole line).  Their
+    inverses come from sweeping identities with the LU data, and a block
+    line's reduced system from their end entries, after every pivot has
+    passed the vanishing-pivot check.  Elsewhere it is the LU data itself,
+    the Thomas sweep's ``TridiagFactor``.
     """
     length = _solve_block(op.grid)
     fac = _factor_lu(op, j, sigma)
     if length is None:
         return fac
-    n = fac.n
+    n = op.grid.n_interior
     st = op.stencils[j]
     lo, up = -sigma * st.sub, -sigma * st.sup
     head = (n - 1) // length * length  # points in the P-1 full blocks
@@ -437,17 +428,16 @@ def factor_direction(op: SplitOperator, j: int, sigma: float) -> TridiagFactor:
     red[a] *= -lo
     red[c] *= -up
     # batched products run 10-20% faster with C-ordered transposes
-    blocks = LineBlocks(
+    return LineBlocks(
         inv_t=inv.T.copy(), last_t=last.T.copy(), ends=inv[[0, -1]], reduced=red
     )
-    return replace(fac, blocks=blocks)
 
 
 def _leading_inverse(fac: TridiagFactor, size: int) -> np.ndarray:
     """Inverse of the leading size x size block of the factored matrix, by
     sweeping the identity with the factor's first pivots and multipliers."""
     lead = TridiagFactor(
-        fac.sigma, fac.lower[: size - 1], fac.upper[: size - 1], fac.inv_diag[:size]
+        fac.lower[: size - 1], fac.upper[: size - 1], fac.inv_diag[:size]
     )
     inv = np.eye(size, dtype=fac.inv_diag.dtype)
     _sweep(lead, inv, inv)
@@ -455,7 +445,7 @@ def _leading_inverse(fac: TridiagFactor, size: int) -> np.ndarray:
     return inv
 
 
-def factor_pi(op: SplitOperator, sigma: float) -> tuple[TridiagFactor, ...]:
+def factor_pi(op: SplitOperator, sigma: float) -> tuple[TridiagFactor | LineBlocks, ...]:
     """The d direction factors of  prod_j (I - sigma*J_j),  indexed by j."""
     return tuple(factor_direction(op, j, sigma) for j in range(op.grid.dim))
 
@@ -486,7 +476,7 @@ def _sweep(fac: TridiagFactor, rhs: np.ndarray, x: np.ndarray) -> None:
 
 def _line_scale(fac: TridiagFactor, ndim: int) -> np.ndarray:
     """inv_diag shaped to broadcast along axis 0 of an ndim-array."""
-    return fac.inv_diag.reshape((fac.n,) + (1,) * (ndim - 1))
+    return fac.inv_diag.reshape((-1,) + (1,) * (ndim - 1))
 
 
 def solve_direction_factor(
@@ -509,25 +499,25 @@ def solve_direction_factor(
 
 def solve_pi(
     op: SplitOperator,
-    sigma: float,
     rhs: np.ndarray,
-    factors: tuple[TridiagFactor, ...],
+    factors: tuple[TridiagFactor | LineBlocks, ...],
     work: np.ndarray,
 ) -> np.ndarray:
     """Solve  prod_j (I - sigma*J_j) x = rhs  one direction at a time, in
     the two buffers rhs and work; returns the one that holds x: rhs for even
     d, work for odd d.  rhs is overwritten either way.
 
-    factors : the d factors from ``factor_pi(op, sigma)``
+    factors : the d factors from ``factor_pi(op, sigma)``, which carry the
+        shift: the solve takes none, and the factors' type picks its kernel
     rhs, work : flat state vectors of one dtype that holds the factors'
         (a real rhs cannot take a complex shift)
 
     Direction k runs from one buffer into the other, bufs[k % 2] into
-    bufs[(k + 1) % 2] of (rhs, work), and the factors choose the kernel.
+    bufs[(k + 1) % 2] of (rhs, work).
     The natural layout's leading axis is direction d-1, and each direction
     solves along the leading axis:
 
-    - matmul (factors with blocks): matrix products with the dense block
+    - matmul (``LineBlocks``): matrix products with the dense block
       inverses, rhs_lines^T @ inv^T.  The transposed product is itself the
       cyclic axis roll that moves the leading axis to the end, so the
       directions are solved in the order d-1, d-2, .., 0, and no scaling
@@ -536,7 +526,7 @@ def solve_pi(
       (``_block_solve``), the neighbour terms from the reduced system
       correct the boundary rows of the buffer read, in place, before the
       products.
-    - Thomas (factors without inverses): a line sweep scaled by inv_diag in
+    - Thomas (``TridiagFactor``): a line sweep scaled by inv_diag in
       place, then one copy that rolls the axes cyclically (the last axis
       moves to the front) into the other buffer; the directions are solved
       in the order d-1, 0, 1, .., d-2: d copies per product solve.
@@ -547,9 +537,9 @@ def solve_pi(
     grid = op.grid
     d, n = grid.dim, grid.n_interior
     bufs = (rhs, work)
-    if all(fac.blocks is not None for fac in factors):
+    if isinstance(factors[0], LineBlocks):
         for k in range(d):
-            blocks = factors[d - 1 - k].blocks
+            blocks = factors[d - 1 - k]
             rows, cols = bufs[k % 2].reshape(n, -1), bufs[(k + 1) % 2].reshape(-1, n)
             if blocks.reduced.size:  # P >= 2 blocks
                 rows, cols = _block_solve(blocks, rows, cols)

@@ -78,7 +78,7 @@ class _Diagonal(NamedTuple):
         lambda op, v, out, work: np.multiply(v, op.z, out=out),
         lambda op, v, out, work: np.add(out, np.multiply(v, op.z, out=work), out=out),
         lambda op, sigma: op.inv,
-        lambda op, sigma, rhs, inv, work: np.multiply(rhs, inv, out=work),
+        lambda op, rhs, inv, work: np.multiply(rhs, inv, out=work),
     )
 
 

@@ -30,20 +30,15 @@ class ButcherTableau:
     a : (s, s) stage matrix
     b : (s,) quadrature weights
     c : (s,) abscissae
-    s_hat : (s,) output weights b^T A^{-1}, used by the one-leg form of the
-        corrector ``y_{n+1} = varpi*y_n + s_hat . Y``
-    varpi : 1 - sum(s_hat); zero for stiffly accurate methods
+    s_hat : (s,) output weights b^T A^{-1} of the corrector
+        ``y_{n+1} = y_n + s_hat . (Y - y_n)``, which weighs y_n by
+        1 - sum(s_hat) by construction (zero for stiffly accurate methods)
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
     s_hat: np.ndarray
-    varpi: float
-
-    @property
-    def stages(self) -> int:
-        return self.b.shape[0]
 
 
 def radau2a_tableau() -> ButcherTableau:
@@ -51,7 +46,7 @@ def radau2a_tableau() -> ButcherTableau:
 
     Each entry is its rational value correctly rounded to float64.  The
     method is stiffly accurate: b is the last row of A, so the output
-    weights b^T A^{-1} are exactly s_hat = (0, 1) and varpi = 0.
+    weights b^T A^{-1} are exactly s_hat = (0, 1), with no weight on y_n.
     """
     a = np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]])
     return ButcherTableau(
@@ -59,7 +54,6 @@ def radau2a_tableau() -> ButcherTableau:
         b=a[-1].copy(),
         c=np.array([1.0 / 3.0, 1.0]),
         s_hat=np.array([0.0, 1.0]),
-        varpi=0.0,
     )
 
 

@@ -11,6 +11,7 @@ import numpy as np
 from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator
 from amfrk.splitops import (
     DirectionStencil,
+    LineBlocks,
     apply_direction,
     check_count,
     factor_pi,
@@ -187,15 +188,17 @@ def closed_form_vectors(dim, n_cells, beta, epsilon, t):
 
 def allocating(kernel, op, *args):
     """A step kernel of ``splitops`` on buffers of its own, for tests: a J
-    apply, ``kernel(op, [j,] v)``, into a new out, or ``solve_pi(op, sigma,
-    rhs[, factors])`` on a copy of rhs, its factors built when not given.
-    The buffers take the dtype that holds the input and the operator's (the
-    factors', which a complex shift makes complex); returns the result."""
+    apply, ``kernel(op, [j,] v)``, into a new out, or ``solve_pi`` on a copy
+    of rhs, called as ``allocating(solve_pi, op, sigma, rhs[, factors])``
+    with the factors of sigma built when not given.  The buffers take the
+    dtype that holds the input and the operator's (the factors', which a
+    complex shift makes complex); returns the result."""
     if kernel is solve_pi:
         sigma, rhs, *factors = args
         factors = factors[0] if factors else factor_pi(op, sigma)
-        x = np.array(rhs, np.result_type(rhs, *(f.inv_diag for f in factors))).reshape(-1)
-        return solve_pi(op, sigma, x, factors, np.empty_like(x))
+        arrays = [f.last_t if isinstance(f, LineBlocks) else f.inv_diag for f in factors]
+        x = np.array(rhs, np.result_type(rhs, *arrays)).reshape(-1)
+        return solve_pi(op, x, factors, np.empty_like(x))
     *index, v = args
     out = np.empty(op.grid.m, np.result_type(v, op.dtype))
     return kernel(op, *index, np.asarray(v).reshape(-1), out, np.empty_like(out))
@@ -286,7 +289,7 @@ def reference_amf_step(problem, scheme, tab, t_n, tau, y_n):
         e2 = reference_solve_pi(problem.op, sigma, r2 + l * e1)
         stages[0] += e1 + s * e2
         stages[1] += e2
-    return tab.varpi * y_n + tab.s_hat @ stages
+    return (1.0 - tab.s_hat.sum()) * y_n + tab.s_hat @ stages
 
 
 def reference_integrate(problem, scheme, tab, tau, n_steps, y0):
@@ -358,10 +361,10 @@ def residual(problem, tab, t_n, tau, y_n, stages):
     """
     _check_step_size(tau)
     stages = np.asarray(stages)
-    if stages.shape != (tab.stages, np.asarray(y_n).shape[0]):
+    if stages.shape != (tab.b.shape[0], np.asarray(y_n).shape[0]):
         raise ValueError(
             f"stage block shape {stages.shape} does not match "
-            f"({tab.stages}, {np.asarray(y_n).shape[0]})"
+            f"({tab.b.shape[0]}, {np.asarray(y_n).shape[0]})"
         )
     forcings = [problem.forcing(t_n + ci * tau) for ci in tab.c]
     f = [reference_apply_full(problem.op, y) + g for y, g in zip(stages, forcings)]
@@ -379,7 +382,7 @@ def irk_reference_step(problem, tab, t_n, tau, y_n, return_stages=False):
     _check_step_size(tau)
     jac = dense_operator_matrix(problem.op)
     m = jac.shape[0]
-    s = tab.stages
+    s = tab.b.shape[0]
     y_n = np.asarray(y_n)
     forcings = [problem.forcing(t_n + ci * tau) for ci in tab.c]
     rhs = np.concatenate(
@@ -387,7 +390,7 @@ def irk_reference_step(problem, tab, t_n, tau, y_n, return_stages=False):
     )
     big = np.eye(s * m, dtype=np.result_type(jac, rhs)) - tau * np.kron(tab.a, jac)
     stages = np.linalg.solve(big, rhs).reshape(s, m)
-    y_next = tab.varpi * y_n + tab.s_hat @ stages
+    y_next = (1.0 - tab.s_hat.sum()) * y_n + tab.s_hat @ stages
     if return_stages:
         return y_next, stages
     return y_next
@@ -423,7 +426,7 @@ def reference_stability_function(scheme, tab, z, w):
     """R_q(z, w) in np.clongdouble by the sweep recurrence on G = e + Z:
 
         G^0 = e,   G^nu = inv(I - w*T_nu) (e + (z*A - w*T_nu) G^(nu-1)),
-        R_q = varpi + s_hat . G^q,
+        R_q = (1 - sum(s_hat)) + s_hat . G^q,
 
     with T_nu the sweep's approx_a and the closed-form inverse of the 2x2
     I - w*T_nu.  The package runs the factored form of the same sweep."""
@@ -451,7 +454,7 @@ def reference_stability_function(scheme, tab, z, w):
             g0 = (m11 * v0 - m01 * v1) / det
             g1 = (m00 * v1 - m10 * v0) / det
     s_hat = tab.s_hat.astype(np.longdouble)
-    return np.longdouble(tab.varpi) + s_hat[0] * g0 + s_hat[1] * g1
+    return np.longdouble(1.0 - tab.s_hat.sum()) + s_hat[0] * g0 + s_hat[1] * g1
 
 
 # ---------------------------------------------------------------------------

@@ -135,7 +135,7 @@ def test_defining_identities():
     worst = max(worst, float(np.max(np.abs(a @ c - c * c / 2.0))))
     worst = max(worst, float(np.max(np.abs(a @ np.ones(2) - c))))
     worst = max(worst, float(np.max(np.abs(TAB.s_hat - np.array([0.0, 1.0])))))
-    worst = max(worst, abs(TAB.varpi))
+    worst = max(worst, abs(1.0 - TAB.s_hat.sum()))
     worst = max(worst, float(np.max(np.abs(TAB.s_hat @ a - TAB.b))))
     for scheme in SCHEMES.values():
         for value in verify_scheme_conditions(scheme, TAB).values():

@@ -443,6 +443,25 @@ def test_stability_csv_export(tmp_path, capsys):
     assert len(lines) == 26
 
 
+@pytest.mark.parametrize("command", [
+    ["converge", "--dim", "2", "--beta", "0", "--scheme", "amf2", "--grids", "96,192,384",
+     "--out"],
+    ["stability", "--scheme", "amf2", "--d", "3", "--theta", "0.5", "--csv"],
+], ids=["converge", "stability"])
+def test_output_path_in_a_missing_directory_exits_two_before_any_work(
+        tmp_path, capsys, monkeypatch, command):
+    # the output file is opened before the first study or the scan, as a
+    # shell redirect would be: no integration, no sample and no summary
+    def never(*args, **kwargs):
+        raise AssertionError("work ran before the output file was opened")
+    monkeypatch.setattr(harness, "integrate", never)
+    monkeypatch.setattr(cli, "wedge_stability_scan", never)
+    assert main(command + [str(tmp_path / "missing" / "out.csv")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "No such file or directory" in captured.err
+
+
 def test_stability_rejects_nonpositive_radii_count():
     with pytest.raises(SystemExit) as exc:
         main(["stability", "--scheme", "amf1", "--d", "2", "--theta", "0",

@@ -26,6 +26,7 @@ from amfrk import (
     weighted_norm,
 )
 from amfrk.integrator import amf_step
+from amfrk.splitops import LineBlocks, TridiagFactor
 from helpers import (
     copying_forcing,
     direction_eigenvalues,
@@ -349,8 +350,8 @@ def test_bad_step_size_rejected_at_entry(tau):
 
 
 def test_corrector_without_weights_rejected_at_entry():
-    # with s_hat = 0 a step would be y_{n+1} = varpi*y_n, whatever the stages
-    tab = dataclasses.replace(TAB, s_hat=np.zeros(2), varpi=1.0)
+    # with s_hat = 0 a step would be y_{n+1} = y_n, whatever the stages
+    tab = dataclasses.replace(TAB, s_hat=np.zeros(2))
     prob = build_problem(2, 8, 0.0)
     for make in (lambda: Stepper(prob, SCHEMES[1], tab, 0.25),
                  lambda: integrate(prob, SCHEMES[1], tab, 0.25, 1.0)):
@@ -515,7 +516,7 @@ def test_step_allocates_no_state_sized_array(monkeypatch, dim, n, kernel, planes
     assert (len(blocks) > 2) == (planes is not None)
     stepper = Stepper(base, SCHEMES[2], TAB, 0.5)
     fac = stepper.factors[0]
-    got = None if fac.blocks is None else "blocks" if fac.blocks.reduced.size else "line"
+    got = None if isinstance(fac, TridiagFactor) else "blocks" if fac.reduced.size else "line"
     assert got == kernel
     y = base.exact(0.0)
     buf = np.empty_like(y)
@@ -557,8 +558,8 @@ def test_stepper_holds_a_spare_row_only_for_middle_sweeps(
         monkeypatch.setattr(splitops, "_solve_block", lambda grid: None)
     base = build_problem(dim, n, 1.0)
     stepper = Stepper(base, scheme, TAB, 0.5)
-    blocks = stepper.factors[0].blocks
-    assert (blocks is not None and blocks.reduced.size > 0) == (kernel == "blocks")
+    fac = stepper.factors[0]
+    assert (isinstance(fac, LineBlocks) and fac.reduced.size > 0) == (kernel == "blocks")
     y = base.exact(0.0)
     buf = np.empty_like(y)
     tracemalloc.start()
@@ -607,7 +608,7 @@ def test_corrector_weights_match_allocating_reference(dim, n, scheme, s_hat):
     """A corrector that weights Z_1, and by weights other than one: the
     first sweep's dZ_1 and the scaled corrector terms, at both parities of
     d, on each product solve kernel."""
-    tab = dataclasses.replace(TAB, s_hat=np.array(s_hat), varpi=1.0 - sum(s_hat))
+    tab = dataclasses.replace(TAB, s_hat=np.array(s_hat))
     prob = build_problem(dim, n, 1.0)
     tau, y0 = scheme.q / n, prob.exact(0.0)
     want = reference_integrate(prob, scheme, tab, tau, 3, y0)
@@ -660,7 +661,7 @@ def test_operation_counts_match_closed_forms(monkeypatch, dim, q):
     _counting(monkeypatch, integrator, "_add_full", counts)
     _counting(monkeypatch, integrator, "solve_pi", counts)
     _counting(monkeypatch, splitops, "factor_direction", counts)
-    n_steps, s = 5, TAB.stages
+    n_steps, s = 5, TAB.b.shape[0]
     base = build_problem(dim, 6, 1.0)
 
     def forcing(t, out=None):

@@ -1,6 +1,7 @@
 """Split operators: stencils, applies, factored solves, dense oracles."""
 
 import dataclasses
+import inspect
 import tracemalloc
 from unittest import mock
 
@@ -25,6 +26,8 @@ from amfrk import (
 import amfrk.splitops as splitops
 from amfrk.splitops import (
     DirectionStencil,
+    LineBlocks,
+    TridiagFactor,
     apply_direction,
     factor_pi,
     solve_direction_factor,
@@ -53,11 +56,11 @@ def _factor_with_blocks(op, j, sigma, length):
 def _kernel_factors(op, sigma):
     """The factors of one product solve on each kernel: as built (each line
     one block with the whole-line inverse, which every grid here is small
-    enough for), with the inverses dropped, which sends the solve down the
-    Thomas sweep, and with each line cut into blocks (``_block_factors``)."""
+    enough for), the LU data alone, which sends the solve down the Thomas
+    sweep, and with each line cut into blocks (``_block_factors``)."""
     dense = factor_pi(op, sigma)
-    assert all(f.blocks.reduced.shape == (0, 0) for f in dense)
-    thomas = tuple(dataclasses.replace(f, blocks=None) for f in dense)
+    assert all(f.reduced.shape == (0, 0) for f in dense)
+    thomas = tuple(splitops._factor_lu(op, j, sigma) for j in range(op.grid.dim))
     return {"dense": dense, "thomas": thomas, **_block_factors(op, sigma)}
 
 
@@ -73,7 +76,7 @@ def _block_factors(op, sigma):
         factors = tuple(
             _factor_with_blocks(op, j, sigma, length) for j in range(op.grid.dim)
         )
-        assert all(f.blocks.reduced.shape[0] >= 2 for f in factors)  # P >= 2
+        assert all(f.reduced.shape[0] >= 2 for f in factors)  # P >= 2
         out[f"block{length}"] = factors
     return out
 
@@ -343,11 +346,11 @@ def test_step_kernels_work_in_the_buffers_they_are_given(dim, n, kernel):
     length = {"thomas": None, "line": n - 1, "blocks": 16}[kernel]
     factors = tuple(_factor_with_blocks(op, j, sigma, length) for j in range(dim))
     for f in factors:
-        assert kernel == "thomas" if f.blocks is None else (
-            "blocks" if f.blocks.reduced.size else "line")
+        assert kernel == "thomas" if isinstance(f, TridiagFactor) else (
+            "blocks" if f.reduced.size else "line")
     rhs = np.random.default_rng(dim).standard_normal(g.m)
     x, work, out = rhs.copy(), np.empty_like(rhs), np.empty_like(rhs)
-    got = solve_pi(op, sigma, x, factors, work)
+    got = solve_pi(op, x, factors, work)
     assert got is (work if dim % 2 else x)
     want = reference_solve_pi(op, sigma, rhs)
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -356,7 +359,7 @@ def test_step_kernels_work_in_the_buffers_they_are_given(dim, n, kernel):
     tracemalloc.start()
     try:
         held = tracemalloc.get_traced_memory()[0]
-        solve_pi(op, sigma, x, factors, work)
+        solve_pi(op, x, factors, work)
         apply_full(op, rhs, out, work)
         peak = tracemalloc.get_traced_memory()[1] - held
     finally:
@@ -372,7 +375,9 @@ def test_stepper_owns_its_factors():
     scheme, tab = amf_scheme(2), radau2a_tableau()
     stepper = Stepper(problem, scheme, tab, 0.1)
     assert len(stepper.factors) == op.grid.dim
-    assert all(f.sigma == scheme.gamma * 0.1 for f in stepper.factors)
+    assert stepper.sigma == scheme.gamma * 0.1
+    for j, f in enumerate(stepper.factors):  # the factors of that shift
+        assert np.array_equal(f.last_t, factor_direction(op, j, stepper.sigma).last_t)
     for k in range(200):
         Stepper(problem, scheme, tab, 0.001 * (k + 1))
     # factors live on the steppers, so the frozen operator gains nothing
@@ -434,6 +439,26 @@ def test_factors_compare_by_identity():
     assert len({a, b, a}) == 2
 
 
+@pytest.mark.parametrize(
+    "dim,n,kind",
+    [(2, 48, LineBlocks), (2, 384, LineBlocks), (3, 96, TridiagFactor)],
+    ids=["whole-line", "blocks", "thomas"],
+)
+def test_a_factor_is_its_kernels_data(dim, n, kind):
+    """Each direction's factor is of one type per kernel: the block inverses
+    where the product solve runs matrix products (one whole-line block, or
+    a line cut into blocks), the LU data alone for the Thomas sweep."""
+    op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
+    assert [type(f) for f in factor_pi(op, 0.01)] == [kind] * dim
+
+
+def test_factors_and_product_solve_carry_no_shift():
+    """The Thomas factor holds its sweep's data only, and the product solve
+    takes no shift: the factors alone carry it."""
+    assert [f.name for f in dataclasses.fields(TridiagFactor)] == ["lower", "upper", "inv_diag"]
+    assert list(inspect.signature(solve_pi).parameters) == ["op", "rhs", "factors", "work"]
+
+
 def test_one_off_direction_solve_sweeps_once(monkeypatch):
     # a grid within the dense limit: the one-off solve must not build (and
     # then ignore) the dense inverse, whose build is a sweep of its own
@@ -481,12 +506,12 @@ def test_dense_inverse_selection(dim, n, dense):
     product within 2^19, never above 256 x 256); the sizes alone decide."""
     op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
     for fac in factor_pi(op, 0.01):
-        one_block = fac.blocks is not None and fac.blocks.reduced.shape == (0, 0)
+        one_block = isinstance(fac, LineBlocks) and fac.reduced.shape == (0, 0)
         assert one_block == dense
         if dense:
-            assert fac.blocks.last_t.shape == (n - 1, n - 1)
-            assert fac.blocks.last_t.flags.c_contiguous
-            assert fac.n <= 256
+            assert fac.last_t.shape == (n - 1, n - 1)
+            assert fac.last_t.flags.c_contiguous
+            assert n - 1 <= 256
 
 
 @pytest.mark.parametrize(
@@ -521,22 +546,22 @@ def test_product_solve_kernel_selection(dim, n, kernel):
     op = build_split_operator(GridSpec(dim=dim, n_cells=n), [1.0] * dim)
     length = splitops._solve_block(op.grid)
     for fac in factor_pi(op, 0.01):
-        if fac.blocks is None:
+        if isinstance(fac, TridiagFactor):
             got = "thomas"
-        elif fac.blocks.reduced.shape == (0, 0):  # one block: the whole line
+        elif fac.reduced.shape == (0, 0):  # one block: the whole line
             got = "dense"
             assert length == n - 1
-            assert fac.blocks.last_t.shape == (n - 1, n - 1)
-            assert fac.blocks.last_t.flags.c_contiguous
+            assert fac.last_t.shape == (n - 1, n - 1)
+            assert fac.last_t.flags.c_contiguous
         else:
             got = "block"
             interfaces = (n - 2) // length  # P - 1
             last = n - 1 - interfaces * length
             assert 1 <= last <= length < n - 1
-            assert fac.blocks.inv_t.shape == (length, length)
-            assert fac.blocks.last_t.shape == (last, last)
-            assert fac.blocks.ends.shape == (2, length)
-            assert fac.blocks.reduced.shape == (2 * interfaces, 2 * interfaces)
+            assert fac.inv_t.shape == (length, length)
+            assert fac.last_t.shape == (last, last)
+            assert fac.ends.shape == (2, length)
+            assert fac.reduced.shape == (2 * interfaces, 2 * interfaces)
         assert got == kernel
 
 
@@ -575,7 +600,7 @@ def test_reduced_interface_terms_equal_the_spike_row_products(n):
                     [sigma * st.sub * inv[k - 1], sigma * st.sup * inv[k]], 1
                 )
                 want = spikes @ rows
-                blocks = _factor_with_blocks(op, j, sigma, length).blocks
+                blocks = _factor_with_blocks(op, j, sigma, length)
                 got = rows.astype(blocks.inv_t.dtype)
                 splitops._block_solve(blocks, got, np.empty(got.T.shape, got.dtype))
                 got -= rows
@@ -598,9 +623,9 @@ def test_complex_shift_solves_in_complex_buffers():
     want = reference_solve_pi(op, sigma, rhs)
     for kernel, factors in kernels.items():
         with pytest.raises(TypeError):
-            solve_pi(op, sigma, rhs.copy(), factors, np.empty_like(rhs))
+            solve_pi(op, rhs.copy(), factors, np.empty_like(rhs))
         x = rhs.astype(complex)
-        got = solve_pi(op, sigma, x, factors, np.empty_like(x))
+        got = solve_pi(op, x, factors, np.empty_like(x))
         assert np.abs(got.imag).max() > 0.0, kernel
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), kernel
 
@@ -764,7 +789,7 @@ def _pass_results(monkeypatch, dim, n, block, vectors):
         results.append(acc)
         for sigma in (0.02, 0.02 * (1.0 + 0.7j)):
             factors = factor_pi(op, sigma)
-            assert all(f.blocks is None for f in factors)
+            assert all(isinstance(f, TridiagFactor) for f in factors)
             results.append(allocating(solve_pi, op, sigma, v, factors))
     return op, results
 

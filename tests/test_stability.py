@@ -191,7 +191,7 @@ def test_empty_samples_give_an_empty_array_of_the_broadcast_shape(z_shape, w_sha
 
 def test_corrector_without_weights_rejected():
     # with s_hat = 0, R_q would not depend on the stages
-    tab = dataclasses.replace(TAB, s_hat=np.zeros(2), varpi=1.0)
+    tab = dataclasses.replace(TAB, s_hat=np.zeros(2))
     with pytest.raises(ValueError, match="s_hat"):
         stability_function(SCHEMES[2], tab, -1.0, -1.0)
 
@@ -247,10 +247,10 @@ def test_matches_long_double_recurrence_in_the_d3_wedge(q):
 
 
 # Radau IIA's stages with the output weights s_hat = (1/4, 1): not stiffly
-# accurate (varpi = -1/4), so R takes Z_1, a weight other than 1 and a constant
+# accurate (y_n weighed by 1 - sum(s_hat) = -1/4), so R takes Z_1, a weight
+# other than 1 and a constant
 _S_HAT = np.array([0.25, 1.0])
-_WEIGHTED_TAB = ButcherTableau(a=TAB.a, b=TAB.a.T @ _S_HAT, c=TAB.c, s_hat=_S_HAT,
-                               varpi=1.0 - _S_HAT.sum())
+_WEIGHTED_TAB = ButcherTableau(a=TAB.a, b=TAB.a.T @ _S_HAT, c=TAB.c, s_hat=_S_HAT)
 
 
 @needs_long_double

@@ -28,7 +28,6 @@ def test_tableau_entries_exact():
     assert TAB.b.tolist() == [float(F(3, 4)), float(F(1, 4))]
     assert TAB.c.tolist() == [float(F(1, 3)), float(F(1))]
     assert {x.dtype for x in (TAB.a, TAB.b, TAB.c, TAB.s_hat)} == {np.dtype(np.float64)}
-    assert TAB.stages == 2
 
 
 def test_output_weights_are_exact():
@@ -36,7 +35,6 @@ def test_output_weights_are_exact():
     assert np.array_equal(TAB.b, TAB.a[-1])
     assert TAB.s_hat[0] == 0.0
     assert TAB.s_hat[1] == 1.0
-    assert TAB.varpi == 0.0
 
 
 def test_collocation_abscissae():
