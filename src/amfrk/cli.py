@@ -29,15 +29,13 @@ from .harness import (
     StudyConfig,
     check_memory,
     check_study,
-    correct_digits,
     render_table,
     run_convergence,
-    weighted_norm,
+    run_level,
 )
-from .integrator import NonFiniteStateError, integrate
-from .problems import build_problem
+from .integrator import NonFiniteStateError
 from .splitops import FactorSolveError
-from .stability import _CAP, wedge_stability_scan
+from .stability import check_scan, wedge_stability_scan
 from .tableau import (
     SCHEME_IDS,
     AmfScheme,
@@ -115,28 +113,23 @@ def _cmd_converge(args) -> int:
 def _cmd_integrate(args) -> int:
     ratio = args.tau_ratio if args.tau_ratio is not None else float(args.scheme.q)
     check_memory(args.dim, args.n, args.scheme.q)  # before the problem's profiles are built
-    problem = build_problem(args.dim, args.n, args.beta, args.eps)
-    tab = radau2a_tableau()
-    record = integrate(problem, args.scheme, tab, ratio / args.n, args.t_end)
-    err = problem.exact(args.t_end) - record.y
-    eps2 = weighted_norm(err, problem.op.grid)
+    record, row = run_level(args.dim, args.n, args.beta, args.eps, args.scheme,
+                            ratio / args.n, args.t_end)
     sys.stdout.write(
         f"t={record.t:g} n={args.n} scheme={args.scheme.name} "
-        f"eps2={eps2:.6g} delta2={correct_digits(eps2):.6g}\n"
+        f"eps2={row.eps2:.6g} delta2={row.delta2:.6g}\n"
     )
     return 0
 
 
 def _cmd_stability(args) -> int:
-    if args.radii is not None and args.radii > _CAP:  # every scan refuses it: n_rays**d >= 1
-        raise ValueError(f"--radii {args.radii} is past the {_CAP} radii a scan can take")
+    check_scan(args.d, args.theta, args.radii)  # before the radii are made or --csv opened
     keep = args.csv is not None
     # --csv is opened before the scan, as a shell redirect would be
     with open(args.csv, "w", encoding="utf-8") if keep else nullcontext() as fh:
-        tab = radau2a_tableau()
         radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
         result = wedge_stability_scan(
-            args.scheme, tab, args.d, args.theta, radii=radii, keep_samples=keep
+            args.scheme, radau2a_tableau(), args.d, args.theta, radii=radii, keep_samples=keep
         )
         sys.stdout.write(
             f"scheme={args.scheme.name} d={args.d} theta={args.theta:g} "
@@ -156,8 +149,7 @@ def _cmd_stability(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    tab = radau2a_tableau()
-    residuals = verify_scheme_conditions(args.scheme, tab)
+    residuals = verify_scheme_conditions(args.scheme, radau2a_tableau())
     worst = 0.0
     for name in sorted(residuals):
         value = residuals[name]

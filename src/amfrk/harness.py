@@ -23,7 +23,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .integrator import integrate, step_count, work_rows
+from .integrator import StepRecord, integrate, step_count, work_rows
 from .problems import build_problem
 from .splitops import GridSpec
 from .tableau import AmfScheme, amf_scheme, radau2a_tableau, scheme_sweeps
@@ -33,8 +33,8 @@ from .tableau import AmfScheme, amf_scheme, radau2a_tableau, scheme_sweeps
 class StudyConfig:
     """One convergence study: a scheme against a sequence of grids.
 
-    The step is tied to the mesh as tau = q*h, which requires each N
-    divisible by q.
+    The step is tied to the mesh as tau = q*h, and t_end must be a whole
+    number of such steps on every grid (at t_end = 1, each N divisible by q).
     """
 
     dim: int
@@ -95,20 +95,13 @@ def check_memory(dim: int, n: int, q: int) -> None:
 
 def check_study(cfg: StudyConfig) -> AmfScheme:
     """The study's scheme; raises ValueError for a study that cannot run (an
-    unknown scheme, a dim other than 2 or 3, a bad grid size or one too large
-    for the memory, a t_end that some level's tau = q*h does not divide,
-    grids not strictly increasing), integrating nothing."""
+    unknown scheme, a grid of fewer than 2 cells or one too large for the
+    memory, a t_end that some level's tau = q*h does not divide into whole
+    steps, grids not strictly increasing), integrating nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
-    if cfg.dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
     for n in cfg.grid_ns:
         if n < 2:
             raise ValueError(f"N = {n}: need at least 2 cells per axis")
-        if n % scheme.q != 0:
-            raise ValueError(
-                f"N = {n} not divisible by q = {scheme.q}; tau = q*h needs "
-                "integer step counts"
-            )
         step_count(cfg.t_end, scheme.q / n)  # integrate's own check of t_end
         check_memory(cfg.dim, n, scheme.q)
     if any(a >= b for a, b in zip(cfg.grid_ns, cfg.grid_ns[1:])):
@@ -116,22 +109,21 @@ def check_study(cfg: StudyConfig) -> AmfScheme:
     return scheme
 
 
+def run_level(dim: int, n: int, beta: float, epsilon: float, scheme: AmfScheme,
+              tau: float, t_end: float) -> tuple[StepRecord, ConvergenceRow]:
+    """Integrate the manufactured problem on n cells per axis with Radau IIA from
+    t = 0 to t_end; the run's record and the level's row, p None."""
+    problem = build_problem(dim, n, beta, epsilon)  # refuses a dim other than 2 or 3
+    record = integrate(problem, scheme, radau2a_tableau(), tau, t_end)
+    eps2 = weighted_norm(problem.exact(t_end) - record.y, problem.op.grid)
+    return record, ConvergenceRow(n, 1.0 / n, tau, eps2, correct_digits(eps2), None)
+
+
 def run_convergence(cfg: StudyConfig) -> list[ConvergenceRow]:
     """Run the study and return one row per grid level, orders attached."""
     scheme = check_study(cfg)
-    tab = radau2a_tableau()
-    rows: list[ConvergenceRow] = []
-    for n in cfg.grid_ns:
-        tau = scheme.q / n
-        problem = build_problem(cfg.dim, n, cfg.beta, cfg.epsilon)
-        record = integrate(problem, scheme, tab, tau, cfg.t_end)
-        err = problem.exact(cfg.t_end) - record.y
-        eps2 = weighted_norm(err, problem.op.grid)
-        rows.append(
-            ConvergenceRow(
-                n_cells=n, h=1.0 / n, tau=tau, eps2=eps2, delta2=correct_digits(eps2), p=None
-            )
-        )
+    rows = [run_level(cfg.dim, n, cfg.beta, cfg.epsilon, scheme, scheme.q / n, cfg.t_end)[1]
+            for n in cfg.grid_ns]
     for i, (row, finer) in enumerate(zip(rows, rows[1:])):
         if finer.n_cells == 2 * row.n_cells and math.isfinite(row.delta2 + finer.delta2):
             rows[i] = replace(row, p=(finer.delta2 - row.delta2) / math.log10(2.0))

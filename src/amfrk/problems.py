@@ -25,10 +25,10 @@ as e^-c times the plane's ridge, and so does its injection on the x- and
 y-faces; the c-faces inject the plane's ridge at c = 0 and c = 1.  The
 forcing takes K = 4 terms (leads bump(c), 1, e^-c and the end-plane
 weights), exact and boundary 2 each.  A problem stores only these factors,
-O(K n^(dim-1)) numbers, and each evaluation is one (n, K) @ (K, n^(dim-1))
-matrix product written straight into the result: ``forcing(t, out)``
-writes into out and allocates nothing state-sized; ``forcing(t)`` returns a
-new array.
+O(K n^(dim-1)) numbers, and each evaluation is the (n, K) @ (K, n^(dim-1))
+matrix product, in row chunks written straight into the result:
+``forcing(t, out)`` writes into out and allocates nothing state-sized;
+``forcing(t)`` returns a new array.
 """
 
 from __future__ import annotations
@@ -85,11 +85,15 @@ def _faces(coords) -> np.ndarray:
 
 
 def _product(lead: np.ndarray, planes: np.ndarray, out=None) -> np.ndarray:
-    """sum_k lead[:, k] (x) planes[k] as a flat state (slowest axis first):
-    one matmul, written into out when given, else into a new array."""
+    """sum_k lead[:, k] (x) planes[k] as a flat state (slowest axis first),
+    written into out when given, else into a new array: one matmul per chunk
+    of at most 2^15 entries, as larger products rounded apart under two BLAS
+    threads and one."""
     if out is None:
-        return np.matmul(lead, planes).reshape(-1)
-    np.matmul(lead, planes, out=out.reshape(lead.shape[0], -1))
+        out = np.empty(lead.shape[0] * planes.shape[1], np.result_type(lead, planes))
+    rows, grid = max(1, 2**15 // planes.shape[1]), out.reshape(lead.shape[0], -1)
+    for lo in range(0, lead.shape[0], rows):
+        np.matmul(lead[lo : lo + rows], planes, out=grid[lo : lo + rows])
     return out
 
 

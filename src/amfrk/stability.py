@@ -150,6 +150,23 @@ _SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 
 _CAP = 4_000_000  # the largest cross product scanned whole, and the largest subsample's base
 _N_RANDOM = 1_000_000  # random tuples (from seed 0) the subsample adds
 _MAX_D = 63  # directions: np.indices((n_rays,) * d) has d + 1 axes, and NumPy allows 64
+_RADII = 40  # radii per ray when a scan is given none
+
+
+def check_scan(d: int, theta: float, n_radii: Optional[int] = None) -> int:
+    """d as an int; raises ValueError for a d, theta or n_radii (None: _RADII) the scan refuses."""
+    check_count("d", d, 1)
+    if d > _MAX_D:
+        raise ValueError(f"d must be at most {_MAX_D}, got d={d}: the subsample's ray "
+                         "indices would pass NumPy's 64 array dimensions")
+    d = int(d)  # a NumPy integer's powers would wrap around
+    if not 0.0 <= theta <= np.pi / 2:
+        raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
+    n_rays, n_radii = (1 if theta == 0.0 else 3), (_RADII if n_radii is None else n_radii)
+    if n_rays**d * n_radii > _CAP:  # each direction more triples the subsample's base
+        raise ValueError(f"{d} directions of {n_radii} radii would subsample "
+                         f"{n_rays}**{d} * {n_radii} equal-radius tuples, past {_CAP}")
+    return d
 
 
 def wedge_stability_scan(
@@ -164,8 +181,8 @@ def wedge_stability_scan(
 
     Each direction samples the wedge boundary: the rays arg(-z_k) = +-theta
     plus the negative real axis (just the real axis when theta = 0).  Radii
-    default to 40 points log-spaced on [1e-3, 1e6].  d is a whole number
-    from 1 to _MAX_D = 63; any other d raises ValueError at once.
+    default to _RADII = 40 points log-spaced on [1e-3, 1e6].  d is a whole
+    number from 1 to _MAX_D = 63; ``check_scan`` refuses any other d at once.
 
     The full (ray, radius) cross product across the d directions is scanned
     when its size fits _CAP; otherwise a deterministic subsample is used
@@ -185,21 +202,12 @@ def wedge_stability_scan(
     what evaluating every sample gives while an orbit's samples round less
     than _SPREAD / 2 apart there.
     """
-    check_count("d", d, 1)
-    if d > _MAX_D:
-        raise ValueError(f"d must be at most {_MAX_D}, got d={d}: the subsample's ray "
-                         "indices would pass NumPy's 64 array dimensions")
-    d = int(d)  # a NumPy integer's powers would wrap around
-    if not 0.0 <= theta <= np.pi / 2:
-        raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
-    radii = np.logspace(-3.0, 6.0, 40) if radii is None else np.asarray(radii, float)
+    radii = np.logspace(-3.0, 6.0, _RADII) if radii is None else np.asarray(radii, float)
+    d = check_scan(d, theta, radii.size)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radii must be a nonempty 1-D array of finite positive values")
     rays = np.array([0.0] if theta == 0.0 else [theta, -theta, 0.0])
     n_rays, n_radii = rays.size, radii.size
-    if n_rays**d * n_radii > _CAP:  # each direction more triples the subsample's base
-        raise ValueError(f"{d} directions of {n_radii} radii would subsample "
-                         f"{n_rays}**{d} * {n_radii} equal-radius tuples, past {_CAP}")
     per_var = n_rays * n_radii
     # per-direction sample values: index = ray*n_radii + radius; the -theta ray holds
     # the conjugates of the +theta ray's

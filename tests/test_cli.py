@@ -225,7 +225,8 @@ def test_converge_checks_every_study_before_the_first_integration(monkeypatch, c
     rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1,amf2",
                "--grids", "192,193"])
     assert rc == 2
-    assert "N = 193 not divisible by q = 2" in capsys.readouterr().err
+    assert ("t_end = 1.0 is not an integer number of steps of tau = 0.0103626943005"
+            in capsys.readouterr().err)
 
 
 def test_converge_end_time_a_later_level_cannot_reach_exits_two(monkeypatch, capsys):
@@ -398,7 +399,7 @@ def test_integrate_non_finite_state_exits_one(monkeypatch, capsys):
     def blow_up(*args, **kwargs):
         raise NonFiniteStateError(3, 0.375)
 
-    monkeypatch.setattr(cli, "integrate", blow_up)
+    monkeypatch.setattr(harness, "integrate", blow_up)
     rc = main(["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1", "--n", "8"])
     assert rc == 1
     assert "not finite after step 3" in capsys.readouterr().err
@@ -478,7 +479,8 @@ def test_stability_radii_past_the_cap_exit_two_before_allocating(capsys, monkeyp
     rc = main(["stability", "--scheme", "amf1", "--d", "1", "--theta", "0",
                "--radii", radii])
     assert rc == 2
-    assert f"--radii {radii} is past the {stability._CAP} radii" in capsys.readouterr().err
+    assert (f"1 directions of {radii} radii would subsample 1**1 * {radii} equal-radius "
+            f"tuples, past {stability._CAP}") in capsys.readouterr().err
 
 
 def test_stability_invalid_angle_exits_two(capsys):
@@ -518,7 +520,6 @@ def test_stability_past_the_direction_limit_exits_two(capsys, monkeypatch, d, th
 def test_grid_too_large_for_the_memory_exits_two(capsys, monkeypatch, command):
     # refused before the problem is built: 2-D N=64 under 100 kB of memory
     monkeypatch.setattr(harness, "_physical_memory", lambda: 100_000)
-    monkeypatch.setattr(cli, "build_problem", None)
     monkeypatch.setattr(harness, "build_problem", None)
     assert main(command) == 2
     assert "N = 64: the run's states need" in capsys.readouterr().err
