@@ -2,12 +2,12 @@
 
     python tests/bench_pairs.py PARENT_ROOT CHANGE_ROOT --pairs 10 --seconds 25 --label NAME
 
-Each pair runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0``
-once from each checkout's root, one process at a time; the side that runs
-first alternates from pair to pair, so a drift of the machine's speed
-falls on both sides alike.  The last stdout line of each run is its JSON
-result.  The file (in the current directory, or --out) holds every run's
-metrics and, per workload and end-to-end metric, each side's median,
+For each workload of CHANGE_ROOT's BENCHMARK.json, each pair runs
+``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` once from
+each checkout's root, one process at a time; the side that runs first
+alternates from pair to pair, so a drift of the machine's speed falls on
+both sides alike.  The last stdout line of each run is its JSON result.
+The file, written to the current directory, holds every run's metrics and, per workload and end-to-end metric, each side's median,
 quartiles and IQR, the change/parent median ratio, the pairs the change
 wins (by the metric's direction in CHANGE_ROOT's BENCHMARK.json), and
 whether either side's IQR is wider than the metric's bound (a ratio inside
@@ -29,7 +29,6 @@ import sys
 
 import numpy as np
 
-WORKLOADS = ("ridge2d", "cube3d", "tables2d", "wedge3d")
 SIDES = ("parent", "change")
 
 
@@ -44,11 +43,11 @@ def commit(root: str) -> str:
     return head + ("+dirty" if dirty else "")
 
 
-def run_once(root: str, workload: str, seconds: float, seed: int) -> dict:
+def run_once(root: str, workload: str, seconds: float) -> dict:
     """One benchmark process from root; its JSON result, with the exit status."""
     proc = subprocess.run(
         [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", "1", "--seconds", str(seconds), "--trace", "0"],
         cwd=root, capture_output=True, text=True, timeout=30 * seconds + 600)
     lines = proc.stdout.splitlines()
     try:
@@ -99,33 +98,30 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--label", required=True)
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument("--workloads", default=",".join(WORKLOADS))
-    parser.add_argument("--out", help="output path (default BENCH_<label>.json)")
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent_root),
              "change": os.path.abspath(args.change_root)}
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
-        spec = {m["name"]: (m["better"], m["bound"]) for m in json.load(fh)["end_to_end"]}
-    path = args.out or f"BENCH_{args.label}.json"
+        bench = json.load(fh)
+    spec = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    path = f"BENCH_{args.label}.json"
     record = {
         "label": args.label,
-        "command": f"perfbench/run.py --workload W --seed {args.seed} "
-                   f"--seconds {args.seconds:g} --trace 0",
+        "command": f"perfbench/run.py --workload W --seed 1 --seconds {args.seconds:g} --trace 0",
         "pairs_per_workload": args.pairs,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "nproc": os.cpu_count(), "machine": platform.machine()},
         "commits": {s: commit(roots[s]) for s in SIDES},
         "workloads": {},
     }
-    for workload in args.workloads.split(","):
+    for workload in (w["name"] for w in bench["workloads"]):
         pairs: list = []
         record["workloads"][workload] = {"runs": pairs, "summary": {}}
         for i in range(args.pairs):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for s in order:
-                pair[s] = run_once(roots[s], workload, args.seconds, args.seed)
+                pair[s] = run_once(roots[s], workload, args.seconds)
                 print(f"{workload} pair {i} {s}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in pair[s]["metrics"].items()), file=sys.stderr)
             pairs.append(pair)

@@ -8,7 +8,7 @@ import math
 
 import numpy as np
 
-from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator
+from amfrk import AmfScheme, GridSpec, SemidiscreteProblem, SplitOperator, radau2a_tableau
 from amfrk.splitops import (
     DirectionStencil,
     LineBlocks,
@@ -420,6 +420,65 @@ def direction_eigenvalues(op, j):
     n_cells = op.grid.n_cells
     k = np.arange(1, n_cells)
     return st.diag + 2.0 * math.sqrt(prod) * np.cos(k * np.pi / n_cells)
+
+
+def modal_reference(problem, tau, n_steps):
+    """(semi-discrete solution, exact Radau IIA) at t = n_steps*tau, from
+    problem.exact(0), mode by mode in the tensor sine basis.
+
+    Every direction's stencil must be symmetric (sub == sup), so that the
+    orthonormal sine matrix sqrt(2/N) sin(k i pi/N) diagonalizes it with the
+    ``direction_eigenvalues``; the forcing must be g(t) = e^t G_1 + e^-t G_2,
+    read from forcing(0) and forcing(ln 2) and checked at t = 1.  Raises
+    ValueError otherwise.  Each mode solves y' = lam y + e^t a + e^-t b in
+    closed form, and Radau IIA's 2x2 stage system exactly.
+    """
+    op = problem.op
+    grid = op.grid
+    for j, st in enumerate(op.stencils):
+        if st.sub != st.sup:
+            raise ValueError(f"direction {j} has sub != sup; the sine basis does not "
+                             "diagonalize its stencil")
+    f0, f1 = problem.forcing(0.0), problem.forcing(math.log(2.0))
+    g1 = (f1 - 0.5 * f0) / 1.5  # f0 = G_1 + G_2, f1 = 2 G_1 + G_2 / 2
+    g2 = f0 - g1
+    f_check = problem.forcing(1.0)
+    if not np.allclose(f_check, math.e * g1 + g2 / math.e, rtol=1e-12,
+                       atol=1e-12 * np.abs(f_check).max()):
+        raise ValueError("the forcing is not e^t G_1 + e^-t G_2")
+    n = grid.n_interior
+    k = np.arange(1, grid.n_cells)
+    sine = math.sqrt(2.0 / grid.n_cells) * np.sin(np.outer(k, k) * np.pi / grid.n_cells)
+
+    def to_modes(v):  # the sine matrix is symmetric and its own inverse
+        v = np.asarray(v).reshape(grid.shape)
+        for ax in range(grid.dim):
+            v = np.moveaxis(np.tensordot(sine, v, axes=(1, ax)), 0, ax)
+        return v
+
+    lam = np.zeros(grid.shape)
+    for j in range(grid.dim):
+        shape = [1] * grid.dim
+        shape[grid.axis_of_direction(j)] = n
+        lam = lam + direction_eigenvalues(op, j).reshape(shape)
+    y0, a, b = (to_modes(v) for v in (problem.exact(0.0), g1, g2))
+    t = n_steps * tau
+    # y(t) = e^(lam t) y0 + a (e^t - e^(lam t)) / (1 - lam) + b (e^(lam t) - e^-t) / (1 + lam),
+    # each difference through expm1
+    semi = (np.exp(lam * t) * y0 - a * math.exp(t) * np.expm1((lam - 1.0) * t) / (1.0 - lam)
+            + b * math.exp(-t) * np.expm1((lam + 1.0) * t) / (1.0 + lam))
+    tab = radau2a_tableau()
+    # (I - tau lam A) Y = y_n e + tau A g(t_n + c tau), per mode
+    mats = np.eye(2) - tau * lam[..., None, None] * tab.a
+    y = y0
+    for step in range(n_steps):
+        g = [math.exp(step * tau + ci * tau) * a + math.exp(-(step * tau + ci * tau)) * b
+             for ci in tab.c]
+        rhs = np.stack([y + tau * (tab.a[i, 0] * g[0] + tab.a[i, 1] * g[1])
+                        for i in range(2)], axis=-1)
+        stages = np.linalg.solve(mats, rhs[..., None])[..., 0]
+        y = (1.0 - tab.s_hat.sum()) * y + stages @ tab.s_hat
+    return to_modes(semi).reshape(-1), to_modes(y).reshape(-1)
 
 
 def reference_stability_function(scheme, tab, z, w):

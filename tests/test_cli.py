@@ -229,6 +229,17 @@ def test_converge_checks_every_study_before_the_first_integration(monkeypatch, c
             in capsys.readouterr().err)
 
 
+def test_converge_runs_a_grid_q_does_not_divide_when_t_end_is_whole_steps(capsys):
+    # amf2 on N = 5 reaches t = 2 in five steps of 0.4: step_count alone
+    # decides, as it does for integrate
+    rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf2", "--grids", "5",
+               "--t-end", "2"])
+    assert rc == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "h,tau,eps2,delta2,p"
+    assert len(lines) == 2 and lines[1].startswith("0.2,0.4,")
+
+
 def test_converge_end_time_a_later_level_cannot_reach_exits_two(monkeypatch, capsys):
     # N = 64 reaches t = 0.25 in 16 amf1 steps, N = 90 in no whole number of
     # them: the run exits 2 and prints no table before N = 64 integrates
@@ -461,6 +472,28 @@ def test_output_path_in_a_missing_directory_exits_two_before_any_work(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "No such file or directory" in captured.err
+
+
+@pytest.mark.parametrize("scan,message", [
+    (["--d", "2", "--theta", "3.0"], "wedge half-angle"),
+    (["--d", "11", "--theta", "0.5"], "3**11 * 40 equal-radius tuples"),
+    (["--d", "1", "--theta", "0", "--radii", "1000000000"], "1**1 * 1000000000 equal-radius"),
+], ids=["theta", "subsample-cap", "radii-cap"])
+def test_refused_scan_leaves_an_existing_csv_untouched(tmp_path, capsys, monkeypatch, scan,
+                                                       message):
+    # check_scan refuses before np.logspace makes the radii and before --csv
+    # is opened (which would truncate the file)
+    def never(*args, **kwargs):
+        raise AssertionError("the scan's radii or samples were made")
+    monkeypatch.setattr(cli, "wedge_stability_scan", never)
+    monkeypatch.setattr(np, "logspace", never)
+    path = tmp_path / "existing.csv"
+    path.write_bytes(b"z1_re,z1_im,abs_r\n1,2,3\n")
+    assert main(["stability", "--scheme", "amf1", *scan, "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert path.read_bytes() == b"z1_re,z1_im,abs_r\n1,2,3\n"
 
 
 def test_stability_rejects_nonpositive_radii_count():

@@ -147,6 +147,24 @@ def test_end_time_a_level_cannot_reach_is_refused_before_any_run(monkeypatch, t_
     assert str(got.value) == str(want.value)
 
 
+def test_whole_steps_are_step_counts_rule_alone(monkeypatch):
+    # amf2 on N = 5: no whole number of steps of 0.4 to t = 1, with
+    # integrate's own message, but five of them to t = 2
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(5,))
+    with pytest.raises(ValueError, match=r"^t_end = 1.0 is not an integer number of steps "
+                                         r"of tau = 0.4$"):
+        check_study(cfg)
+    assert check_study(dataclasses.replace(cfg, t_end=2.0)).q == 2
+
+
+def test_a_study_in_another_dim_is_refused_by_build_problem(monkeypatch):
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    cfg = StudyConfig(dim=4, beta=0.0, scheme_id="amf1", grid_ns=(4, 8))
+    with pytest.raises(ValueError, match="manufactured problems exist for dim 2 and 3, got 4"):
+        run_convergence(cfg)
+
+
 def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):
     # 2-D N=64 with amf2: (5 work rows + 2) states of 63^2 float64 values
     need = 7 * 63**2 * 8
@@ -163,6 +181,25 @@ def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # run_convergence rows
+
+
+@pytest.mark.parametrize("dim,beta,scheme_id,grids,t_end", [
+    (2, 1.0, "amf2", (8, 16), 0.5),
+    (3, 0.0, "amf3", (6, 12), 0.5),
+    (2, 0.0, "amf1", (5, 10), 0.4),
+])
+def test_run_level_row_is_the_studys_row(dim, beta, scheme_id, grids, t_end):
+    cfg = StudyConfig(dim=dim, beta=beta, scheme_id=scheme_id, grid_ns=grids, t_end=t_end)
+    rows = run_convergence(cfg)
+    scheme = amf_scheme(int(scheme_id[-1]))
+    for n, want in zip(grids, rows):
+        record, row = harness.run_level(dim, n, beta, 0.1, scheme, scheme.q / n, t_end)
+        assert row == dataclasses.replace(want, p=None)
+        assert row.eps2.hex() == want.eps2.hex() and row.tau.hex() == want.tau.hex()
+        assert record.t == pytest.approx(t_end, abs=1e-15)
+        problem = build_problem(dim, n, beta)
+        ran = integrate(problem, scheme, radau2a_tableau(), scheme.q / n, t_end)
+        assert record.t == ran.t and np.array_equal(record.y, ran.y)
 
 
 def test_rows_carry_tied_steps_and_digits():

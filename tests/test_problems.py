@@ -17,10 +17,14 @@ from amfrk import (
     radau2a_tableau,
     weighted_norm,
 )
+from amfrk.problems import _product
 from helpers import (
     allocating,
     closed_form_vectors,
     copying_forcing,
+    dense_operator_matrix,
+    irk_reference_step,
+    modal_reference,
     reference_problem_vectors,
 )
 
@@ -399,3 +403,71 @@ def test_ridge_defect_is_second_order(dim):
         norms[n] = weighted_norm(defect, p.op.grid)
     slope = math.log2(norms[32] / norms[64])
     assert abs(slope - 2.0) <= 0.1, f"dim={dim}: defect slope {slope}"
+
+
+# ---------------------------------------------------------------------------
+# forcing products in row chunks
+
+
+@pytest.mark.parametrize("n_rows,n_cols", [(5, 7), (40, 3000), (6, 2**15 + 1)],
+                         ids=["one-chunk", "chunks-of-10-rows", "row-per-chunk"])
+def test_product_in_row_chunks_is_the_matmul_written_into_out(n_rows, n_cols):
+    # one matmul per chunk of at most 2^15 entries: each entry is the same
+    # four-term sum as in one matmul, up to the BLAS kernel's rounding
+    rng = np.random.default_rng(3)
+    lead, planes = rng.standard_normal((n_rows, 4)), rng.standard_normal((4, n_cols))
+    got = _product(lead, planes)
+    assert got.shape == (n_rows * n_cols,)
+    np.testing.assert_allclose(got, (lead @ planes).reshape(-1), rtol=0, atol=1e-14)
+    out = np.full(n_rows * n_cols, np.nan)
+    assert _product(lead, planes, out) is out
+    assert np.array_equal(out, got)
+
+
+# ---------------------------------------------------------------------------
+# the modal reference: the manufactured problems solved mode by mode
+
+
+def _dense_semidiscrete(problem, t):
+    """y(t) of y' = J y + e^t G_1 + e^-t G_2 in the eigenbasis of dense J."""
+    mu, vecs = np.linalg.eigh(dense_operator_matrix(problem.op))
+    f0, f1 = problem.forcing(0.0), problem.forcing(math.log(2.0))
+    g1 = (f1 - 0.5 * f0) / 1.5
+    y0, a, b = (vecs.T @ v for v in (problem.exact(0.0), g1, f0 - g1))
+    et = np.exp(mu * t)
+    return vecs @ (et * y0 + a * (math.exp(t) - et) / (1.0 - mu)
+                   + b * (et - math.exp(-t)) / (1.0 + mu))
+
+
+@pytest.mark.parametrize("dim,n,beta", [(2, 12, 1.0), (2, 7, 0.0), (3, 8, 1.0), (3, 5, 0.0)])
+def test_modal_reference_semidiscrete_matches_a_dense_eigendecomposition(dim, n, beta):
+    problem = build_problem(dim, n, beta)
+    tau, n_steps = 2.0 / n, 3
+    semi, _ = modal_reference(problem, tau, n_steps)
+    want = _dense_semidiscrete(problem, n_steps * tau)
+    assert np.abs(semi - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("dim,n", [(2, 16), (2, 9), (3, 8), (3, 6)])
+@pytest.mark.parametrize("beta", [0.0, 1.0])
+def test_modal_reference_radau_matches_repeated_dense_implicit_steps(dim, n, beta):
+    problem, tab = build_problem(dim, n, beta), radau2a_tableau()
+    tau, n_steps = 2.0 / n, 4
+    _, got = modal_reference(problem, tau, n_steps)
+    want = problem.exact(0.0)
+    for step in range(n_steps):
+        want = irk_reference_step(problem, tab, step * tau, tau, want)
+    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_modal_reference_refuses_what_it_cannot_solve():
+    problem = build_problem(2, 6, 1.0)
+    polynomial = dataclasses.replace(problem, forcing=copying_forcing(
+        lambda t: (1.0 + t) * np.ones(problem.op.grid.m)))
+    with pytest.raises(ValueError, match="not e\\^t G_1"):
+        modal_reference(polynomial, 0.25, 2)
+    st = problem.op.stencils[0]
+    skewed = dataclasses.replace(problem.op, stencils=(
+        dataclasses.replace(st, sup=0.5 * st.sup),) + problem.op.stencils[1:])
+    with pytest.raises(ValueError, match="sub != sup"):
+        modal_reference(dataclasses.replace(problem, op=skewed), 0.25, 2)

@@ -400,6 +400,30 @@ def test_scan_rejects_more_directions_than_numpy_allows(d, theta, monkeypatch):
         wedge_stability_scan(SCHEMES[1], TAB, d, theta)
 
 
+@pytest.mark.parametrize("d,theta,n_radii,message", [
+    *[(d, 0.0, 1, "d=") for d in (2.5, 2.0, True, np.float64(3.0), "3", 0)],
+    (11, np.pi / 6, None, "equal-radius tuples"),
+    (14, np.pi / 6, 1, "equal-radius tuples"),
+    (np.int64(38), np.pi / 6, None, "equal-radius tuples"),
+    *[(d, th, None, "d must be at most 63")
+      for d, th in ((64, 0.0), (65, 0.0), (np.int64(65), 0.0), (10_000, np.pi / 6), (10**8, 0.5))],
+    *[(2, th, None, "wedge half-angle") for th in (-0.1, 2.0, np.nan)],
+], ids=lambda v: repr(v)[:20])
+def test_check_scan_refuses_what_the_scan_refuses(d, theta, n_radii, message, monkeypatch):
+    # the cases of the scan's refusal tests, with no radius or sample made
+    monkeypatch.setattr(stability, "stability_function", None)
+    with pytest.raises(ValueError, match=message):
+        stability.check_scan(d, theta, n_radii)
+
+
+@pytest.mark.parametrize("d,theta,n_radii", [
+    (10, np.pi / 6, None), (13, np.pi / 6, 1), (63, 0.0, 1), (np.int64(2), np.pi / 4, 2),
+])
+def test_check_scan_admits_the_scans_below_the_cap_and_returns_an_int(d, theta, n_radii):
+    got = stability.check_scan(d, theta, n_radii)
+    assert got == d and type(got) is int
+
+
 def test_scan_accepts_a_numpy_integer_direction_count():
     args = dict(theta=np.pi / 4, radii=[0.5, 2.0])
     res = wedge_stability_scan(SCHEMES[2], TAB, d=np.int64(2), **args)
