@@ -35,7 +35,7 @@ from .harness import (
 )
 from .integrator import NonFiniteStateError
 from .splitops import FactorSolveError
-from .stability import check_scan, wedge_stability_scan
+from .stability import _radii, check_scan, wedge_stability_scan
 from .tableau import (
     SCHEME_IDS,
     AmfScheme,
@@ -127,7 +127,7 @@ def _cmd_stability(args) -> int:
     keep = args.csv is not None
     # --csv is opened before the scan, as a shell redirect would be
     with open(args.csv, "w", encoding="utf-8") if keep else nullcontext() as fh:
-        radii = None if args.radii is None else np.logspace(-3.0, 6.0, args.radii)
+        radii = None if args.radii is None else _radii(args.radii)
         result = wedge_stability_scan(
             args.scheme, radau2a_tableau(), args.d, args.theta, radii=radii, keep_samples=keep
         )

@@ -95,10 +95,13 @@ def check_memory(dim: int, n: int, q: int) -> None:
 
 def check_study(cfg: StudyConfig) -> AmfScheme:
     """The study's scheme; raises ValueError for a study that cannot run (an
-    unknown scheme, a grid of fewer than 2 cells or one too large for the
-    memory, a t_end that some level's tau = q*h does not divide into whole
-    steps, grids not strictly increasing), integrating nothing."""
+    unknown scheme, a dim other than 2 or 3, a grid of fewer than 2 cells or
+    one too large for the memory, a t_end that some level's tau = q*h does not
+    divide into whole steps, grids not strictly increasing), integrating
+    nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
+    if cfg.dim not in (2, 3):
+        raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
     for n in cfg.grid_ns:
         if n < 2:
             raise ValueError(f"N = {n}: need at least 2 cells per axis")

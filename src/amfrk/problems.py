@@ -88,7 +88,7 @@ def _product(lead: np.ndarray, planes: np.ndarray, out=None) -> np.ndarray:
     """sum_k lead[:, k] (x) planes[k] as a flat state (slowest axis first),
     written into out when given, else into a new array: one matmul per chunk
     of at most 2^15 entries, as larger products rounded apart under two BLAS
-    threads and one."""
+    threads and one (NumPy 2.4.6's OpenBLAS threads none of this size)."""
     if out is None:
         out = np.empty(lead.shape[0] * planes.shape[1], np.result_type(lead, planes))
     rows, grid = max(1, 2**15 // planes.shape[1]), out.reshape(lead.shape[0], -1)

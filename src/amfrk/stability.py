@@ -153,6 +153,16 @@ _MAX_D = 63  # directions: np.indices((n_rays,) * d) has d + 1 axes, and NumPy a
 _RADII = 40  # radii per ray when a scan is given none
 
 
+def _rays(theta: float) -> np.ndarray:
+    """The wedge boundary's ray angles: theta, -theta and 0, or 0 alone at theta = 0."""
+    return np.array([0.0] if theta == 0.0 else [theta, -theta, 0.0])
+
+
+def _radii(n: int = _RADII) -> np.ndarray:
+    """n radii log-spaced on [1e-3, 1e6], the rays' sampling."""
+    return np.logspace(-3.0, 6.0, n)
+
+
 def check_scan(d: int, theta: float, n_radii: Optional[int] = None) -> int:
     """d as an int; raises ValueError for a d, theta or n_radii (None: _RADII) the scan refuses."""
     check_count("d", d, 1)
@@ -162,7 +172,7 @@ def check_scan(d: int, theta: float, n_radii: Optional[int] = None) -> int:
     d = int(d)  # a NumPy integer's powers would wrap around
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
-    n_rays, n_radii = (1 if theta == 0.0 else 3), (_RADII if n_radii is None else n_radii)
+    n_rays, n_radii = _rays(theta).size, (_RADII if n_radii is None else n_radii)
     if n_rays**d * n_radii > _CAP:  # each direction more triples the subsample's base
         raise ValueError(f"{d} directions of {n_radii} radii would subsample "
                          f"{n_rays}**{d} * {n_radii} equal-radius tuples, past {_CAP}")
@@ -202,11 +212,11 @@ def wedge_stability_scan(
     what evaluating every sample gives while an orbit's samples round less
     than _SPREAD / 2 apart there.
     """
-    radii = np.logspace(-3.0, 6.0, _RADII) if radii is None else np.asarray(radii, float)
+    radii = _radii() if radii is None else np.asarray(radii, float)
     d = check_scan(d, theta, radii.size)
     if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radii must be a nonempty 1-D array of finite positive values")
-    rays = np.array([0.0] if theta == 0.0 else [theta, -theta, 0.0])
+    rays = _rays(theta)
     n_rays, n_radii = rays.size, radii.size
     per_var = n_rays * n_radii
     # per-direction sample values: index = ray*n_radii + radius; the -theta ray holds

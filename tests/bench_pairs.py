@@ -1,20 +1,21 @@
 """Run the benchmark in alternating pairs from two checkouts; write BENCH_<label>.json.
 
-    python tests/bench_pairs.py PARENT_ROOT CHANGE_ROOT --pairs 10 --seconds 25 --label NAME
+    python tests/bench_pairs.py PARENT_ROOT CHANGE_ROOT --label NAME
 
-For each workload of CHANGE_ROOT's BENCHMARK.json, each pair runs
-``perfbench/run.py --workload W --seed 1 --seconds S --trace 0`` once from
-each checkout's root, one process at a time; the side that runs first
-alternates from pair to pair, so a drift of the machine's speed falls on
-both sides alike.  The last stdout line of each run is its JSON result.
-The file, written to the current directory, holds every run's metrics and, per workload and end-to-end metric, each side's median,
-quartiles and IQR, the change/parent median ratio, the pairs the change
-wins (by the metric's direction in CHANGE_ROOT's BENCHMARK.json), and
-whether either side's IQR is wider than the metric's bound (a ratio inside
-such a spread is unresolved).  It also records the Python and NumPy
-versions, nproc and both checkouts' commits, and it is rewritten after
-every pair, so an interrupted run keeps its finished pairs.  Not collected
-by pytest.
+For each workload of CHANGE_ROOT's BENCHMARK.json, each of PAIRS = 10 pairs
+runs ``perfbench/run.py --workload W --seed 1 --seconds S --trace 0``, S
+being the file's run_seconds, once from each checkout's root, one process
+at a time; the side that runs first alternates from pair to pair, so a
+drift of the machine's speed falls on both sides alike.  The last stdout
+line of each run is its JSON result.  The file, written to the current
+directory, holds every run's metrics and, per workload and end-to-end
+metric, each side's median, quartiles and IQR, the change/parent median
+ratio, the pairs the change wins (by the metric's direction in
+CHANGE_ROOT's BENCHMARK.json), and whether either side's IQR is wider than
+the metric's bound (a ratio inside such a spread is unresolved).  It also
+records the Python and NumPy versions, nproc and both checkouts' commits,
+and it is rewritten after every pair, so an interrupted run keeps its
+finished pairs.  Not collected by pytest.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import sys
 import numpy as np
 
 SIDES = ("parent", "change")
+PAIRS = 10  # pairs per workload: the fewest that a claimed gain is judged on
 
 
 def commit(root: str) -> str:
@@ -95,8 +97,6 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("parent_root")
     parser.add_argument("change_root")
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=25.0)
     parser.add_argument("--label", required=True)
     args = parser.parse_args(argv)
     roots = {"parent": os.path.abspath(args.parent_root),
@@ -104,11 +104,12 @@ def main(argv=None) -> int:
     with open(os.path.join(roots["change"], "BENCHMARK.json"), encoding="utf-8") as fh:
         bench = json.load(fh)
     spec = {m["name"]: (m["better"], m["bound"]) for m in bench["end_to_end"]}
+    seconds = bench["run_seconds"]
     path = f"BENCH_{args.label}.json"
     record = {
         "label": args.label,
-        "command": f"perfbench/run.py --workload W --seed 1 --seconds {args.seconds:g} --trace 0",
-        "pairs_per_workload": args.pairs,
+        "command": f"perfbench/run.py --workload W --seed 1 --seconds {seconds:g} --trace 0",
+        "pairs_per_workload": PAIRS,
         "environment": {"python": platform.python_version(), "numpy": np.__version__,
                         "nproc": os.cpu_count(), "machine": platform.machine()},
         "commits": {s: commit(roots[s]) for s in SIDES},
@@ -117,11 +118,11 @@ def main(argv=None) -> int:
     for workload in (w["name"] for w in bench["workloads"]):
         pairs: list = []
         record["workloads"][workload] = {"runs": pairs, "summary": {}}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = SIDES if i % 2 == 0 else SIDES[::-1]
             pair = {"first": order[0]}
             for s in order:
-                pair[s] = run_once(roots[s], workload, args.seconds)
+                pair[s] = run_once(roots[s], workload, seconds)
                 print(f"{workload} pair {i} {s}: " + " ".join(
                     f"{k}={v:.4g}" for k, v in pair[s]["metrics"].items()), file=sys.stderr)
             pairs.append(pair)

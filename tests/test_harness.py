@@ -112,7 +112,7 @@ def test_tied_step_needs_divisible_grid():
 
 @pytest.mark.parametrize("n", [0, 1, -2])
 def test_rejects_grids_of_fewer_than_two_cells(n):
-    # 0 and -2 pass the divisibility check; the step tau = q/N must not be formed
+    # the step tau = q/N must not be formed for N < 2
     cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(8, n))
     with pytest.raises(ValueError, match="at least 2 cells"):
         run_convergence(cfg)
@@ -158,11 +158,20 @@ def test_whole_steps_are_step_counts_rule_alone(monkeypatch):
     assert check_study(dataclasses.replace(cfg, t_end=2.0)).q == 2
 
 
-def test_a_study_in_another_dim_is_refused_by_build_problem(monkeypatch):
+def test_a_level_in_another_dim_is_refused_by_build_problem(monkeypatch):
     monkeypatch.setattr(harness, "integrate", None)  # nothing may run
-    cfg = StudyConfig(dim=4, beta=0.0, scheme_id="amf1", grid_ns=(4, 8))
+    scheme = amf_scheme(1)
     with pytest.raises(ValueError, match="manufactured problems exist for dim 2 and 3, got 4"):
-        run_convergence(cfg)
+        harness.run_level(4, 8, 0.0, 0.1, scheme, 0.125, 1.0)
+
+
+def test_a_study_in_another_dim_is_refused_before_its_memory_is_sized(monkeypatch):
+    # dim 4 on N = 1024 would need far more than 1 MiB; the dim is named
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    monkeypatch.setattr(harness, "_physical_memory", lambda: 2**20)
+    cfg = StudyConfig(dim=4, beta=0.0, scheme_id="amf1", grid_ns=(1024,))
+    with pytest.raises(ValueError, match=r"^dim must be 2 or 3, got 4$"):
+        check_study(cfg)
 
 
 def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):
