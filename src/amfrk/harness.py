@@ -24,7 +24,7 @@ from typing import Optional, Union
 import numpy as np
 
 from .integrator import StepRecord, integrate, step_count, work_rows
-from .problems import build_problem
+from .problems import build_problem, problem_operator
 from .splitops import GridSpec
 from .tableau import AmfScheme, amf_scheme, radau2a_tableau, scheme_sweeps
 
@@ -96,8 +96,9 @@ def check_memory(dim: int, n: int, q: int) -> None:
 def check_study(cfg: StudyConfig) -> AmfScheme:
     """The study's scheme; raises ValueError for a study that cannot run (an
     unknown scheme, a dim other than 2 or 3, a grid of fewer than 2 cells or
-    one too large for the memory, a t_end that some level's tau = q*h does not
-    divide into whole steps, grids not strictly increasing), integrating
+    one too large for the memory, a level that ``build_problem`` refuses (a
+    non-finite beta, a bad epsilon), a t_end that some level's tau = q*h does
+    not divide into whole steps, grids not strictly increasing), integrating
     nothing."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
     if cfg.dim not in (2, 3):
@@ -105,6 +106,7 @@ def check_study(cfg: StudyConfig) -> AmfScheme:
     for n in cfg.grid_ns:
         if n < 2:
             raise ValueError(f"N = {n}: need at least 2 cells per axis")
+        problem_operator(cfg.dim, n, cfg.beta, cfg.epsilon)  # build_problem's own checks
         step_count(cfg.t_end, scheme.q / n)  # integrate's own check of t_end
         check_memory(cfg.dim, n, scheme.q)
     if any(a >= b for a, b in zip(cfg.grid_ns, cfg.grid_ns[1:])):
@@ -139,8 +141,12 @@ def render_table(rows: Union[Sequence[ConvergenceRow], Mapping[str, Sequence[Con
     the same grids, as 'csv' (h,tau,eps2,delta2,p at 6 significant digits,
     after a scheme column when there are several studies) or 'markdown'
     (reference-table style: h as a unit fraction, then per study delta2 to 2
-    decimals with the order estimate in parentheses)."""
+    decimals with the order estimate in parentheses).  Raises ValueError,
+    naming every study's grids, for studies on different grids."""
     studies = rows if isinstance(rows, Mapping) else {"": rows}
+    grids = {sid: [r.n_cells for r in study] for sid, study in studies.items()}
+    if len(set(map(tuple, grids.values()))) > 1:
+        raise ValueError(f"studies on different grids: {grids}")
     named = len(studies) > 1
     if format == "csv":
         lines = [("scheme," if named else "") + "h,tau,eps2,delta2,p"]

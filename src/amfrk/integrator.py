@@ -9,8 +9,8 @@ T_k = J Y_k + g(t_n + c_k tau), kept current by adding J of each increment:
                     stage-wise): one (2, 4) matrix times the rows [Z; T]
                 solve prod_j (I - gamma*tau*J_j) E_1 = r_1
                 solve prod_j (I - gamma*tau*J_j) E_2 = r_2 + low_coeff * E_1
-                dZ = mix E,  Z += dZ,  T_k += J dZ_k  (but after the last sweep)
-    corrector   y_{n+1} = y_n + s_hat . Z  (= y_n + Z_2),  y_n weighed by 1 - sum(s_hat)
+                dZ = mix E,  Z += dZ,  T_k += J dZ_k  (after the last sweep Z_2 += E_2 alone)
+    output      y_{n+1} = Y_2 = y_n + Z_2: Radau IIA is stiffly accurate, b = A's last row
 
 A ``Stepper``, built once per (problem, scheme, tableau, tau), owns 4, 5 or
 7 state-sized work rows (amf1, amf2, q >= 3) and allocates no state-sized
@@ -82,15 +82,17 @@ class Stepper:
     first step in the dtype of its stages,  result_type(y_n, op.dtype),  and
     again only for another dtype.  The forcing writes each stage's g
     straight into its T row, so a forcing whose values that dtype cannot
-    hold (complex into real rows) raises TypeError; a tableau whose s_hat is
-    all zero raises ValueError.
+    hold (complex into real rows) raises TypeError.  The step returns its
+    last stage, so a tableau that is not stiffly accurate (b other than A's
+    last row) raises ValueError, before any factor is built.
     """
 
     def __init__(self, problem, scheme: AmfScheme, tab: ButcherTableau, tau: float):
         if not (math.isfinite(tau) and tau > 0.0):
             raise ValueError(f"step size must be positive and finite, got {tau}")
-        if not tab.s_hat.any():
-            raise ValueError("s_hat has no non-zero weight: the step would not use the stages")
+        if not np.array_equal(tab.b, tab.a[-1]):
+            raise ValueError("the tableau is not stiffly accurate (b is not A's last row): "
+                             "the step returns its last stage")
         tau = float(tau)  # a NumPy float32 tau would round the factors to float32
         self.problem = problem
         self.scheme = scheme
@@ -111,7 +113,6 @@ class Stepper:
             m = np.array([[1.0, -mix], [-low, 1.0 + low * mix]])
             self._rhs.append(np.concatenate((-m, m @ (tau * tab.a)), axis=1))
         self._rhs[0] = self._rhs[0][:, 2:].copy()
-        self._s_hat = tab.s_hat.tolist()
         self._buf = None  # [Z; T], the rows after T, (columns, scratch part) chunks
 
     def _solve(self, rhs: np.ndarray, spare: np.ndarray):
@@ -177,26 +178,20 @@ class Stepper:
             if not nu and e2 is not z[1]:  # odd d: Z_2 = e2 is in Z_1
                 np.copyto(z[1], e2)
                 e2 = z[1]
-            # dZ = (e1 + mix e2, e2), into Z = 0 in the first sweep; dZ_1 is
-            # skipped after the last sweep if the corrector gives Z_1 no weight
-            if nu < last or self._s_hat[0]:
+            # dZ = (e1 + mix e2, e2), into Z = 0 in the first sweep, and T_k += J dZ_k;
+            # the last sweep keeps Z_2 alone, as the output is Y_2 = y_n + Z_2
+            if nu < last:
                 dz = free if nu or e1 is z[0] else z[0]
                 np.multiply(e2.view(re), it.mix_coeff, out=dz.view(re))
                 np.add(dz, e1, out=dz if nu else z[0])
                 if nu:
                     z[0] += dz
-            if nu:
-                z[1] += e2
-            if nu < last:  # T_k += J dZ_k
                 dz, work = (dz, e1) if nu else (z[0], spare)
                 self._add(op, dz, t[0], work)
                 self._add(op, e2, t[1], work)
-        acc = y_n  # y_{n+1} = y_n + s_hat . Z, the zero weights skipped
-        for c, z_i in zip(self._s_hat, z):
-            if c:
-                term = z_i if c == 1.0 else np.multiply(z_i, c, out=t[0])
-                acc = out = np.add(acc, term, out=out)
-        return out
+            if nu:
+                z[1] += e2
+        return np.add(y_n, z[1], out=out)  # y_{n+1} = Y_2
 
     def run(self, y0: np.ndarray, n_steps: int) -> np.ndarray:
         """Take n_steps steps from (0, y0); y0 is not modified.

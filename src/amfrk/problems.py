@@ -97,6 +97,18 @@ def _product(lead: np.ndarray, planes: np.ndarray, out=None) -> np.ndarray:
     return out
 
 
+def problem_operator(dim: int, n_cells: int, beta: float, epsilon: float = 0.1) -> SplitOperator:
+    """``build_problem``'s checks and split operator, with nothing state-sized:
+    raises ValueError for a dim other than 2 or 3, a non-finite beta, and an
+    epsilon that is not positive and finite or whose stencil weights overflow."""
+    if dim not in (2, 3):
+        raise ValueError(f"manufactured problems exist for dim 2 and 3, got {dim}")
+    if not math.isfinite(beta):
+        raise ValueError(f"ridge amplitude beta must be finite, got {beta}")
+    # rejects an epsilon that is not positive and finite
+    return build_split_operator(GridSpec(dim=dim, n_cells=n_cells), [epsilon] * dim)
+
+
 def build_problem(
     dim: int, n_cells: int, beta: float, epsilon: float = 0.1
 ) -> SemidiscreteProblem:
@@ -104,15 +116,11 @@ def build_problem(
 
     forcing, exact and boundary are each sum_k lead_k(c) (x) plane_k, with c
     the slowest axis (y in 2D, z in 3D) and each plane_k a profile over the
-    other axes; only the factors are stored, O(K n^(dim-1)) numbers.
+    other axes; only the factors are stored, O(K n^(dim-1)) numbers.  Raises
+    ValueError for what ``problem_operator`` refuses.
     """
-    if dim not in (2, 3):
-        raise ValueError(f"manufactured problems exist for dim 2 and 3, got {dim}")
-    if not math.isfinite(beta):
-        raise ValueError(f"ridge amplitude beta must be finite, got {beta}")
-    grid = GridSpec(dim=dim, n_cells=n_cells)
-    # rejects an epsilon that is not positive and finite
-    op = build_split_operator(grid, [epsilon] * dim)
+    op = problem_operator(dim, n_cells, beta, epsilon)
+    grid = op.grid
     beta, eps = float(beta), float(epsilon)
     axis = grid.h * np.arange(1, n_cells)
     bump = axis * (1.0 - axis)

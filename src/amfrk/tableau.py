@@ -30,30 +30,25 @@ class ButcherTableau:
     a : (s, s) stage matrix
     b : (s,) quadrature weights
     c : (s,) abscissae
-    s_hat : (s,) output weights b^T A^{-1} of the corrector
-        ``y_{n+1} = y_n + s_hat . (Y - y_n)``, which weighs y_n by
-        1 - sum(s_hat) by construction (zero for stiffly accurate methods)
     """
 
     a: np.ndarray
     b: np.ndarray
     c: np.ndarray
-    s_hat: np.ndarray
 
 
 def radau2a_tableau() -> ButcherTableau:
     """Two-stage Radau IIA method (stage order 2, classical order 3, L-stable).
 
     Each entry is its rational value correctly rounded to float64.  The
-    method is stiffly accurate: b is the last row of A, so the output
-    weights b^T A^{-1} are exactly s_hat = (0, 1), with no weight on y_n.
+    method is stiffly accurate: b is A's last row, so a step's output is its
+    last stage.
     """
     a = np.array([[5.0 / 12.0, -1.0 / 12.0], [3.0 / 4.0, 1.0 / 4.0]])
     return ButcherTableau(
         a=a,
         b=a[-1].copy(),
         c=np.array([1.0 / 3.0, 1.0]),
-        s_hat=np.array([0.0, 1.0]),
     )
 
 

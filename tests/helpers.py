@@ -289,7 +289,7 @@ def reference_amf_step(problem, scheme, tab, t_n, tau, y_n):
         e2 = reference_solve_pi(problem.op, sigma, r2 + l * e1)
         stages[0] += e1 + s * e2
         stages[1] += e2
-    return (1.0 - tab.s_hat.sum()) * y_n + tab.s_hat @ stages
+    return stages[-1]  # stiffly accurate: y_{n+1} is the last stage
 
 
 def reference_integrate(problem, scheme, tab, tau, n_steps, y0):
@@ -390,7 +390,7 @@ def irk_reference_step(problem, tab, t_n, tau, y_n, return_stages=False):
     )
     big = np.eye(s * m, dtype=np.result_type(jac, rhs)) - tau * np.kron(tab.a, jac)
     stages = np.linalg.solve(big, rhs).reshape(s, m)
-    y_next = (1.0 - tab.s_hat.sum()) * y_n + tab.s_hat @ stages
+    y_next = stages[-1].copy()  # stiffly accurate: y_{n+1} is the last stage
     if return_stages:
         return y_next, stages
     return y_next
@@ -477,7 +477,7 @@ def modal_reference(problem, tau, n_steps):
         rhs = np.stack([y + tau * (tab.a[i, 0] * g[0] + tab.a[i, 1] * g[1])
                         for i in range(2)], axis=-1)
         stages = np.linalg.solve(mats, rhs[..., None])[..., 0]
-        y = (1.0 - tab.s_hat.sum()) * y + stages @ tab.s_hat
+        y = stages[..., -1]  # stiffly accurate: y_{n+1} is the last stage
     return to_modes(semi).reshape(-1), to_modes(y).reshape(-1)
 
 
@@ -485,7 +485,7 @@ def reference_stability_function(scheme, tab, z, w):
     """R_q(z, w) in np.clongdouble by the sweep recurrence on G = e + Z:
 
         G^0 = e,   G^nu = inv(I - w*T_nu) (e + (z*A - w*T_nu) G^(nu-1)),
-        R_q = (1 - sum(s_hat)) + s_hat . G^q,
+        R_q = G^q_2  (stiffly accurate: the output is the last stage),
 
     with T_nu the sweep's approx_a and the closed-form inverse of the 2x2
     I - w*T_nu.  The package runs the factored form of the same sweep."""
@@ -512,8 +512,7 @@ def reference_stability_function(scheme, tab, z, w):
             det = m00 * m11 - m01 * m10
             g0 = (m11 * v0 - m01 * v1) / det
             g1 = (m00 * v1 - m10 * v0) / det
-    s_hat = tab.s_hat.astype(np.longdouble)
-    return np.longdouble(1.0 - tab.s_hat.sum()) + s_hat[0] * g0 + s_hat[1] * g1
+    return g1
 
 
 # ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@ Each test covers one claim and prints a single PASS/FAIL line (visible with
 pytest -s, or in captured output on failure) so a run reads as a checklist:
 
   - frozen global-error digit tables for the three sweep counts, 2-D and 3-D
+  - amf2's error split into space, Radau IIA time and sweeps
   - tableau / sweep-matrix defining identities at machine precision
   - wedge stability scans and the factorization amplification bound
   - sweep fixed point against a dense all-at-once solve, and the scalar
@@ -21,12 +22,15 @@ from amfrk import (
     StudyConfig,
     amf_scheme,
     build_problem,
+    integrate,
     radau2a_tableau,
     run_convergence,
     stability_function,
     verify_scheme_conditions,
     wedge_stability_scan,
+    weighted_norm,
 )
+from amfrk.harness import correct_digits
 from amfrk.integrator import amf_step
 from amfrk.splitops import (
     GridSpec,
@@ -44,6 +48,7 @@ from helpers import (
     direction_eigenvalues,
     extended_scheme,
     irk_reference_step,
+    modal_reference,
     sampled_sup_ratio,
     scalar_problem,
     splitting_sup_bound,
@@ -71,6 +76,17 @@ TABLE_3D_BETA0 = {
     "amf1": ([3.40, 4.01], [2.03], 0),
     "amf2": ([4.31, 5.20], [2.96], 0),
     "amf3": ([4.53, 5.34], [2.69], 0),
+}
+# amf2's error at t = 1 along tau = 2/N in digits, split three ways with the
+# PDE solution u: (dim, N, beta): (total, space = semi-discrete - u, time =
+# exact Radau IIA - semi-discrete, sweeps = amf2 - exact Radau IIA); the
+# beta = 0 space part is at rounding level (None), as the stencil
+# differentiates the polynomial exactly
+SPLIT_AMF2 = {
+    (2, 48, 1.0): (3.02, 4.64, 6.11, 3.02),
+    (2, 96, 1.0): (3.27, 5.25, 6.98, 3.27),
+    (3, 24, 1.0): (2.62, 4.40, 5.19, 2.62),
+    (2, 48, 0.0): (5.79, None, 6.06, 5.63),
 }
 
 
@@ -128,23 +144,48 @@ def test_error_digits_3d_beta0():
     )
 
 
+def test_error_split_into_space_radau_time_and_sweeps():
+    # the semi-discrete solution and exact Radau IIA come mode by mode from
+    # the sine basis; at beta = 1 the sweeps are the whole error
+    worst, sweeps_off, space_floor = 0.0, 0.0, math.inf
+    for (dim, n, beta), want in SPLIT_AMF2.items():
+        problem = build_problem(dim, n, beta)
+        semi, radau = modal_reference(problem, 2.0 / n, n // 2)
+        amf = integrate(problem, SCHEMES[2], TAB, 2.0 / n, 1.0).y
+        u = problem.exact(1.0)
+        got = [correct_digits(weighted_norm(e, problem.op.grid))
+               for e in (amf - u, semi - u, radau - semi, amf - radau)]
+        worst = max([worst] + [abs(g - w) for g, w in zip(got, want) if w is not None])
+        if beta:
+            sweeps_off = max(sweeps_off, abs(got[3] - got[0]))
+        else:
+            space_floor = min(space_floor, got[1])
+    _report(
+        worst <= DIGIT_TOL and sweeps_off <= 0.01 and space_floor >= 12.0,
+        "amf2 error split",
+        f"worst digit dev {worst:.3f} (tol {DIGIT_TOL}), beta=1 sweeps vs total "
+        f"{sweeps_off:.4f} (tol 0.01), beta=0 space {space_floor:.2f} digits (at least 12)",
+    )
+
+
 def test_defining_identities():
     t0 = time.perf_counter()
     worst = 0.0
     a, c = TAB.a, TAB.c
     worst = max(worst, float(np.max(np.abs(a @ c - c * c / 2.0))))
     worst = max(worst, float(np.max(np.abs(a @ np.ones(2) - c))))
-    worst = max(worst, float(np.max(np.abs(TAB.s_hat - np.array([0.0, 1.0])))))
-    worst = max(worst, abs(1.0 - TAB.s_hat.sum()))
-    worst = max(worst, float(np.max(np.abs(TAB.s_hat @ a - TAB.b))))
+    # stiffly accurate: b is A's last row exactly, and b^T A^{-1} = (0, 1)
+    last_row = np.array_equal(TAB.b, a[-1])
+    weights = float(np.max(np.abs(np.linalg.solve(a.T, TAB.b) - [0.0, 1.0])))
     for scheme in SCHEMES.values():
         for value in verify_scheme_conditions(scheme, TAB).values():
             worst = max(worst, value)
     elapsed = time.perf_counter() - t0
     _report(
-        worst <= 1e-14 and elapsed < 1.0,
+        last_row and weights <= 1e-15 and worst <= 1e-14 and elapsed < 1.0,
         "defining identities",
-        f"worst residual {worst:.2e} (tol 1e-14) in {elapsed:.3f}s",
+        f"b is A's last row: {last_row}, output weights off by {weights:.2e} "
+        f"(tol 1e-15), worst residual {worst:.2e} (tol 1e-14) in {elapsed:.3f}s",
     )
 
 

@@ -102,6 +102,28 @@ def test_converge_out_file_matches_stdout(tmp_path, capsys):
     assert path.read_text(encoding="utf-8") == out
 
 
+@pytest.mark.parametrize("study,message", [
+    (["--grids", "24,48", "--eps", "0"], "diffusion coefficients must be positive"),
+    (["--grids", "24,48", "--beta", "nan"], "beta must be finite"),
+    (["--grids", "8", "--eps", "1e308"], "non-finite stencil weight"),
+], ids=["eps-zero", "beta-nan", "eps-overflow"])
+def test_refused_study_leaves_an_existing_out_untouched(tmp_path, capsys, monkeypatch, study,
+                                                       message):
+    # check_study refuses what build_problem refuses before --out is opened
+    # (which would truncate the file)
+    def never(*args, **kwargs):
+        raise AssertionError("a level was integrated")
+    monkeypatch.setattr(harness, "integrate", never)
+    path = tmp_path / "existing.csv"
+    path.write_bytes(b"h,tau,eps2,delta2,p\n1,2,3,4,5\n")
+    argv = ["converge", "--dim", "2", "--beta", "0", "--scheme", "amf2", *study]
+    assert main([*argv, "--out", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert path.read_bytes() == b"h,tau,eps2,delta2,p\n1,2,3,4,5\n"
+
+
 def test_converge_config_file_seeds_options(tmp_path, capsys):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(

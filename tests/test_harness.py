@@ -174,6 +174,22 @@ def test_a_study_in_another_dim_is_refused_before_its_memory_is_sized(monkeypatc
         check_study(cfg)
 
 
+@pytest.mark.parametrize("change,message", [
+    ({"epsilon": 0.0}, "diffusion coefficients must be positive and finite"),
+    ({"beta": math.nan}, "ridge amplitude beta must be finite, got nan"),
+    ({"grid_ns": (8,), "epsilon": 1e308}, "give a non-finite stencil weight at h = 0.125"),
+], ids=["eps-zero", "beta-nan", "eps-overflow"])
+def test_check_study_refuses_what_build_problem_refuses(monkeypatch, change, message):
+    # with build_problem's own message, before any level integrates
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    cfg = dataclasses.replace(StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(24, 48)),
+                              **change)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        check_study(cfg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_problem(cfg.dim, cfg.grid_ns[0], cfg.beta, cfg.epsilon)
+
+
 def test_grid_too_large_for_the_memory_is_refused_before_any_run(monkeypatch):
     # 2-D N=64 with amf2: (5 work rows + 2) states of 63^2 float64 values
     need = 7 * 63**2 * 8
@@ -306,6 +322,23 @@ def test_markdown_rendering():
     assert lines[2] == "| 1/8 | 3.74 (2.03) |"
     assert lines[3] == "| 1/16 | 4.35 |"
     assert render_table(_sample_rows(), format="md") == out
+
+
+def _study(*grids):
+    return [ConvergenceRow(n_cells=n, h=1.0 / n, tau=1.0 / n, eps2=10.0**-k, delta2=k, p=None)
+            for k, n in enumerate(grids, 3)]
+
+
+@pytest.mark.parametrize("format", ["csv", "markdown"])
+@pytest.mark.parametrize("other", [(8, 16), (16, 32, 64)], ids=["fewer", "shifted"])
+def test_studies_on_different_grids_rejected(format, other):
+    # markdown zips the levels: it would drop amf1's 1/32 row, or print amf2's
+    # 1/16 .. 1/64 rows under h = 1/8 .. 1/32
+    studies = {"amf1": _study(8, 16, 32), "amf2": _study(*other)}
+    want = f"studies on different grids: {{'amf1': [8, 16, 32], 'amf2': {list(other)}}}"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        render_table(studies, format=format)
+    assert render_table({"amf1": _study(*other), "amf2": _study(*other)}, format=format)
 
 
 def test_empty_table_is_header_only():

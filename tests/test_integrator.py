@@ -349,13 +349,20 @@ def test_bad_step_size_rejected_at_entry(tau):
         amf_step(prob, SCHEMES[0], TAB, 0.0, tau, prob.exact(0.0))
 
 
-def test_corrector_without_weights_rejected_at_entry():
-    # with s_hat = 0 a step would be y_{n+1} = y_n, whatever the stages
-    tab = dataclasses.replace(TAB, s_hat=np.zeros(2))
+def test_tableau_that_is_not_stiffly_accurate_rejected_at_entry(monkeypatch):
+    # the step returns its last stage, which is y_{n+1} only when b is A's
+    # last row; refused before any factor is built
+    def no_factor(*args):
+        raise AssertionError("a factor was built for a refused tableau")
+
+    monkeypatch.setattr(integrator, "factor_pi", no_factor)
+    tab = dataclasses.replace(TAB, b=np.array([0.5, 0.5]))
     prob = build_problem(2, 8, 0.0)
     for make in (lambda: Stepper(prob, SCHEMES[1], tab, 0.25),
-                 lambda: integrate(prob, SCHEMES[1], tab, 0.25, 1.0)):
-        with pytest.raises(ValueError, match="s_hat"):
+                 lambda: integrate(prob, SCHEMES[1], tab, 0.25, 1.0),
+                 lambda: amf_step(prob, SCHEMES[1], tab, 0.0, 0.25, prob.exact(0.0)),
+                 lambda: stability_function(SCHEMES[1], tab, -1.0, -1.0)):
+        with pytest.raises(ValueError, match="stiffly accurate"):
             make()
 
 
@@ -599,23 +606,6 @@ def test_blocked_integration_equals_one_block(monkeypatch, dim, n, kernel):
 
 
 # ------------------------------------------------------- reference and counts
-
-
-@pytest.mark.parametrize("s_hat", [(0.3, 0.7), (0.5, 0.25)], ids=str)
-@pytest.mark.parametrize("dim,n", [(2, 12), (3, 6)])
-@pytest.mark.parametrize("scheme", SCHEMES, ids=lambda s: s.name)
-def test_corrector_weights_match_allocating_reference(dim, n, scheme, s_hat):
-    """A corrector that weights Z_1, and by weights other than one: the
-    first sweep's dZ_1 and the scaled corrector terms, at both parities of
-    d, on each product solve kernel."""
-    tab = dataclasses.replace(TAB, s_hat=np.array(s_hat))
-    prob = build_problem(dim, n, 1.0)
-    tau, y0 = scheme.q / n, prob.exact(0.0)
-    want = reference_integrate(prob, scheme, tab, tau, 3, y0)
-    for length in (n - 1, 3, None):  # the whole line, blocks of three, Thomas
-        with mock.patch.object(splitops, "_solve_block", lambda grid: length):
-            got = Stepper(prob, scheme, tab, tau).run(y0, 3)
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), length
 
 
 @given(

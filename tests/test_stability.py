@@ -25,7 +25,7 @@ from amfrk import (
     wedge_stability_scan,
 )
 import amfrk.stability as stability
-from amfrk.tableau import GAMMA, ButcherTableau
+from amfrk.tableau import GAMMA
 from helpers import (
     extended_scheme,
     reference_stability_function,
@@ -189,10 +189,16 @@ def test_empty_samples_give_an_empty_array_of_the_broadcast_shape(z_shape, w_sha
         assert out.shape == want and out.dtype == np.complex128
 
 
-def test_corrector_without_weights_rejected():
-    # with s_hat = 0, R_q would not depend on the stages
-    tab = dataclasses.replace(TAB, s_hat=np.zeros(2))
-    with pytest.raises(ValueError, match="s_hat"):
+def test_tableau_that_is_not_stiffly_accurate_rejected(monkeypatch):
+    # R_q is the step's last stage, which is y_{n+1} only when b is A's last
+    # row; refused before the samples' factor is built
+    def no_factor(*args):
+        raise AssertionError("a factor was built for a refused tableau")
+
+    apply, add, _, solve = stability._Diagonal.kernels
+    monkeypatch.setattr(stability._Diagonal, "kernels", (apply, add, no_factor, solve))
+    tab = dataclasses.replace(TAB, b=np.array([0.5, 0.5]))
+    with pytest.raises(ValueError, match="stiffly accurate"):
         stability_function(SCHEMES[2], tab, -1.0, -1.0)
 
 
@@ -243,25 +249,6 @@ def test_matches_long_double_recurrence_in_the_d3_wedge(q):
     z, w = _wedge_samples(np.pi / 6)
     got = stability_function(SCHEMES[q], TAB, z, w)
     want = reference_stability_function(SCHEMES[q], TAB, z, w)
-    assert np.max(np.abs(got - want)) <= 2e-15
-
-
-# Radau IIA's stages with the output weights s_hat = (1/4, 1): not stiffly
-# accurate (y_n weighed by 1 - sum(s_hat) = -1/4), so R takes Z_1, a weight
-# other than 1 and a constant
-_S_HAT = np.array([0.25, 1.0])
-_WEIGHTED_TAB = ButcherTableau(a=TAB.a, b=TAB.a.T @ _S_HAT, c=TAB.c, s_hat=_S_HAT)
-
-
-@needs_long_double
-@pytest.mark.parametrize("q", [1, 2, 3])
-def test_matches_long_double_recurrence_for_a_tableau_that_is_not_stiffly_accurate(q):
-    # the corrector weighs Z_1 here, so no sweep skips it; with q = 1 the
-    # first sweep, from Z = 0, is also the last (Radau IIA's amf1, which skips
-    # Z_1 there, is the d3-wedge test's q = 1)
-    z, w = _wedge_samples(np.pi / 6)
-    got = stability_function(SCHEMES[q], _WEIGHTED_TAB, z, w)
-    want = reference_stability_function(SCHEMES[q], _WEIGHTED_TAB, z, w)
     assert np.max(np.abs(got - want)) <= 2e-15
 
 

@@ -62,6 +62,12 @@ def test_problem_holds_only_the_fields_its_callers_read():
     assert tuple(f.name for f in fields) == ("op", "forcing", "exact", "boundary")
 
 
+def test_tableau_holds_only_the_fields_the_step_reads():
+    # stiffly accurate: the step returns its last stage, so no output weights
+    fields = dataclasses.fields(amfrk.ButcherTableau)
+    assert tuple(f.name for f in fields) == ("a", "b", "c")
+
+
 def test_wedge_scan_takes_only_the_options_its_callers_set():
     # the cap, the random draw count and the seed are module constants
     params = inspect.signature(amfrk.wedge_stability_scan).parameters
