@@ -89,13 +89,6 @@ def _parse_grids(text: str) -> tuple[int, ...]:
     return grids
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be positive, got {value}")
-    return value
-
-
 def _cmd_converge(args) -> int:
     cfgs = [StudyConfig(dim=args.dim, beta=args.beta, scheme_id=scheme.name, grid_ns=args.grids,
                         epsilon=args.eps, t_end=args.t_end) for scheme in args.scheme]
@@ -201,7 +194,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="wedge scan of |R_q|")
     ps.add_argument("--d", type=int, required=True)
     ps.add_argument("--theta", type=float, required=True)
-    ps.add_argument("--radii", type=_positive_int, help="number of log-spaced radii")
+    ps.add_argument("--radii", type=int, help="number of log-spaced radii")
     ps.add_argument("--csv", metavar="PATH", help="write sample rows")
     ps.set_defaults(func=_cmd_stability)
 

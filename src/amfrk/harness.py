@@ -94,19 +94,13 @@ def check_memory(dim: int, n: int, q: int) -> None:
 
 
 def check_study(cfg: StudyConfig) -> AmfScheme:
-    """The study's scheme; raises ValueError for a study that cannot run (an
-    unknown scheme, a dim other than 2 or 3, a grid of fewer than 2 cells or
-    one too large for the memory, a level that ``build_problem`` refuses (a
-    non-finite beta, a bad epsilon), a t_end that some level's tau = q*h does
-    not divide into whole steps, grids not strictly increasing), integrating
-    nothing."""
+    """The study's scheme; raises ValueError, integrating nothing, for a study
+    that cannot run: what ``scheme_sweeps`` refuses, then for each level in
+    turn what ``problem_operator``, ``step_count`` and ``check_memory``
+    refuse, then grids that do not increase strictly."""
     scheme = amf_scheme(scheme_sweeps(cfg.scheme_id))
-    if cfg.dim not in (2, 3):
-        raise ValueError(f"dim must be 2 or 3, got {cfg.dim}")
     for n in cfg.grid_ns:
-        if n < 2:
-            raise ValueError(f"N = {n}: need at least 2 cells per axis")
-        problem_operator(cfg.dim, n, cfg.beta, cfg.epsilon)  # build_problem's own checks
+        problem_operator(cfg.dim, n, cfg.beta, cfg.epsilon)  # build_problem's checks, N >= 2 too
         step_count(cfg.t_end, scheme.q / n)  # integrate's own check of t_end
         check_memory(cfg.dim, n, scheme.q)
     if any(a >= b for a, b in zip(cfg.grid_ns, cfg.grid_ns[1:])):

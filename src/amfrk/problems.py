@@ -102,7 +102,7 @@ def problem_operator(dim: int, n_cells: int, beta: float, epsilon: float = 0.1) 
     raises ValueError for a dim other than 2 or 3, a non-finite beta, and an
     epsilon that is not positive and finite or whose stencil weights overflow."""
     if dim not in (2, 3):
-        raise ValueError(f"manufactured problems exist for dim 2 and 3, got {dim}")
+        raise ValueError(f"dim must be 2 or 3, got {dim}")
     if not math.isfinite(beta):
         raise ValueError(f"ridge amplitude beta must be finite, got {beta}")
     # rejects an epsilon that is not positive and finite

@@ -173,6 +173,7 @@ def check_scan(d: int, theta: float, n_radii: Optional[int] = None) -> int:
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
     n_rays, n_radii = _rays(theta).size, (_RADII if n_radii is None else n_radii)
+    check_count("n_radii", n_radii, 1)
     if n_rays**d * n_radii > _CAP:  # each direction more triples the subsample's base
         raise ValueError(f"{d} directions of {n_radii} radii would subsample "
                          f"{n_rays}**{d} * {n_radii} equal-radius tuples, past {_CAP}")
@@ -214,8 +215,8 @@ def wedge_stability_scan(
     """
     radii = _radii() if radii is None else np.asarray(radii, float)
     d = check_scan(d, theta, radii.size)
-    if radii.ndim != 1 or radii.size == 0 or not np.all(np.isfinite(radii) & (radii > 0)):
-        raise ValueError("radii must be a nonempty 1-D array of finite positive values")
+    if radii.ndim != 1 or not np.all(np.isfinite(radii) & (radii > 0)):
+        raise ValueError("radii must be a 1-D array of finite positive values")
     rays = _rays(theta)
     n_rays, n_radii = rays.size, radii.size
     per_var = n_rays * n_radii

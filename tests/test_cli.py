@@ -217,7 +217,19 @@ def test_converge_grid_of_fewer_than_two_cells_exits_two(grids, capsys):
     rc = main(["converge", "--dim", "2", "--beta", "0", "--scheme", "amf1",
                "--grids", grids])
     assert rc == 2
-    assert "at least 2 cells" in capsys.readouterr().err
+    message = f"n_cells must be a whole number >= 2, got n_cells={grids.split(',')[-1]}"
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_a_grid_of_one_cell_gives_one_message_in_converge_and_integrate(monkeypatch, capsys):
+    # GridSpec states the N >= 2 rule once, for a study and a single run alike
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    argv = ["--dim", "2", "--beta", "0", "--scheme", "amf1"]
+    assert main(["converge", *argv, "--grids", "8,1"]) == 2
+    converge = capsys.readouterr()
+    assert main(["integrate", *argv, "--n", "1"]) == 2
+    assert capsys.readouterr() == converge
+    assert converge.err == "error: n_cells must be a whole number >= 2, got n_cells=1\n"
 
 
 @pytest.mark.parametrize("grids", ["24,24", "48,24"])
@@ -332,7 +344,7 @@ def test_nested_config_key_exits_two(tmp_path, capsys):
 
 @pytest.mark.parametrize("cmd,text,flag", [
     (["converge"], "dim=4\nbeta=0\nscheme=amf1\ngrids=8\n", "--dim"),
-    (["stability"], "scheme=amf1\nd=2\ntheta=0\nradii=0\n", "--radii"),
+    (["stability"], "scheme=amf1\nd=2\ntheta=0\nradii=x\n", "--radii"),
 ])
 def test_config_values_pass_their_flags_checks(tmp_path, capsys, cmd, text, flag):
     with pytest.raises(SystemExit) as exc:
@@ -518,11 +530,20 @@ def test_refused_scan_leaves_an_existing_csv_untouched(tmp_path, capsys, monkeyp
     assert path.read_bytes() == b"z1_re,z1_im,abs_r\n1,2,3\n"
 
 
-def test_stability_rejects_nonpositive_radii_count():
-    with pytest.raises(SystemExit) as exc:
-        main(["stability", "--scheme", "amf1", "--d", "2", "--theta", "0",
-              "--radii", "0"])
-    assert exc.value.code == 2
+def test_stability_rejects_nonpositive_radii_count(tmp_path, capsys, monkeypatch):
+    # check_scan's own rule, before the radii are made or --csv is opened
+    def never(*args, **kwargs):
+        raise AssertionError("the scan's radii or samples were made")
+    monkeypatch.setattr(cli, "wedge_stability_scan", never)
+    monkeypatch.setattr(np, "logspace", never)
+    path = tmp_path / "existing.csv"
+    path.write_bytes(b"z1_re,z1_im,abs_r\n1,2,3\n")
+    assert main(["stability", "--scheme", "amf1", "--d", "2", "--theta", "0",
+                 "--radii", "0", "--csv", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_radii must be a whole number >= 1, got n_radii=0\n"
+    assert path.read_bytes() == b"z1_re,z1_im,abs_r\n1,2,3\n"
 
 
 @pytest.mark.parametrize("radii", ["4000001", "1000000000"])

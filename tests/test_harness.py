@@ -114,7 +114,8 @@ def test_tied_step_needs_divisible_grid():
 def test_rejects_grids_of_fewer_than_two_cells(n):
     # the step tau = q/N must not be formed for N < 2
     cfg = StudyConfig(dim=2, beta=0.0, scheme_id="amf2", grid_ns=(8, n))
-    with pytest.raises(ValueError, match="at least 2 cells"):
+    message = rf"^n_cells must be a whole number >= 2, got n_cells={n}$"
+    with pytest.raises(ValueError, match=message):
         run_convergence(cfg)
 
 
@@ -159,9 +160,10 @@ def test_whole_steps_are_step_counts_rule_alone(monkeypatch):
 
 
 def test_a_level_in_another_dim_is_refused_by_build_problem(monkeypatch):
+    # check_study's message below too: problem_operator states the dim rule once
     monkeypatch.setattr(harness, "integrate", None)  # nothing may run
     scheme = amf_scheme(1)
-    with pytest.raises(ValueError, match="manufactured problems exist for dim 2 and 3, got 4"):
+    with pytest.raises(ValueError, match=r"^dim must be 2 or 3, got 4$"):
         harness.run_level(4, 8, 0.0, 0.1, scheme, 0.125, 1.0)
 
 

@@ -395,6 +395,7 @@ def test_scan_rejects_more_directions_than_numpy_allows(d, theta, monkeypatch):
     *[(d, th, None, "d must be at most 63")
       for d, th in ((64, 0.0), (65, 0.0), (np.int64(65), 0.0), (10_000, np.pi / 6), (10**8, 0.5))],
     *[(2, th, None, "wedge half-angle") for th in (-0.1, 2.0, np.nan)],
+    *[(2, 0.0, n, rf"^n_radii must be a whole number >= 1, got n_radii={n}$") for n in (0, -1)],
 ], ids=lambda v: repr(v)[:20])
 def test_check_scan_refuses_what_the_scan_refuses(d, theta, n_radii, message, monkeypatch):
     # the cases of the scan's refusal tests, with no radius or sample made
