@@ -34,7 +34,7 @@ from .harness import (
     run_level,
 )
 from .integrator import NonFiniteStateError
-from .splitops import FactorSolveError
+from .splitops import FactorSolveError, GridSpec
 from .stability import _radii, check_scan, wedge_stability_scan
 from .tableau import (
     SCHEME_IDS,
@@ -104,6 +104,7 @@ def _cmd_converge(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    GridSpec(args.dim, args.n)  # its N >= 2 rule, before tau = ratio / n
     ratio = args.tau_ratio if args.tau_ratio is not None else float(args.scheme.q)
     check_memory(args.dim, args.n, args.scheme.q)  # before the problem's profiles are built
     record, row = run_level(args.dim, args.n, args.beta, args.eps, args.scheme,

@@ -232,6 +232,16 @@ def test_a_grid_of_one_cell_gives_one_message_in_converge_and_integrate(monkeypa
     assert converge.err == "error: n_cells must be a whole number >= 2, got n_cells=1\n"
 
 
+@pytest.mark.parametrize("tau_ratio", [[], ["--tau-ratio", "1"]], ids=["q", "tau-ratio"])
+def test_integrate_on_zero_cells_exits_two_with_the_grid_message(monkeypatch, capsys, tau_ratio):
+    # GridSpec refuses n before tau = ratio / n is formed, which divided by zero
+    monkeypatch.setattr(harness, "integrate", None)  # nothing may run
+    argv = ["integrate", "--dim", "2", "--beta", "0", "--scheme", "amf1", "--n", "0"]
+    assert main(argv + tau_ratio) == 2
+    want = "error: n_cells must be a whole number >= 2, got n_cells=0\n"
+    assert capsys.readouterr() == ("", want)
+
+
 @pytest.mark.parametrize("grids", ["24,24", "48,24"])
 def test_converge_grids_that_do_not_increase_strictly_exit_two(monkeypatch, grids, capsys):
     monkeypatch.setattr(harness, "integrate", None)  # nothing may run
@@ -551,7 +561,7 @@ def test_stability_radii_past_the_cap_exit_two_before_allocating(capsys, monkeyp
     # every scan refuses more than _CAP radii (n_rays**d >= 1), so the count
     # is refused before np.logspace makes them: 10^9 radii would be 7.45 GiB
     monkeypatch.setattr(np, "logspace", None)
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     rc = main(["stability", "--scheme", "amf1", "--d", "1", "--theta", "0",
                "--radii", radii])
     assert rc == 2
@@ -574,7 +584,7 @@ def test_stability_non_finite_angle_exits_two(capsys):
 
 def test_stability_subsample_past_the_cap_exits_two(capsys, monkeypatch):
     # 3**11 * 40 equal-radius tuples: refused before any sample is evaluated
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     rc = main(["stability", "--scheme", "amf1", "--d", "11", "--theta", "0.5"])
     assert rc == 2
     assert "equal-radius tuples" in capsys.readouterr().err
@@ -583,7 +593,7 @@ def test_stability_subsample_past_the_cap_exits_two(capsys, monkeypatch):
 @pytest.mark.parametrize("d,theta", [("65", "0"), ("100000000", "0.5")])
 def test_stability_past_the_direction_limit_exits_two(capsys, monkeypatch, d, theta):
     # refused at once, before any power of d or any sample
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     rc = main(["stability", "--scheme", "amf1", "--d", d, "--theta", theta])
     assert rc == 2
     assert "d must be at most 63" in capsys.readouterr().err

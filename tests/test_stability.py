@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amfrk import (
+    Stepper,
     amf_scheme,
     combine_zw,
     radau2a_tableau,
@@ -343,7 +344,7 @@ def test_scan_whose_every_sample_is_non_finite_raises(theta):
 @pytest.mark.parametrize("d", [2.5, 2.0, True, np.float64(3.0), "3"])
 def test_scan_rejects_a_direction_count_that_is_not_an_integer(d, monkeypatch):
     # rejected before any sample is evaluated
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     with pytest.raises(ValueError, match="d="):
         wedge_stability_scan(SCHEMES[1], TAB, d=d, theta=0.0, radii=[1.0])
 
@@ -356,7 +357,7 @@ def test_scan_rejects_a_direction_count_that_is_not_an_integer(d, monkeypatch):
 def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
     # 3**d * n_radii equal-radius tuples past the 4,000,000 cap, rejected
     # before any sample is evaluated
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     with pytest.raises(ValueError, match="equal-radius tuples"):
         wedge_stability_scan(SCHEMES[1], TAB, d, np.pi / 6, radii=radii)
 
@@ -367,8 +368,8 @@ def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
     (63, 0.0, [1.0]),  # the most directions the scan takes: one ray at theta = 0
 ], ids=["d10", "d13-one-radius", "d63-axis"])
 def test_scan_just_below_the_cap_reaches_the_evaluation(d, theta, radii, monkeypatch):
-    # 2,361,960, 1,594,323 and 1 equal-radius tuples: the (missing) evaluation is reached
-    monkeypatch.setattr(stability, "stability_function", None)
+    # 2,361,960, 1,594,323 and 1 equal-radius tuples: the (missing) evaluator is reached
+    monkeypatch.setattr(stability, "_Evaluator", None)
     with pytest.raises(TypeError):
         wedge_stability_scan(SCHEMES[1], TAB, d, theta, radii=radii)
 
@@ -382,7 +383,7 @@ def test_scan_just_below_the_cap_reaches_the_evaluation(d, theta, radii, monkeyp
 ], ids=["d64", "d65", "numpy-d65", "d10000", "d1e8"])
 def test_scan_rejects_more_directions_than_numpy_allows(d, theta, monkeypatch):
     # refused before any power of d is formed or any sample is evaluated
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     with pytest.raises(ValueError, match="d must be at most 63"):
         wedge_stability_scan(SCHEMES[1], TAB, d, theta)
 
@@ -399,7 +400,7 @@ def test_scan_rejects_more_directions_than_numpy_allows(d, theta, monkeypatch):
 ], ids=lambda v: repr(v)[:20])
 def test_check_scan_refuses_what_the_scan_refuses(d, theta, n_radii, message, monkeypatch):
     # the cases of the scan's refusal tests, with no radius or sample made
-    monkeypatch.setattr(stability, "stability_function", None)
+    monkeypatch.setattr(stability, "_Evaluator", None)
     with pytest.raises(ValueError, match=message):
         stability.check_scan(d, theta, n_radii)
 
@@ -613,13 +614,14 @@ def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, the
     # the orbits within _SPREAD of their ray combination's largest |R| (no
     # sample here is past floating range)
     seen = []
+    call = stability._Evaluator.__call__
 
-    def counting(scheme, tab, z, w):
-        r = stability_function(scheme, tab, z, w)
+    def counting(evaluator, z, w):  # what each block returns, its pad dropped
+        r = call(evaluator, z, w)
         seen.append(np.abs(r))
         return r
 
-    monkeypatch.setattr(stability, "stability_function", counting)
+    monkeypatch.setattr(stability._Evaluator, "__call__", counting)
     res = wedge_stability_scan(SCHEMES[2], TAB, d, theta,
                                radii=np.logspace(-3.0, 6.0, n_radii))
     n = (3 if theta else 1) * n_radii
@@ -634,6 +636,45 @@ def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, the
             if m >= top[r] * (1.0 - stability._SPREAD)]
     assert mods.size - want == sum(
         math.factorial(d) // math.prod(math.factorial(t.count(i)) for i in set(t)) for t in near)
+
+
+@pytest.mark.parametrize("keep,sub", [(False, None), (True, None), (False, (100, 300))],
+                         ids=["orbits", "every-sample", "subsample"])
+def test_scan_builds_one_stepper(monkeypatch, keep, sub):
+    # one evaluator, so one Stepper and one factor, for every block of both passes
+    if sub:
+        _subsample(monkeypatch, *sub)
+    monkeypatch.setattr(stability, "_BLOCK", 37)
+    built = []
+
+    def counting(*args):
+        built.append(Stepper(*args))
+        return built[-1]
+
+    monkeypatch.setattr(stability, "Stepper", counting)
+    res = wedge_stability_scan(SCHEMES[2], TAB, 3, np.pi / 6, radii=[0.5, 4.0, 90.0],
+                               keep_samples=keep)
+    assert res.n_samples > 10 * 37 and len(built) == 1
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+@pytest.mark.parametrize("d,block", [(1, 5), (3, 43)])
+def test_scan_blocks_are_bitwise_the_stability_function(monkeypatch, q, d, block):
+    # 6**d samples in blocks of `block`, the last of a single sample: each
+    # block is padded to the evaluator's size and the pad dropped, so every
+    # kept |R| is the one R_q gives on all the samples at once
+    monkeypatch.setattr(stability, "_BLOCK", block)
+    scheme = SCHEMES[q]
+    res = wedge_stability_scan(scheme, TAB, d, np.pi / 6, radii=[0.5, 3.0], keep_samples=True)
+    values, index, modulus = res.samples
+    assert modulus.size % block == 1
+    fac = 1.0 - scheme.gamma * values
+    zp, pp = values[index[0]], fac[index[0]]  # formed as the scan forms them
+    for ix in index[1:-1]:
+        zp, pp = zp + values[ix], fac[ix] * pp
+    z = values[index[-1]] if d == 1 else zp + values[index[-1]]
+    w = z if d == 1 else (1.0 - fac[index[-1]] * pp) * (1.0 / scheme.gamma)
+    assert modulus.tobytes() == np.abs(stability_function(scheme, TAB, z, w)).tobytes()
 
 
 @given(
