@@ -575,8 +575,8 @@ def _block_solve(
     (M, n) transposed ``cols``; returns the last block's corrected rows and
     its columns, for the caller's product with ``last_t``.
 
-    The (P-1, 2, M) neighbour terms -lo*x_{kL-1} and -up*x_{kL}, the reduced
-    system on the ends of each block's own solution, are added to the
+    The (2(P-1), M) neighbour terms -lo*x_{kL-1} and -up*x_{kL}, in turn, the
+    reduced system on the ends of each block's own solution, are added to the
     blocks' first and last rows, in rows itself; then one batched product
     solves the full blocks.
     """
