@@ -100,7 +100,6 @@ class Stepper:
         self.tau = tau
         self.sigma = scheme.gamma * tau
         op = problem.op
-        self._dtype = op.dtype  # the stages': result_type(y_n, op.dtype)
         # apply J, add J v, factor, product solve: the operator's own, or this module's
         # names, read here so that a wrapper put on one sees the Steppers built after it
         self._apply, self._add, factor, self._solve_pi = getattr(
@@ -135,7 +134,7 @@ class Stepper:
         for name, a in (("state", y_n), ("out", out)):
             if a is not None and a.shape != (m,):
                 raise ValueError(f"{name} must have shape ({m},), got {a.shape}")
-        dtype = np.result_type(y_n, self._dtype)
+        dtype = np.result_type(y_n, op.dtype)
         if self._buf is None or self._buf[0].dtype != dtype:
             # one array per role: a single block of every row is big enough
             # for the C allocator to map it from, and return it to, the

@@ -31,7 +31,6 @@ apply_full fell from about 10 to 6 ms and _add_full from 8 to 5 ms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import functools
 import math
 
 import numpy as np
@@ -268,9 +267,10 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
     direction but d-1, whose neighbours are a plane away: its terms read v
     across the block's edges and stop only at the ends of the state.
     """
-    n, last = op.grid.n_interior, op.grid.dim - 1
+    n, m, last = op.grid.n_interior, op.grid.m, op.grid.dim - 1
     plane = n**last  # unknowns per slowest-axis plane
-    for a, b, lo, hi in _apply_blocks(op.grid.dim, n, _STATE_BLOCK):
+    for planes in op.grid.state_blocks:
+        a, b = planes.start * plane, planes.stop * plane  # the block in the flat state
         vb, ob, wb = v[a:b], out[a:b], work[a:b]
         if fold is not None:
             np.multiply(vb, fold, out=wb)
@@ -282,6 +282,7 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
                 if k:
                     ob += wb
             if j == last:  # the lower, then the upper neighbour terms, stopped at the state's ends
+                lo, hi = max(a, plane), min(b, m - plane)
                 for src, dst, coeff in ((slice(lo - plane, b - plane), slice(lo, b), st.sub),
                                         (slice(a + plane, hi + plane), slice(a, hi), st.sup)):
                     np.multiply(v[src], coeff, out=work[dst])
@@ -297,16 +298,6 @@ def _apply(op, directions, v, out, work, fold=None) -> np.ndarray:
             lines[:, -1] = 0.0  # last point of each line: no right neighbour
             ob += wb
     return out
-
-
-@functools.lru_cache(maxsize=32)
-def _apply_blocks(dim: int, n: int, state_block: int) -> tuple[tuple[int, int, int, int], ...]:
-    """Per block of ``GridSpec.state_blocks``, its flat range a:b and the ends
-    lo:b, a:hi of direction d-1's neighbour terms (``_apply``): once per grid
-    size and state_block, the ``_STATE_BLOCK`` of the call."""
-    plane, m = n ** (dim - 1), n**dim
-    spans = [(p.start * plane, p.stop * plane) for p in GridSpec(dim, n + 1).state_blocks]
-    return tuple((a, b, max(a, plane), min(b, m - plane)) for a, b in spans)
 
 
 @dataclass(frozen=True, eq=False)

@@ -16,12 +16,12 @@ complex infinity there.
 A-stability in a wedge of half-angle theta means |R_q| <= 1 whenever every
 -z_k lies within theta of the positive real axis.  The wedge scan samples
 the boundary rays (where the maximum modulus principle puts any violation)
-over a cross product of radii per direction, in blocks of 8192 samples
-through one ``Stepper`` per scan (a block is one step).  z and w are
-symmetric in the directions, so a sample and its permutations share R_q up
-to rounding: the full cross product evaluates one sample per permutation
-orbit, then the orbits near a ray combination's largest |R_q| sample by
-sample.  A larger cross product is subsampled, and a subsample too large
+over a cross product of radii per direction, in blocks of 8192 samples,
+each one step of a ``Stepper`` kept while the blocks keep its length.  z
+and w are symmetric in the directions, so a sample and its permutations
+share R_q up to rounding: the full cross product evaluates one sample per
+permutation orbit, then the orbits near a ray combination's largest |R_q|
+sample by sample.  A larger cross product is subsampled, and a subsample too large
 itself is refused.
 """
 
@@ -89,46 +89,48 @@ def _no_forcing(t, out):
 
 
 class _Evaluator:
-    """R_q of one (scheme, tableau) on up to ``size`` samples a call, through one
-    ``Stepper`` on one ``_Diagonal`` whose z and inv are refilled for each call.
-    A call of fewer samples pads them with z = w = 0, where R = 1, and drops
-    the pad."""
+    """R_q of one (scheme, tableau) on ``size`` samples a call, through one
+    ``Stepper`` on one ``_Diagonal`` whose z and inv are refilled for each call."""
 
     def __init__(self, scheme: AmfScheme, tab: ButcherTableau, size: int):
+        self.scheme, self.tab, self.size = scheme, tab, size
         op = _Diagonal(GridSpec(1, size + 1), *np.empty((2, size), complex))  # z, inv
         self.stepper = Stepper(SemidiscreteProblem(op, _no_forcing), scheme, tab, 1.0)
         self.one = np.broadcast_to(np.complex128(1.0), (size,))  # y_n
 
     def __call__(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """R at the flat complex samples z and w, at most ``size`` of each."""
-        size, (_, zs, inv), gamma = z.size, self.stepper.problem.op, self.stepper.scheme.gamma
-        zs[:size], zs[size:], inv[size:] = z, 0.0, 1.0
+        """R at the flat complex samples z and w, ``size`` of each."""
+        _, zs, inv = self.stepper.problem.op
+        zs[:] = z
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            np.subtract(1.0, np.multiply(gamma, w, out=inv[:size]), out=inv[:size])
+            np.subtract(1.0, np.multiply(self.scheme.gamma, w, out=inv), out=inv)
             pole = not inv.all() and inv == 0.0  # a mask only where there is a pole
             np.divide(1.0, inv, out=inv)
             out = self.stepper.step(0.0, self.one)
         out[pole] = np.inf  # out[False] selects nothing
-        return out[:size]
+        return out
 
 
-def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w, *, evaluator=None):
+def stability_function(scheme: AmfScheme, tab: ButcherTableau, z, w, *, _evaluator=None):
     """Step multiplier R_q(z, w); accepts scalars or broadcasting arrays.
 
     R is complex infinity at the pole 1 - gamma*w = 0; samples at or beyond
     floating range (a non-finite w too) never raise, they come back huge or
     non-finite.  Empty arrays give an empty array of their broadcast shape.
-    evaluator : an ``_Evaluator`` of (scheme, tab) for at least the samples'
-    count, kept across calls (the wedge scan's blocks); by default one is
-    built at that count.
+    _evaluator : the wedge scan's ``_Evaluator``, kept across its blocks; it
+    must be of this scheme and tab at the samples' count (ValueError).  By
+    default one is built for the call.
     """
     z, w = np.broadcast_arrays(np.asarray(z, dtype=complex), np.asarray(w, dtype=complex))
     shape, size = z.shape, z.size
     if not size:  # no samples: their 1-D grid would need at least one
         return np.empty(shape, complex)
-    if evaluator is None:
-        evaluator = _Evaluator(scheme, tab, size)
-    out = evaluator(*(np.ascontiguousarray(a).reshape(-1) for a in (z, w)))
+    if _evaluator is None:
+        _evaluator = _Evaluator(scheme, tab, size)
+    elif not (_evaluator.scheme is scheme and _evaluator.tab is tab and _evaluator.size == size):
+        raise ValueError(f"the evaluator is of another scheme, tableau or sample count "
+                         f"({_evaluator.size} samples, given {size})")
+    out = _evaluator(*(np.ascontiguousarray(a).reshape(-1) for a in (z, w)))
     return complex(out[0]) if shape == () else out.reshape(shape)
 
 
@@ -165,7 +167,7 @@ class ScanResult:
                 yield ",".join([cells[i] for i in ix]) + f",{mod:.9g}"
 
 
-_BLOCK = 1 << 13  # samples per evaluated block, through the scan's one Stepper
+_BLOCK = 1 << 13  # samples per evaluated block; a pass's full blocks share one Stepper
 _DRAW = 1 << 18  # random tuples per generator call; fixes the subsample set
 _SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 seen at maxima
 _CAP = 4_000_000  # the largest cross product scanned whole, and the largest subsample's base
@@ -259,7 +261,9 @@ def wedge_stability_scan(
                 np.empty(n_samples))
     # a freed 2 MB array lifts glibc's mmap/trim thresholds: blocks reuse their pages
     np.empty(16 * _BLOCK, complex)
-    evaluator = _Evaluator(scheme, tab, min(_BLOCK, n_samples))  # every block of both passes
+    # the last block's evaluator, built again when a block's length differs from its
+    # own: a pass's full blocks share one, and no block steps more samples than it holds
+    evaluator = [None]
 
     def digits(flat, base=per_var):
         return [(flat // base**k) % base for k in range(d)]
@@ -273,8 +277,11 @@ def wedge_stability_scan(
         # given at(pos) (a sample's value indices), the first largest and the non-finite count
         z = values[last] if d == 1 else zp + values[last]
         w = z if d == 1 else (1.0 - fac[last] * pp) * inv_gamma
+        if evaluator[0] is None or evaluator[0].size != z.size:
+            evaluator[0] = None  # its buffers are freed before the next one's are made
+            evaluator[0] = _Evaluator(scheme, tab, z.size)
         # by the module's name, so that a wrapper put on it sees every block
-        mod = np.abs(stability_function(scheme, tab, z, w, evaluator=evaluator))
+        mod = np.abs(stability_function(scheme, tab, z, w, _evaluator=evaluator[0]))
         finite = np.isfinite(mod)
         mod_f = mod if finite.all() else np.where(finite, mod, -np.inf)
         if at and mod_f is not mod:

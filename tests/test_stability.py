@@ -368,8 +368,8 @@ def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
     (63, 0.0, [1.0]),  # the most directions the scan takes: one ray at theta = 0
 ], ids=["d10", "d13-one-radius", "d63-axis"])
 def test_scan_just_below_the_cap_reaches_the_evaluation(d, theta, radii, monkeypatch):
-    # 2,361,960, 1,594,323 and 1 equal-radius tuples: the (missing) evaluator is reached
-    monkeypatch.setattr(stability, "_Evaluator", None)
+    # 2,361,960, 1,594,323 and 1 equal-radius tuples: the (missing) evaluation is reached
+    monkeypatch.setattr(stability, "stability_function", None)
     with pytest.raises(TypeError):
         wedge_stability_scan(SCHEMES[1], TAB, d, theta, radii=radii)
 
@@ -616,7 +616,7 @@ def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, the
     seen = []
     call = stability._Evaluator.__call__
 
-    def counting(evaluator, z, w):  # what each block returns, its pad dropped
+    def counting(evaluator, z, w):  # what each block returns
         r = call(evaluator, z, w)
         seen.append(np.abs(r))
         return r
@@ -640,29 +640,37 @@ def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, the
 
 @pytest.mark.parametrize("keep,sub", [(False, None), (True, None), (False, (100, 300))],
                          ids=["orbits", "every-sample", "subsample"])
-def test_scan_builds_one_stepper(monkeypatch, keep, sub):
-    # one evaluator, so one Stepper and one factor, for every block of both passes
+def test_scan_builds_a_stepper_only_when_the_block_length_changes(monkeypatch, keep, sub):
+    # a pass's full blocks share one Stepper, and its last, shorter block gets
+    # its own: no block steps more samples than it holds
     if sub:
         _subsample(monkeypatch, *sub)
     monkeypatch.setattr(stability, "_BLOCK", 37)
-    built = []
+    built, blocks = [], []
+    call = stability._Evaluator.__call__
 
-    def counting(*args):
+    def building(*args):
         built.append(Stepper(*args))
         return built[-1]
 
-    monkeypatch.setattr(stability, "Stepper", counting)
+    def stepping(evaluator, z, w):  # the block's length, and its Stepper's
+        blocks.append((z.size, evaluator.stepper.problem.op.grid.m))
+        return call(evaluator, z, w)
+
+    monkeypatch.setattr(stability, "Stepper", building)
+    monkeypatch.setattr(stability._Evaluator, "__call__", stepping)
     res = wedge_stability_scan(SCHEMES[2], TAB, 3, np.pi / 6, radii=[0.5, 4.0, 90.0],
                                keep_samples=keep)
-    assert res.n_samples > 10 * 37 and len(built) == 1
+    assert res.n_samples > 10 * 37 and all(n == m for n, m in blocks)
+    changes = sum(a != b for a, b in zip(blocks, blocks[1:]))
+    assert 1 < len(built) == 1 + changes <= 4
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
 @pytest.mark.parametrize("d,block", [(1, 5), (3, 43)])
 def test_scan_blocks_are_bitwise_the_stability_function(monkeypatch, q, d, block):
-    # 6**d samples in blocks of `block`, the last of a single sample: each
-    # block is padded to the evaluator's size and the pad dropped, so every
-    # kept |R| is the one R_q gives on all the samples at once
+    # 6**d samples in blocks of `block`, the last of a single sample, which
+    # steps alone: every kept |R| is the one R_q gives on all the samples at once
     monkeypatch.setattr(stability, "_BLOCK", block)
     scheme = SCHEMES[q]
     res = wedge_stability_scan(scheme, TAB, d, np.pi / 6, radii=[0.5, 3.0], keep_samples=True)
@@ -675,6 +683,18 @@ def test_scan_blocks_are_bitwise_the_stability_function(monkeypatch, q, d, block
     z = values[index[-1]] if d == 1 else zp + values[index[-1]]
     w = z if d == 1 else (1.0 - fac[index[-1]] * pp) * (1.0 / scheme.gamma)
     assert modulus.tobytes() == np.abs(stability_function(scheme, TAB, z, w)).tobytes()
+
+
+def test_stability_function_refuses_an_evaluator_of_another_scheme_or_count():
+    # the scan's evaluator gives the call's own bits, and no other scheme's R
+    z = np.linspace(-3.0, 2.0, 3) + 1j
+    ev = stability._Evaluator(SCHEMES[1], TAB, 3)
+    got = stability_function(SCHEMES[1], TAB, z, z, _evaluator=ev)
+    assert got.tobytes() == stability_function(SCHEMES[1], TAB, z, z).tobytes()
+    for args in ((SCHEMES[2], TAB, z, z), (SCHEMES[1], TAB, z[:2], z[:2]),
+                 (SCHEMES[1], TAB, z[0], z[0])):
+        with pytest.raises(ValueError, match="evaluator"):
+            stability_function(*args, _evaluator=ev)
 
 
 @given(
