@@ -19,10 +19,12 @@ the boundary rays (where the maximum modulus principle puts any violation)
 over a cross product of radii per direction, in blocks of 8192 samples,
 each one step of a ``Stepper`` kept while the blocks keep its length.  z
 and w are symmetric in the directions, so a sample and its permutations
-share R_q up to rounding: the full cross product evaluates one sample per
-permutation orbit, then the orbits near a ray combination's largest |R_q|
-sample by sample.  A larger cross product is subsampled, and a subsample too large
-itself is refused.
+share R_q up to rounding, and the -theta ray holds the +theta ray's
+conjugates, where |R_q| is bitwise the same: the full cross product
+evaluates one sample per conjugate pair of permutation orbits, in full
+blocks, then the orbits near a ray combination's largest |R_q| and their
+conjugates sample by sample.  A larger cross product is subsampled, and a
+subsample too large itself is refused.
 """
 
 from __future__ import annotations
@@ -83,6 +85,9 @@ class _Diagonal(NamedTuple):
     )
 
 
+_ONE = np.complex128(1.0).tobytes()
+
+
 def _no_forcing(t, out):
     out.fill(0.0)
     return out
@@ -96,7 +101,8 @@ class _Evaluator:
         self.scheme, self.tab, self.size = scheme, tab, size
         op = _Diagonal(GridSpec(1, size + 1), *np.empty((2, size), complex))  # z, inv
         self.stepper = Stepper(SemidiscreteProblem(op, _no_forcing), scheme, tab, 1.0)
-        self.one = np.broadcast_to(np.complex128(1.0), (size,))  # y_n
+        # y_n = 1: a read-only view of one value, a fifth of broadcast_to's cost
+        self.one = np.ndarray((size,), complex, _ONE, strides=(0,))
 
     def __call__(self, z: np.ndarray, w: np.ndarray) -> np.ndarray:
         """R at the flat complex samples z and w, ``size`` of each."""
@@ -230,11 +236,13 @@ def wedge_stability_scan(
     |R|.  Samples whose |R| is not finite, singular or past floating range,
     are counted in n_excluded, silently; a scan whose every sample is
     non-finite raises RuntimeError.  The full cross product (without
-    keep_samples) evaluates R_q once per permutation orbit, C(n + d - 1, d)
-    samples of n = n_rays*n_radii values, then sample by sample on the
-    orbits within _SPREAD of their ray combination's largest |R|: bitwise
-    what evaluating every sample gives while an orbit's samples round less
-    than _SPREAD / 2 apart there.
+    keep_samples) evaluates R_q once per conjugate pair of permutation
+    orbits: once per orbit with no more -theta values than +theta values, of
+    the C(n + d - 1, d) orbits of n = n_rays*n_radii values, in blocks that
+    each hold _BLOCK samples but the last.  Then it evaluates sample by
+    sample the orbits within _SPREAD of their ray combination's largest |R|,
+    and their conjugate orbits: bitwise what evaluating every sample gives
+    while an orbit's samples round less than _SPREAD / 2 apart there.
     """
     radii = _radii() if radii is None else np.asarray(radii, float)
     d = check_scan(d, theta, radii.size)
@@ -311,28 +319,47 @@ def wedge_stability_scan(
             def near(mod, combo):  # within _SPREAD of the combination's maximum, or not finite
                 return ~(mod < acc[combo] * (1.0 - _SPREAD))
 
-            flat, zp, pp = np.zeros(1, int), values, fac  # the empty tuple
-            for k in range(d):  # the tuples of directions < d-1, their sums and products
+            # the -theta ray holds the +theta ray's conjugates, and |R| is bitwise the same at
+            # conjugate samples: an orbit with more -theta values than +theta values is left to
+            # its conjugate orbit.  tilt counts a value's ray as -1 (+theta) or +1 (-theta)
+            tilt = np.repeat([-1, 1, 0] if theta > 0.0 else [0], n_radii)
+            (flat, excess), zp, pp = np.zeros((2, 1), int), values, fac  # the empty tuple
+            for k in range(d):  # the tuples of directions < d-1, their sums, products and tilts
                 ends = flat // per_var ** (k - 1) if k else [per_var]  # the empty tuple: any a
                 start = np.searchsorted(ends, np.arange(per_var))
                 off = np.concatenate(([0], np.cumsum(flat.size - start)))
                 if k < d - 1:
                     sel, new = extend(0, off[-1])
-                    flat = flat[sel] + new * per_var**k
+                    flat, excess = flat[sel] + new * per_var**k, excess[sel] + tilt[new]
                     if k:
                         zp, pp = zp[sel] + values[new], fac[new] * pp[sel]
-            fast_combo, cands = code(np.array(digits(flat)) // n_radii, n_rays), []
+            # a value a extends only the shorter tuples from start[a] on whose tilts sum to at
+            # most -tilt[a].  runs lists them ray by ray, as codes r*P + p of ray r and shorter
+            # tuple p (of P), and a takes its run up to its ray's end (extend gives a place in
+            # runs): each block but the last holds _BLOCK samples, all on one Stepper
+            fast_combo = code(np.array(digits(flat)) // n_radii, n_rays)
+            runs = np.flatnonzero(excess <= -tilt[::n_radii, None])
+            at = np.arange(per_var) // n_radii * flat.size  # a value's ray r, as r*P
+            start, end = np.searchsorted(runs, [at + start, at + flat.size])
+            off, runs, cands = np.concatenate(([0], np.cumsum(end - start))), runs % flat.size, []
             for lo in range(0, off[-1], _BLOCK):
                 sel, last = extend(lo, min(lo + _BLOCK, off[-1]))
+                sel = runs[sel]
                 combo = fast_combo[sel] + last // n_radii * n_rays ** (d - 1)
                 mod = evaluate(zp[sel], pp[sel], last, combo)
                 keep = near(mod, combo)
                 cands.append((flat[sel[keep]] + last[keep] * per_var ** (d - 1), mod[keep]))
             # the orbits within _SPREAD of their combination's maximum, or not finite, are
-            # evaluated again, every sample in its own order: per_ray, the maximum, the
-            # argmax and the count of non-finite samples are what evaluating every sample gives
+            # evaluated again with their conjugate orbits, every sample in its own order:
+            # per_ray, the maximum, the argmax and the count of non-finite samples are what
+            # evaluating every sample gives.  A ray combination keeps all its orbits or none,
+            # so acc holds the first-pass maximum of every combination with candidates
             flat, mod = map(np.concatenate, zip(*cands))
-            flat, size = flat[near(mod, code(np.array(digits(flat)) // n_radii, n_rays))], -1
+            t = np.array(digits(flat))
+            keep, t = near(mod, code(t // n_radii, n_rays)), tilt[t]
+            plus = keep & (t.sum(axis=0) < 0)  # orbits whose conjugates were left out
+            # a conjugate swaps the +theta and -theta rays: value index a - n_radii*tilt[a]
+            flat, size = np.concatenate([flat[keep], (flat - n_radii * code(t))[plus]]), -1
             while flat.size > size:  # with all their samples: swaps of adjacent directions
                 size, t = flat.size, digits(flat)
                 swaps = ((t[k] - t[k + 1]) * (per_var - 1) * per_var**k for k in range(d - 1))
