@@ -357,7 +357,7 @@ def wedge_stability_scan(
             flat, mod = map(np.concatenate, zip(*cands))
             t = np.array(digits(flat))
             keep, t = near(mod, code(t // n_radii, n_rays)), tilt[t]
-            plus = keep & (t.sum(axis=0) < 0)  # orbits whose conjugates were left out
+            plus = keep & (t.sum(axis=0) < 0)  # near, with their conjugate orbits left out
             # a conjugate swaps the +theta and -theta rays: value index a - n_radii*tilt[a]
             flat, size = np.concatenate([flat[keep], (flat - n_radii * code(t))[plus]]), -1
             while flat.size > size:  # with all their samples: swaps of adjacent directions
@@ -391,7 +391,7 @@ def wedge_stability_scan(
 
     if best[1] is None:
         raise RuntimeError("every scan sample was non-finite (singular or past the float range)")
-    per_ray = {tuple(float(rays[(cid // n_rays**k) % n_rays]) for k in range(d)): m
-               for cid, m in enumerate(acc.tolist())}  # the rays are distinct
+    combos = np.indices((n_rays,) * d).reshape(d, -1)[::-1]  # row k: each combination's ray k
+    per_ray = dict(zip(map(tuple, rays[combos].T.tolist()), acc.tolist()))  # the rays are distinct
     return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)
 
