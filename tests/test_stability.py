@@ -14,7 +14,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from amfrk import (
@@ -600,19 +600,43 @@ def test_scan_negative_rays_hold_the_conjugate_values():
     assert np.all(axis.imag == 0.0)
 
 
+def _first_pass_orbits(n_radii, d, theta):
+    """The orbits the full scan first evaluates, in its order: the index tuples
+    i_{d-1} <= ... <= i_0, written ascending, with no more -theta values
+    (n_radii <= i < 2*n_radii) than +theta values (i < n_radii); every orbit
+    at theta = 0, where each index is below n_radii."""
+    n = (3 if theta else 1) * n_radii
+    return [t for t in itertools.combinations_with_replacement(range(n), d)
+            if sum(n_radii <= i < 2 * n_radii for i in t) <= sum(i < n_radii for i in t)]
+
+
+def _record_blocks(monkeypatch):
+    """Patch the scan's evaluator to record each block's z; returns the list."""
+    seen = []
+    call = stability._Evaluator.__call__
+
+    def recording(evaluator, z, w):
+        seen.append(z.copy())
+        return call(evaluator, z, w)
+
+    monkeypatch.setattr(stability._Evaluator, "__call__", recording)
+    return seen
+
+
 @pytest.mark.parametrize("d,theta,n_radii,want", [
-    (3, np.pi / 6, 40, 295_240),  # the d=3 wedge of the benchmark
-    (2, np.pi / 2, 40, 7_260),
-    (3, 0.0, 10, 220),  # every sample on the real axis
-    (2, 0.3, 4, 78),
+    (3, np.pi / 6, 40, 185_360),  # the d=3 wedge of the benchmark
+    (2, np.pi / 2, 40, 4_840),
+    (3, 0.0, 10, 220),  # every sample on the real axis: every orbit
+    (2, 0.3, 4, 52),
 ], ids=["wedge3d", "d2-half-plane", "axis", "d2"])
-def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, theta,
-                                                             n_radii, want):
-    # z and w are symmetric in the directions: the first pass evaluates one
-    # sample of each orbit, C(n + d - 1, d) of n values per direction, in scan
-    # order (index tuples i_{d-1} <= ... <= i_0); the second every sample of
-    # the orbits within _SPREAD of their ray combination's largest |R| (no
-    # sample here is past floating range)
+def test_scan_evaluates_one_sample_of_each_conjugate_pair_of_orbits(monkeypatch, d, theta,
+                                                                    n_radii, want):
+    # z and w are symmetric in the directions, and the -theta ray holds the
+    # +theta ray's conjugates: the first pass evaluates one sample of each
+    # orbit with no more -theta values than +theta values, in scan order; the
+    # second every sample of the orbits within _SPREAD of their ray
+    # combination's largest |R|, and of the conjugate orbits of those with more
+    # +theta values (no sample here is past floating range)
     seen = []
     call = stability._Evaluator.__call__
 
@@ -625,17 +649,53 @@ def test_scan_evaluates_one_sample_of_each_permutation_orbit(monkeypatch, d, the
     res = wedge_stability_scan(SCHEMES[2], TAB, d, theta,
                                radii=np.logspace(-3.0, 6.0, n_radii))
     n = (3 if theta else 1) * n_radii
-    assert want == math.comb(n + d - 1, d) and res.n_samples == n**d
+    orbits = _first_pass_orbits(n_radii, d, theta)
+    assert want == len(orbits) and res.n_samples == n**d
+    assert (want < math.comb(n + d - 1, d)) == (theta > 0)  # every orbit at theta = 0
     mods = np.concatenate(seen)
-    orbits = list(itertools.combinations_with_replacement(range(n), d))
     rays = [tuple(i // n_radii for i in t) for t in orbits]
     top = {}
     for r, m in zip(rays, mods[:want].tolist()):
         top[r] = max(top.get(r, 0.0), m)
     near = [t for t, r, m in zip(orbits, rays, mods[:want].tolist())
             if m >= top[r] * (1.0 - stability._SPREAD)]
+    swap = [*range(n_radii, 2 * n_radii), *range(n_radii), *range(2 * n_radii, n)]
+    conj = [tuple(sorted(swap[i] for i in t)) for t in near if theta and
+            sum(i < n_radii for i in t) > sum(n_radii <= i < 2 * n_radii for i in t)]
     assert mods.size - want == sum(
-        math.factorial(d) // math.prod(math.factorial(t.count(i)) for i in set(t)) for t in near)
+        math.factorial(d) // math.prod(math.factorial(t.count(i)) for i in set(t))
+        for t in near + conj)
+
+
+def test_scan_first_pass_has_no_more_minus_theta_values_than_plus_theta_values(monkeypatch):
+    # on radii 1 and 1000, -Im z / sin(theta) = D_1 + 1000 D_2, where D_r is
+    # the count of +theta values of radius r less the count of -theta values
+    # of radius r: their sum is the sample's +theta excess
+    seen = _record_blocks(monkeypatch)
+    d, theta, radii = 3, np.pi / 3, [1.0, 1000.0]
+    monkeypatch.setattr(stability, "_BLOCK", 7)
+    wedge_stability_scan(SCHEMES[2], TAB, d, theta, radii=radii)
+    x = -np.concatenate(seen).imag / np.sin(theta)
+    d_1000 = np.round(x / 1000.0)
+    excess = np.round(x - 1000.0 * d_1000) + d_1000
+    first = len(_first_pass_orbits(len(radii), d, theta))
+    assert np.all(excess[:first] >= 0)
+    assert np.any(excess[first:] < 0)  # the conjugates of near orbits, in the second pass
+
+
+def test_scan_orbit_blocks_are_full_but_each_pass_last(monkeypatch):
+    # the orbits left to their conjugates leave no gaps: a pass's blocks hold
+    # _BLOCK samples each, all but its last
+    seen = _record_blocks(monkeypatch)
+    monkeypatch.setattr(stability, "_BLOCK", 37)
+    d, theta, radii = 4, np.pi / 6, [0.5, 90.0]
+    res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, radii=radii)
+    sizes = [z.size for z in seen]
+    first = list(itertools.accumulate(sizes)).index(
+        len(_first_pass_orbits(len(radii), d, theta))) + 1
+    for blocks in (sizes[:first], sizes[first:]):
+        assert blocks and set(blocks[:-1]) <= {37} and 0 < blocks[-1] <= 37
+    assert first > 1 and len(sizes) - first > 1 and res.n_samples == 6**4
 
 
 @pytest.mark.parametrize("keep,sub", [(False, None), (True, None), (False, (100, 300))],
@@ -726,10 +786,12 @@ def test_scan_matches_reference_on_drawn_wedges(d, theta, radii, block, keep):
                    min_size=1, max_size=3, unique=True).filter(lambda r: min(r) < 1e200),
     block=st.sampled_from([5, 37, 1000]),
 )
+@example(d=3, theta=np.pi / 2, radii=[0.05], block=5)  # conjugate orbits at one radius
 @settings(max_examples=25, deadline=None)
 def test_scan_orbits_give_what_every_sample_gives(d, theta, radii, block):
-    # each orbit evaluated once, then the near-maximal ones sample by sample,
-    # bitwise against the same scan evaluating every sample (keep_samples)
+    # one orbit of each conjugate pair evaluated once, then the near-maximal
+    # ones and their conjugates sample by sample, bitwise against the same
+    # scan evaluating every sample (keep_samples)
     kw = dict(radii=radii)
     with mock.patch.object(stability, "_BLOCK", block), \
             np.errstate(over="ignore", invalid="ignore"):
