@@ -117,8 +117,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_stability(args) -> int:
-    check_scan(args.d, args.theta, args.radii)  # before the radii are made or --csv opened
     keep = args.csv is not None
+    check_scan(args.d, args.theta, args.radii, keep)  # before the radii are made or --csv opened
     # --csv is opened before the scan, as a shell redirect would be
     with open(args.csv, "w", encoding="utf-8") if keep else nullcontext() as fh:
         radii = None if args.radii is None else _radii(args.radii)

@@ -208,10 +208,12 @@ class Stepper:
         if y.shape != (m,):
             raise ValueError(f"initial state must have shape ({m},), got {y.shape}")
         _check_finite(y, 0, 0.0)
-        for n in range(n_steps):
-            # the first step allocates, so the caller's y0 is never written
-            y = self.step(n * self.tau, y, out=y if n else None)
-            _check_finite(y, n + 1, (n + 1) * self.tau)
+        # a step past the float range raises NonFiniteStateError, not a RuntimeWarning
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for n in range(n_steps):
+                # the first step allocates, so the caller's y0 is never written
+                y = self.step(n * self.tau, y, out=y if n else None)
+                _check_finite(y, n + 1, (n + 1) * self.tau)
         return y if n_steps else y.copy()
 
 

@@ -16,15 +16,15 @@ complex infinity there.
 A-stability in a wedge of half-angle theta means |R_q| <= 1 whenever every
 -z_k lies within theta of the positive real axis.  The wedge scan samples
 the boundary rays (where the maximum modulus principle puts any violation)
-over a cross product of radii per direction, in blocks of 8192 samples,
-each one step of a ``Stepper`` kept while the blocks keep its length.  z
-and w are symmetric in the directions, so a sample and its permutations
-share R_q up to rounding, and the -theta ray holds the +theta ray's
-conjugates, where |R_q| is bitwise the same: the full cross product
-evaluates one sample per conjugate pair of permutation orbits, in full
-blocks, then the orbits near a ray combination's largest |R_q| and their
-conjugates sample by sample.  A larger cross product is subsampled, and a
-subsample too large itself is refused.
+over the full cross product of radii per direction, for d <= 4 directions,
+in blocks of 8192 samples, each one step of a ``Stepper`` kept while the
+blocks keep its length.  z and w are symmetric in the directions, so a
+sample and its permutations share R_q up to rounding, and the -theta ray
+holds the +theta ray's conjugates, where |R_q| is bitwise the same: the
+scan evaluates one sample per conjugate pair of permutation orbits, in full
+blocks, then every permutation of the orbits near a ray combination's
+largest |R_q| and of their conjugates.  A scan of more orbits than the cap
+is refused.
 """
 
 from __future__ import annotations
@@ -174,11 +174,9 @@ class ScanResult:
 
 
 _BLOCK = 1 << 13  # samples per evaluated block; a pass's full blocks share one Stepper
-_DRAW = 1 << 18  # random tuples per generator call; fixes the subsample set
 _SPREAD = 1e-11  # relative |R| spread of an orbit's samples allowed for: 8e-15 seen at maxima
-_CAP = 4_000_000  # the largest cross product scanned whole, and the largest subsample's base
-_N_RANDOM = 1_000_000  # random tuples (from seed 0) the subsample adds
-_MAX_D = 63  # directions: np.indices((n_rays,) * d) has d + 1 axes, and NumPy allows 64
+_CAP = 10_000_000  # the most permutation orbits a scan evaluates, and samples it keeps
+_MAX_D = 4  # directions: d! <= 24 permutations per orbit
 _RADII = 40  # radii per ray when a scan is given none
 
 
@@ -192,20 +190,25 @@ def _radii(n: int = _RADII) -> np.ndarray:
     return np.logspace(-3.0, 6.0, n)
 
 
-def check_scan(d: int, theta: float, n_radii: Optional[int] = None) -> int:
-    """d as an int; raises ValueError for a d, theta or n_radii (None: _RADII) the scan refuses."""
+def check_scan(d: int, theta: float, n_radii: Optional[int] = None,
+               keep_samples: bool = False) -> int:
+    """d as an int; raises ValueError for a d, theta or n_radii (None: _RADII) the scan
+    refuses: d past _MAX_D = 4, more than _CAP permutation orbits, or with keep_samples
+    more than _CAP samples."""
     check_count("d", d, 1)
     if d > _MAX_D:
-        raise ValueError(f"d must be at most {_MAX_D}, got d={d}: the subsample's ray "
-                         "indices would pass NumPy's 64 array dimensions")
+        raise ValueError(f"d must be at most {_MAX_D}, got d={d}")
     d = int(d)  # a NumPy integer's powers would wrap around
     if not 0.0 <= theta <= np.pi / 2:
         raise ValueError(f"wedge half-angle must lie in [0, pi/2], got {theta}")
-    n_rays, n_radii = _rays(theta).size, (_RADII if n_radii is None else n_radii)
+    n_radii = _RADII if n_radii is None else n_radii
     check_count("n_radii", n_radii, 1)
-    if n_rays**d * n_radii > _CAP:  # each direction more triples the subsample's base
-        raise ValueError(f"{d} directions of {n_radii} radii would subsample "
-                         f"{n_rays}**{d} * {n_radii} equal-radius tuples, past {_CAP}")
+    n = _rays(theta).size * int(n_radii)  # values per direction
+    if (orbits := math.comb(n + d - 1, d)) > _CAP:
+        raise ValueError(f"{d} directions of {n} values have {orbits} permutation orbits, "
+                         f"past {_CAP}")
+    if keep_samples and n**d > _CAP:
+        raise ValueError(f"keep_samples would hold {n}**{d} samples, past {_CAP}")
     return d
 
 
@@ -221,31 +224,27 @@ def wedge_stability_scan(
 
     Each direction samples the wedge boundary: the rays arg(-z_k) = +-theta
     plus the negative real axis (just the real axis when theta = 0).  Radii
-    default to _RADII = 40 points log-spaced on [1e-3, 1e6].  d is a whole
-    number from 1 to _MAX_D = 63; ``check_scan`` refuses any other d at once.
-
-    The full (ray, radius) cross product across the d directions is scanned
-    when its size fits _CAP; otherwise a deterministic subsample is used
-    (all ray combinations crossed with equal-radius-index tuples, plus
-    _N_RANDOM random tuples drawn from seed 0).  When the equal-radius tuples
-    alone, n_rays**d * n_radii, pass _CAP (d = 11 at the default radii) the
-    scan raises ValueError before it evaluates anything.  Samples are ordered
-    with direction 0 fastest; z adds the directions in order and w's product
-    takes each new factor from the left (vector complex products are not
-    bitwise commutative).  The argmax is the first sample of largest finite
-    |R|.  Samples whose |R| is not finite, singular or past floating range,
-    are counted in n_excluded, silently; a scan whose every sample is
-    non-finite raises RuntimeError.  The full cross product (without
-    keep_samples) evaluates R_q once per conjugate pair of permutation
-    orbits: once per orbit with no more -theta values than +theta values, of
-    the C(n + d - 1, d) orbits of n = n_rays*n_radii values, in blocks that
-    each hold _BLOCK samples but the last.  Then it evaluates sample by
-    sample the orbits within _SPREAD of their ray combination's largest |R|,
-    and their conjugate orbits: bitwise what evaluating every sample gives
-    while an orbit's samples round less than _SPREAD / 2 apart there.
+    default to _RADII = 40 points log-spaced on [1e-3, 1e6].  The scan covers
+    the full (ray, radius) cross product of its n = n_rays*n_radii values
+    across the d directions.  ``check_scan`` refuses at once, before anything
+    is evaluated, a d that is not a whole number from 1 to _MAX_D = 4, more
+    than _CAP permutation orbits, C(n + d - 1, d), and with keep_samples more
+    than _CAP samples, n**d.  Samples are ordered with direction 0 fastest; z
+    adds the directions in order and w's product takes each new factor from
+    the left (vector complex products are not bitwise commutative).  The
+    argmax is the first sample in that order of largest finite |R|.  Samples
+    whose |R| is not finite, singular or past floating range, are counted in
+    n_excluded, silently; a scan whose every sample is non-finite raises
+    RuntimeError.  With keep_samples every sample is evaluated.  Without, R_q
+    is evaluated once per conjugate pair of permutation orbits: once per orbit
+    with no more -theta values than +theta values, in blocks that each hold
+    _BLOCK samples but the last.  Then it evaluates every sample of the
+    orbits within _SPREAD of their ray combination's largest |R|, and of their
+    conjugate orbits: bitwise what evaluating every sample gives while an
+    orbit's samples round less than _SPREAD / 2 apart there.
     """
     radii = _radii() if radii is None else np.asarray(radii, float)
-    d = check_scan(d, theta, radii.size)
+    d = check_scan(d, theta, radii.size, keep_samples)
     if radii.ndim != 1 or not np.all(np.isfinite(radii) & (radii > 0)):
         raise ValueError("radii must be a 1-D array of finite positive values")
     rays = _rays(theta)
@@ -260,10 +259,9 @@ def wedge_stability_scan(
     gamma = scheme.gamma
     fac, inv_gamma = 1.0 - gamma * values, 1.0 / gamma
     acc = np.full(n_rays**d, -np.inf)  # max |R| at combination sum ray_k*n_rays**k
-    best, n_excluded = [-np.inf, None], [0]  # (max |R|, value indices)
-    full = per_var**d <= _CAP
-    n_samples = per_var**d if full else n_rays**d * n_radii + _N_RANDOM
-    kept, n_kept = None, 0
+    n_samples = per_var**d
+    best, n_excluded = [-np.inf, n_samples], [0]  # (max |R|, its first sample's code)
+    kept = None
     if keep_samples:  # value indices in the smallest integer type that holds them
         kept = (values, np.empty((d, n_samples), np.min_scalar_type(per_var - 1)),
                 np.empty(n_samples))
@@ -273,16 +271,16 @@ def wedge_stability_scan(
     # own: a pass's full blocks share one, and no block steps more samples than it holds
     evaluator = [None]
 
-    def digits(flat, base=per_var):
-        return [(flat // base**k) % base for k in range(d)]
+    def digits(flat, base=per_var):  # a sample's scan-order code to its (d, n) value indices
+        return np.array([(flat // base**k) % base for k in range(d)])
 
-    def code(tuples, base=per_var):  # the inverse of digits, on a (d, n) index array
+    def code(tuples, base=per_var):  # the inverse of digits
         return (tuples * base ** np.arange(len(tuples))[:, None]).sum(axis=0)
 
-    def evaluate(zp, pp, last, combo, at=None):
+    def evaluate(zp, pp, last, combo, codes=None):
         # |R| at samples with value index `last` in direction d-1 (zp, pp: the sum and product
         # over the others); keeps the running maxima of finite |R| per ray combination and,
-        # given at(pos) (a sample's value indices), the first largest and the non-finite count
+        # given the samples' codes, the first largest and the non-finite count
         z = values[last] if d == 1 else zp + values[last]
         w = z if d == 1 else (1.0 - fac[last] * pp) * inv_gamma
         if evaluator[0] is None or evaluator[0].size != z.size:
@@ -292,20 +290,29 @@ def wedge_stability_scan(
         mod = np.abs(stability_function(scheme, tab, z, w, _evaluator=evaluator[0]))
         finite = np.isfinite(mod)
         mod_f = mod if finite.all() else np.where(finite, mod, -np.inf)
-        if at and mod_f is not mod:
+        if codes is not None:
             n_excluded[0] += mod.size - int(np.count_nonzero(finite))
-        if at and (top := float(mod_f.max())) > best[0]:
-            best[0], best[1] = top, at(int(np.argmax(mod_f)))
+            top = float(mod_f.max())
+            first = int(codes[mod_f == top].min())  # blocks come in any order
+            if (top, -first) > (best[0], -best[1]):
+                best[:] = top, first
         np.maximum.at(acc, combo, mod_f)
         return mod
 
-    def point(idx):
-        parts = tuple(complex(values[i]) for i in idx)
-        return ComplexPoint(parts, *combine_zw(parts, gamma))
+    def run(idx):  # every sample of the (d, n) value indices idx
+        zp, pp = values[idx[0]], fac[idx[0]]
+        for ix in idx[1:-1]:
+            zp, pp = zp + values[ix], fac[ix] * pp
+        return evaluate(zp, pp, idx[-1], code(idx // n_radii, n_rays), code(idx))
 
     # samples past floating range come back non-finite and are excluded
     with np.errstate(over="ignore", invalid="ignore"):
-        if full and not keep_samples:
+        if keep_samples:  # every sample, for its own |R|, in scan order
+            for lo in range(0, n_samples, _BLOCK):
+                hi = min(lo + _BLOCK, n_samples)
+                idx = digits(np.arange(lo, hi))
+                kept[1][:, lo:hi], kept[2][lo:hi] = idx, run(idx)
+        else:
             # z and w are symmetric in the directions, so each permutation orbit is first
             # evaluated once, at its first sample in scan order, whose value indices do not
             # increase from direction 0 to d-1.  Extended by one direction, such a tuple
@@ -337,7 +344,7 @@ def wedge_stability_scan(
             # most -tilt[a].  runs lists them ray by ray, as codes r*P + p of ray r and shorter
             # tuple p (of P), and a takes its run up to its ray's end (extend gives a place in
             # runs): each block but the last holds _BLOCK samples, all on one Stepper
-            fast_combo = code(np.array(digits(flat)) // n_radii, n_rays)
+            fast_combo = code(digits(flat) // n_radii, n_rays)
             runs = np.flatnonzero(excess <= -tilt[::n_radii, None])
             at = np.arange(per_var) // n_radii * flat.size  # a value's ray r, as r*P
             start, end = np.searchsorted(runs, [at + start, at + flat.size])
@@ -350,48 +357,34 @@ def wedge_stability_scan(
                 keep = near(mod, combo)
                 cands.append((flat[sel[keep]] + last[keep] * per_var ** (d - 1), mod[keep]))
             # the orbits within _SPREAD of their combination's maximum, or not finite, are
-            # evaluated again with their conjugate orbits, every sample in its own order:
-            # per_ray, the maximum, the argmax and the count of non-finite samples are what
-            # evaluating every sample gives.  A ray combination keeps all its orbits or none,
-            # so acc holds the first-pass maximum of every combination with candidates
+            # evaluated again with their conjugate orbits, every sample: per_ray, the maximum,
+            # the argmax and the count of non-finite samples are what evaluating every sample
+            # gives.  A ray combination keeps all its orbits or none, so acc holds the
+            # first-pass maximum of every combination with candidates
             flat, mod = map(np.concatenate, zip(*cands))
-            t = np.array(digits(flat))
+            t = digits(flat)
             keep, t = near(mod, code(t // n_radii, n_rays)), tilt[t]
             plus = keep & (t.sum(axis=0) < 0)  # near, with their conjugate orbits left out
             # a conjugate swaps the +theta and -theta rays: value index a - n_radii*tilt[a]
-            flat, size = np.concatenate([flat[keep], (flat - n_radii * code(t))[plus]]), -1
-            while flat.size > size:  # with all their samples: swaps of adjacent directions
-                size, t = flat.size, digits(flat)
-                swaps = ((t[k] - t[k + 1]) * (per_var - 1) * per_var**k for k in range(d - 1))
-                flat = np.sort(np.concatenate([flat, *(flat + s for s in swaps)]))
-                flat = flat[np.diff(flat, prepend=-1) > 0]  # np.unique hashes: 20x slower here
-            batches = [digits(flat)]
-        elif full:  # every sample, for its own |R|, in scan order
-            batches = (digits(np.arange(s, min(s + _DRAW, per_var**d)))
-                       for s in range(0, per_var**d, _DRAW))
-        else:  # equal-radius-index tuples across every ray combination, then random
-            ray_digits = [r.reshape(-1) * n_radii for r in np.indices((n_rays,) * d)[::-1]]
-            rng = np.random.default_rng(0)
-            diagonal = ([dig + ri for dig in ray_digits] for ri in range(n_radii))
-            draws = (rng.integers(0, per_var, size=(d, min(_DRAW, _N_RANDOM - s)))
-                     for s in range(0, _N_RANDOM, _DRAW))
-            batches = itertools.chain(diagonal, draws)
-        for batch in batches:
-            for b0 in range(0, batch[0].size, _BLOCK):
-                idx = [ix[b0 : b0 + _BLOCK] for ix in batch]
-                zp, pp = values[idx[0]], fac[idx[0]]
-                for ix in idx[1:-1]:
-                    zp, pp = zp + values[ix], fac[ix] * pp
-                mod = evaluate(zp, pp, idx[-1], code(np.array(idx) // n_radii, n_rays),
-                               lambda pos: [ix[pos] for ix in idx])
-                if keep_samples:
-                    kept[1][:, n_kept : n_kept + mod.size] = idx
-                    kept[2][n_kept : n_kept + mod.size] = mod
-                    n_kept += mod.size
+            t = digits(np.concatenate([flat[keep], (flat - n_radii * code(t))[plus]]))
+            # every sample of these orbits: permutation p puts direction p[k] of an orbit's t in
+            # direction k.  Equal values of t sit side by side, and of the permutations that
+            # only reorder them, the one that keeps their order stands for all
+            perms = np.array(list(itertools.permutations(range(d))))
+            order = np.argsort(perms, axis=1)  # order[p, j]: where p puts direction j of t
+            ties = (t[:-1] == t[1:])[None] & (order[:, :-1] > order[:, 1:])[:, :, None]
+            distinct = ~ties.any(axis=1)  # (permutation, orbit)
+            off = np.concatenate(([0], np.cumsum(distinct.sum(axis=0))))
+            for lo in range(0, off[-1], _BLOCK):  # the samples in orbit order, a block at a time
+                hi = min(lo + _BLOCK, off[-1])
+                m0, m1 = np.searchsorted(off, lo, side="right") - 1, np.searchsorted(off, hi)
+                pos = np.flatnonzero(distinct[:, m0:m1].T)[lo - off[m0] : hi - off[m0]]
+                run(t[perms[pos % len(perms)].T, m0 + pos // len(perms)])
 
-    if best[1] is None:
+    if best[0] == -np.inf:
         raise RuntimeError("every scan sample was non-finite (singular or past the float range)")
     combos = np.indices((n_rays,) * d).reshape(d, -1)[::-1]  # row k: each combination's ray k
     per_ray = dict(zip(map(tuple, rays[combos].T.tolist()), acc.tolist()))  # the rays are distinct
-    return ScanResult(best[0], point(best[1]), per_ray, n_samples, n_excluded[0], kept)
-
+    parts = tuple(complex(values[i]) for i in digits(best[1]))
+    return ScanResult(best[0], ComplexPoint(parts, *combine_zw(parts, gamma)), per_ray,
+                      n_samples, n_excluded[0], kept)

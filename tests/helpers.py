@@ -529,11 +529,10 @@ def reference_wedge_scan(
     d,
     theta,
     radii=None,
-    cap=4_000_000,
-    n_random=1_000_000,
     keep_samples=False,
 ):
-    """Wedge scan of |R_q| by index gathers in chunks of 2^18 samples."""
+    """Wedge scan of |R_q| by index gathers in chunks of 2^18 samples, every
+    sample of the full cross product."""
     radii = (np.logspace(-3.0, 6.0, 40) if radii is None
              else np.asarray(radii, dtype=float))
     rays_arr = np.asarray([0.0] if theta == 0.0 else [theta, -theta, 0.0])
@@ -595,21 +594,9 @@ def reference_wedge_scan(
             kept[1].append(mod)
 
     chunk = 1 << 18
-    if total <= cap:
-        for start in range(0, total, chunk):
-            flat = np.arange(start, min(start + chunk, total))
-            eval_chunk([(flat // per_var**k) % per_var for k in range(d)])
-    else:
-        ray_grid = np.arange(n_rays**d)
-        ray_digits = [(ray_grid // n_rays**k) % n_rays for k in range(d)]
-        for ri in range(n_radii):
-            eval_chunk([dig * n_radii + ri for dig in ray_digits])
-        rng = np.random.default_rng(0)
-        remaining = n_random
-        while remaining > 0:
-            take = min(chunk, remaining)
-            eval_chunk(list(rng.integers(0, per_var, size=(d, take))))
-            remaining -= take
+    for start in range(0, total, chunk):
+        flat = np.arange(start, min(start + chunk, total))
+        eval_chunk([(flat // per_var**k) % per_var for k in range(d)])
 
     zz, ww = combine_zw(best["parts"], gamma)
     return ScanResult(

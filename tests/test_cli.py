@@ -5,6 +5,7 @@ import os
 from pathlib import Path
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -460,6 +461,18 @@ def test_integrate_non_finite_state_exits_one(monkeypatch, capsys):
     assert "not finite after step 3" in capsys.readouterr().err
 
 
+def test_integrate_past_the_float_range_exits_one_without_a_warning(capsys):
+    # the forcing's exp(t) overflows at t = 1000: the typed error's exit 1,
+    # even with warnings as errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = main(["integrate", "--dim", "2", "--n", "8", "--beta", "1", "--scheme", "amf2",
+                   "--tau-ratio", "8e3", "--t-end", "1e3"])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "numerical failure: state is not finite after step 1 (t = 1000)\n")
+
+
 def test_integrate_honors_step_ratio_and_config(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(
@@ -520,13 +533,16 @@ def test_output_path_in_a_missing_directory_exits_two_before_any_work(
 
 @pytest.mark.parametrize("scan,message", [
     (["--d", "2", "--theta", "3.0"], "wedge half-angle"),
-    (["--d", "11", "--theta", "0.5"], "3**11 * 40 equal-radius tuples"),
-    (["--d", "1", "--theta", "0", "--radii", "1000000000"], "1**1 * 1000000000 equal-radius"),
-], ids=["theta", "subsample-cap", "radii-cap"])
+    (["--d", "5", "--theta", "0.5"], "d must be at most 4, got d=5"),
+    (["--d", "11", "--theta", "0.5"], "d must be at most 4, got d=11"),
+    (["--d", "1", "--theta", "0", "--radii", "1000000000"], "1000000000 permutation orbits"),
+    (["--d", "4", "--theta", "0.5235988"], "keep_samples would hold 120**4 samples"),
+], ids=["theta", "d5", "d11", "radii-cap", "csv-cap"])
 def test_refused_scan_leaves_an_existing_csv_untouched(tmp_path, capsys, monkeypatch, scan,
                                                        message):
     # check_scan refuses before np.logspace makes the radii and before --csv
-    # is opened (which would truncate the file)
+    # is opened (which would truncate the file); --csv keeps every sample, so
+    # it is refused past the cap that the orbits of d=4, theta=pi/6 fit
     def never(*args, **kwargs):
         raise AssertionError("the scan's radii or samples were made")
     monkeypatch.setattr(cli, "wedge_stability_scan", never)
@@ -556,17 +572,18 @@ def test_stability_rejects_nonpositive_radii_count(tmp_path, capsys, monkeypatch
     assert path.read_bytes() == b"z1_re,z1_im,abs_r\n1,2,3\n"
 
 
-@pytest.mark.parametrize("radii", ["4000001", "1000000000"])
+@pytest.mark.parametrize("radii", ["10000001", "1000000000"])
 def test_stability_radii_past_the_cap_exit_two_before_allocating(capsys, monkeypatch, radii):
-    # every scan refuses more than _CAP radii (n_rays**d >= 1), so the count
-    # is refused before np.logspace makes them: 10^9 radii would be 7.45 GiB
+    # every scan refuses more than _CAP radii (at least one orbit per value),
+    # so the count is refused before np.logspace makes them: 10^9 radii would
+    # be 7.45 GiB
     monkeypatch.setattr(np, "logspace", None)
     monkeypatch.setattr(stability, "_Evaluator", None)
     rc = main(["stability", "--scheme", "amf1", "--d", "1", "--theta", "0",
                "--radii", radii])
     assert rc == 2
-    assert (f"1 directions of {radii} radii would subsample 1**1 * {radii} equal-radius "
-            f"tuples, past {stability._CAP}") in capsys.readouterr().err
+    assert (f"1 directions of {radii} values have {radii} permutation orbits, "
+            f"past {stability._CAP}") in capsys.readouterr().err
 
 
 def test_stability_invalid_angle_exits_two(capsys):
@@ -582,21 +599,14 @@ def test_stability_non_finite_angle_exits_two(capsys):
     assert "wedge half-angle" in capsys.readouterr().err
 
 
-def test_stability_subsample_past_the_cap_exits_two(capsys, monkeypatch):
-    # 3**11 * 40 equal-radius tuples: refused before any sample is evaluated
-    monkeypatch.setattr(stability, "_Evaluator", None)
-    rc = main(["stability", "--scheme", "amf1", "--d", "11", "--theta", "0.5"])
-    assert rc == 2
-    assert "equal-radius tuples" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("d,theta", [("65", "0"), ("100000000", "0.5")])
+@pytest.mark.parametrize("d,theta", [("5", "0"), ("11", "0.5"), ("65", "0"),
+                                     ("100000000", "0.5")])
 def test_stability_past_the_direction_limit_exits_two(capsys, monkeypatch, d, theta):
     # refused at once, before any power of d or any sample
     monkeypatch.setattr(stability, "_Evaluator", None)
     rc = main(["stability", "--scheme", "amf1", "--d", d, "--theta", theta])
     assert rc == 2
-    assert "d must be at most 63" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: d must be at most 4, got d={d}\n"
 
 
 @pytest.mark.parametrize("command", [

@@ -406,6 +406,18 @@ def test_state_turning_non_finite_reports_its_step():
     assert info.value.t == 0.75
 
 
+def test_run_past_the_float_range_raises_the_typed_error_and_warns_of_nothing():
+    # tau = 1000 at beta=1: the forcing's exp(t) overflows in the first step,
+    # and the step's products meet inf - inf; the step's finite check raises,
+    # with no RuntimeWarning on the way
+    prob = build_problem(2, 8, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteStateError) as info:
+            integrate(prob, SCHEMES[1], TAB, 1e3, 1e3)
+    assert (info.value.step, info.value.t) == (1, 1e3)
+
+
 @pytest.mark.parametrize(
     "pattern", [[1e307], [1e308, 1e308, -1e308, -1e308]], ids=["inf", "inf-minus-inf"]
 )

@@ -9,6 +9,7 @@ sweep count's approximation order and break afterwards.
 import dataclasses
 import itertools
 import math
+import re
 import warnings
 from unittest import mock
 
@@ -26,6 +27,7 @@ from amfrk import (
     wedge_stability_scan,
 )
 import amfrk.stability as stability
+from amfrk.stability import _radii
 from amfrk.tableau import GAMMA
 from helpers import (
     extended_scheme,
@@ -267,16 +269,27 @@ def test_stiff_limit_per_sweep_count():
         assert abs(r) < 1e-6
 
 
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_modes_stiff_in_two_or_more_directions_pass_undamped(q):
+    # three directions, the stiff ones at z_k = -1e4 and the others at -1e-3,
+    # with the factored w: one stiff direction is damped (amf1 only to its
+    # plateau near -0.90), but with two or three w ~ gamma z_1 z_2 outgrows z
+    # and R_q tends to 1, where Radau IIA's R tends to 0
+    def r(n_stiff):
+        z, w = combine_zw([-1e4] * n_stiff + [-1e-3] * (3 - n_stiff), GAMMA)
+        return stability_function(SCHEMES[q], TAB, z, w)
+
+    one, two, three = r(1), r(2), r(3)
+    if q == 1:
+        assert abs(one - -0.90) <= 0.01
+    else:
+        assert abs(one) <= 2e-3
+    assert abs(two) >= 0.998 and abs(three) >= 0.9999
+    assert max(abs(two), abs(three)) <= 1.0 + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # wedge scan bookkeeping
-
-
-def _subsample(monkeypatch, cap, n_random):
-    """Scan cross products past cap samples by the subsample of n_random
-    draws; returns the reference_wedge_scan options that do the same."""
-    monkeypatch.setattr(stability, "_CAP", cap)
-    monkeypatch.setattr(stability, "_N_RANDOM", n_random)
-    return dict(cap=cap, n_random=n_random)
 
 
 def test_scan_full_cross_product_counts():
@@ -299,14 +312,11 @@ def test_scan_axis_only_when_angle_is_zero():
     assert all(v.imag == 0.0 and v.real < 0.0 for v in res.argmax.parts)
 
 
-@pytest.mark.parametrize("d,kw,sub", [
-    (2, dict(radii=[1e200, 1.0]), None),
-    (3, dict(radii=[1e-3, 1e200, 1.0, 1e104]), None),
-    (3, dict(radii=[1e200, 0.5]), (100, 5000)),
-], ids=["full-product-d2", "full-product-d3", "subsample-d3"])
-def test_scan_excludes_overflowing_samples_silently(monkeypatch, d, kw, sub):
-    if sub:
-        _subsample(monkeypatch, *sub)
+@pytest.mark.parametrize("d,kw", [
+    (2, dict(radii=[1e200, 1.0])),
+    (3, dict(radii=[1e-3, 1e200, 1.0, 1e104])),
+], ids=["full-product-d2", "full-product-d3"])
+def test_scan_excludes_overflowing_samples_silently(d, kw):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         quiet = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 4, **kw)
@@ -349,52 +359,64 @@ def test_scan_rejects_a_direction_count_that_is_not_an_integer(d, monkeypatch):
         wedge_stability_scan(SCHEMES[1], TAB, d=d, theta=0.0, radii=[1.0])
 
 
-@pytest.mark.parametrize("d,radii", [
-    (11, None),
-    (14, [1.0]),
-    (np.int64(38), None),  # in int64, 3**38 * 40 wraps around to a negative count
-], ids=["d11", "d14-one-radius", "numpy-d38"])
-def test_scan_rejects_a_subsample_past_the_cap(d, radii, monkeypatch):
-    # 3**d * n_radii equal-radius tuples past the 4,000,000 cap, rejected
-    # before any sample is evaluated
-    monkeypatch.setattr(stability, "_Evaluator", None)
-    with pytest.raises(ValueError, match="equal-radius tuples"):
-        wedge_stability_scan(SCHEMES[1], TAB, d, np.pi / 6, radii=radii)
-
-
 @pytest.mark.parametrize("d,theta,radii", [
-    (10, np.pi / 6, None),
-    (13, np.pi / 6, [1.0]),
-    (63, 0.0, [1.0]),  # the most directions the scan takes: one ray at theta = 0
-], ids=["d10", "d13-one-radius", "d63-axis"])
-def test_scan_just_below_the_cap_reaches_the_evaluation(d, theta, radii, monkeypatch):
-    # 2,361,960, 1,594,323 and 1 equal-radius tuples: the (missing) evaluation is reached
-    monkeypatch.setattr(stability, "stability_function", None)
-    with pytest.raises(TypeError):
+    (5, 0.0, [1.0]),  # one orbit, and still refused
+    (11, np.pi / 6, None),
+    (14, np.pi / 6, [1.0]),
+    (np.int64(38), np.pi / 6, None),  # in int64, 3**38 * 40 wraps around to a negative count
+    (64, 0.0, None),
+    (65, 0.0, None),
+    (np.int64(65), 0.0, None),
+    (10_000, np.pi / 6, None),  # 3**10_000 has more digits than an int may print
+    (10**8, 0.5, None),  # 3**(10**8) alone takes minutes
+], ids=["d5-one-value", "d11", "d14-one-radius", "numpy-d38", "d64", "d65", "numpy-d65",
+        "d10000", "d1e8"])
+def test_scan_rejects_more_than_four_directions(d, theta, radii, monkeypatch):
+    # refused before any power of d is formed or any sample is evaluated
+    monkeypatch.setattr(stability, "_Evaluator", None)
+    with pytest.raises(ValueError, match=rf"^d must be at most 4, got d={d}$"):
         wedge_stability_scan(SCHEMES[1], TAB, d, theta, radii=radii)
 
 
-@pytest.mark.parametrize("d,theta", [
-    (64, 0.0),  # np.indices would need 65 array dimensions
-    (65, 0.0),
-    (np.int64(65), 0.0),
-    (10_000, np.pi / 6),  # 3**10_000 has more digits than an int may print
-    (10**8, 0.5),  # 3**(10**8) alone takes minutes
-], ids=["d64", "d65", "numpy-d65", "d10000", "d1e8"])
-def test_scan_rejects_more_directions_than_numpy_allows(d, theta, monkeypatch):
-    # refused before any power of d is formed or any sample is evaluated
+@pytest.mark.parametrize("d,theta,radii,keep", [
+    (4, np.pi / 6, None, False),  # 9,381,251 orbits of 207,360,000 samples
+    (2, np.pi / 2, _radii(1490), False),  # C(4471, 2) = 9,992,685 orbits of 19,980,900 samples
+    (4, 0.0, _radii(56), True),  # 9,834,496 samples kept
+], ids=["d4-default", "d2-past-the-sample-cap", "d4-kept"])
+def test_scan_just_below_the_cap_reaches_the_evaluation(d, theta, radii, keep, monkeypatch):
+    # the (missing) evaluation is reached, whatever the cross product's size
+    monkeypatch.setattr(stability, "stability_function", None)
+    with pytest.raises(TypeError):
+        wedge_stability_scan(SCHEMES[1], TAB, d, theta, radii=radii, keep_samples=keep)
+
+
+@pytest.mark.parametrize("d,theta,n_radii,keep,message", [
+    (4, np.pi / 6, 41, False, "4 directions of 123 values have 10009125 permutation orbits"),
+    (2, 0.0, 4473, False, "2 directions of 4473 values have 10006101 permutation orbits"),
+    (1, 0.0, stability._CAP + 1, False, "1 directions of 10000001 values have 10000001 "),
+    (4, np.pi / 6, None, True, "keep_samples would hold 120**4 samples"),
+    (3, np.pi / 2, 72, True, "keep_samples would hold 216**3 samples"),
+], ids=["d4-41-radii", "d2-axis", "d1-axis", "d4-kept", "d3-kept"])
+def test_scan_past_the_cap_is_refused_before_any_sample(d, theta, n_radii, keep, message,
+                                                        monkeypatch):
+    # the orbits, C(n + d - 1, d) of n values, or the kept samples, n**d, past
+    # the cap: refused before the radii are made or any sample is evaluated
     monkeypatch.setattr(stability, "_Evaluator", None)
-    with pytest.raises(ValueError, match="d must be at most 63"):
-        wedge_stability_scan(SCHEMES[1], TAB, d, theta)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}.*past {stability._CAP}$"):
+        stability.check_scan(d, theta, n_radii, keep)
+    if n_radii is None or n_radii < 1000:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            wedge_stability_scan(SCHEMES[1], TAB, d, theta, keep_samples=keep,
+                                 radii=None if n_radii is None else _radii(n_radii))
 
 
 @pytest.mark.parametrize("d,theta,n_radii,message", [
     *[(d, 0.0, 1, "d=") for d in (2.5, 2.0, True, np.float64(3.0), "3", 0)],
-    (11, np.pi / 6, None, "equal-radius tuples"),
-    (14, np.pi / 6, 1, "equal-radius tuples"),
-    (np.int64(38), np.pi / 6, None, "equal-radius tuples"),
-    *[(d, th, None, "d must be at most 63")
-      for d, th in ((64, 0.0), (65, 0.0), (np.int64(65), 0.0), (10_000, np.pi / 6), (10**8, 0.5))],
+    *[(d, th, n, "d must be at most 4")
+      for d, th, n in ((11, np.pi / 6, None), (14, np.pi / 6, 1), (np.int64(38), np.pi / 6, None),
+                       (64, 0.0, None), (65, 0.0, None), (np.int64(65), 0.0, None),
+                       (10_000, np.pi / 6, None), (10**8, 0.5, None), (5, 0.0, 1))],
+    (4, np.pi / 6, 41, "permutation orbits"),
     *[(2, th, None, "wedge half-angle") for th in (-0.1, 2.0, np.nan)],
     *[(2, 0.0, n, rf"^n_radii must be a whole number >= 1, got n_radii={n}$") for n in (0, -1)],
 ], ids=lambda v: repr(v)[:20])
@@ -406,7 +428,7 @@ def test_check_scan_refuses_what_the_scan_refuses(d, theta, n_radii, message, mo
 
 
 @pytest.mark.parametrize("d,theta,n_radii", [
-    (10, np.pi / 6, None), (13, np.pi / 6, 1), (63, 0.0, 1), (np.int64(2), np.pi / 4, 2),
+    (4, np.pi / 6, None), (3, np.pi / 2, 130), (1, 0.0, 1), (np.int64(2), np.pi / 4, 2),
 ])
 def test_check_scan_admits_the_scans_below_the_cap_and_returns_an_int(d, theta, n_radii):
     got = stability.check_scan(d, theta, n_radii)
@@ -456,31 +478,16 @@ def test_scan_argmax_is_reproducible():
     assert abs(again - res.max_modulus) <= 1e-13 * max(1.0, res.max_modulus)
 
 
-@pytest.mark.parametrize("theta,radii,sub", [
-    (np.pi / 6, [1e-3, 0.5, 1e200], None),
-    (0.0, [1e-3, 0.5, 1e200], None),
-    (np.pi / 6, [0.5, 1e200], (100, 300)),
-], ids=["full-product", "axis", "subsample"])
-def test_scan_counts_are_python_ints(monkeypatch, theta, radii, sub):
-    if sub:
-        _subsample(monkeypatch, *sub)
+@pytest.mark.parametrize("theta,radii", [
+    (np.pi / 6, [1e-3, 0.5, 1e200]),
+    (0.0, [1e-3, 0.5, 1e200]),
+], ids=["full-product", "axis"])
+def test_scan_counts_are_python_ints(theta, radii):
     with np.errstate(over="ignore", invalid="ignore"):
         res = wedge_stability_scan(SCHEMES[2], TAB, 3, theta, radii=radii)
     assert res.n_excluded > 0
     assert type(res.n_samples) is int
     assert type(res.n_excluded) is int
-
-
-def test_scan_subsample_path_is_deterministic(monkeypatch):
-    _subsample(monkeypatch, 1000, 500)
-    kw = dict(d=3, theta=np.pi / 6, radii=np.logspace(-2, 2, 10))
-    res1 = wedge_stability_scan(SCHEMES[2], TAB, **kw)
-    res2 = wedge_stability_scan(SCHEMES[2], TAB, **kw)
-    # diagonal tuples: 27 ray combinations x 10 radii, plus the random draw
-    assert res1.n_samples == 27 * 10 + 500
-    assert res1.max_modulus == res2.max_modulus
-    assert res1.argmax.parts == res2.argmax.parts
-    assert res1.n_samples == res2.n_samples
 
 
 def test_scan_kept_samples_export_as_csv():
@@ -555,40 +562,35 @@ def test_scan_matches_reference_gather_scan(d, theta):
     _assert_matches_reference(SCHEMES[2], res, ref)
 
 
-@pytest.mark.parametrize("q,d,theta,radii,sub", [
-    (1, 2, np.pi / 3, [0.3, 2.0, 50.0], None),
-    (3, 3, np.pi / 4, [0.5, 7.0], None),
-    # subsample: equal-radius tuples, then draws spanning several blocks
-    (2, 3, np.pi / 6, np.logspace(-2, 2, 10), (1000, 40_000)),
-    (2, 4, np.pi / 6, np.logspace(-2, 4, 7), (1000, 300_000)),
+@pytest.mark.parametrize("q,d,theta,radii", [
+    (1, 2, np.pi / 3, [0.3, 2.0, 50.0]),
+    (3, 3, np.pi / 4, [0.5, 7.0]),
     # radii at 1e200 overflow w or R: non-finite samples are excluded
-    (2, 2, np.pi / 4, [1e200, 1.0, 3e150], None),
-    (2, 3, np.pi / 2, [1e-3, 1e200, 1.0, 1e104], None),
-    (1, 3, np.pi / 6, [1e200, 0.5], (100, 5000)),
-], ids=["interior-rays", "interior-ray-d3", "subsample-d3", "subsample-d4",
-        "huge-radii-d2", "huge-radii-d3", "huge-radii-subsample"])
-def test_scan_matches_reference_on_custom_sets(monkeypatch, q, d, theta, radii, sub):
-    ref_kw = _subsample(monkeypatch, *sub) if sub else {}
+    (2, 2, np.pi / 4, [1e200, 1.0, 3e150]),
+    (2, 3, np.pi / 2, [1e-3, 1e200, 1.0, 1e104]),
+], ids=["interior-rays", "interior-ray-d3", "huge-radii-d2", "huge-radii-d3"])
+def test_scan_matches_reference_on_custom_sets(q, d, theta, radii):
     with np.errstate(over="ignore", invalid="ignore"):
         res = wedge_stability_scan(SCHEMES[q], TAB, d, theta, radii=radii)
-        ref = reference_wedge_scan(SCHEMES[q], TAB, d, theta, radii=radii, **ref_kw)
+        ref = reference_wedge_scan(SCHEMES[q], TAB, d, theta, radii=radii)
     if max(radii) >= 1e200:
         assert res.n_excluded > 0
     _assert_matches_reference(SCHEMES[q], res, ref)
 
 
 @pytest.mark.parametrize("block", [1000, 100, 5])
-@pytest.mark.parametrize("sub", [None, (1000, 700)], ids=["full-product", "subsample"])
-def test_scan_matches_reference_at_any_block_size(monkeypatch, block, sub):
-    # 12 values per direction: blocks of whole rows (1000), runs of groups
-    # within a row (100) and single groups larger than a block (5)
+@pytest.mark.parametrize("keep", [True, False], ids=["full-product", "orbits"])
+def test_scan_matches_reference_at_any_block_size(monkeypatch, block, keep):
+    # 12 values per direction, every sample kept or by the orbits: blocks of
+    # whole rows (1000), runs of groups within a row (100) and single groups
+    # larger than a block (5)
     monkeypatch.setattr(stability, "_BLOCK", block)
-    ref_kw = _subsample(monkeypatch, *sub) if sub else {}
-    args = dict(radii=[0.01, 0.7, 30.0, 2e4], keep_samples=True)
+    args = dict(radii=[0.01, 0.7, 30.0, 2e4], keep_samples=keep)
     res = wedge_stability_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args)
-    ref = reference_wedge_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args, **ref_kw)
+    ref = reference_wedge_scan(SCHEMES[3], TAB, 3, np.pi / 6, **args)
     _assert_matches_reference(SCHEMES[3], res, ref)
-    _assert_same_samples(res, ref)
+    if keep:
+        _assert_same_samples(res, ref)
 
 
 def test_scan_negative_rays_hold_the_conjugate_values():
@@ -608,6 +610,42 @@ def _first_pass_orbits(n_radii, d, theta):
     n = (3 if theta else 1) * n_radii
     return [t for t in itertools.combinations_with_replacement(range(n), d)
             if sum(n_radii <= i < 2 * n_radii for i in t) <= sum(i < n_radii for i in t)]
+
+
+def _second_pass_orbits(mods, n_radii, d, theta):
+    """The orbits the full scan evaluates every sample of, given the first
+    pass's |R| in its order: those within _SPREAD of their ray combination's
+    largest, and the conjugate orbits of those with more +theta values than
+    -theta values (none of the samples past floating range)."""
+    orbits = _first_pass_orbits(n_radii, d, theta)
+    rays = [tuple(i // n_radii for i in t) for t in orbits]
+    top = {}
+    for r, m in zip(rays, mods):
+        top[r] = max(top.get(r, 0.0), m)
+    near = [t for t, r, m in zip(orbits, rays, mods) if m >= top[r] * (1.0 - stability._SPREAD)]
+    swap = [*range(n_radii, 2 * n_radii), *range(n_radii), *range(2 * n_radii, 3 * n_radii)]
+    conj = [tuple(sorted(swap[i] for i in t)) for t in near if theta and
+            sum(i < n_radii for i in t) > sum(n_radii <= i < 2 * n_radii for i in t)]
+    return near, conj
+
+
+def _permutations(t):
+    """The count of distinct permutations of the tuple t."""
+    return math.factorial(len(t)) // math.prod(math.factorial(t.count(i)) for i in set(t))
+
+
+def _record_moduli(monkeypatch):
+    """Patch the scan's evaluator to record each block's |R|; returns the list."""
+    seen = []
+    call = stability._Evaluator.__call__
+
+    def counting(evaluator, z, w):  # what each block returns
+        r = call(evaluator, z, w)
+        seen.append(np.abs(r))
+        return r
+
+    monkeypatch.setattr(stability._Evaluator, "__call__", counting)
+    return seen
 
 
 def _record_blocks(monkeypatch):
@@ -637,15 +675,7 @@ def test_scan_evaluates_one_sample_of_each_conjugate_pair_of_orbits(monkeypatch,
     # second every sample of the orbits within _SPREAD of their ray
     # combination's largest |R|, and of the conjugate orbits of those with more
     # +theta values (no sample here is past floating range)
-    seen = []
-    call = stability._Evaluator.__call__
-
-    def counting(evaluator, z, w):  # what each block returns
-        r = call(evaluator, z, w)
-        seen.append(np.abs(r))
-        return r
-
-    monkeypatch.setattr(stability._Evaluator, "__call__", counting)
+    seen = _record_moduli(monkeypatch)
     res = wedge_stability_scan(SCHEMES[2], TAB, d, theta,
                                radii=np.logspace(-3.0, 6.0, n_radii))
     n = (3 if theta else 1) * n_radii
@@ -653,18 +683,29 @@ def test_scan_evaluates_one_sample_of_each_conjugate_pair_of_orbits(monkeypatch,
     assert want == len(orbits) and res.n_samples == n**d
     assert (want < math.comb(n + d - 1, d)) == (theta > 0)  # every orbit at theta = 0
     mods = np.concatenate(seen)
-    rays = [tuple(i // n_radii for i in t) for t in orbits]
-    top = {}
-    for r, m in zip(rays, mods[:want].tolist()):
-        top[r] = max(top.get(r, 0.0), m)
-    near = [t for t, r, m in zip(orbits, rays, mods[:want].tolist())
-            if m >= top[r] * (1.0 - stability._SPREAD)]
-    swap = [*range(n_radii, 2 * n_radii), *range(n_radii), *range(2 * n_radii, n)]
-    conj = [tuple(sorted(swap[i] for i in t)) for t in near if theta and
-            sum(i < n_radii for i in t) > sum(n_radii <= i < 2 * n_radii for i in t)]
-    assert mods.size - want == sum(
-        math.factorial(d) // math.prod(math.factorial(t.count(i)) for i in set(t))
-        for t in near + conj)
+    near, conj = _second_pass_orbits(mods[:want].tolist(), n_radii, d, theta)
+    assert mods.size - want == sum(map(_permutations, near + conj))
+
+
+def test_scan_d4_wedge_on_eight_radii_gives_what_every_sample_gives(monkeypatch):
+    # CI's d=4, theta=pi/6 wedge on 8 radii, 331,776 samples, against the
+    # gather scan of every sample.  At radius 1e6 |R| rounds to 1 (modes
+    # stiff in several directions pass undamped), so the second pass expands
+    # near orbits with repeated values, and their conjugate orbits, into
+    # their distinct permutations
+    seen = _record_moduli(monkeypatch)
+    d, theta, radii = 4, np.pi / 6, np.logspace(-3.0, 6.0, 8)
+    res = wedge_stability_scan(SCHEMES[2], TAB, d, theta, radii=radii)
+    mods = np.concatenate(seen)  # before the gather scan adds its own blocks
+    ref = reference_wedge_scan(SCHEMES[2], TAB, d, theta, radii=radii)
+    assert (res.max_modulus, res.argmax, res.n_samples, res.n_excluded) == (
+        ref.max_modulus, ref.argmax, 24**4, 0)
+    assert res.per_ray == ref.per_ray and res.max_modulus == 1.0
+    first = len(_first_pass_orbits(len(radii), d, theta))
+    near, conj = _second_pass_orbits(mods[:first].tolist(), len(radii), d, theta)
+    assert any(len(set(t)) < d for t in near) and any(len(set(t)) < d for t in conj)
+    assert any(len(set(t)) == d for t in near) and any(len(set(t)) == d for t in conj)
+    assert mods.size - first == sum(map(_permutations, near + conj))
 
 
 def test_scan_first_pass_has_no_more_minus_theta_values_than_plus_theta_values(monkeypatch):
@@ -698,13 +739,10 @@ def test_scan_orbit_blocks_are_full_but_each_pass_last(monkeypatch):
     assert first > 1 and len(sizes) - first > 1 and res.n_samples == 6**4
 
 
-@pytest.mark.parametrize("keep,sub", [(False, None), (True, None), (False, (100, 300))],
-                         ids=["orbits", "every-sample", "subsample"])
-def test_scan_builds_a_stepper_only_when_the_block_length_changes(monkeypatch, keep, sub):
+@pytest.mark.parametrize("keep", [False, True], ids=["orbits", "every-sample"])
+def test_scan_builds_a_stepper_only_when_the_block_length_changes(monkeypatch, keep):
     # a pass's full blocks share one Stepper, and its last, shorter block gets
     # its own: no block steps more samples than it holds
-    if sub:
-        _subsample(monkeypatch, *sub)
     monkeypatch.setattr(stability, "_BLOCK", 37)
     built, blocks = [], []
     call = stability._Evaluator.__call__
@@ -802,17 +840,16 @@ def test_scan_orbits_give_what_every_sample_gives(d, theta, radii, block):
     assert list(res.per_ray.items()) == list(every.per_ray.items())  # -inf == -inf
 
 
-@pytest.mark.parametrize("d,radii,sub", [
-    (2, [1.0, 3.0, 1e200], None),
-    (3, [0.5, 4.0], (100, 100)),
-], ids=["full-product", "subsample"])
-def test_scan_kept_samples_keep_the_reference_order(monkeypatch, d, radii, sub):
-    ref_kw = _subsample(monkeypatch, *sub) if sub else {}
+@pytest.mark.parametrize("d,radii", [
+    (2, [1.0, 3.0, 1e200]),
+    (3, [0.5, 4.0]),
+], ids=["full-product", "full-product-d3"])
+def test_scan_kept_samples_keep_the_reference_order(d, radii):
     with np.errstate(over="ignore", invalid="ignore"):
         res = wedge_stability_scan(SCHEMES[2], TAB, d, np.pi / 3,
                                    radii=radii, keep_samples=True)
         ref = reference_wedge_scan(SCHEMES[2], TAB, d, np.pi / 3,
-                                   radii=radii, keep_samples=True, **ref_kw)
+                                   radii=radii, keep_samples=True)
     assert res.samples[2].size == res.n_samples
     _assert_same_samples(res, ref)  # z and w follow from the parts by combine_zw
 
